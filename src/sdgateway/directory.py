@@ -73,16 +73,19 @@ class SDEntry:
     updated_at: float = 0.0
 
 
+class DirectoryInvariantError(RuntimeError):
+    """A directory entry or effect broke an invariant.  Raised, not
+    asserted, so the check survives `python -O`."""
+
+
 @dataclass(frozen=True)
 class SDEffect:
     kind: EffectKind
     entry: Optional[SDEntry] = None
 
     def __post_init__(self) -> None:
-        if self.kind is EffectKind.NO_EFFECT:
-            assert self.entry is None
-        else:
-            assert self.entry is not None
+        if (self.kind is EffectKind.NO_EFFECT) != (self.entry is None):
+            raise DirectoryInvariantError(f"{self.kind.value} effect with entry {self.entry!r}")
 
 
 NO_EFFECT = SDEffect(EffectKind.NO_EFFECT)
@@ -94,13 +97,21 @@ class StateDirectory:
     A single logical state machine: callers must serialize mutations
     (the simulator's event loop does).  `clock` supplies simulated time
     for the created/updated stamps.
+
+    Each entry is stored under its identity key, `(EntryType, *identity)`:
+    PUT (server, uri), OBSERVE (client, server, uri), BIND (server, uri,
+    dest, resource), DEPLOY (server, filename).  A repeat request updates
+    the entry in place and keeps its replay position; remove-then-recreate
+    moves it to the end.
     """
 
     def __init__(self, clock: Callable[[], float] = lambda: 0.0, *,
                  max_retransmit: int = MAX_RETRANSMIT,
                  deploy_mode: DeployMode = DeployMode.FILENAME_ONLY,
                  trace=None) -> None:
-        self.entries: list[SDEntry] = []
+        # Creation-ordered, and the same entries again per server address.
+        self._entries: dict[tuple, SDEntry] = {}
+        self._by_server: dict[str, dict[tuple, SDEntry]] = {}
         self.known_nodes: set[str] = set()
         self.max_retransmit = max_retransmit
         self.deploy_mode = deploy_mode
@@ -108,6 +119,11 @@ class StateDirectory:
         self._trace = trace
         # Partial block transfers, keyed (client, server, loader path).
         self._pending_blocks: dict[tuple[Endpoint, Endpoint, str], list[bytes]] = {}
+
+    @property
+    def entries(self) -> list[SDEntry]:
+        """Every entry, in creation order (a copy)."""
+        return list(self._entries.values())
 
     # -- collection ----------------------------------------------------
 
@@ -117,46 +133,42 @@ class StateDirectory:
         kind = classify(msg)
         uri = msg.options.path_str()
         if kind is InteractionKind.PUT_REQUEST:
-            effect = self._upsert_put(msg, src, dst, uri)
+            effect = self._upsert((EntryType.PUT, dst, uri), msg, src, dst, uri,
+                                  value=msg.payload, content_format=msg.options.content_format)
         elif kind is InteractionKind.OBSERVE_REGISTER:
-            effect = self._upsert_observe(msg, src, dst, uri)
+            effect = self._upsert((EntryType.OBSERVE, src, dst, uri), msg, src, dst, uri)
         elif kind is InteractionKind.OBSERVE_DEREGISTER:
-            effect = self._remove(self._find_observe(src, dst, uri), "deregister")
+            effect = self._remove((EntryType.OBSERVE, src, dst, uri), "deregister")
         elif kind is InteractionKind.BINDING_REQUEST:
-            effect = self._upsert_bind(msg, src, dst, uri)
+            info = msg.options.binding
+            effect = self._upsert((EntryType.BIND, dst, uri, info.dest_addr, info.dest_resource),
+                                  msg, src, dst, uri, binding=info)
         elif kind is InteractionKind.DEPLOY_BLOCK:
             effect = self._deploy_block(msg, src, dst, uri)
         elif kind is InteractionKind.RESET_SIGNAL:
-            effect = self._remove(self._find_observe_by_mid(src, dst, msg.mid), "rst")
+            effect = self._remove(self._find_observe(src, dst, "mid", msg.mid), "rst")
         elif kind is InteractionKind.ACK_SIGNAL:
             effect = self._client_ack(src, dst, msg.mid)
         else:
             effect = NO_EFFECT
-        self._log("in", effect)
-        self._check_invariants()
-        return effect
+        return self._done("in", effect)
 
     def intercept_from_lln(self, msg: CoapMessage, src: Endpoint, dst: Endpoint) -> SDEffect:
         """Inspect a packet leaving the LLN.  Only observe notifications
         (and their retransmissions) have an effect."""
         if classify(msg) is not InteractionKind.NOTIFICATION:
-            self._log("lln", NO_EFFECT)
-            return NO_EFFECT
-        entry = None
-        for e in self.entries:
-            if (e.entry_type is EntryType.OBSERVE and e.server == src
-                    and e.client == dst and e.token == msg.token):
-                entry = e
-                break
-        if entry is None:
+            return self._done("lln", NO_EFFECT)
+        key = self._find_observe(dst, src, "token", msg.token)
+        if key is None:
             # Collection is driven by requests; a stray notification
             # never creates state.
-            effect = NO_EFFECT
-        elif msg.mid == entry.mid:
+            return self._done("lln", NO_EFFECT)
+        entry = self._entries[key]
+        if msg.mid == entry.mid:
             entry.retransmit_counter += 1
             entry.updated_at = self._clock()
             if entry.retransmit_counter >= self.max_retransmit:
-                effect = self._remove(entry, "retransmit")
+                effect = self._remove(key, "retransmit")
             else:
                 effect = SDEffect(EffectKind.UPDATED, entry)
         else:
@@ -165,21 +177,18 @@ class StateDirectory:
             entry.retransmit_counter = 0
             entry.updated_at = self._clock()
             effect = SDEffect(EffectKind.UPDATED, entry)
-        self._log("lln", effect)
-        self._check_invariants()
-        return effect
+        return self._done("lln", effect)
 
     # -- queries -------------------------------------------------------
 
     def entries_for_server(self, server_addr: str) -> list[SDEntry]:
-        found = [e for e in self.entries if e.server.addr == server_addr]
-        found.sort(key=lambda e: e.created_at)  # stable; list is already creation-ordered
-        return found
+        """The server's entries, in creation order (a copy)."""
+        return list(self._by_server.get(server_addr, {}).values())
 
     def register_node(self, node_addr: str) -> RegistrationStatus:
         known = node_addr in self.known_nodes
         self.known_nodes.add(node_addr)
-        if self.entries_for_server(node_addr):
+        if node_addr in self._by_server:
             return RegistrationStatus.KNOWN_WITH_STATE
         return RegistrationStatus.KNOWN_EMPTY if known else RegistrationStatus.NEW
 
@@ -187,7 +196,7 @@ class StateDirectory:
         """One tab-separated line per entry, stable field order, addresses
         in canonical text form.  Used by the harness for assertions."""
         lines = []
-        for e in self.entries:
+        for e in self._entries.values():
             binding = "-"
             if e.binding is not None:
                 b = e.binding
@@ -212,69 +221,36 @@ class StateDirectory:
 
     # -- internals -----------------------------------------------------
 
-    def _upsert_put(self, msg, src, dst, uri) -> SDEffect:
+    def _upsert(self, key: tuple, msg: CoapMessage, src: Endpoint, dst: Endpoint,
+                uri: str, **fields) -> SDEffect:
+        """Create the entry for `key`, or update it in place.  `fields` are
+        the type's own data.  An update keeps the original `uri_path` and
+        takes the latest client endpoint, which wins the replay spoof (an
+        OBSERVE key holds its client, so there it stays the same)."""
         now = self._clock()
-        for e in self.entries:
-            if e.entry_type is EntryType.PUT and e.server == dst and e.uri_path == uri:
-                e.value = msg.payload
-                e.content_format = msg.options.content_format
-                e.client = src  # latest client endpoint wins the replay spoof
-                e.token = msg.token
-                e.mid = msg.mid
-                e.updated_at = now
-                return SDEffect(EffectKind.UPDATED, e)
-        entry = SDEntry(EntryType.PUT, src, dst, uri, token=msg.token, mid=msg.mid,
-                        value=msg.payload, content_format=msg.options.content_format,
-                        created_at=now, updated_at=now)
-        self.entries.append(entry)
-        return SDEffect(EffectKind.CREATED, entry)
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = SDEntry(key[0], src, dst, uri, token=msg.token, mid=msg.mid,
+                            created_at=now, updated_at=now, **fields)
+            self._entries[key] = entry
+            self._by_server.setdefault(dst.addr, {})[key] = entry
+            return SDEffect(EffectKind.CREATED, entry)
+        for name, value in fields.items():
+            setattr(entry, name, value)
+        entry.client = src
+        entry.token = msg.token
+        entry.mid = msg.mid
+        entry.updated_at = now
+        return SDEffect(EffectKind.UPDATED, entry)
 
-    def _find_observe(self, client, server, uri) -> Optional[SDEntry]:
-        for e in self.entries:
+    def _find_observe(self, client: Endpoint, server: Endpoint, field: str, value) -> Optional[tuple]:
+        """Key of the first OBSERVE entry, in creation order, of `client`
+        at `server` whose `field` equals `value`."""
+        for key, e in self._by_server.get(server.addr, {}).items():
             if (e.entry_type is EntryType.OBSERVE and e.client == client
-                    and e.server == server and e.uri_path == uri):
-                return e
+                    and e.server == server and getattr(e, field) == value):
+                return key
         return None
-
-    def _find_observe_by_mid(self, client, server, mid) -> Optional[SDEntry]:
-        for e in self.entries:
-            if (e.entry_type is EntryType.OBSERVE and e.client == client
-                    and e.server == server and e.mid == mid):
-                return e
-        return None
-
-    def _upsert_observe(self, msg, src, dst, uri) -> SDEffect:
-        now = self._clock()
-        entry = self._find_observe(src, dst, uri)
-        if entry is not None:
-            entry.token = msg.token
-            entry.mid = msg.mid
-            entry.updated_at = now
-            return SDEffect(EffectKind.UPDATED, entry)
-        entry = SDEntry(EntryType.OBSERVE, src, dst, uri, token=msg.token, mid=msg.mid,
-                        observe_counter=0, retransmit_counter=0,
-                        created_at=now, updated_at=now)
-        self.entries.append(entry)
-        return SDEffect(EffectKind.CREATED, entry)
-
-    def _upsert_bind(self, msg, src, dst, uri) -> SDEffect:
-        now = self._clock()
-        info = msg.options.binding
-        for e in self.entries:
-            if (e.entry_type is EntryType.BIND and e.server == dst and e.uri_path == uri
-                    and e.binding is not None
-                    and e.binding.dest_addr == info.dest_addr
-                    and e.binding.dest_resource == info.dest_resource):
-                e.binding = info
-                e.client = src
-                e.token = msg.token
-                e.mid = msg.mid
-                e.updated_at = now
-                return SDEffect(EffectKind.UPDATED, e)
-        entry = SDEntry(EntryType.BIND, src, dst, uri, token=msg.token, mid=msg.mid,
-                        binding=info, created_at=now, updated_at=now)
-        self.entries.append(entry)
-        return SDEffect(EffectKind.CREATED, entry)
 
     def _deploy_block(self, msg, src, dst, uri) -> SDEffect:
         block = msg.options.block1
@@ -296,64 +272,50 @@ class StateDirectory:
         if not filename:
             return NO_EFFECT
         blocks = tuple(buf) if self.deploy_mode is DeployMode.BLOCK_CAPTURE else None
-        now = self._clock()
-        for e in self.entries:
-            if (e.entry_type is EntryType.DEPLOY and e.server == dst
-                    and e.deploy is not None and e.deploy.filename == filename):
-                e.deploy = DeployInfo(filename, uri, blocks)
-                e.client = src
-                e.token = msg.token
-                e.mid = msg.mid
-                e.updated_at = now
-                return SDEffect(EffectKind.UPDATED, e)
-        entry = SDEntry(EntryType.DEPLOY, src, dst, uri, token=msg.token, mid=msg.mid,
-                        deploy=DeployInfo(filename, uri, blocks),
-                        created_at=now, updated_at=now)
-        self.entries.append(entry)
-        return SDEffect(EffectKind.CREATED, entry)
+        return self._upsert((EntryType.DEPLOY, dst, filename), msg, src, dst, uri,
+                            deploy=DeployInfo(filename, uri, blocks))
 
     def _client_ack(self, src, dst, mid) -> SDEffect:
-        entry = self._find_observe_by_mid(src, dst, mid)
-        if entry is None or entry.retransmit_counter == 0:
+        key = self._find_observe(src, dst, "mid", mid)
+        if key is None or self._entries[key].retransmit_counter == 0:
             return NO_EFFECT
+        entry = self._entries[key]
         entry.retransmit_counter = 0
         entry.updated_at = self._clock()
         return SDEffect(EffectKind.UPDATED, entry)
 
-    def _remove(self, entry: Optional[SDEntry], reason: str) -> SDEffect:
+    def _remove(self, key: Optional[tuple], reason: str) -> SDEffect:
+        entry = self._entries.pop(key, None)
         if entry is None:
             return NO_EFFECT
-        self.entries.remove(entry)
+        bucket = self._by_server[entry.server.addr]
+        del bucket[key]
+        if not bucket:
+            del self._by_server[entry.server.addr]
         if self._trace is not None:
             self._trace.emit("sd_remove", reason=reason, et=int(entry.entry_type),
                              server=entry.server.addr, uri=entry.uri_path, mid=entry.mid,
                              ret=entry.retransmit_counter)
         return SDEffect(EffectKind.REMOVED, entry)
 
-    def _log(self, direction: str, effect: SDEffect) -> None:
-        if self._trace is None or effect.kind is EffectKind.NO_EFFECT:
-            return
+    def _done(self, direction: str, effect: SDEffect) -> SDEffect:
+        """Trace the intercept's effect and check the one entry it touched."""
         e = effect.entry
-        self._trace.emit("sd", dir=direction, effect=effect.kind.value,
-                         et=int(e.entry_type), client=str(e.client), server=str(e.server),
-                         uri=e.uri_path, obs=e.observe_counter, mid=e.mid,
-                         ret=e.retransmit_counter)
-
-    def _check_invariants(self) -> None:
-        seen_obs = set()
-        seen_put = set()
-        for e in self.entries:
-            if e.entry_type is EntryType.OBSERVE:
-                key = (e.client, e.server, e.uri_path)
-                assert key not in seen_obs, f"duplicate OBSERVE entry {key}"
-                seen_obs.add(key)
-                assert e.retransmit_counter <= self.max_retransmit
-            elif e.entry_type is EntryType.PUT:
-                key = (e.server, e.uri_path)
-                assert key not in seen_put, f"duplicate PUT entry {key}"
-                seen_put.add(key)
-                assert e.observe_counter == 0
-            elif e.entry_type is EntryType.BIND:
-                assert e.binding is not None
-            elif e.entry_type is EntryType.DEPLOY:
-                assert e.deploy is not None
+        if e is None:
+            return effect
+        if self._trace is not None:
+            self._trace.emit("sd", dir=direction, effect=effect.kind.value,
+                             et=int(e.entry_type), client=str(e.client), server=str(e.server),
+                             uri=e.uri_path, obs=e.observe_counter, mid=e.mid,
+                             ret=e.retransmit_counter)
+        if e.entry_type is EntryType.OBSERVE:
+            ok = e.retransmit_counter <= self.max_retransmit
+        elif e.entry_type is EntryType.PUT:
+            ok = e.observe_counter == 0
+        elif e.entry_type is EntryType.BIND:
+            ok = e.binding is not None
+        else:
+            ok = e.deploy is not None
+        if not ok:
+            raise DirectoryInvariantError(f"corrupt {e.entry_type.name} entry: {e!r}")
+        return effect

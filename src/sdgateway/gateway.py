@@ -52,7 +52,7 @@ class GatewayConfig:
 
 
 class _Suppression:
-    __slots__ = ("token", "mid", "dst", "on_hit", "expires", "consumed")
+    __slots__ = ("token", "mid", "dst", "on_hit", "expires")
 
     def __init__(self, token: bytes, mid: int, dst: Endpoint,
                  on_hit: Callable[[], None], expires: float) -> None:
@@ -61,7 +61,6 @@ class _Suppression:
         self.dst = dst
         self.on_hit = on_hit
         self.expires = expires
-        self.consumed = False
 
 
 class _ConExchange:
@@ -105,7 +104,7 @@ class _ConExchange:
         if self.timer is not None:
             self.timer.cancel()
         if self.suppression is not None:
-            self.suppression.consumed = True
+            self.gateway._drop_suppression(self.suppression)
 
     def cancel(self) -> None:
         self.complete()
@@ -129,7 +128,8 @@ class Gateway:
             mids=self.mids, gateway_addr=config.gateway_addr,
             pacing_gap=config.pacing_gap, trace=sim.trace)
         self.overhead_us: list[float] = []
-        self._suppressions: list[_Suppression] = []
+        # Live suppressions per spoofed destination, in insertion order.
+        self._suppressions: dict[Endpoint, list[_Suppression]] = {}
         self._last_registration: dict[str, tuple[int, float]] = {}
         network.gateway = self
 
@@ -219,25 +219,26 @@ class Gateway:
                 on_hit=lambda: (exchange.complete(), on_ack()),
                 expires=self.sim.now + EXCHANGE_LIFETIME_MS)
             exchange.suppression = suppression
-            self._suppressions.append(suppression)
+            self._suppressions.setdefault(suppression.dst, []).append(suppression)
         exchange.start()
         return exchange
 
     def _consume_suppressed(self, frame: Frame, msg: CoapMessage) -> bool:
         now = self.sim.now
-        self._suppressions = [s for s in self._suppressions
-                              if not s.consumed and s.expires > now]
-        for s in self._suppressions:
-            if s.dst != frame.dst:
-                continue
-            if s.token and msg.token == s.token:
-                pass
-            elif msg.msg_type is MsgType.ACK and msg.mid == s.mid:
-                pass
-            else:
-                continue
-            s.consumed = True
-            self.sim.trace.emit("consume", dst=str(frame.dst), msg=msg.short())
-            s.on_hit()
-            return True
+        for s in list(self._suppressions.get(frame.dst, ())):
+            if s.expires <= now:
+                self._drop_suppression(s)
+            elif ((s.token and msg.token == s.token)
+                  or (msg.msg_type is MsgType.ACK and msg.mid == s.mid)):
+                self._drop_suppression(s)
+                self.sim.trace.emit("consume", dst=str(frame.dst), msg=msg.short())
+                s.on_hit()
+                return True
         return False
+
+    def _drop_suppression(self, s: _Suppression) -> None:
+        bucket = self._suppressions.get(s.dst)
+        if bucket is not None and s in bucket:
+            bucket.remove(s)
+            if not bucket:
+                del self._suppressions[s.dst]

@@ -59,9 +59,6 @@ class TraceRecorder:
                 hits.append((t, fields))
         return hits
 
-    def contains(self, substring: str) -> bool:
-        return any(substring in line for line in self.lines())
-
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.text())
@@ -104,6 +101,3 @@ class Simulator:
             event.fn(*event.args)
         if until is not None and until > self.now:
             self.now = until
-
-    def pending(self) -> int:
-        return sum(1 for e in self._queue if not e.cancelled)

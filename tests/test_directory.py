@@ -1,10 +1,18 @@
 import copy
+import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from sdgateway.coap import (
     CHANGED,
     CONTENT,
     GET,
+    MAX_RETRANSMIT,
     POST,
     PUT,
     BindingInfo,
@@ -16,11 +24,16 @@ from sdgateway.coap import (
     empty_ack,
     reset_for,
 )
+import sdgateway
 from sdgateway.directory import (
+    DeployInfo,
     DeployMode,
+    DirectoryInvariantError,
     EffectKind,
     EntryType,
     RegistrationStatus,
+    SDEffect,
+    SDEntry,
     StateDirectory,
 )
 
@@ -176,9 +189,9 @@ def test_binding_request_creates_bind_entry():
     assert len(sd.entries) == 1
 
 
-def deploy_block(num, more, payload, mid, filename="blinker"):
+def deploy_block(num, more, payload, mid, filename="blinker", path="ldr"):
     return CoapMessage(MsgType.CON, POST, mid,
-                       options=OptionSet(uri_path=("ldr",),
+                       options=OptionSet(uri_path=(path,),
                                          uri_query=(f"file={filename}",),
                                          block1=Block1(num, more, 64)),
                        payload=payload)
@@ -256,19 +269,159 @@ def test_entries_for_server_ordered_by_creation():
     assert sd.entries_for_server("aaaa::ffff") == []
 
 
+class ListDirectory:
+    """Reference model of the directory's semantics, by brute force over a
+    flat list: an update keeps the entry's position, remove-then-recreate
+    appends, and every lookup takes the first match in creation order."""
+
+    def __init__(self):
+        self.entries = []
+
+    def first(self, et, **match):
+        return next((e for e in self.entries if e.entry_type is et
+                     and all(getattr(e, k) == v for k, v in match.items())), None)
+
+    def upsert(self, found, et, now, client, server, uri, token, mid, **fields):
+        if found is None:
+            self.entries.append(SDEntry(et, client, server, uri, token=token, mid=mid,
+                                        created_at=now, updated_at=now, **fields))
+            return EffectKind.CREATED
+        for name, value in dict(fields, client=client, token=token, mid=mid,
+                                updated_at=now).items():
+            setattr(found, name, value)
+        return EffectKind.UPDATED
+
+    def remove(self, found):
+        if found is None:
+            return EffectKind.NO_EFFECT
+        self.entries.remove(found)
+        return EffectKind.REMOVED
+
+    def notify(self, now, server, client, token, obs, mid):
+        e = self.first(EntryType.OBSERVE, server=server, client=client, token=token)
+        if e is None:
+            return EffectKind.NO_EFFECT
+        if e.mid == mid:
+            e.retransmit_counter += 1
+            if e.retransmit_counter >= MAX_RETRANSMIT:
+                return self.remove(e)
+        else:
+            e.observe_counter, e.mid, e.retransmit_counter = obs, mid, 0
+        e.updated_at = now
+        return EffectKind.UPDATED
+
+    def client_ack(self, now, client, server, mid):
+        e = self.first(EntryType.OBSERVE, client=client, server=server, mid=mid)
+        if e is None or e.retransmit_counter == 0:
+            return EffectKind.NO_EFFECT
+        e.retransmit_counter, e.updated_at = 0, now
+        return EffectKind.UPDATED
+
+
+def render(e):
+    b, d = e.binding, e.deploy
+    return "\t".join([
+        str(int(e.entry_type)), str(e.client), str(e.server), e.uri_path,
+        e.token.hex() or "-", str(e.mid), str(e.observe_counter), str(e.retransmit_counter),
+        e.value.hex() or "-", "-" if e.content_format is None else str(e.content_format),
+        f"{b.dest_addr},{b.dest_resource},{b.pmin},{b.pmax}" if b else "-",
+        f"{d.filename},{d.loader_path},{len(d.blocks or ())}" if d else "-",
+        f"{e.created_at:.3f}", f"{e.updated_at:.3f}"])
+
+
 def test_interleaved_servers_query_independently():
-    rng = random.Random(42)
-    sd = StateDirectory()
-    expected = {NODE.addr: [], NODE_B.addr: []}  # brute-force bookkeeping oracle
-    for i in range(40):
-        server = rng.choice([NODE, NODE_B])
-        path = f"r/{rng.randrange(6)}"
-        effect = sd.intercept_from_internet(put_msg(path, b"%d" % i, mid=i), CLIENT, server)
-        if effect.kind is EffectKind.CREATED:
-            expected[server.addr].append(path)
-    for addr in expected:
-        got = [e.uri_path for e in sd.entries_for_server(addr)]
-        assert got == expected[addr]
+    for seed in (1, 2, 3, 42):
+        check_against_reference(seed)
+
+
+def check_against_reference(seed):
+    """Random PUT/observe/deregister/notify/RST/ACK/bind/deploy steps over
+    two servers and two clients; after every step the directory must
+    agree with `ListDirectory` on the effect and the whole state."""
+    rng = random.Random(seed)
+    now = [0.0]
+    sd = StateDirectory(clock=lambda: now[0])
+    ref = ListDirectory()
+    clients = [CLIENT, Endpoint("cccc::4", 40001)]
+    tokens = [b"\x01", b"\x02"]
+    mids = itertools.count(1)
+    notified = []  # (server, client, token, mid) of notifications sent so far
+    for step in range(400):
+        now[0] = float(step)
+        server, client = rng.choice([NODE, NODE_B]), rng.choice(clients)
+        path, token, mid = rng.choice(["s/a", "s/b"]), rng.choice(tokens), next(mids)
+        op = rng.choice(["put", "observe", "deregister", "notify", "notify", "rst",
+                         "ack", "bind", "deploy"])
+        if op == "put":
+            value = b"%d" % rng.randrange(3)
+            got = sd.intercept_from_internet(put_msg(path, value, mid), client, server)
+            want = ref.upsert(ref.first(EntryType.PUT, server=server, uri_path=path),
+                              EntryType.PUT, now[0], client, server, path, b"", mid,
+                              value=value, content_format=0)
+        elif op == "observe":
+            got = sd.intercept_from_internet(observe_msg(path, 0, mid, token), client, server)
+            found = ref.first(EntryType.OBSERVE, client=client, server=server, uri_path=path)
+            want = ref.upsert(found, EntryType.OBSERVE, now[0], client, server, path, token, mid)
+        elif op == "deregister":
+            got = sd.intercept_from_internet(observe_msg(path, 1, mid, token), client, server)
+            want = ref.remove(ref.first(EntryType.OBSERVE, client=client, server=server,
+                                        uri_path=path))
+        elif op == "notify":
+            observes = [e for e in ref.entries if e.entry_type is EntryType.OBSERVE]
+            if notified and rng.random() < 0.5:  # retransmit the latest notification
+                server, client, token, mid = notified[-1]
+            elif observes and rng.random() < 0.7:
+                e = rng.choice(observes)
+                server, client, token = e.server, e.client, e.token
+            obs = rng.randrange(2, 50)
+            notified.append((server, client, token, mid))
+            for _ in range(rng.choice([1, 1, MAX_RETRANSMIT])):  # then its retransmissions
+                got = sd.intercept_from_lln(notif_msg(obs, mid, token), server, client)
+                want = ref.notify(now[0], server, client, token, obs, mid)
+                assert got.kind is want, (step, op)
+        elif op in ("rst", "ack"):
+            if notified and rng.random() < 0.8:
+                server, client, _, mid = rng.choice(notified[-3:])
+            if op == "rst":
+                got = sd.intercept_from_internet(reset_for(mid), client, server)
+                want = ref.remove(ref.first(EntryType.OBSERVE, client=client, server=server,
+                                            mid=mid))
+            else:
+                got = sd.intercept_from_internet(empty_ack(mid), client, server)
+                want = ref.client_ack(now[0], client, server, mid)
+        elif op == "bind":
+            info = BindingInfo(rng.choice([NODE_B.addr, NODE.addr]), rng.choice(["a/led", "a/x"]),
+                               pmin=1, pmax=rng.randrange(10, 13))
+            msg = CoapMessage(MsgType.CON, GET, mid, token=token,
+                              options=OptionSet(uri_path=tuple(path.split("/")), observe=0,
+                                                binding=info))
+            got = sd.intercept_from_internet(msg, client, server)
+            found = next((e for e in ref.entries if e.entry_type is EntryType.BIND
+                          and e.server == server and e.uri_path == path
+                          and (e.binding.dest_addr, e.binding.dest_resource)
+                          == (info.dest_addr, info.dest_resource)), None)
+            want = ref.upsert(found, EntryType.BIND, now[0], client, server, path, token, mid,
+                              binding=info)
+        else:
+            filename, loader = rng.choice(["blinker", "meter"]), rng.choice(["ldr", "ldr2"])
+            nblocks = rng.randrange(1, 4)
+            for num in range(nblocks):
+                more, mid = num + 1 < nblocks, next(mids)
+                for _ in range(rng.choice([1, 2]) if more else 1):  # maybe retransmitted
+                    got = sd.intercept_from_internet(
+                        deploy_block(num, more, b"x" * 16, mid, filename, loader), client, server)
+                    if more:
+                        assert got.kind is EffectKind.NO_EFFECT
+            found = next((e for e in ref.entries if e.entry_type is EntryType.DEPLOY
+                          and e.server == server and e.deploy.filename == filename), None)
+            want = ref.upsert(found, EntryType.DEPLOY, now[0], client, server, loader, b"", mid,
+                              deploy=DeployInfo(filename, loader, None))
+        assert got.kind is want, (step, op)
+        assert sd.entries == ref.entries, (step, op)
+        assert sd.snapshot_lines() == [render(e) for e in ref.entries], (step, op)
+        for addr in (NODE.addr, NODE_B.addr):
+            assert sd.entries_for_server(addr) == [e for e in ref.entries
+                                                   if e.server.addr == addr]
 
 
 def test_register_node_status_transitions():
@@ -305,3 +458,48 @@ def test_observe_counter_never_decreases_within_epoch():
         before = sd.entries[0].observe_counter
         sd.intercept_from_lln(notif_msg(counter, mid), NODE, CLIENT)
         assert sd.entries[0].observe_counter >= before
+
+
+CORRUPT_PUT = """
+import sys
+from sdgateway.coap import PUT, CoapMessage, Endpoint, MsgType, OptionSet
+from sdgateway.directory import DirectoryInvariantError, StateDirectory
+
+node, client = Endpoint("aaaa::c30c:0:0:2"), Endpoint("cccc::3", 50824)
+put = CoapMessage(MsgType.CON, PUT, 1, options=OptionSet(uri_path=("a", "lb")), payload=b"10")
+sd = StateDirectory()
+sd.intercept_from_internet(put, client, node).entry.observe_counter = 3
+try:
+    sd.intercept_from_internet(put, client, node)
+except DirectoryInvariantError:
+    print("raised", sys.flags.optimize)
+"""
+
+
+def test_corrupt_entry_raises_on_next_intercept_touching_it():
+    sd = StateDirectory()
+    sd.intercept_from_internet(put_msg("a/lb", b"10"), CLIENT, NODE)
+    sd.intercept_from_internet(observe_msg("s/t", 0), CLIENT, NODE)
+    sd.entries[0].observe_counter = 3  # only OBSERVE entries carry a counter
+    # An intercept that touches another entry does not look at it ...
+    sd.intercept_from_internet(observe_msg("s/t", 0, mid=201), CLIENT, NODE)
+    # ... the next one that touches it does.
+    with pytest.raises(DirectoryInvariantError, match="PUT"):
+        sd.intercept_from_internet(put_msg("a/lb", b"11"), CLIENT, NODE)
+
+
+def test_entry_check_survives_python_O():
+    src = str(Path(sdgateway.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", CORRUPT_PUT], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["raised", "1"]
+
+
+def test_effect_and_entry_must_agree():
+    entry = SDEntry(EntryType.PUT, CLIENT, NODE, "a/lb")
+    with pytest.raises(DirectoryInvariantError):
+        SDEffect(EffectKind.CREATED)
+    with pytest.raises(DirectoryInvariantError):
+        SDEffect(EffectKind.NO_EFFECT, entry)

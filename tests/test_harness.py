@@ -1,3 +1,4 @@
+import hashlib
 import importlib.resources
 from pathlib import Path
 
@@ -183,3 +184,30 @@ def test_cli_sweep_range_forms(tmp_path):
                    "--seed", "3", "--hops", "1", "--out", str(out)])
     assert rc == 0
     assert out.exists()
+
+
+# sha256 of each bundled scenario's trace text, metrics CSV and directory
+# snapshot lines (newline-joined).  A change that means to keep behaviour
+# must leave all three byte-identical; one that changes the model on
+# purpose updates them and says why.
+BUNDLED_DIGESTS = {
+    "fig12_19.scn": (
+        "962dab08a642a066c081f79168c885e0a00f944223f9ae22b6e4bc2864f84a15",
+        "f5deaf2818583913d714d8e544ee8f535ba29c3693d4f60b9650133eef018c14",
+        "7d4ea20f51db13a1bd260b1d9240df87414c12f46b6d42ce17da78c3bf11eabf",
+    ),
+    "bind_deploy.scn": (
+        "543dbf735f5dfbb4417c827b112fb56b45d859447e8368e10612d10f14945fdb",
+        "f1d295af55a306aeb75035b4485be1d0fe59c44351facc4844b92e0b2280f3d8",
+        "fe5e2d70bfea2a5d362ef595fbd3de9082e656c1766d62c408a477a55b0b04ab",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS))
+def test_bundled_scenario_outputs_are_pinned(name):
+    result = run_scenario(bundled(name))
+    texts = (result.world.sim.trace.text(), csv_text(result.metrics),
+             "\n".join(result.world.gateway.directory.snapshot_lines()))
+    got = tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts)
+    assert got == BUNDLED_DIGESTS[name]
