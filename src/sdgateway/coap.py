@@ -43,6 +43,9 @@ class MsgType(IntEnum):
     RST = 3
 
 
+_MSG_TYPES = tuple(MsgType)  # indexed by the 2-bit wire value
+
+
 # Method and response codes, class.detail packed into one byte.
 EMPTY = 0x00
 GET = 0x01
@@ -109,7 +112,11 @@ OPT_BIND_DEST_RESOURCE = 2050
 OPT_BIND_PMIN = 2052
 OPT_BIND_PMAX = 2054
 
-_BINDING_OPTS = (OPT_BIND_DEST_ADDR, OPT_BIND_DEST_RESOURCE, OPT_BIND_PMIN, OPT_BIND_PMAX)
+_BINDING_OPTS = frozenset({OPT_BIND_DEST_ADDR, OPT_BIND_DEST_RESOURCE,
+                           OPT_BIND_PMIN, OPT_BIND_PMAX})
+_URI_OPTS = frozenset({OPT_URI_PATH, OPT_URI_QUERY})
+# Options that may appear at most once in a message.
+_SINGLE_OPTS = frozenset({OPT_OBSERVE, OPT_CONTENT_FORMAT, OPT_MAX_AGE, OPT_BLOCK1}) | _BINDING_OPTS
 
 OBSERVE_REGISTER_VALUE = 0
 OBSERVE_DEREGISTER_VALUE = 1
@@ -331,9 +338,9 @@ def _fold_options(raw: list[tuple[int, bytes]]) -> OptionSet:
     extra: list[tuple[int, bytes]] = []
     singles: dict[int, bytes] = {}
     for number, value in raw:
-        if number in (OPT_URI_PATH, OPT_URI_QUERY):
+        if number in _URI_OPTS:
             (path if number == OPT_URI_PATH else query).append(_text(value, "uri"))
-        elif number in (OPT_OBSERVE, OPT_CONTENT_FORMAT, OPT_MAX_AGE, OPT_BLOCK1) or number in _BINDING_OPTS:
+        elif number in _SINGLE_OPTS:
             if number in singles:
                 raise MalformedFrame(f"repeated non-repeatable option {number}")
             singles[number] = value
@@ -355,7 +362,7 @@ def _fold_options(raw: list[tuple[int, bytes]]) -> OptionSet:
         block1 = Block1(num=v >> 4, more=bool(v & 0x8), size=16 << szx)
 
     binding = None
-    if any(n in singles for n in _BINDING_OPTS):
+    if not _BINDING_OPTS.isdisjoint(singles):
         if OPT_BIND_DEST_ADDR not in singles or OPT_BIND_DEST_RESOURCE not in singles:
             raise MalformedFrame("binding options present but destination incomplete")
         binding = BindingInfo(
@@ -381,6 +388,9 @@ def _fold_options(raw: list[tuple[int, bytes]]) -> OptionSet:
     )
 
 
+_NO_OPTIONS = OptionSet()  # immutable, so every option-less message can share it
+
+
 def decode(data: bytes) -> CoapMessage:
     """Parse wire bytes into a message, raising MalformedFrame on any
     framing violation.  decode(encode(m)) == m for every valid m."""
@@ -389,7 +399,7 @@ def decode(data: bytes) -> CoapMessage:
     b0 = data[0]
     if b0 >> 6 != COAP_VERSION:
         raise MalformedFrame(f"unsupported version {b0 >> 6}")
-    msg_type = MsgType((b0 >> 4) & 0x3)
+    msg_type = _MSG_TYPES[(b0 >> 4) & 0x3]
     tkl = b0 & 0xF
     if tkl > 8:
         raise MalformedFrame(f"token length {tkl} reserved")
@@ -421,7 +431,7 @@ def decode(data: bytes) -> CoapMessage:
         raw.append((number, data[i:i + length]))
         i += length
 
-    options = _fold_options(raw)
+    options = _fold_options(raw) if raw else _NO_OPTIONS
 
     if code == EMPTY:
         if tkl or raw or payload:
@@ -501,9 +511,17 @@ class MidAllocator:
         return value
 
 
-def summarize(raw: bytes) -> str:
-    """Best-effort one-line description of a frame; never raises."""
-    try:
-        return decode(raw).short()
-    except MalformedFrame:
-        return f"malformed[{len(raw)}B]"
+_DECODE = object()
+
+
+def summarize(raw: bytes, msg=_DECODE) -> str:
+    """Best-effort one-line description of a frame; never raises.
+
+    `msg` is a parse of `raw` the caller already holds, or None when `raw`
+    is known to be malformed; without it `raw` is decoded here."""
+    if msg is _DECODE:
+        try:
+            msg = decode(raw)
+        except MalformedFrame:
+            msg = None
+    return f"malformed[{len(raw)}B]" if msg is None else msg.short()

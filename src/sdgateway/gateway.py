@@ -19,10 +19,8 @@ from .coap import (
     REGISTRATION_PATH,
     CoapMessage,
     Endpoint,
-    MalformedFrame,
     MidAllocator,
     MsgType,
-    decode,
     empty_ack,
     encode,
 )
@@ -140,10 +138,7 @@ class Gateway:
     # -- forwarding --------------------------------------------------------
 
     def on_frame(self, frame: Frame, ingress: str) -> None:
-        try:
-            msg = decode(frame.raw)
-        except MalformedFrame:
-            msg = None
+        msg = frame.parsed
         if frame.dst.addr == self.config.gateway_addr:
             self._terminate(frame, msg, ingress)
             return
@@ -188,7 +183,7 @@ class Gateway:
             return
         if self._consume_suppressed(frame, msg):
             return
-        self.sim.trace.emit("gw", ev="unclaimed", src=str(frame.src), msg=msg.short())
+        self.sim.trace.emit("gw", ev="unclaimed", src=str(frame.src), msg=frame.summary)
 
     def _handle_registration(self, frame: Frame, msg: CoapMessage) -> None:
         node_addr = frame.src.addr
@@ -231,7 +226,7 @@ class Gateway:
             elif ((s.token and msg.token == s.token)
                   or (msg.msg_type is MsgType.ACK and msg.mid == s.mid)):
                 self._drop_suppression(s)
-                self.sim.trace.emit("consume", dst=str(frame.dst), msg=msg.short())
+                self.sim.trace.emit("consume", dst=str(frame.dst), msg=frame.summary)
                 s.on_hit()
                 return True
         return False

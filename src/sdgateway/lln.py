@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Optional
 
 from . import coap
@@ -35,16 +36,13 @@ from .coap import (
     Block1,
     CoapMessage,
     Endpoint,
-    MalformedFrame,
     MidAllocator,
     MsgType,
     OptionSet,
-    decode,
     encode,
     is_request,
     is_response,
     registration_request,
-    summarize,
 )
 from .sim import Event, Simulator
 
@@ -101,13 +99,32 @@ class LinkModel:
         return lost
 
 
-@dataclass
+@dataclass(frozen=True)
 class Frame:
-    """A UDP datagram in flight: raw CoAP bytes plus addressing metadata."""
+    """A UDP datagram in flight: raw CoAP bytes plus addressing metadata.
+
+    `raw` is authoritative and is what every hop forwards.  `parsed` and
+    `summary` are caches of it, each computed at most once per frame, so a
+    frame retransmitted or relayed as the same object is parsed once.
+    The frame is frozen so the caches cannot go stale.
+    """
 
     raw: bytes
     src: Endpoint
     dst: Endpoint
+
+    @cached_property
+    def parsed(self) -> Optional[CoapMessage]:
+        """The decoded message, or None when `raw` is malformed."""
+        try:
+            return coap.decode(self.raw)
+        except coap.MalformedFrame:
+            return None
+
+    @cached_property
+    def summary(self) -> str:
+        """One-line trace text for the frame."""
+        return coap.summarize(self.raw, self.parsed)
 
 
 class Network:
@@ -143,7 +160,7 @@ class Network:
 
     def send(self, frame: Frame) -> None:
         self.sim.trace.emit("send", src=str(frame.src), dst=str(frame.dst),
-                            msg=summarize(frame.raw))
+                            msg=frame.summary)
         if not self.in_lln(frame.src.addr):
             self._external_leg(frame, ("ext_in", frame.src.addr), "gw",
                                lambda: self.gateway.on_frame(frame, "external"))
@@ -184,7 +201,7 @@ class Network:
         lost = link.draw_lost(self.sim.rng)
         if blackhole_key in self.blackholes or lost:
             self.sim.trace.emit("drop", why="loss", src=str(frame.src),
-                                dst=str(frame.dst), msg=summarize(frame.raw))
+                                dst=str(frame.dst), msg=frame.summary)
             return
         self._arrive_fifo(path_key, delay, frame, at, handler)
 
@@ -201,7 +218,7 @@ class Network:
         self._last_arrival[path_key] = arrival
 
         def deliver() -> None:
-            self.sim.trace.emit("recv", at=at, msg=summarize(frame.raw))
+            self.sim.trace.emit("recv", at=at, msg=frame.summary)
             handler()
 
         self.sim.schedule_at(arrival, deliver)
@@ -228,7 +245,7 @@ class Observer:
     last_mid: Optional[int] = None
     retransmit_count: int = 0
     sent_since_register: int = 0
-    pending_raw: Optional[bytes] = None
+    pending_frame: Optional[Frame] = None
     pending_mid: Optional[int] = None
     pending_transmissions: int = 0
     pending_timer: Optional[Event] = None
@@ -277,9 +294,10 @@ class VirtualNode:
         self.loaded_modules: set[str] = set()
         self.mid_alloc: Optional[MidAllocator] = None
         self.associations: list[tuple[int, float, float]] = []
-        self._dedup: dict[tuple[Endpoint, int], bytes] = {}
+        self._dedup: dict[tuple[Endpoint, int], Frame] = {}
         self._incoming_blocks: dict[tuple[Endpoint, str], list[bytes]] = {}
         self._reg_mid: Optional[int] = None
+        self._reg_frame: Optional[Frame] = None
         self._reg_sent_at = 0.0
         self._reg_transmissions = 0
 
@@ -302,15 +320,15 @@ class VirtualNode:
         self.state = NodeState.BOOTING
         self.sim.trace.emit("boot", node=self.name, epoch=self.boot_epoch)
         self._reg_mid = self.mid_alloc.next_mid()
+        self._reg_frame = Frame(encode(registration_request(self._reg_mid)), self.endpoint,
+                                Endpoint(self.network.gateway_addr, COAP_PORT))
         self._reg_sent_at = self.sim.now
         self._reg_transmissions = 0
         self._send_registration()
 
     def _send_registration(self) -> None:
         self._reg_transmissions += 1
-        msg = registration_request(self._reg_mid)
-        frame = Frame(encode(msg), self.endpoint, Endpoint(self.network.gateway_addr, COAP_PORT))
-        self.network.send(frame)
+        self.network.send(self._reg_frame)
         epoch = self.boot_epoch
         timeout = self.ack_timeout_ms * (2 ** (self._reg_transmissions - 1))
         self.sim.schedule(timeout, self._registration_timeout, epoch)
@@ -359,11 +377,10 @@ class VirtualNode:
     def on_frame(self, frame: Frame) -> None:
         if self.state in (NodeState.DOWN, NodeState.STALLED):
             self.sim.trace.emit("drop", why="node-down", node=self.name,
-                                msg=summarize(frame.raw))
+                                msg=frame.summary)
             return
-        try:
-            msg = decode(frame.raw)
-        except MalformedFrame:
+        msg = frame.parsed
+        if msg is None:
             self.sim.trace.emit("drop", why="malformed", node=self.name)
             return
         if self.state is NodeState.BOOTING:
@@ -377,7 +394,7 @@ class VirtualNode:
                                     transmissions=self._reg_transmissions)
             else:
                 self.sim.trace.emit("drop", why="blocked-booting", node=self.name,
-                                    msg=msg.short())
+                                    msg=frame.summary)
             return
         if msg.msg_type is MsgType.ACK and msg.code == EMPTY:
             self._on_ack(msg.mid)
@@ -392,16 +409,16 @@ class VirtualNode:
     def _serve(self, frame: Frame, msg: CoapMessage) -> None:
         key = (frame.src, msg.mid)
         if msg.msg_type is MsgType.CON and key in self._dedup:
-            self.network.send(Frame(self._dedup[key], self.endpoint, frame.src))
+            self.network.send(self._dedup[key])
             return
         response, deferred = self._handle_request(msg, frame.src)
         if response is not None:
-            raw = encode(response)
+            reply = Frame(encode(response), self.endpoint, frame.src)
             if msg.msg_type is MsgType.CON:
                 if len(self._dedup) > 64:
                     self._dedup.pop(next(iter(self._dedup)))
-                self._dedup[key] = raw
-            self.network.send(Frame(raw, self.endpoint, frame.src))
+                self._dedup[key] = reply
+            self.network.send(reply)
         for action in deferred:
             action()
 
@@ -579,7 +596,7 @@ class VirtualNode:
         msg = CoapMessage(mtype, CONTENT, mid, token=obs.token,
                           options=OptionSet(observe=obs.counter, max_age=obs.max_age),
                           payload=self.resources.get(path, b""))
-        raw = encode(msg)
+        frame = Frame(encode(msg), self.endpoint, obs.client)
         obs.last_mid = mid
         obs.sent_since_register += 1
         self.sim.trace.emit("notify", node=self.name, uri=path, client=str(obs.client),
@@ -587,14 +604,14 @@ class VirtualNode:
         if mtype is MsgType.CON:
             if obs.pending_timer is not None:
                 obs.pending_timer.cancel()  # newer state supersedes the pending one
-            obs.pending_raw = raw
+            obs.pending_frame = frame
             obs.pending_mid = mid
             obs.pending_transmissions = 1
             obs.retransmit_count = 0
             obs.pending_timer = self.sim.schedule(
                 self.ack_timeout_ms, self._notification_timeout,
                 path, obs.client, mid, self.boot_epoch)
-        self.network.send(Frame(raw, self.endpoint, obs.client))
+        self.network.send(frame)
 
     def _notification_timeout(self, path: str, client: Endpoint, mid: int,
                               epoch: int) -> None:
@@ -611,7 +628,7 @@ class VirtualNode:
             timeout = self.ack_timeout_ms * (2 ** (obs.pending_transmissions - 1))
             obs.pending_timer = self.sim.schedule(
                 timeout, self._notification_timeout, path, client, mid, epoch)
-            self.network.send(Frame(obs.pending_raw, self.endpoint, client))
+            self.network.send(obs.pending_frame)
             return
         self._remove_observer(path, client, reason="retransmit-limit", mid=mid)
 
@@ -621,7 +638,7 @@ class VirtualNode:
                 if obs.pending_timer is not None:
                     obs.pending_timer.cancel()
                 obs.pending_mid = None
-                obs.pending_raw = None
+                obs.pending_frame = None
                 obs.retransmit_count = 0
                 return
 
@@ -822,14 +839,12 @@ class ScriptedClient:
 
     def _send_con(self, msg: CoapMessage, node_addr: str, port: int,
                   on_response=None) -> None:
-        raw = encode(msg)
-        dst = Endpoint(node_addr, COAP_PORT)
+        frame = Frame(encode(msg), Endpoint(self.addr, port), Endpoint(node_addr, COAP_PORT))
         self._pending[msg.mid] = {
-            "raw": raw, "dst": dst, "port": port, "transmissions": 1,
-            "on_response": on_response,
+            "frame": frame, "transmissions": 1, "on_response": on_response,
         }
         self.sim.schedule(self.ack_timeout_ms, self._request_timeout, msg.mid)
-        self.network.send(Frame(raw, Endpoint(self.addr, port), dst))
+        self.network.send(frame)
 
     def _request_timeout(self, mid: int) -> None:
         pending = self._pending.get(mid)
@@ -841,8 +856,7 @@ class ScriptedClient:
                                 attempt=pending["transmissions"] - 1)
             timeout = self.ack_timeout_ms * (2 ** (pending["transmissions"] - 1))
             self.sim.schedule(timeout, self._request_timeout, mid)
-            self.network.send(Frame(pending["raw"], Endpoint(self.addr, pending["port"]),
-                                    pending["dst"]))
+            self.network.send(pending["frame"])
             return
         del self._pending[mid]
         self.sim.trace.emit("client_timeout", client=self.name, mid=mid)
@@ -851,9 +865,8 @@ class ScriptedClient:
         if self.silenced:
             self.sim.trace.emit("drop", why="client-silent", client=self.name)
             return
-        try:
-            msg = decode(frame.raw)
-        except MalformedFrame:
+        msg = frame.parsed
+        if msg is None:
             self.sim.trace.emit("drop", why="malformed", client=self.name)
             return
         if msg.msg_type is MsgType.RST:

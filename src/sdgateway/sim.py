@@ -80,7 +80,8 @@ class Simulator:
         return self.schedule_at(self.now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable, *args) -> Event:
-        assert time >= self.now, "cannot schedule into the past"
+        if time < self.now:
+            raise ValueError(f"cannot schedule into the past: {time} < {self.now}")
         event = Event(time, next(self._seq), fn, args)
         heapq.heappush(self._queue, event)
         return event

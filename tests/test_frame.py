@@ -1,0 +1,163 @@
+"""A frame's bytes are parsed at most once, and retransmissions resend the
+frame they first sent instead of building (and parsing) a new one."""
+
+import dataclasses
+import importlib.resources
+import sys
+from collections import Counter
+
+import pytest
+
+from worldutil import booted_world, simple_scenario
+from sdgateway import coap
+from sdgateway.coap import GET, PUT, CoapMessage, Endpoint, MsgType, OptionSet, encode
+from sdgateway.harness import run_scenario
+from sdgateway.lln import Frame, NotifyPolicy
+from sdgateway.scenario import load_scenario
+
+CLIENT_EP = Endpoint("cccc::3", 60001)
+
+
+def bundled(name: str):
+    return load_scenario(importlib.resources.files("sdgateway") / "scenarios" / name)
+
+
+def lossy_fig12_19():
+    # Seed 5 at 25% loss exercises client, notification and replay
+    # retransmissions.
+    sc = bundled("fig12_19.scn")
+    sc.seed, sc.loss = 5, 0.25
+    return sc
+
+
+@pytest.fixture
+def spies(monkeypatch):
+    """Record every Frame built and every decode call, on each sdgateway
+    module that binds `coap.decode`."""
+    frames: list[Frame] = []
+    decoded: Counter = Counter()
+    original_init, original_decode = Frame.__init__, coap.decode
+
+    def init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        frames.append(self)
+
+    def decode(data):
+        decoded[id(data)] += 1
+        return original_decode(data)
+
+    monkeypatch.setattr(Frame, "__init__", init)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sdgateway") and getattr(module, "decode", None) is original_decode:
+            monkeypatch.setattr(module, "decode", decode)
+    return frames, decoded
+
+
+@pytest.mark.parametrize("make", [
+    lambda: bundled("fig12_19.scn"),
+    lambda: bundled("bind_deploy.scn"),
+    lossy_fig12_19,
+], ids=["fig12_19.scn", "bind_deploy.scn", "fig12_19-loss0.25"])
+def test_no_frame_is_decoded_more_than_once(spies, make):
+    frames, decoded = spies
+    run_scenario(make())
+    # `frames` keeps every raw alive, so no id is reused during the run.
+    per_raw = Counter(id(f.raw) for f in frames)
+    assert frames and sum(decoded.values()) > 0
+    assert set(decoded) <= set(per_raw), "decoded bytes that belong to no Frame"
+    over = {raw: n for raw, n in decoded.items() if n > per_raw[raw]}
+    assert not over, f"{len(over)} frames decoded more than once"
+
+
+def test_frame_parse_and_summary_are_cached(spies):
+    _, decoded = spies
+    msg = CoapMessage(MsgType.CON, PUT, 7, token=b"\x01",
+                      options=OptionSet(uri_path=("a", "lb")), payload=b"10")
+    frame = Frame(encode(msg), CLIENT_EP, Endpoint("aaaa::2"))
+    assert frame.parsed == msg
+    assert frame.parsed is frame.parsed
+    assert frame.summary == coap.summarize(frame.raw) == msg.short()
+    assert frame.summary is frame.summary
+    assert decoded[id(frame.raw)] == 2  # the frame once, the direct summarize once
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        frame.raw = b""  # the caches would no longer describe the bytes
+
+
+def test_malformed_frame_is_forwarded_by_gateway_and_dropped_by_node(spies):
+    _, decoded = spies
+    world = booted_world(simple_scenario())
+    node = world.nodes["n1"]
+    garbage = b"\x13\x37\x00"
+    frame = Frame(garbage, Endpoint("cccc::3", 45000), node.endpoint)
+    assert frame.parsed is None
+    assert frame.summary == "malformed[3B]"
+    world.network.send(frame)
+    world.sim.run(until=world.sim.now + 1000.0)
+    assert world.sim.trace.find("send", msg="malformed[3B]")
+    assert world.sim.trace.find("gw", ev="fwd_malformed", dir="in")
+    assert world.sim.trace.find("drop", why="malformed", node="n1")
+    assert decoded[id(garbage)] == 1
+
+
+def _sends(world, monkeypatch) -> list[Frame]:
+    sent: list[Frame] = []
+    original = world.network.send
+
+    def send(frame):
+        sent.append(frame)
+        original(frame)
+
+    monkeypatch.setattr(world.network, "send", send)
+    return sent
+
+
+def test_client_retransmission_resends_the_same_frame(monkeypatch):
+    world = booted_world(simple_scenario())
+    node, client = world.nodes["n1"], world.clients["c1"]
+    sent = _sends(world, monkeypatch)
+    world.network.blackholes.add(node.addr)
+    client.put(node.addr, "s/t", b"5")
+    world.sim.run(until=world.sim.now + 2000.0)  # the first copy is lost
+    world.network.blackholes.clear()
+    world.sim.run(until=world.sim.now + 3000.0)  # the retransmission arrives
+    assert world.sim.trace.find("client_retransmit", client="c1")
+    requests = [f for f in sent if f.src.addr == client.addr]
+    assert len(requests) == 2 and requests[0] is requests[1]
+    assert node.resources["s/t"] == b"5"
+
+
+def test_node_dedup_resends_the_same_response_frame(monkeypatch):
+    world = booted_world(simple_scenario())
+    node = world.nodes["n1"]
+    sent = _sends(world, monkeypatch)
+    raw = encode(CoapMessage(MsgType.CON, GET, 900, token=b"\x77",
+                             options=OptionSet(uri_path=("s", "t"))))
+    node.on_frame(Frame(raw, CLIENT_EP, node.endpoint))
+    node.on_frame(Frame(raw, CLIENT_EP, node.endpoint))  # a retransmission
+    assert len(sent) == 2 and sent[0] is sent[1]
+
+
+def test_notification_retransmission_resends_the_same_frame(monkeypatch):
+    world = booted_world(simple_scenario(resources={"gpio/btn": b"0"}))
+    node, client = world.nodes["n1"], world.clients["c1"]
+    node.notify_policy = NotifyPolicy.CON_ALWAYS
+    client.observe(node.addr, "gpio/btn")
+    world.sim.run(until=world.sim.now + 1000.0)
+    client.silence(True)
+    sent = _sends(world, monkeypatch)
+    node.change_resource("gpio/btn", b"1")
+    world.sim.run(until=world.sim.now + 4000.0)
+    assert world.sim.trace.find("retransmit", node="n1")
+    notes = [f for f in sent if f.src.addr == node.addr]
+    assert len(notes) == 2 and notes[0] is notes[1]
+
+
+def test_registration_retransmission_resends_the_same_frame(monkeypatch):
+    world = booted_world(simple_scenario())
+    node = world.nodes["n1"]
+    sent = _sends(world, monkeypatch)
+    world.network.blackholes.add(node.addr)
+    node.crash(100.0)
+    world.sim.run(until=world.sim.now + 3500.0)
+    assert node._reg_transmissions == 2
+    assert len(sent) == 2 and sent[0] is sent[1]

@@ -1,8 +1,13 @@
+import os
 import random
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sdgateway
 from sdgateway.lln import RDC, LinkModel
 from sdgateway.sim import Simulator
 
@@ -44,8 +49,31 @@ def test_schedule_into_past_rejected():
     sim = Simulator()
     sim.schedule(1.0, lambda: None)
     sim.run()
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="into the past"):
         sim.schedule_at(0.5, lambda: None)
+    with pytest.raises(ValueError, match="into the past"):
+        sim.schedule(-0.1, lambda: None)
+
+
+PAST_SCHEDULE = """
+from sdgateway.sim import Simulator
+sim = Simulator()
+sim.schedule(1.0, lambda: None)
+sim.run()
+try:
+    sim.schedule_at(0.5, lambda: None)
+except ValueError:
+    print("raised", len(sim._queue))
+"""
+
+
+def test_schedule_into_past_rejected_under_python_O():
+    src = str(Path(sdgateway.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", PAST_SCHEDULE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["raised", "0"]
 
 
 def test_trace_lines_render_stably():
