@@ -106,14 +106,12 @@ class StateDirectory:
     """
 
     def __init__(self, clock: Callable[[], float] = lambda: 0.0, *,
-                 max_retransmit: int = MAX_RETRANSMIT,
                  deploy_mode: DeployMode = DeployMode.FILENAME_ONLY,
                  trace=None) -> None:
         # Creation-ordered, and the same entries again per server address.
         self._entries: dict[tuple, SDEntry] = {}
         self._by_server: dict[str, dict[tuple, SDEntry]] = {}
         self.known_nodes: set[str] = set()
-        self.max_retransmit = max_retransmit
         self.deploy_mode = deploy_mode
         self._clock = clock
         self._trace = trace
@@ -167,7 +165,7 @@ class StateDirectory:
         if msg.mid == entry.mid:
             entry.retransmit_counter += 1
             entry.updated_at = self._clock()
-            if entry.retransmit_counter >= self.max_retransmit:
+            if entry.retransmit_counter >= MAX_RETRANSMIT:
                 effect = self._remove(key, "retransmit")
             else:
                 effect = SDEffect(EffectKind.UPDATED, entry)
@@ -309,7 +307,7 @@ class StateDirectory:
                              uri=e.uri_path, obs=e.observe_counter, mid=e.mid,
                              ret=e.retransmit_counter)
         if e.entry_type is EntryType.OBSERVE:
-            ok = e.retransmit_counter <= self.max_retransmit
+            ok = e.retransmit_counter <= MAX_RETRANSMIT
         elif e.entry_type is EntryType.PUT:
             ok = e.observe_counter == 0
         elif e.entry_type is EntryType.BIND:

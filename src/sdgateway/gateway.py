@@ -11,10 +11,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .coap import (
-    ACK_TIMEOUT_MS,
     COAP_PORT,
     EXCHANGE_LIFETIME_MS,
-    MAX_RETRANSMIT,
     POST,
     REGISTRATION_PATH,
     CoapMessage,
@@ -25,7 +23,7 @@ from .coap import (
     encode,
 )
 from .directory import DeployMode, StateDirectory
-from .lln import Frame, Network
+from .lln import Confirmable, Frame, Network
 from .recovery import DEFAULT_PACING_GAP_MS, RecoveryCoordinator, ReplayStep
 from .sim import Simulator
 
@@ -37,75 +35,31 @@ class GatewayConfig:
     interception_enabled: bool = True
     deploy_mode: DeployMode = DeployMode.FILENAME_ONLY
     pacing_gap: float = DEFAULT_PACING_GAP_MS
-    max_retransmit: int = MAX_RETRANSMIT
-    ack_timeout_ms: float = ACK_TIMEOUT_MS
-    registration_path: str = REGISTRATION_PATH
     measure_overhead: bool = False
 
     def __post_init__(self) -> None:
         if self.gateway_addr.startswith(self.lln_prefix):
             raise ValueError("gateway address must sit outside the LLN prefix")
-        if self.max_retransmit < 1:
-            raise ValueError("max_retransmit must be >= 1")
 
 
-class _Suppression:
-    __slots__ = ("token", "mid", "dst", "on_hit", "expires")
+class _Replay:
+    """An injected replay frame in flight: the exchange that retransmits it,
+    and the matcher that consumes the node's response instead of forwarding
+    it to the spoofed source.  `cancel()` ends both."""
 
-    def __init__(self, token: bytes, mid: int, dst: Endpoint,
-                 on_hit: Callable[[], None], expires: float) -> None:
-        self.token = token
-        self.mid = mid
-        self.dst = dst
-        self.on_hit = on_hit
-        self.expires = expires
+    __slots__ = ("token", "mid", "dst", "on_ack", "exchange", "_end")
 
-
-class _ConExchange:
-    """Gateway-side confirmable exchange for an injected replay frame."""
-
-    def __init__(self, gateway: "Gateway", frame: Frame, on_timeout) -> None:
-        self.gateway = gateway
-        self.frame = frame
-        self.on_timeout = on_timeout
-        self.transmissions = 0
-        self.timer = None
-        self.done = False
-        self.suppression: Optional[_Suppression] = None
-
-    def start(self) -> None:
-        self._transmit()
-
-    def _transmit(self) -> None:
-        self.transmissions += 1
-        timeout = self.gateway.config.ack_timeout_ms * (2 ** (self.transmissions - 1))
-        self.timer = self.gateway.sim.schedule(timeout, self._timeout)
-        self.gateway.network.deliver_to_node(self.frame)
-
-    def _timeout(self) -> None:
-        if self.done:
-            return
-        if self.transmissions <= self.gateway.config.max_retransmit:
-            self.gateway.sim.trace.emit("inject_retransmit",
-                                        dst=str(self.frame.dst),
-                                        attempt=self.transmissions)
-            self._transmit()
-            return
-        self.complete()
-        self.on_timeout()
-
-    def complete(self) -> None:
-        # A dead exchange must take its suppression matcher with it, or a
-        # stale matcher could swallow the next recovery's response for the
-        # same stored token.
-        self.done = True
-        if self.timer is not None:
-            self.timer.cancel()
-        if self.suppression is not None:
-            self.gateway._drop_suppression(self.suppression)
+    def __init__(self, step: ReplayStep, exchange: Confirmable, on_ack: Callable[[], None],
+                 end: Callable[["_Replay"], None]) -> None:
+        self.token = step.message.token
+        self.mid = step.message.mid
+        self.dst = step.spoofed_source
+        self.on_ack = on_ack
+        self.exchange = exchange
+        self._end = end
 
     def cancel(self) -> None:
-        self.complete()
+        self._end(self)
 
 
 class Gateway:
@@ -116,7 +70,6 @@ class Gateway:
         self.network = network
         self.config = config
         self.directory = StateDirectory(clock=lambda: sim.now,
-                                        max_retransmit=config.max_retransmit,
                                         deploy_mode=config.deploy_mode,
                                         trace=sim.trace)
         self.mids = MidAllocator(sim.rng)
@@ -126,8 +79,9 @@ class Gateway:
             mids=self.mids, gateway_addr=config.gateway_addr,
             pacing_gap=config.pacing_gap, trace=sim.trace)
         self.overhead_us: list[float] = []
-        # Live suppressions per spoofed destination, in insertion order.
-        self._suppressions: dict[Endpoint, list[_Suppression]] = {}
+        # Replays awaiting their response, per spoofed destination, in
+        # injection order.
+        self._replays: dict[Endpoint, list[_Replay]] = {}
         self._last_registration: dict[str, tuple[int, float]] = {}
         network.gateway = self
 
@@ -178,7 +132,7 @@ class Gateway:
             self.sim.trace.emit("gw", ev="drop_malformed", src=str(frame.src))
             return
         if (ingress == "lln" and msg.code == POST
-                and msg.options.path_str() == self.config.registration_path):
+                and msg.options.path_str() == REGISTRATION_PATH):
             self._handle_registration(frame, msg)
             return
         if self._consume_suppressed(frame, msg):
@@ -204,36 +158,40 @@ class Gateway:
     # -- replay injection ----------------------------------------------------
 
     def send_replay(self, step: ReplayStep, node_addr: str,
-                    on_ack: Callable[[], None], on_timeout: Callable[[], None]):
+                    on_ack: Callable[[], None], on_timeout: Callable[[], None]) -> _Replay:
         frame = Frame(encode(step.message), step.spoofed_source,
                       Endpoint(node_addr, COAP_PORT))
-        exchange = _ConExchange(self, frame, on_timeout)
-        if step.suppress_response:
-            suppression = _Suppression(
-                step.message.token, step.message.mid, step.spoofed_source,
-                on_hit=lambda: (exchange.complete(), on_ack()),
-                expires=self.sim.now + EXCHANGE_LIFETIME_MS)
-            exchange.suppression = suppression
-            self._suppressions.setdefault(suppression.dst, []).append(suppression)
+
+        def give_up() -> None:
+            self._end_replay(replay)
+            on_timeout()
+
+        exchange = Confirmable(
+            self.sim, frame, self.network.deliver_to_node,
+            on_retry=lambda attempt: self.sim.trace.emit(
+                "inject_retransmit", dst=str(frame.dst), attempt=attempt),
+            on_give_up=give_up)
+        replay = _Replay(step, exchange, on_ack, self._end_replay)
+        self._replays.setdefault(replay.dst, []).append(replay)
         exchange.start()
-        return exchange
+        return replay
+
+    def _end_replay(self, replay: _Replay) -> None:
+        # A dead exchange must take its matcher with it, or a stale matcher
+        # could swallow the next recovery's response for the same stored token.
+        replay.exchange.cancel()
+        bucket = self._replays.get(replay.dst)
+        if bucket is not None and replay in bucket:
+            bucket.remove(replay)
+            if not bucket:
+                del self._replays[replay.dst]
 
     def _consume_suppressed(self, frame: Frame, msg: CoapMessage) -> bool:
-        now = self.sim.now
-        for s in list(self._suppressions.get(frame.dst, ())):
-            if s.expires <= now:
-                self._drop_suppression(s)
-            elif ((s.token and msg.token == s.token)
-                  or (msg.msg_type is MsgType.ACK and msg.mid == s.mid)):
-                self._drop_suppression(s)
+        for s in self._replays.get(frame.dst, ()):
+            if ((s.token and msg.token == s.token)
+                    or (msg.msg_type is MsgType.ACK and msg.mid == s.mid)):
+                self._end_replay(s)
                 self.sim.trace.emit("consume", dst=str(frame.dst), msg=frame.summary)
-                s.on_hit()
+                s.on_ack()
                 return True
         return False
-
-    def _drop_suppression(self, s: _Suppression) -> None:
-        bucket = self._suppressions.get(s.dst)
-        if bucket is not None and s in bucket:
-            bucket.remove(s)
-            if not bucket:
-                del self._suppressions[s.dst]

@@ -127,6 +127,60 @@ class Frame:
         return coap.summarize(self.raw, self.parsed)
 
 
+class Confirmable:
+    """One confirmable exchange (RFC 7252 section 4.2) of a single `Frame`.
+
+    `start()` sends the frame through `transmit(frame)`; while no `cancel()`
+    arrives, the n-th transmission times out after ACK_TIMEOUT_MS * 2**(n-1)
+    and the same frame goes out again, after `on_retry(attempt)` with
+    attempt = n, as long as n <= MAX_RETRANSMIT.  The timeout after the last
+    one calls `on_give_up()`.  The owner stores the exchange before it calls
+    `start()`, so an answer delivered from within `transmit` finds it, and
+    cancels the exchange when it is answered or abandoned.
+    """
+
+    __slots__ = ("frame", "transmissions", "_sim", "_transmit", "_on_retry",
+                 "_on_give_up", "_timer")
+
+    def __init__(self, sim: Simulator, frame: Frame, transmit: Callable[[Frame], None], *,
+                 on_give_up: Callable[[], None],
+                 on_retry: Optional[Callable[[int], None]] = None) -> None:
+        self.frame = frame
+        self.transmissions = 0
+        self._sim = sim
+        self._transmit = transmit
+        self._on_retry = on_retry
+        self._on_give_up = on_give_up
+        self._timer: Optional[Event] = None
+
+    def start(self) -> None:
+        self._send()
+
+    @property
+    def mid(self) -> int:
+        return self.frame.parsed.mid
+
+    def _send(self) -> None:
+        self.transmissions += 1
+        self._timer = self._sim.schedule(ACK_TIMEOUT_MS * 2 ** (self.transmissions - 1),
+                                         self._timeout)
+        self._transmit(self.frame)
+
+    def _timeout(self) -> None:
+        if self.transmissions > MAX_RETRANSMIT:
+            self._timer = None
+            self._on_give_up()
+            return
+        if self._on_retry is not None:
+            self._on_retry(self.transmissions)
+        self._send()
+
+    def cancel(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
+
 class Network:
     """Routes frames between clients, the gateway and LLN nodes.
 
@@ -243,12 +297,8 @@ class Observer:
     counter: int = 0
     max_age: int = DEFAULT_MAX_AGE
     last_mid: Optional[int] = None
-    retransmit_count: int = 0
     sent_since_register: int = 0
-    pending_frame: Optional[Frame] = None
-    pending_mid: Optional[int] = None
-    pending_transmissions: int = 0
-    pending_timer: Optional[Event] = None
+    pending: Optional[Confirmable] = None  # the unacknowledged CON notification
 
 
 @dataclass
@@ -271,9 +321,7 @@ class VirtualNode:
     def __init__(self, sim: Simulator, network: Network, *, name: str, addr: str,
                  link: LinkModel, defaults: Optional[dict[str, bytes]] = None,
                  loader_path: str = DEFAULT_LOADER_PATH,
-                 notify_policy: NotifyPolicy = NotifyPolicy.NON_FIRST,
-                 max_retransmit: int = MAX_RETRANSMIT,
-                 ack_timeout_ms: float = ACK_TIMEOUT_MS) -> None:
+                 notify_policy: NotifyPolicy = NotifyPolicy.NON_FIRST) -> None:
         self.sim = sim
         self.network = network
         self.name = name
@@ -281,8 +329,6 @@ class VirtualNode:
         self.link = link
         self.loader_path = loader_path
         self.notify_policy = notify_policy
-        self.max_retransmit = max_retransmit
-        self.ack_timeout_ms = ack_timeout_ms
         self.defaults: dict[str, bytes] = dict(defaults or {})
         self.flash: dict[str, bytes] = {}
 
@@ -296,10 +342,8 @@ class VirtualNode:
         self.associations: list[tuple[int, float, float]] = []
         self._dedup: dict[tuple[Endpoint, int], Frame] = {}
         self._incoming_blocks: dict[tuple[Endpoint, str], list[bytes]] = {}
-        self._reg_mid: Optional[int] = None
-        self._reg_frame: Optional[Frame] = None
+        self._registration: Optional[Confirmable] = None
         self._reg_sent_at = 0.0
-        self._reg_transmissions = 0
 
     @property
     def endpoint(self) -> Endpoint:
@@ -308,7 +352,7 @@ class VirtualNode:
     # -- lifecycle -------------------------------------------------------
 
     def boot(self) -> None:
-        assert self.state is not NodeState.BOOTING, "already booting"
+        self._cancel_exchanges()
         self.boot_epoch += 1
         self.resources = dict(self.defaults)
         self.observers.clear()
@@ -319,36 +363,33 @@ class VirtualNode:
         self.mid_alloc = MidAllocator(self.sim.rng)
         self.state = NodeState.BOOTING
         self.sim.trace.emit("boot", node=self.name, epoch=self.boot_epoch)
-        self._reg_mid = self.mid_alloc.next_mid()
-        self._reg_frame = Frame(encode(registration_request(self._reg_mid)), self.endpoint,
-                                Endpoint(self.network.gateway_addr, COAP_PORT))
+        frame = Frame(encode(registration_request(self.mid_alloc.next_mid())), self.endpoint,
+                      Endpoint(self.network.gateway_addr, COAP_PORT))
         self._reg_sent_at = self.sim.now
-        self._reg_transmissions = 0
-        self._send_registration()
+        self._registration = Confirmable(self.sim, frame, self.network.send,
+                                         on_give_up=self._registration_failed)
+        self._registration.start()
 
-    def _send_registration(self) -> None:
-        self._reg_transmissions += 1
-        self.network.send(self._reg_frame)
-        epoch = self.boot_epoch
-        timeout = self.ack_timeout_ms * (2 ** (self._reg_transmissions - 1))
-        self.sim.schedule(timeout, self._registration_timeout, epoch)
-
-    def _registration_timeout(self, epoch: int) -> None:
-        if epoch != self.boot_epoch or self.state is not NodeState.BOOTING:
-            return
-        if self._reg_transmissions <= self.max_retransmit:
-            self._send_registration()
-            return
+    def _registration_failed(self) -> None:
         self.state = NodeState.STALLED
         self.sim.trace.emit("boot_failed", node=self.name, epoch=self.boot_epoch,
-                            retries=self._reg_transmissions - 1)
+                            retries=MAX_RETRANSMIT)
+
+    def _cancel_exchanges(self) -> None:
+        # No retransmission outlives the boot epoch that started it.
+        if self._registration is not None:
+            self._registration.cancel()
+        for obs in self.observers.values():
+            if obs.pending is not None:
+                obs.pending.cancel()
 
     def crash(self, downtime_ms: float) -> None:
-        assert self.state is NodeState.UP, "crash requires a running node"
+        """Power the running node off for `downtime_ms`, then boot it again."""
+        if self.state is not NodeState.UP:
+            # Raised rather than asserted, so that `python -O` keeps the check.
+            raise AssertionError("crash requires a running node")
         self.state = NodeState.DOWN
-        for obs in self.observers.values():
-            if obs.pending_timer is not None:
-                obs.pending_timer.cancel()
+        self._cancel_exchanges()
         for b in self.bindings.values():
             for ev in (b.pending_event, b.keepalive_event):
                 if ev is not None:
@@ -385,13 +426,14 @@ class VirtualNode:
             return
         if self.state is NodeState.BOOTING:
             if (msg.msg_type is MsgType.ACK and msg.code == EMPTY
-                    and msg.mid == self._reg_mid):
+                    and msg.mid == self._registration.mid):
+                self._registration.cancel()
                 self.state = NodeState.UP
                 delay = self.sim.now - self._reg_sent_at
                 self.associations.append((self.boot_epoch, self._reg_sent_at, self.sim.now))
                 self.sim.trace.emit("assoc", node=self.name, epoch=self.boot_epoch,
                                     delay=f"{delay:.3f}",
-                                    transmissions=self._reg_transmissions)
+                                    transmissions=self._registration.transmissions)
             else:
                 self.sim.trace.emit("drop", why="blocked-booting", node=self.name,
                                     msg=frame.summary)
@@ -538,11 +580,13 @@ class VirtualNode:
         obs = self.observers.pop(key, None)
         if obs is None:
             return
-        if obs.pending_timer is not None:
-            obs.pending_timer.cancel()
+        retries = 0
+        if obs.pending is not None:
+            obs.pending.cancel()
+            retries = obs.pending.transmissions - 1
         self.sim.trace.emit("obs_drop", node=self.name, uri=path, client=str(src),
                             reason=reason, mid=obs.last_mid if mid is None else mid,
-                            retries=obs.retransmit_count)
+                            retries=retries)
 
     def change_resource(self, path: str, value: bytes) -> None:
         """Internal state change (e.g. a sensor reading): updates the
@@ -601,45 +645,24 @@ class VirtualNode:
         obs.sent_since_register += 1
         self.sim.trace.emit("notify", node=self.name, uri=path, client=str(obs.client),
                             obs=obs.counter, mid=mid, type=mtype.name)
-        if mtype is MsgType.CON:
-            if obs.pending_timer is not None:
-                obs.pending_timer.cancel()  # newer state supersedes the pending one
-            obs.pending_frame = frame
-            obs.pending_mid = mid
-            obs.pending_transmissions = 1
-            obs.retransmit_count = 0
-            obs.pending_timer = self.sim.schedule(
-                self.ack_timeout_ms, self._notification_timeout,
-                path, obs.client, mid, self.boot_epoch)
-        self.network.send(frame)
-
-    def _notification_timeout(self, path: str, client: Endpoint, mid: int,
-                              epoch: int) -> None:
-        if epoch != self.boot_epoch or self.state is not NodeState.UP:
+        if mtype is MsgType.NON:
+            self.network.send(frame)
             return
-        obs = self.observers.get((path, client))
-        if obs is None or obs.pending_mid != mid:
-            return
-        if obs.pending_transmissions <= self.max_retransmit:
-            obs.retransmit_count += 1
-            obs.pending_transmissions += 1
-            self.sim.trace.emit("retransmit", node=self.name, uri=path, mid=mid,
-                                attempt=obs.retransmit_count)
-            timeout = self.ack_timeout_ms * (2 ** (obs.pending_transmissions - 1))
-            obs.pending_timer = self.sim.schedule(
-                timeout, self._notification_timeout, path, client, mid, epoch)
-            self.network.send(obs.pending_frame)
-            return
-        self._remove_observer(path, client, reason="retransmit-limit", mid=mid)
+        if obs.pending is not None:
+            obs.pending.cancel()  # newer state supersedes the pending one
+        obs.pending = Confirmable(
+            self.sim, frame, self.network.send,
+            on_retry=lambda attempt: self.sim.trace.emit(
+                "retransmit", node=self.name, uri=path, mid=mid, attempt=attempt),
+            on_give_up=lambda: self._remove_observer(path, obs.client,
+                                                     reason="retransmit-limit", mid=mid))
+        obs.pending.start()
 
     def _on_ack(self, mid: int) -> None:
         for obs in self.observers.values():
-            if obs.pending_mid == mid:
-                if obs.pending_timer is not None:
-                    obs.pending_timer.cancel()
-                obs.pending_mid = None
-                obs.pending_frame = None
-                obs.retransmit_count = 0
+            if obs.pending is not None and obs.pending.mid == mid:
+                obs.pending.cancel()
+                obs.pending = None
                 return
 
     def _on_rst(self, src: Endpoint, mid: int) -> None:
@@ -713,6 +736,22 @@ class VirtualNode:
             self._send_binding_put(binding)
 
 
+@dataclass
+class Relationship:
+    """A client's observe relationship: the port and token it keeps for its
+    whole lifetime, and whether the next notification is answered with RST."""
+
+    port: int
+    token: bytes
+    cancel: bool = False
+
+
+@dataclass
+class PendingRequest:
+    exchange: Confirmable
+    on_response: Optional[Callable[[Optional[CoapMessage]], None]] = None
+
+
 class ScriptedClient:
     """External CoAP client driven by scenario events.
 
@@ -722,21 +761,17 @@ class ScriptedClient:
     incoming notifications.
     """
 
-    def __init__(self, sim: Simulator, network: Network, *, name: str, addr: str,
-                 max_retransmit: int = MAX_RETRANSMIT,
-                 ack_timeout_ms: float = ACK_TIMEOUT_MS) -> None:
+    def __init__(self, sim: Simulator, network: Network, *, name: str, addr: str) -> None:
         self.sim = sim
         self.network = network
         self.name = name
         self.addr = addr
-        self.max_retransmit = max_retransmit
-        self.ack_timeout_ms = ack_timeout_ms
         self.mid_alloc = MidAllocator(sim.rng)
         self.silenced = False
-        self.relationships: dict[tuple[str, str], dict] = {}
+        self.relationships: dict[tuple[str, str], Relationship] = {}
         self.notifications: list[dict] = []
         self.responses: list[dict] = []
-        self._pending: dict[int, dict] = {}
+        self._pending: dict[int, PendingRequest] = {}
         self._port_next = 49152
         self._token_next = 0x0B28
 
@@ -757,14 +792,12 @@ class ScriptedClient:
     def observe(self, node_addr: str, path: str, obs: int = 0) -> None:
         rel = self.relationships.get((node_addr, path))
         if rel is None:
-            rel = {"port": self._next_port(), "token": self._next_token(),
-                   "cancel": False}
+            rel = Relationship(self._next_port(), self._next_token())
             self.relationships[(node_addr, path)] = rel
-        msg = CoapMessage(MsgType.CON, GET, self.mid_alloc.next_mid(),
-                          token=rel["token"],
+        msg = CoapMessage(MsgType.CON, GET, self.mid_alloc.next_mid(), token=rel.token,
                           options=OptionSet(uri_path=tuple(path.split("/")),
                                             observe=obs))
-        self._send_con(msg, node_addr, rel["port"])
+        self._send_con(msg, node_addr, rel.port)
 
     def deregister(self, node_addr: str, path: str) -> None:
         rel = self.relationships.get((node_addr, path))
@@ -772,20 +805,19 @@ class ScriptedClient:
             self.sim.trace.emit("client_warn", client=self.name,
                                 why="deregister-unknown", uri=path)
             return
-        msg = CoapMessage(MsgType.CON, GET, self.mid_alloc.next_mid(),
-                          token=rel["token"],
+        msg = CoapMessage(MsgType.CON, GET, self.mid_alloc.next_mid(), token=rel.token,
                           options=OptionSet(uri_path=tuple(path.split("/")),
                                             observe=coap.OBSERVE_DEREGISTER_VALUE))
 
         def done(_resp):
             self.relationships.pop((node_addr, path), None)
 
-        self._send_con(msg, node_addr, rel["port"], on_response=done)
+        self._send_con(msg, node_addr, rel.port, on_response=done)
 
     def cancel_with_rst(self, node_addr: str, path: str) -> None:
         rel = self.relationships.get((node_addr, path))
         if rel is not None:
-            rel["cancel"] = True
+            rel.cancel = True
 
     def bind(self, node_addr: str, path: str, info: BindingInfo) -> None:
         msg = CoapMessage(MsgType.CON, GET, self.mid_alloc.next_mid(),
@@ -840,26 +872,19 @@ class ScriptedClient:
     def _send_con(self, msg: CoapMessage, node_addr: str, port: int,
                   on_response=None) -> None:
         frame = Frame(encode(msg), Endpoint(self.addr, port), Endpoint(node_addr, COAP_PORT))
-        self._pending[msg.mid] = {
-            "frame": frame, "transmissions": 1, "on_response": on_response,
-        }
-        self.sim.schedule(self.ack_timeout_ms, self._request_timeout, msg.mid)
-        self.network.send(frame)
+        mid = msg.mid
 
-    def _request_timeout(self, mid: int) -> None:
-        pending = self._pending.get(mid)
-        if pending is None:
-            return
-        if pending["transmissions"] <= self.max_retransmit:
-            pending["transmissions"] += 1
-            self.sim.trace.emit("client_retransmit", client=self.name, mid=mid,
-                                attempt=pending["transmissions"] - 1)
-            timeout = self.ack_timeout_ms * (2 ** (pending["transmissions"] - 1))
-            self.sim.schedule(timeout, self._request_timeout, mid)
-            self.network.send(pending["frame"])
-            return
-        del self._pending[mid]
-        self.sim.trace.emit("client_timeout", client=self.name, mid=mid)
+        def give_up() -> None:
+            del self._pending[mid]
+            self.sim.trace.emit("client_timeout", client=self.name, mid=mid)
+
+        exchange = Confirmable(
+            self.sim, frame, self.network.send,
+            on_retry=lambda attempt: self.sim.trace.emit(
+                "client_retransmit", client=self.name, mid=mid, attempt=attempt),
+            on_give_up=give_up)
+        self._pending[mid] = PendingRequest(exchange, on_response)
+        exchange.start()
 
     def on_frame(self, frame: Frame) -> None:
         if self.silenced:
@@ -872,22 +897,24 @@ class ScriptedClient:
         if msg.msg_type is MsgType.RST:
             pending = self._pending.pop(msg.mid, None)
             if pending is not None:
+                pending.exchange.cancel()
                 self.sim.trace.emit("client_rejected", client=self.name, mid=msg.mid)
             return
         if msg.msg_type is MsgType.ACK and msg.mid in self._pending:
             pending = self._pending.pop(msg.mid)
+            pending.exchange.cancel()
             response = None if msg.code == EMPTY else msg
             if response is not None:
                 self.responses.append({"time": self.sim.now, "msg": response})
-            if pending["on_response"] is not None:
-                pending["on_response"](response)
+            if pending.on_response is not None:
+                pending.on_response(response)
         if is_response(msg.code) and msg.options.observe is not None:
             self._on_notification(frame, msg)
 
     def _on_notification(self, frame: Frame, msg: CoapMessage) -> None:
         rel_key = None
         for (node_addr, path), rel in self.relationships.items():
-            if node_addr == frame.src.addr and rel["token"] == msg.token:
+            if node_addr == frame.src.addr and rel.token == msg.token:
                 rel_key = (node_addr, path)
                 break
         if rel_key is None:
@@ -898,13 +925,13 @@ class ScriptedClient:
             "observe": msg.options.observe, "mid": msg.mid,
             "type": msg.msg_type.name, "payload": msg.payload,
         })
-        if rel["cancel"]:
+        if rel.cancel:
             reply = coap.reset_for(msg.mid)
-            self.network.send(Frame(encode(reply), Endpoint(self.addr, rel["port"]),
+            self.network.send(Frame(encode(reply), Endpoint(self.addr, rel.port),
                                     frame.src))
             del self.relationships[rel_key]
             return
         if msg.msg_type is MsgType.CON:
             ack = coap.empty_ack(msg.mid)
-            self.network.send(Frame(encode(ack), Endpoint(self.addr, rel["port"]),
+            self.network.send(Frame(encode(ack), Endpoint(self.addr, rel.port),
                                     frame.src))

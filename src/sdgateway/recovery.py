@@ -32,7 +32,6 @@ DEFAULT_PACING_GAP_MS = 50.0
 class ReplayStep:
     message: CoapMessage
     spoofed_source: Endpoint
-    suppress_response: bool = True
     entry_type: EntryType = EntryType.PUT
     uri: str = ""
 
@@ -102,7 +101,7 @@ def build_plan(entries: list[SDEntry], gateway_addr: str, mids: MidAllocator,
                               options=OptionSet(uri_path=path,
                                                 content_format=entry.content_format),
                               payload=entry.value)
-            steps.append(ReplayStep(msg, entry.client, True, entry.entry_type, entry.uri_path))
+            steps.append(ReplayStep(msg, entry.client, entry.entry_type, entry.uri_path))
         elif entry.entry_type is EntryType.OBSERVE:
             # Fresh MID, stored token: tokens, not MIDs, bind notifications
             # to the relationship.  The stored counter rides in the observe
@@ -112,12 +111,12 @@ def build_plan(entries: list[SDEntry], gateway_addr: str, mids: MidAllocator,
             counter = 2 if entry.observe_counter == 1 else entry.observe_counter
             msg = CoapMessage(MsgType.CON, GET, mids.next_mid(), token=entry.token,
                               options=OptionSet(uri_path=path, observe=counter))
-            steps.append(ReplayStep(msg, entry.client, True, entry.entry_type, entry.uri_path))
+            steps.append(ReplayStep(msg, entry.client, entry.entry_type, entry.uri_path))
         elif entry.entry_type is EntryType.BIND:
             msg = CoapMessage(MsgType.CON, GET, mids.next_mid(), token=entry.token,
                               options=OptionSet(uri_path=path, observe=0,
                                                 binding=entry.binding))
-            steps.append(ReplayStep(msg, gateway_source, True, entry.entry_type, entry.uri_path))
+            steps.append(ReplayStep(msg, gateway_source, entry.entry_type, entry.uri_path))
         elif entry.entry_type is EntryType.DEPLOY:
             info = entry.deploy
             loader = tuple(info.loader_path.split("/"))
@@ -125,7 +124,7 @@ def build_plan(entries: list[SDEntry], gateway_addr: str, mids: MidAllocator,
                 msg = CoapMessage(MsgType.CON, POST, mids.next_mid(),
                                   options=OptionSet(uri_path=loader,
                                                     uri_query=(f"file={info.filename}",)))
-                steps.append(ReplayStep(msg, gateway_source, True, entry.entry_type,
+                steps.append(ReplayStep(msg, gateway_source, entry.entry_type,
                                         entry.uri_path))
             else:
                 size = max(16, max((len(b) for b in info.blocks), default=16))
@@ -136,7 +135,7 @@ def build_plan(entries: list[SDEntry], gateway_addr: str, mids: MidAllocator,
                                                         uri_query=(f"file={info.filename}",),
                                                         block1=Block1(i, more, size)),
                                       payload=block)
-                    steps.append(ReplayStep(msg, gateway_source, True, entry.entry_type,
+                    steps.append(ReplayStep(msg, gateway_source, entry.entry_type,
                                             entry.uri_path))
     return RecoveryPlan(node=node, steps=steps, pacing_gap=pacing_gap)
 

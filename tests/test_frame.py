@@ -159,5 +159,5 @@ def test_registration_retransmission_resends_the_same_frame(monkeypatch):
     world.network.blackholes.add(node.addr)
     node.crash(100.0)
     world.sim.run(until=world.sim.now + 3500.0)
-    assert node._reg_transmissions == 2
+    assert node._registration.transmissions == 2
     assert len(sent) == 2 and sent[0] is sent[1]

@@ -29,8 +29,6 @@ at 6000 deregister c1 n1 s/t
 def test_gateway_config_validation():
     with pytest.raises(ValueError):
         GatewayConfig(lln_prefix="aaaa", gateway_addr="aaaa::1")
-    with pytest.raises(ValueError):
-        GatewayConfig(max_retransmit=0)
 
 
 def test_interception_on_off_is_byte_transparent_externally():

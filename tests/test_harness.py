@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import importlib.resources
 from pathlib import Path
@@ -187,27 +188,71 @@ def test_cli_sweep_range_forms(tmp_path):
 
 
 # sha256 of each bundled scenario's trace text, metrics CSV and directory
-# snapshot lines (newline-joined).  A change that means to keep behaviour
-# must leave all three byte-identical; one that changes the model on
-# purpose updates them and says why.
-BUNDLED_DIGESTS = {
-    "fig12_19.scn": (
+# snapshot lines (newline-joined), as written and at 25% per-hop loss with
+# other seeds; the lossy runs exercise every retransmission path.  A change
+# that means to keep behaviour must leave all of them byte-identical; one
+# that changes the model on purpose updates them and says why.
+PINNED_DIGESTS = {
+    ("fig12_19.scn", None, None): (
         "962dab08a642a066c081f79168c885e0a00f944223f9ae22b6e4bc2864f84a15",
         "f5deaf2818583913d714d8e544ee8f535ba29c3693d4f60b9650133eef018c14",
         "7d4ea20f51db13a1bd260b1d9240df87414c12f46b6d42ce17da78c3bf11eabf",
     ),
-    "bind_deploy.scn": (
+    ("bind_deploy.scn", None, None): (
         "543dbf735f5dfbb4417c827b112fb56b45d859447e8368e10612d10f14945fdb",
         "f1d295af55a306aeb75035b4485be1d0fe59c44351facc4844b92e0b2280f3d8",
         "fe5e2d70bfea2a5d362ef595fbd3de9082e656c1766d62c408a477a55b0b04ab",
     ),
+    ("fig12_19.scn", 2, 0.25): (
+        "72a27e086c4d499e569d180c4c6c7435520a98f2c9ab2a3d1f4da5e75641b0c2",
+        "333135d3c7bb1f47fd942a8b63382ed73c664dc7b12d2e305439ee6081a726dd",
+        "9ee2cd9e77912fc0b910a58bf853a39c77b4a960c1d2c9cb44a2bfea1e53efac",
+    ),
+    ("fig12_19.scn", 5, 0.25): (
+        "d779e6bdc9c2625c4e654a3763c75584e88482c5fa7a90f19d01b82e91aed315",
+        "59a8b97c0fc82e7f03ade0a7bad3f14e7388e768ef4cf8dbe17c4faccf74a049",
+        "2691e84da42b9a4dbbc7d52beb06ed04554dc037eff1f495d22ba57e3da2cd8c",
+    ),
+    ("bind_deploy.scn", 2, 0.25): (
+        "464143c9ce9246876e75694e024ff47866df288ba71f13019f67fb95e7d30937",
+        "682c4da836173bbda1c80b391021c0af96cd4d6d2aba0644d670d094ac49d155",
+        "c3dae963d6fa819a6e8a90df13becefea409d803dacc4c7ba0cbf9379698272d",
+    ),
+    ("bind_deploy.scn", 6, 0.25): (
+        "4a1f3e1419ba6e75001ee24aa6f096ad64ed2c7cbb6cb0b656d83bc33f259e0c",
+        "f34a1e432a3ce2ac8cf11f0163fb4bc1fdc90df8b90fa1da20e66ab53cd2c09c",
+        "077936e006a0624c1d254b0c3eb06c696d7b0b212e4df91937c7b728247c2021",
+    ),
 }
+LOSSY_PINS = [key for key in PINNED_DIGESTS if key[1] is not None]
 
 
-@pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS))
-def test_bundled_scenario_outputs_are_pinned(name):
-    result = run_scenario(bundled(name))
+@functools.lru_cache(maxsize=None)
+def pinned_run(name, seed, loss):
+    sc = load_scenario(bundled(name))
+    if seed is not None:
+        sc.seed, sc.loss = seed, loss
+    return run_scenario(sc)
+
+
+@pytest.mark.parametrize("key", [
+    pytest.param(key, id=key[0] if key[1] is None else f"{key[0]}-seed{key[1]}-loss{key[2]}")
+    for key in PINNED_DIGESTS])
+def test_bundled_scenario_outputs_are_pinned(key):
+    result = pinned_run(*key)
     texts = (result.world.sim.trace.text(), csv_text(result.metrics),
              "\n".join(result.world.gateway.directory.snapshot_lines()))
     got = tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts)
-    assert got == BUNDLED_DIGESTS[name]
+    assert got == PINNED_DIGESTS[key]
+
+
+def test_lossy_pins_cover_every_retransmission_path():
+    kinds = set()
+    for key in LOSSY_PINS:
+        trace = pinned_run(*key).world.sim.trace
+        kinds |= {kind for kind in ("client_retransmit", "retransmit", "inject_retransmit")
+                  if trace.find(kind)}
+        if any(f["transmissions"] > 1 for _, f in trace.find("assoc")):
+            kinds.add("assoc transmissions>1")
+    assert kinds == {"client_retransmit", "retransmit", "inject_retransmit",
+                     "assoc transmissions>1"}

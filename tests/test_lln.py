@@ -16,7 +16,7 @@ from sdgateway.coap import (
     OptionSet,
 )
 from sdgateway.harness import NODE_ADDR, build_world
-from sdgateway.lln import NodeState
+from sdgateway.lln import NodeState, Relationship
 
 
 def make_request(code, path, payload=b"", mid=900, token=b"\x77", **optkw):
@@ -49,7 +49,8 @@ def test_single_registration_loss_adds_one_retransmission_timeout():
     assert node.state is NodeState.UP
     delay = node.associations[0][2] - node.associations[0][1]
     assert 3000.0 <= delay <= 3100.0  # first retry fires after ACK_TIMEOUT
-    assert node._reg_transmissions == 2
+    assert node._registration.transmissions == 2
+    assert world.sim.trace.find("assoc", node="n1")[0][1]["transmissions"] == 2
 
 
 def test_boot_stalls_after_max_retransmit_on_dead_link():
@@ -106,8 +107,7 @@ def test_recovery_observe_seeds_counter_and_next_changes_continue():
     node = world.nodes["n1"]
     client = world.clients["c1"]
     rel_port = 50_000
-    client.relationships[(node.addr, "gpio/btn")] = {
-        "port": rel_port, "token": b"\x0b\x2a", "cancel": False}
+    client.relationships[(node.addr, "gpio/btn")] = Relationship(rel_port, b"\x0b\x2a")
     resp = node.handle_request(
         make_request(GET, "gpio/btn", token=b"\x0b\x2a", observe=10),
         Endpoint(client.addr, rel_port))
@@ -275,3 +275,57 @@ def test_deterministic_trace_for_same_seed():
         return world.sim.trace.text()
 
     assert run_once() == run_once()
+
+
+def _node_in_state(state):
+    world = build_world(simple_scenario(settle=200_000.0))
+    node = world.nodes["n1"]
+    world.sim.schedule_at(0.0, node.boot)
+    if state in (NodeState.BOOTING, NodeState.STALLED):
+        world.network.blackholes.add(node.addr)
+    until = {NodeState.BOOTING: 5000.0, NodeState.STALLED: 100_000.0}.get(state, 1000.0)
+    world.sim.run(until=until)
+    if state is NodeState.DOWN:
+        node.crash(50_000.0)
+    assert node.state is state
+    return world, node
+
+
+@pytest.mark.parametrize("state", [NodeState.BOOTING, NodeState.STALLED, NodeState.DOWN])
+def test_crash_requires_a_running_node(state):
+    world, node = _node_in_state(state)
+    records = len(world.sim.trace.records)
+    with pytest.raises(AssertionError, match="crash requires a running node"):
+        node.crash(1000.0)
+    assert node.state is state and len(world.sim.trace.records) == records
+
+
+def test_crash_cancels_pending_notifications():
+    world = booted_world(simple_scenario(settle=200_000.0))
+    node, client = world.nodes["n1"], world.clients["c1"]
+    client.observe(node.addr, "s/t")
+    world.sim.run(until=world.sim.now + 1000.0)
+    world.network.blackholes.add(node.addr)
+    node.change_resource("s/t", b"19")  # NON
+    node.change_resource("s/t", b"20")  # CON, never acknowledged
+    assert [o.pending is not None for o in node.observers.values()] == [True]
+    world.sim.run(until=world.sim.now + 4000.0)
+    assert len(world.sim.trace.find("retransmit", node="n1")) == 1
+    node.crash(200_000.0)
+    world.sim.run(until=world.sim.now + 100_000.0)
+    assert len(world.sim.trace.find("retransmit", node="n1")) == 1
+
+
+def test_boot_while_booting_restarts_the_registration():
+    sc = simple_scenario()
+    world = build_world(sc)
+    node = world.nodes["n1"]
+    world.network.blackholes.add(node.addr)
+    world.sim.schedule_at(0.0, node.boot)
+    world.sim.schedule_at(1000.0, node.boot)
+    world.sim.schedule_at(1001.0, lambda: world.network.blackholes.clear())
+    world.sim.run(until=30_000.0)
+    assert node.state is NodeState.UP and node.boot_epoch == 2
+    registrations = [t for t, f in world.sim.trace.find("send")
+                     if f["src"] == str(node.endpoint) and "sd/register" in f["msg"]]
+    assert registrations == [0.0, 1000.0, 4000.0]  # epoch 1's retry at 3 s never fires
