@@ -757,7 +757,8 @@ class ScriptedClient:
 
     Opens a fresh source port per request; an observe relationship keeps
     its port and token for its whole lifetime so deregistration and ACKs
-    stay correlated.  While silenced it neither acknowledges nor resets
+    stay correlated.  A notification finds its relationship by (node
+    address, token).  While silenced it neither acknowledges nor resets
     incoming notifications.
     """
 
@@ -769,6 +770,8 @@ class ScriptedClient:
         self.mid_alloc = MidAllocator(sim.rng)
         self.silenced = False
         self.relationships: dict[tuple[str, str], Relationship] = {}
+        # (node address, token) -> (path, relationship), for notifications.
+        self._by_token: dict[tuple[str, bytes], tuple[str, Relationship]] = {}
         self.notifications: list[dict] = []
         self.responses: list[dict] = []
         self._pending: dict[int, PendingRequest] = {}
@@ -794,6 +797,7 @@ class ScriptedClient:
         if rel is None:
             rel = Relationship(self._next_port(), self._next_token())
             self.relationships[(node_addr, path)] = rel
+            self._by_token[(node_addr, rel.token)] = (path, rel)
         msg = CoapMessage(MsgType.CON, GET, self.mid_alloc.next_mid(), token=rel.token,
                           options=OptionSet(uri_path=tuple(path.split("/")),
                                             observe=obs))
@@ -810,7 +814,7 @@ class ScriptedClient:
                                             observe=coap.OBSERVE_DEREGISTER_VALUE))
 
         def done(_resp):
-            self.relationships.pop((node_addr, path), None)
+            self._forget(node_addr, path)
 
         self._send_con(msg, node_addr, rel.port, on_response=done)
 
@@ -858,6 +862,11 @@ class ScriptedClient:
         self.sim.trace.emit("silence", client=self.name, on=on)
 
     # -- transport ----------------------------------------------------------
+
+    def _forget(self, node_addr: str, path: str) -> None:
+        rel = self.relationships.pop((node_addr, path), None)
+        if rel is not None:
+            del self._by_token[(node_addr, rel.token)]
 
     def _next_port(self) -> int:
         port = self._port_next
@@ -912,16 +921,13 @@ class ScriptedClient:
             self._on_notification(frame, msg)
 
     def _on_notification(self, frame: Frame, msg: CoapMessage) -> None:
-        rel_key = None
-        for (node_addr, path), rel in self.relationships.items():
-            if node_addr == frame.src.addr and rel.token == msg.token:
-                rel_key = (node_addr, path)
-                break
-        if rel_key is None:
+        node_addr = frame.src.addr
+        found = self._by_token.get((node_addr, msg.token))
+        if found is None:
             return
-        rel = self.relationships[rel_key]
+        path, rel = found
         self.notifications.append({
-            "time": self.sim.now, "node": rel_key[0], "path": rel_key[1],
+            "time": self.sim.now, "node": node_addr, "path": path,
             "observe": msg.options.observe, "mid": msg.mid,
             "type": msg.msg_type.name, "payload": msg.payload,
         })
@@ -929,7 +935,7 @@ class ScriptedClient:
             reply = coap.reset_for(msg.mid)
             self.network.send(Frame(encode(reply), Endpoint(self.addr, rel.port),
                                     frame.src))
-            del self.relationships[rel_key]
+            self._forget(node_addr, path)
             return
         if msg.msg_type is MsgType.CON:
             ack = coap.empty_ack(msg.mid)

@@ -4,11 +4,13 @@ Line-oriented, `#` comments, shell-style quoting.  A header block sets
 run parameters, `node`/`client`/`resource`/`flash` declare the topology,
 `at <ms> <verb> ...` lines schedule timed events and `assert <ms|final>
 <check> ...` lines schedule assertions.  Event times must be
-nondecreasing; every event must reference a declared name.
+nondecreasing, every number finite, and every event must reference a
+declared name.
 """
 
 from __future__ import annotations
 
+import math
 import shlex
 from dataclasses import dataclass, field
 from typing import Optional
@@ -196,8 +198,8 @@ def parse_scenario(text: str) -> Scenario:
                 raise ParseError(f"duplicate name {name!r}", lineno)
             kv = _kv(rest[2:], lineno)
             decl = NodeDecl(name, addr,
-                            hops=int(kv["hops"]) if "hops" in kv else None,
-                            loss=float(kv["loss"]) if "loss" in kv else None,
+                            hops=_int(kv["hops"], lineno) if "hops" in kv else None,
+                            loss=_float(kv["loss"], lineno) if "loss" in kv else None,
                             loader=kv.get("loader", "ldr"))
             sc.nodes.append(decl)
             node_names.add(name)
@@ -294,12 +296,12 @@ def _parse_event(at, verb, rest, lineno, node_names, client_names) -> ScenarioEv
     if verb == "put":
         args["path"] = pop("path").lstrip("/")
         args["value"] = _payload(pop("value"))
-        args["cf"] = int(kv.get("cf", "0"))
+        args["cf"] = _int(kv.get("cf", "0"), lineno)
     elif verb == "get":
         args["path"] = pop("path").lstrip("/")
     elif verb == "observe":
         args["path"] = pop("path").lstrip("/")
-        args["obs"] = int(kv.get("obs", "0"))
+        args["obs"] = _int(kv.get("obs", "0"), lineno)
     elif verb in ("deregister", "rst"):
         args["path"] = pop("path").lstrip("/")
     elif verb == "bind":
@@ -309,24 +311,24 @@ def _parse_event(at, verb, rest, lineno, node_names, client_names) -> ScenarioEv
                 raise ParseError(f"bind: missing {key}=", lineno)
         args["dest"] = kv["dest"]
         args["res"] = kv["res"].lstrip("/")
-        args["pmin"] = int(kv.get("pmin", "0"))
-        args["pmax"] = int(kv.get("pmax", "86400"))
+        args["pmin"] = _int(kv.get("pmin", "0"), lineno)
+        args["pmax"] = _int(kv.get("pmax", "86400"), lineno)
     elif verb == "deploy":
         for key in ("file", "data"):
             if key not in kv:
                 raise ParseError(f"deploy: missing {key}=", lineno)
         args["file"] = kv["file"]
         args["data"] = _payload(kv["data"])
-        args["block"] = int(kv.get("block", "64"))
+        args["block"] = _int(kv.get("block", "64"), lineno)
         args["loader"] = kv.get("loader", "ldr").lstrip("/")
     elif verb == "change":
         args["path"] = pop("path").lstrip("/")
         args["value"] = _payload(pop("value"))
     elif verb == "notify":
         args["path"] = pop("path").lstrip("/")
-        args["counter"] = int(kv["counter"]) if "counter" in kv else None
+        args["counter"] = _int(kv["counter"], lineno) if "counter" in kv else None
     elif verb == "crash":
-        args["down"] = float(kv.get("down", "1000"))
+        args["down"] = _float(kv.get("down", "1000"), lineno)
     elif verb in ("silence", "blackhole"):
         flag = pop("on|off")
         if flag not in ("on", "off"):
@@ -360,9 +362,12 @@ def _int(text: str, lineno: int) -> int:
 
 def _float(text: str, lineno: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"expected number, got {text!r}", lineno) from None
+    if not math.isfinite(value):
+        raise ParseError(f"expected a finite number, got {text!r}", lineno)
+    return value
 
 
 def _rdc(text: str, lineno: int) -> RDC:

@@ -10,24 +10,25 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from math import inf
+from operator import itemgetter
 from typing import Callable, Optional
 
 
-class Event:
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
+class Event(list):
+    """A scheduled call and its own heap entry: `[time, seq, fn, args]`.
 
-    def __init__(self, time: float, seq: int, fn: Callable, args: tuple) -> None:
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
+    Entries compare as lists, in C: by time, then by `seq`, which is unique,
+    so ties pop in scheduling order and a comparison never reaches `fn`.
+    `cancel()` clears `fn`; the event loop skips such an entry.
+    """
+
+    __slots__ = ()
+
+    time = property(itemgetter(0))
 
     def cancel(self) -> None:
-        self.cancelled = True
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+        self[2] = None
 
 
 class TraceRecorder:
@@ -80,25 +81,29 @@ class Simulator:
         return self.schedule_at(self.now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable, *args) -> Event:
-        if time < self.now:
-            raise ValueError(f"cannot schedule into the past: {time} < {self.now}")
-        event = Event(time, next(self._seq), fn, args)
+        if not self.now <= time < inf:
+            if time < self.now:
+                raise ValueError(f"cannot schedule into the past: {time} < {self.now}")
+            raise ValueError(f"cannot schedule at a non-finite time: {time}")
+        event = Event((time, next(self._seq), fn, args))
         heapq.heappush(self._queue, event)
         return event
 
     def run(self, until: Optional[float] = None, max_events: int = 2_000_000) -> None:
         """Process events with time <= `until` (all pending when None)."""
+        queue, pop = self._queue, heapq.heappop
+        limit = inf if until is None else until
         processed = 0
-        while self._queue:
-            if until is not None and self._queue[0].time > until:
+        while queue:
+            if queue[0][0] > limit:
                 break
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
+            time, _, fn, args = pop(queue)
+            if fn is None:
                 continue
             processed += 1
             if processed > max_events:
                 raise RuntimeError("event budget exhausted; runaway simulation?")
-            self.now = event.time
-            event.fn(*event.args)
+            self.now = time
+            fn(*args)
         if until is not None and until > self.now:
             self.now = until

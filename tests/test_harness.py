@@ -14,7 +14,16 @@ from sdgateway.harness import (
     sweep,
 )
 from sdgateway.lln import RDC
-from sdgateway.scenario import ParseError, load_scenario, parse_scenario
+from sdgateway.scenario import (
+    ClientDecl,
+    NodeDecl,
+    ParseError,
+    Scenario,
+    ScenarioAssert,
+    ScenarioEvent,
+    load_scenario,
+    parse_scenario,
+)
 
 MINIMAL = """
 scenario mini
@@ -32,6 +41,10 @@ def bundled(name: str) -> Path:
     return Path(importlib.resources.files("sdgateway") / "scenarios" / name)
 
 
+# Declares n1 and c1; the line under test is line 4.
+NUMBERS_BASE = "version 1\nnode n1 aaaa::1\nclient c1 cccc::3\n"
+
+
 @pytest.mark.parametrize("text,expect_line,fragment", [
     ("version 1\nbogus directive", 2, "unknown directive"),
     ("version 1\nat 100 put c9 n9 a 1", 2, "undeclared"),
@@ -43,12 +56,33 @@ def bundled(name: str) -> Path:
     ("version 1\nnode n1 aaaa::1\nnode n1 aaaa::2", 3, "duplicate"),
     ("version 1\nat 1 frobnicate", 2, "unknown event verb"),
     ("version 1\nseed nope", 2, "expected integer"),
-])
-def test_parse_errors_carry_line_numbers(text, expect_line, fragment):
+] + [(NUMBERS_BASE + line, 4, fragment) for line, fragment in [
+    ("at nan crash n1", "finite"),
+    ("at inf crash n1", "finite"),
+    ("assert nan resource n1 s/t 1", "finite"),
+    ("settle inf", "finite"),
+    ("at 10 crash n1 down=nan", "finite"),
+    ("at 10 crash n1 down=-inf", "finite"),
+    ("at 10 crash n1 down=abc", "expected number"),
+    ("node n2 aaaa::2 hops=two", "expected integer"),
+    ("node n2 aaaa::2 loss=lots", "expected number"),
+    ("node n2 aaaa::2 loss=nan", "finite"),
+    ("at 10 put c1 n1 s/t 1 cf=json", "expected integer"),
+    ("at 10 observe c1 n1 s/t obs=1.5", "expected integer"),
+    ("at 10 bind c1 n1 s/t dest=aaaa::2 res=a pmin=x", "expected integer"),
+    ("at 10 bind c1 n1 s/t dest=aaaa::2 res=a pmax=", "expected integer"),
+    ("at 10 deploy c1 n1 file=f data=d block=big", "expected integer"),
+    ("at 10 notify n1 s/t counter=many", "expected integer"),
+]])
+def test_parse_errors_carry_line_numbers(text, expect_line, fragment, tmp_path, capsys):
     with pytest.raises(ParseError) as err:
         parse_scenario(text)
     assert err.value.line == expect_line
     assert fragment in str(err.value)
+    path = tmp_path / "bad.scn"
+    path.write_text(text)
+    assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert f"parse error: line {expect_line}:" in capsys.readouterr().err
 
 
 def test_parse_minimal_scenario_fields():
@@ -256,3 +290,52 @@ def test_lossy_pins_cover_every_retransmission_path():
             kinds.add("assoc transmissions>1")
     assert kinds == {"client_retransmit", "retransmit", "inject_retransmit",
                      "assoc transmissions>1"}
+
+
+def same_time_scenario(nodes: int = 12) -> Scenario:
+    """Many events per timestamp: two clients PUT to every node at the same
+    instants, every node notifies its observer at once, and every node crashes
+    at the same millisecond.  Ties in the event queue decide the trace."""
+    sc = Scenario(scenario_id=f"same_time[nodes={nodes}]", seed=4, settle=2000.0)
+    sc.clients += [ClientDecl("c1", "cccc::3"), ClientDecl("c2", "cccc::4")]
+    for i in range(nodes):
+        decl = NodeDecl(f"n{i}", f"aaaa::c30c:0:0:{i + 2:x}", hops=1 + i % 3)
+        decl.resources.update({"cfg/a": b"0", "cfg/b": b"0", "s/t": b"0"})
+        sc.nodes.append(decl)
+
+    def each(t, verb, **args):
+        for d in sc.nodes:
+            sc.events.append(ScenarioEvent(t, verb, dict(args, node=d.name), 0))
+
+    each(2000.0, "put", client="c1", path="cfg/a", value=b"1", cf=0)
+    each(2000.0, "put", client="c2", path="cfg/b", value=b"2", cf=0)
+    each(3000.0, "observe", client="c1", path="s/t", obs=0)
+    each(4000.0, "notify", path="s/t", counter=None)
+    each(4000.0, "put", client="c2", path="cfg/a", value=b"3", cf=0)
+    each(6500.0, "crash", down=500.0)
+    for d in sc.nodes:
+        sc.asserts.append(ScenarioAssert(6000.0, "snapshot", [d.name], 0))
+    for d in sc.nodes:
+        sc.asserts.append(ScenarioAssert(16_500.0, "restored", [d.name], 0))
+    return sc
+
+
+# sha256 of the trace text, metrics CSV and snapshot lines of
+# `same_time_scenario()`, pinned like PINNED_DIGESTS.
+SAME_TIME_DIGESTS = (
+    "0c5452a43bb0026553f98386a25ecafcda0b2bbdf3194cb178b8cb1eb7391dcc",
+    "b63d35e4b30c9093ef4ed578ed71b1074a1fa675f95e281b8d41fb1ef5b68915",
+    "fc4d7e5794aac91c57a4afd75f2778121a0089fb7b98dff9fa5320120d3cc681",
+)
+
+
+def test_same_time_events_outputs_are_pinned():
+    result = run_scenario(same_time_scenario())
+    assert result.ok, result.failures
+    trace = result.world.sim.trace
+    assert len(trace.find("crash")) == 12 and len({t for t, _ in trace.find("crash")}) == 1
+    assert len(result.world.gateway.recovery.reports) == 12
+    texts = (trace.text(), csv_text(result.metrics),
+             "\n".join(result.world.gateway.directory.snapshot_lines()))
+    got = tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts)
+    assert got == SAME_TIME_DIGESTS

@@ -10,13 +10,15 @@ from sdgateway.coap import (
     NOT_FOUND,
     POST,
     PUT,
+    COAP_PORT,
     CoapMessage,
     Endpoint,
     MsgType,
     OptionSet,
+    encode,
 )
 from sdgateway.harness import NODE_ADDR, build_world
-from sdgateway.lln import NodeState, Relationship
+from sdgateway.lln import Frame, NodeState
 
 
 def make_request(code, path, payload=b"", mid=900, token=b"\x77", **optkw):
@@ -106,13 +108,16 @@ def test_recovery_observe_seeds_counter_and_next_changes_continue():
     world = booted_world(sc)
     node = world.nodes["n1"]
     client = world.clients["c1"]
-    rel_port = 50_000
-    client.relationships[(node.addr, "gpio/btn")] = Relationship(rel_port, b"\x0b\x2a")
+    client.observe(node.addr, "gpio/btn")
+    world.sim.run(until=world.sim.now + 1000.0)
+    rel = client.relationships[(node.addr, "gpio/btn")]
+    # The registration a recovery replays: the client's port and token,
+    # with the pre-crash observe value.
     resp = node.handle_request(
-        make_request(GET, "gpio/btn", token=b"\x0b\x2a", observe=10),
-        Endpoint(client.addr, rel_port))
+        make_request(GET, "gpio/btn", token=rel.token, observe=10),
+        Endpoint(client.addr, rel.port))
     assert resp.code == CONTENT and resp.options.observe == 10
-    obs = node.observers[("gpio/btn", Endpoint(client.addr, rel_port))]
+    obs = node.observers[("gpio/btn", Endpoint(client.addr, rel.port))]
     assert obs.counter == 10
     world.sim.run(until=world.sim.now + 1000.0)
     node.change_resource("gpio/btn", b"1")
@@ -329,3 +334,75 @@ def test_boot_while_booting_restarts_the_registration():
     registrations = [t for t, f in world.sim.trace.find("send")
                      if f["src"] == str(node.endpoint) and "sd/register" in f["msg"]]
     assert registrations == [0.0, 1000.0, 4000.0]  # epoch 1's retry at 3 s never fires
+
+
+# -- the client's notification lookup ---------------------------------------
+
+def _notification(world, src_addr, token, port, counter=7):
+    msg = CoapMessage(MsgType.CON, CONTENT, 4242, token=token,
+                      options=OptionSet(observe=counter), payload=b"x")
+    return Frame(encode(msg), Endpoint(src_addr, COAP_PORT),
+                 Endpoint(world.clients["c1"].addr, port))
+
+
+def _observed(world, path="s/t"):
+    node, client = world.nodes["n1"], world.clients["c1"]
+    client.observe(node.addr, path)
+    world.sim.run(until=world.sim.now + 1000.0)
+    return client.relationships[(node.addr, path)]
+
+
+def _client_sends(world):
+    return [f for _, f in world.sim.trace.find("send")
+            if f["src"].startswith(world.clients["c1"].addr)]
+
+
+def test_notification_from_another_node_with_the_same_token_is_ignored():
+    world = booted_world(simple_scenario(second_node=True))
+    client = world.clients["c1"]
+    rel = _observed(world)
+    seen, sent = len(client.notifications), len(_client_sends(world))
+    client.on_frame(_notification(world, NODE2_ADDR, rel.token, rel.port))
+    assert len(client.notifications) == seen
+    assert len(_client_sends(world)) == sent  # neither ACK nor RST
+    client.on_frame(_notification(world, NODE_ADDR, rel.token, rel.port))
+    assert client.notifications[-1]["node"] == NODE_ADDR
+    assert client.notifications[-1]["path"] == "s/t"
+    assert len(_client_sends(world)) == sent + 1  # the ACK
+
+
+@pytest.mark.parametrize("ended_by", ["deregister", "rst"])
+def test_notification_for_an_ended_relationship_is_ignored(ended_by):
+    world = booted_world(simple_scenario())
+    node, client = world.nodes["n1"], world.clients["c1"]
+    rel = _observed(world)
+    if ended_by == "deregister":
+        client.deregister(node.addr, "s/t")
+    else:
+        client.cancel_with_rst(node.addr, "s/t")
+        node.change_resource("s/t", b"19")  # answered with RST
+    world.sim.run(until=world.sim.now + 1000.0)
+    assert client.relationships == {} and node.observers == {}
+    seen, sent = len(client.notifications), len(_client_sends(world))
+    client.on_frame(_notification(world, node.addr, rel.token, rel.port))
+    assert len(client.notifications) == seen
+    assert len(_client_sends(world)) == sent
+
+
+def test_reobserve_after_deregister_is_matched_under_its_new_token():
+    world = booted_world(simple_scenario())
+    node, client = world.nodes["n1"], world.clients["c1"]
+    old = _observed(world)
+    client.deregister(node.addr, "s/t")
+    world.sim.run(until=world.sim.now + 1000.0)
+    new = _observed(world)
+    assert new.token != old.token and new.port != old.port
+    node.change_resource("s/t", b"21")
+    world.sim.run(until=world.sim.now + 1000.0)
+    assert client.notifications[-1]["path"] == "s/t"
+    assert client.notifications[-1]["payload"] == b"21"
+    seen = len(client.notifications)
+    client.on_frame(_notification(world, node.addr, old.token, new.port))
+    assert len(client.notifications) == seen
+    client.on_frame(_notification(world, node.addr, new.token, new.port, counter=90))
+    assert client.notifications[-1]["observe"] == 90

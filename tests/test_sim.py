@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import statistics
@@ -67,13 +68,43 @@ except ValueError:
 """
 
 
-def test_schedule_into_past_rejected_under_python_O():
+def _run_optimized(code: str) -> str:
     src = str(Path(sdgateway.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-O", "-c", PAST_SCHEDULE], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["raised", "0"]
+    return subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_schedule_into_past_rejected_under_python_O():
+    assert _run_optimized(PAST_SCHEDULE).split() == ["raised", "0"]
+
+
+@pytest.mark.parametrize("how,when", [
+    ("schedule_at", math.nan), ("schedule_at", math.inf),
+    ("schedule", math.nan), ("schedule", math.inf),
+])
+def test_schedule_at_a_non_finite_time_rejected(how, when):
+    sim = Simulator()
+    with pytest.raises(ValueError, match="non-finite"):
+        getattr(sim, how)(when, lambda: None)
+    assert sim._queue == []
+
+
+NON_FINITE_SCHEDULE = """
+from sdgateway.sim import Simulator
+sim = Simulator()
+for how, when in (("schedule_at", float("nan")), ("schedule", float("inf"))):
+    try:
+        getattr(sim, how)(when, lambda: None)
+    except ValueError:
+        print("raised", len(sim._queue))
+"""
+
+
+def test_schedule_at_a_non_finite_time_rejected_under_python_O():
+    out = _run_optimized(NON_FINITE_SCHEDULE)
+    assert out.split() == ["raised", "0", "raised", "0"]
 
 
 def test_trace_lines_render_stably():
@@ -144,3 +175,114 @@ def test_loss_draw_rate_tracks_probability():
     link = LinkModel(hops=1, loss=0.3)
     lost = sum(link.draw_lost(rng) for _ in range(4000))
     assert 0.25 < lost / 4000 < 0.35
+
+
+# -- the event queue against a reference model ------------------------------
+
+# Few distinct delays, so same-time events (ties) are common.
+DELAYS = (0.0, 0.0, 1.0, 2.5, 5.0)
+MAX_LABELS = 120
+
+
+class ReferenceQueue:
+    """The specification of the event queue: a plain list kept sorted by
+    (time, insertion order); a cancelled entry is removed from it."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.pending: list[ReferenceEntry] = []
+        self.inserted = 0
+
+    def schedule(self, delay, fn, *args):
+        return self.schedule_at(self.now + delay, fn, *args)
+
+    def schedule_at(self, time, fn, *args):
+        entry = ReferenceEntry(self, (time, self.inserted), fn, args)
+        self.inserted += 1
+        self.pending.append(entry)
+        self.pending.sort(key=lambda e: e.key)
+        return entry
+
+    def run(self, until=None):
+        while self.pending and (until is None or self.pending[0].key[0] <= until):
+            entry = self.pending.pop(0)
+            self.now = entry.key[0]
+            entry.fn(*entry.args)
+        if until is not None and until > self.now:
+            self.now = until
+
+
+class ReferenceEntry:
+    def __init__(self, queue, key, fn, args) -> None:
+        self.queue, self.key, self.fn, self.args = queue, key, fn, args
+
+    def cancel(self) -> None:
+        self.queue.pending = [e for e in self.queue.pending if e is not self]
+
+
+def _handler_plan(seed: int, label: int):
+    """What the handler of the label-th scheduled event does, drawn from
+    (seed, label) alone: the events it schedules (delay 0.0 is the current
+    time) and the earlier event it cancels, which may already have fired."""
+    rng = random.Random(f"{seed}:{label}")
+    children = []
+    if label < MAX_LABELS:
+        children = [(rng.choice(("schedule", "schedule_at")), rng.choice(DELAYS))
+                    for _ in range(rng.choice((0, 0, 1, 1, 2)))]
+    cancel = rng.randrange(label) if label and rng.random() < 0.25 else None
+    return children, cancel
+
+
+def _drive(queue, seed: int, ops) -> list:
+    """Apply `ops` to `queue`; return every fired event and `now` after
+    each operation, in order."""
+    log, handles = [], []
+
+    def add(how, delay):
+        label = len(handles)
+        if how == "schedule":
+            handles.append(queue.schedule(delay, fire, label))
+        else:
+            handles.append(queue.schedule_at(queue.now + delay, fire, label))
+
+    def fire(label):
+        log.append(("fire", label, queue.now))
+        children, cancel = _handler_plan(seed, label)
+        for how, delay in children:
+            add(how, delay)
+        if cancel is not None:
+            handles[cancel].cancel()
+
+    for op, value in ops:
+        if op in ("schedule", "schedule_at"):
+            add(op, value)
+        elif op == "cancel":
+            if handles:
+                handles[value % len(handles)].cancel()
+        else:
+            queue.run() if value is None else queue.run(until=queue.now + value)
+        log.append((op, "now", queue.now))
+    return log
+
+
+def _ops(seed: int):
+    rng = random.Random(seed)
+    ops = []
+    for _ in range(60):
+        roll = rng.random()
+        if roll < 0.5:
+            ops.append((rng.choice(("schedule", "schedule_at")), rng.choice(DELAYS)))
+        elif roll < 0.7:
+            ops.append(("cancel", rng.randrange(1000)))
+        else:
+            ops.append(("run", rng.choice((0.0, 1.0, 2.5, 4.0, 10.0, None))))
+    return ops + [("run", None)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_event_queue_matches_sorted_reference(seed):
+    ops = _ops(seed)
+    got = _drive(Simulator(), seed, ops)
+    want = _drive(ReferenceQueue(), seed, ops)
+    assert got == want
+    assert sum(entry[0] == "fire" for entry in want) > 10
