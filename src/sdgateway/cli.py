@@ -36,7 +36,7 @@ def _cmd_run(args) -> int:
         status = "ok  " if problem is None else "FAIL"
         detail = "" if problem is None else f"  ({problem})"
         print(f"{status} {name}{detail}")
-    print(f"scenario {result.scenario_id}: {len(result.metrics)} metric rows, "
+    print(f"scenario {result.scenario.scenario_id}: {len(result.metrics)} metric rows, "
           f"artifacts in {out_dir}")
     if result.flagged:
         print("warning: recovery included timed-out or aborted steps")

@@ -60,7 +60,6 @@ CONTINUE = 0x5F           # 2.31
 BAD_REQUEST = 0x80        # 4.00
 NOT_FOUND = 0x84          # 4.04
 METHOD_NOT_ALLOWED = 0x85 # 4.05
-INTERNAL_ERROR = 0xA0     # 5.00
 
 _REQUEST_CODES = (GET, POST, PUT, DELETE)
 
@@ -118,7 +117,6 @@ _URI_OPTS = frozenset({OPT_URI_PATH, OPT_URI_QUERY})
 # Options that may appear at most once in a message.
 _SINGLE_OPTS = frozenset({OPT_OBSERVE, OPT_CONTENT_FORMAT, OPT_MAX_AGE, OPT_BLOCK1}) | _BINDING_OPTS
 
-OBSERVE_REGISTER_VALUE = 0
 OBSERVE_DEREGISTER_VALUE = 1
 OBSERVE_MAX = 0xFFFFFF  # 3-byte option
 
@@ -230,6 +228,11 @@ def _validate(msg: CoapMessage) -> None:
         raise InvariantViolation("RST must be EMPTY")
     if msg.msg_type is MsgType.ACK and msg.code != EMPTY and not is_response(msg.code):
         raise InvariantViolation("ACK must be EMPTY or carry a response code")
+    validate_options(o)
+
+
+def validate_options(o: OptionSet) -> None:
+    """Raise InvariantViolation for an option value `encode` cannot carry."""
     if o.observe is not None and not 0 <= o.observe <= OBSERVE_MAX:
         raise InvariantViolation(f"observe value out of range: {o.observe}")
     if o.content_format is not None and not 0 <= o.content_format <= 0xFFFF:

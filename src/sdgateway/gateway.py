@@ -74,10 +74,8 @@ class Gateway:
                                         trace=sim.trace)
         self.mids = MidAllocator(sim.rng)
         self.recovery = RecoveryCoordinator(
-            self.directory, self, clock=lambda: sim.now,
-            scheduler=lambda delay, fn: sim.schedule(delay, fn),
-            mids=self.mids, gateway_addr=config.gateway_addr,
-            pacing_gap=config.pacing_gap, trace=sim.trace)
+            self.directory, self, sim=sim, mids=self.mids,
+            gateway_addr=config.gateway_addr, pacing_gap=config.pacing_gap)
         self.overhead_us: list[float] = []
         # Replays awaiting their response, per spoofed destination, in
         # injection order.

@@ -13,7 +13,7 @@ import csv
 import io
 import os
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Union
@@ -89,30 +89,10 @@ class World:
     scenario: Scenario
 
 
-@dataclass
-class RunResult:
-    scenario_id: str
-    seed: int
-    failures: list[str]
-    metrics: list[MetricRecord]
-    world: World
-    flagged: bool = False
-    assertions: list[tuple[str, Optional[str]]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def raise_for_failures(self) -> None:
-        if self.failures:
-            raise AssertionFailure(self.failures)
-
-
 def build_world(sc: Scenario, *, interception: bool = True,
                 measure_overhead: bool = False) -> World:
     sim = Simulator(seed=sc.seed)
-    network = Network(sim, lln_prefix=LLN_PREFIX, gateway_addr=GATEWAY_ADDR,
-                      external_delay_ms=sc.external_delay)
+    network = Network(sim, lln_prefix=LLN_PREFIX, gateway_addr=GATEWAY_ADDR)
     config = GatewayConfig(lln_prefix=LLN_PREFIX, gateway_addr=GATEWAY_ADDR,
                            interception_enabled=interception,
                            deploy_mode=sc.deploy_mode,
@@ -225,56 +205,85 @@ def _evaluate(world: World, check: ScenarioAssert, snapshots: dict) -> Optional[
     return f"unknown check {check.check}"  # pragma: no cover
 
 
+class ScenarioRun:
+    """One run of a scenario, and its result.  The constructor builds the
+    world and schedules every node boot at 0 ms, then the events, then the
+    timed checks; `advance` runs the simulator, in one call or in steps;
+    `finish` runs the final checks, collects the metrics and writes the
+    artifacts to `out_dir` (when given)."""
+
+    def __init__(self, sc: Scenario, *, interception: bool = True,
+                 measure_overhead: bool = False, out_dir: Optional[Path] = None) -> None:
+        self.scenario = sc
+        self.out_dir = None if out_dir is None else Path(out_dir)
+        if self.out_dir is not None:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.world = build_world(sc, interception=interception,
+                                 measure_overhead=measure_overhead)
+        # (check name, problem or None), in the order the checks ran.
+        self.assertions: list[tuple[str, Optional[str]]] = []
+        self.metrics: list[MetricRecord] = []
+        self.flagged = False
+        self._snapshots: dict[str, dict] = {}
+        sim = self.world.sim
+        for node in self.world.nodes.values():
+            sim.schedule_at(0.0, node.boot)
+        for ev in sc.events:
+            sim.schedule_at(ev.time, _dispatch, self.world, ev)
+        for check in sc.asserts:
+            if check.time is not None:
+                sim.schedule_at(check.time, self._check, check)
+
+    @property
+    def failures(self) -> list[str]:
+        return [f"{name}: {problem}" for name, problem in self.assertions
+                if problem is not None]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def raise_for_failures(self) -> None:
+        if self.failures:
+            raise AssertionFailure(self.failures)
+
+    def _check(self, check: ScenarioAssert) -> None:
+        self.assertions.append((check.name, _evaluate(self.world, check, self._snapshots)))
+        if self.out_dir is not None:
+            stamp = "final" if check.time is None else f"{check.time:g}"
+            self.world.gateway.directory.write_snapshot(
+                self.out_dir / f"{self.scenario.scenario_id}.sd@{stamp}.txt")
+
+    def advance(self, until: Optional[float] = None) -> None:
+        """Run the simulator to `until`, or to the scenario's end time."""
+        self.world.sim.run(until=self.scenario.end_time() if until is None else until)
+
+    def finish(self) -> "ScenarioRun":
+        for check in self.scenario.asserts:
+            if check.time is None:
+                self._check(check)
+        world = self.world
+        self.metrics = collect_metrics(world,
+                                       include_overhead=world.gateway.config.measure_overhead)
+        self.flagged = any(not r.all_acked for r in world.gateway.recovery.reports)
+        if self.out_dir is not None:
+            sid = self.scenario.scenario_id
+            write_csv(self.out_dir / f"{sid}.metrics.csv", self.metrics)
+            world.sim.trace.write(self.out_dir / f"{sid}.trace.txt")
+        return self
+
+
 def run_scenario(source: Union[Scenario, str, Path], *, interception: bool = True,
                  measure_overhead: bool = False, out_dir: Optional[Path] = None,
-                 trace_path: Optional[Path] = None) -> RunResult:
+                 trace_path: Optional[Path] = None) -> ScenarioRun:
     sc = source if isinstance(source, Scenario) else load_scenario(source)
-    world = build_world(sc, interception=interception,
-                        measure_overhead=measure_overhead)
-    sim = world.sim
-    failures: list[str] = []
-    outcomes: list[tuple[str, Optional[str]]] = []
-    snapshots: dict[str, dict] = {}
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    for node in world.nodes.values():
-        sim.schedule_at(0.0, node.boot)
-    for ev in sc.events:
-        sim.schedule_at(ev.time, _dispatch, world, ev)
-
-    def run_check(check: ScenarioAssert) -> None:
-        problem = _evaluate(world, check, snapshots)
-        outcomes.append((check.name, problem))
-        if problem is not None:
-            failures.append(f"{check.name}: {problem}")
-        if out_dir is not None:
-            stamp = "final" if check.time is None else f"{check.time:g}"
-            world.gateway.directory.write_snapshot(
-                Path(out_dir) / f"{sc.scenario_id}.sd@{stamp}.txt")
-
-    for check in sc.asserts:
-        if check.time is not None:
-            sim.schedule_at(check.time, run_check, check)
-
-    sim.run(until=sc.end_time())
-
-    for check in sc.asserts:
-        if check.time is None:
-            run_check(check)
-
-    metrics = collect_metrics(world, include_overhead=measure_overhead)
-    flagged = any(not r.all_acked for r in world.gateway.recovery.reports)
-
-    if out_dir is not None:
-        write_csv(out_dir / f"{sc.scenario_id}.metrics.csv", metrics)
-        sim.trace.write(out_dir / f"{sc.scenario_id}.trace.txt")
+    run = ScenarioRun(sc, interception=interception, measure_overhead=measure_overhead,
+                      out_dir=out_dir)
+    run.advance()
+    run.finish()
     if trace_path is not None:
-        sim.trace.write(trace_path)
-
-    return RunResult(sc.scenario_id, sc.seed, failures, metrics, world, flagged,
-                     assertions=outcomes)
+        run.world.sim.trace.write(trace_path)
+    return run
 
 
 def collect_metrics(world: World, *, include_overhead: bool = False) -> list[MetricRecord]:
@@ -360,8 +369,7 @@ SWEEP_PARAMS = ("hops", "state_count", "rdc")
 
 
 def sweep(param: str, values: list, reps: int, seed: int, *,
-          hops: int = 3, rdc=None, state_count: int = 3,
-          out_path: Optional[Path] = None) -> list[MetricRecord]:
+          hops: int = 3, rdc=None, state_count: int = 3) -> list[MetricRecord]:
     """Run the canonical scenario `reps` times per parameter value with
     rep-paired derived seeds; returns per-run rows plus summary rows."""
     if param not in SWEEP_PARAMS:
@@ -396,8 +404,6 @@ def sweep(param: str, values: list, reps: int, seed: int, *,
                                         hop_val, cfg["rdc"].value, cfg["state_count"]))
             records.append(MetricRecord(metric, std, f"{scenario_id}/stddev", seed,
                                         hop_val, cfg["rdc"].value, cfg["state_count"]))
-    if out_path is not None:
-        write_csv(out_path, records)
     return records
 
 

@@ -47,6 +47,7 @@ from .coap import (
 from .sim import Event, Simulator
 
 FIFO_EPS = 0.001  # ms; minimal inter-arrival spacing on one path
+EXTERNAL_DELAY_MS = 2.0  # one-way delay between a client and the gateway
 DEFAULT_MAX_AGE = 60
 DEFAULT_LOADER_PATH = "ldr"
 
@@ -188,12 +189,10 @@ class Network:
     nodes stays inside the LLN and is never seen by the gateway.
     """
 
-    def __init__(self, sim: Simulator, *, lln_prefix: str, gateway_addr: str,
-                 external_delay_ms: float = 2.0) -> None:
+    def __init__(self, sim: Simulator, *, lln_prefix: str, gateway_addr: str) -> None:
         self.sim = sim
         self.lln_prefix = lln_prefix
         self.gateway_addr = gateway_addr
-        self.external_delay_ms = external_delay_ms
         self.nodes: dict[str, "VirtualNode"] = {}
         self.clients: dict[str, "ScriptedClient"] = {}
         self.gateway = None
@@ -261,7 +260,7 @@ class Network:
 
     def _external_leg(self, frame: Frame, path_key: tuple, at: str,
                       handler: Callable[[], None]) -> None:
-        self._arrive_fifo(path_key, self.external_delay_ms, frame, at, handler)
+        self._arrive_fifo(path_key, EXTERNAL_DELAY_MS, frame, at, handler)
 
     def _arrive_fifo(self, path_key: tuple, delay: float, frame: Frame, at: str,
                      handler: Callable[[], None]) -> None:
@@ -376,12 +375,16 @@ class VirtualNode:
                             retries=MAX_RETRANSMIT)
 
     def _cancel_exchanges(self) -> None:
-        # No retransmission outlives the boot epoch that started it.
+        # No retransmission or binding timer outlives its boot epoch.
         if self._registration is not None:
             self._registration.cancel()
         for obs in self.observers.values():
             if obs.pending is not None:
                 obs.pending.cancel()
+        for b in self.bindings.values():
+            for ev in (b.pending_event, b.keepalive_event):
+                if ev is not None:
+                    ev.cancel()
 
     def crash(self, downtime_ms: float) -> None:
         """Power the running node off for `downtime_ms`, then boot it again."""
@@ -390,10 +393,6 @@ class VirtualNode:
             raise AssertionError("crash requires a running node")
         self.state = NodeState.DOWN
         self._cancel_exchanges()
-        for b in self.bindings.values():
-            for ev in (b.pending_event, b.keepalive_event):
-                if ev is not None:
-                    ev.cancel()
         self.sim.trace.emit("crash", node=self.name, epoch=self.boot_epoch,
                             downtime=downtime_ms)
         self.sim.schedule(downtime_ms, self.boot)
@@ -562,18 +561,11 @@ class VirtualNode:
         obs.sent_since_register = 0
         self.sim.trace.emit("observer_add", node=self.name, uri=path,
                             client=str(src), counter=obs.counter)
-        epoch = self.boot_epoch
-        deferred.append(lambda: self._push_current(path, key, epoch))
+        # Immediate state push after (re)registration, counter unchanged;
+        # it runs right after the response is sent, not from a timer.
+        deferred.append(lambda: self._send_notification(path, obs))
         return reply(CONTENT, payload=self.resources[path],
                      observe=obs.counter, max_age=obs.max_age), deferred
-
-    def _push_current(self, path: str, key, epoch: int) -> None:
-        # Immediate state push after (re)registration, counter unchanged.
-        if epoch != self.boot_epoch or self.state is not NodeState.UP:
-            return
-        obs = self.observers.get(key)
-        if obs is not None and path in self.resources:
-            self._send_notification(path, obs)
 
     def _remove_observer(self, path, src, *, reason: str, mid=None) -> None:
         key = (path, src)
@@ -696,13 +688,10 @@ class VirtualNode:
         if wait <= 0:
             self._send_binding_put(binding)
         elif binding.pending_event is None:
-            binding.pending_event = self.sim.schedule(
-                wait, self._binding_fire, binding, self.boot_epoch)
+            binding.pending_event = self.sim.schedule(wait, self._binding_fire, binding)
 
-    def _binding_fire(self, binding: Binding, epoch: int) -> None:
+    def _binding_fire(self, binding: Binding) -> None:
         binding.pending_event = None
-        if epoch != self.boot_epoch or self.state is not NodeState.UP:
-            return
         if binding.source_resource in self.resources:
             self._send_binding_put(binding)
 
@@ -722,16 +711,10 @@ class VirtualNode:
     def _schedule_keepalive(self, binding: Binding) -> None:
         if binding.keepalive_event is not None:
             binding.keepalive_event.cancel()
-        sent_at = binding.last_sent
         binding.keepalive_event = self.sim.schedule(
-            binding.info.pmax * 1000.0, self._binding_keepalive,
-            binding, sent_at, self.boot_epoch)
+            binding.info.pmax * 1000.0, self._binding_keepalive, binding)
 
-    def _binding_keepalive(self, binding: Binding, sent_at: float, epoch: int) -> None:
-        if epoch != self.boot_epoch or self.state is not NodeState.UP:
-            return
-        if binding.last_sent != sent_at:
-            return  # something was pushed meanwhile
+    def _binding_keepalive(self, binding: Binding) -> None:
         if binding.source_resource in self.resources:
             self._send_binding_put(binding)
 

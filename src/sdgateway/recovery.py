@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 from .coap import (
     GET,
@@ -24,6 +24,7 @@ from .coap import (
     OptionSet,
 )
 from .directory import EntryType, SDEntry, StateDirectory, RegistrationStatus
+from .sim import Simulator
 
 DEFAULT_PACING_GAP_MS = 50.0
 
@@ -40,7 +41,6 @@ class ReplayStep:
 class RecoveryPlan:
     node: str
     steps: list[ReplayStep]
-    pacing_gap: float = DEFAULT_PACING_GAP_MS
 
 
 class StepOutcome(Enum):
@@ -77,8 +77,7 @@ class RecoveryReport:
                 and all(o.outcome is StepOutcome.ACKED for o in self.outcomes))
 
 
-def build_plan(entries: list[SDEntry], gateway_addr: str, mids: MidAllocator,
-               *, pacing_gap: float = DEFAULT_PACING_GAP_MS) -> RecoveryPlan:
+def build_plan(entries: list[SDEntry], gateway_addr: str, mids: MidAllocator) -> RecoveryPlan:
     """Turn one node's directory entries into an ordered replay plan.
 
     PUT and OBSERVE replays spoof the stored client endpoint; BIND and
@@ -137,7 +136,7 @@ def build_plan(entries: list[SDEntry], gateway_addr: str, mids: MidAllocator,
                                       payload=block)
                     steps.append(ReplayStep(msg, gateway_source, entry.entry_type,
                                             entry.uri_path))
-    return RecoveryPlan(node=node, steps=steps, pacing_gap=pacing_gap)
+    return RecoveryPlan(node=node, steps=steps)
 
 
 class RecoveryRun:
@@ -166,18 +165,14 @@ class RecoveryCoordinator:
     in-flight run and starts over with the current directory contents.
     """
 
-    def __init__(self, directory: StateDirectory, transport, *,
-                 clock: Callable[[], float], scheduler, mids: MidAllocator,
-                 gateway_addr: str, pacing_gap: float = DEFAULT_PACING_GAP_MS,
-                 trace=None) -> None:
+    def __init__(self, directory: StateDirectory, transport, *, sim: Simulator,
+                 mids: MidAllocator, gateway_addr: str, pacing_gap: float) -> None:
         self.directory = directory
         self.transport = transport
-        self.clock = clock
-        self.scheduler = scheduler  # scheduler(delay_ms, fn) -> cancellable event
+        self.sim = sim
         self.mids = mids
         self.gateway_addr = gateway_addr
         self.pacing_gap = pacing_gap
-        self.trace = trace
         self.active: dict[str, RecoveryRun] = {}
         self.reports: list[RecoveryReport] = []
 
@@ -185,21 +180,17 @@ class RecoveryCoordinator:
         """Handle a (deduplicated) registration.  The caller must have
         acknowledged the registration before invoking this."""
         status = self.directory.register_node(node_addr)
-        if self.trace is not None:
-            self.trace.emit("reg", node=node_addr, status=status.value)
+        self.sim.trace.emit("reg", node=node_addr, status=status.value)
         if node_addr in self.active:
             self.abort(node_addr)
         if status is not RegistrationStatus.KNOWN_WITH_STATE:
             return None
         entries = self.directory.entries_for_server(node_addr)
-        plan = build_plan(entries, self.gateway_addr, self.mids,
-                          pacing_gap=self.pacing_gap)
-        return self.execute_plan(plan)
+        return self.execute_plan(build_plan(entries, self.gateway_addr, self.mids))
 
     def execute_plan(self, plan: RecoveryPlan) -> RecoveryRun:
-        run = RecoveryRun(plan, started_at=self.clock())
-        if self.trace is not None:
-            self.trace.emit("recover_start", node=plan.node, steps=len(plan.steps))
+        run = RecoveryRun(plan, started_at=self.sim.now)
+        self.sim.trace.emit("recover_start", node=plan.node, steps=len(plan.steps))
         if not plan.steps:
             self._finish(run)
             return run
@@ -217,17 +208,15 @@ class RecoveryCoordinator:
             run.exchange.cancel()
             run.report.outcomes.append(StepResult(
                 run.index, run.current_step.entry_type, run.current_step.uri,
-                StepOutcome.ABORTED, self.clock()))
+                StepOutcome.ABORTED, self.sim.now))
         run.report.aborted = True
-        if self.trace is not None:
-            self.trace.emit("recover_abort", node=node_addr, at_step=run.index)
+        self.sim.trace.emit("recover_abort", node=node_addr, at_step=run.index)
         self._finish(run, keep_active=True)
 
     def _fire(self, run: RecoveryRun) -> None:
         run.gap_event = None
         step = run.current_step
-        if self.trace is not None:
-            self.trace.emit("inject", node=run.plan.node, step=run.index,
+        self.sim.trace.emit("inject", node=run.plan.node, step=run.index,
                             et=int(step.entry_type), uri=step.uri,
                             src=str(step.spoofed_source), msg=step.message.short())
         run.exchange = self.transport.send_replay(
@@ -241,25 +230,22 @@ class RecoveryCoordinator:
         run.exchange = None
         step = run.current_step
         run.report.outcomes.append(StepResult(run.index, step.entry_type, step.uri,
-                                              outcome, self.clock()))
-        if self.trace is not None:
-            self.trace.emit("recover_step", node=run.plan.node, step=run.index,
+                                              outcome, self.sim.now))
+        self.sim.trace.emit("recover_step", node=run.plan.node, step=run.index,
                             outcome=outcome.value)
         run.index += 1
         if run.index < len(run.plan.steps):
-            run.gap_event = self.scheduler(run.plan.pacing_gap,
-                                           lambda: self._fire(run))
+            run.gap_event = self.sim.schedule(self.pacing_gap, self._fire, run)
         else:
             self._finish(run)
 
     def _finish(self, run: RecoveryRun, keep_active: bool = False) -> None:
         run.done = True
-        run.report.finished_at = self.clock()
+        run.report.finished_at = self.sim.now
         self.reports.append(run.report)
         if not keep_active:
             self.active.pop(run.plan.node, None)
-        if self.trace is not None:
-            self.trace.emit("recover_done", node=run.plan.node,
+        self.sim.trace.emit("recover_done", node=run.plan.node,
                             steps=len(run.report.outcomes),
                             aborted=run.report.aborted,
                             delay=f"{run.report.total_delay:.3f}")

@@ -4,8 +4,8 @@ Line-oriented, `#` comments, shell-style quoting.  A header block sets
 run parameters, `node`/`client`/`resource`/`flash` declare the topology,
 `at <ms> <verb> ...` lines schedule timed events and `assert <ms|final>
 <check> ...` lines schedule assertions.  Event times must be
-nondecreasing, every number finite, and every event must reference a
-declared name.
+nondecreasing, every number finite and in range, and every event must
+reference a declared name.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import shlex
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .coap import BindingInfo, Block1, OptionSet, validate_options
 from .directory import DeployMode
-from .lln import RDC, NotifyPolicy
+from .lln import RDC, LinkModel, NotifyPolicy
 
 SCENARIO_VERSION = 1
 
@@ -101,7 +102,6 @@ class Scenario:
     loss: float = 0.0
     pacing_gap: float = 50.0
     deploy_mode: DeployMode = DeployMode.FILENAME_ONLY
-    external_delay: float = 2.0
     notify_policy: NotifyPolicy = NotifyPolicy.NON_FIRST
     settle: float = 30_000.0
     nodes: list[NodeDecl] = field(default_factory=list)
@@ -170,18 +170,18 @@ def parse_scenario(text: str) -> Scenario:
             sc.rdc = _rdc(_one(rest, lineno, head), lineno)
         elif head == "hops":
             sc.hops = _int(_one(rest, lineno, head), lineno)
+            _valid(lineno, LinkModel, hops=sc.hops)
         elif head == "loss":
             sc.loss = _float(_one(rest, lineno, head), lineno)
+            _valid(lineno, LinkModel, loss=sc.loss)
         elif head == "pacing-gap":
-            sc.pacing_gap = _float(_one(rest, lineno, head), lineno)
+            sc.pacing_gap = _nonnegative(_one(rest, lineno, head), lineno, head)
         elif head == "deploy-mode":
             value = _one(rest, lineno, head)
             try:
                 sc.deploy_mode = DeployMode(value)
             except ValueError:
                 raise ParseError(f"unknown deploy mode {value!r}", lineno) from None
-        elif head == "external-delay":
-            sc.external_delay = _float(_one(rest, lineno, head), lineno)
         elif head == "notify-policy":
             value = _one(rest, lineno, head)
             try:
@@ -189,7 +189,7 @@ def parse_scenario(text: str) -> Scenario:
             except ValueError:
                 raise ParseError(f"unknown notify policy {value!r}", lineno) from None
         elif head == "settle":
-            sc.settle = _float(_one(rest, lineno, head), lineno)
+            sc.settle = _nonnegative(_one(rest, lineno, head), lineno, head)
         elif head == "node":
             if len(rest) < 2:
                 raise ParseError("node <name> <addr> [k=v...]", lineno)
@@ -201,6 +201,8 @@ def parse_scenario(text: str) -> Scenario:
                             hops=_int(kv["hops"], lineno) if "hops" in kv else None,
                             loss=_float(kv["loss"], lineno) if "loss" in kv else None,
                             loader=kv.get("loader", "ldr"))
+            _valid(lineno, LinkModel, hops=1 if decl.hops is None else decl.hops,
+                   loss=decl.loss or 0.0)
             sc.nodes.append(decl)
             node_names.add(name)
         elif head == "client":
@@ -220,9 +222,7 @@ def parse_scenario(text: str) -> Scenario:
         elif head == "at":
             if len(rest) < 2:
                 raise ParseError("at <ms> <verb> ...", lineno)
-            at = _float(rest[0], lineno)
-            if at < 0:
-                raise ParseError("event time must be nonnegative", lineno)
+            at = _nonnegative(rest[0], lineno, "event time")
             if at < last_event_time:
                 raise ParseError("event times must be nondecreasing", lineno)
             last_event_time = at
@@ -234,7 +234,7 @@ def parse_scenario(text: str) -> Scenario:
             if rest[0] == "final":
                 at = None
             else:
-                at = _float(rest[0], lineno)
+                at = _nonnegative(rest[0], lineno, "assertion time")
                 if at < last_assert_time:
                     raise ParseError("assertion times must be nondecreasing", lineno)
                 last_assert_time = at
@@ -297,11 +297,13 @@ def _parse_event(at, verb, rest, lineno, node_names, client_names) -> ScenarioEv
         args["path"] = pop("path").lstrip("/")
         args["value"] = _payload(pop("value"))
         args["cf"] = _int(kv.get("cf", "0"), lineno)
+        _valid(lineno, validate_options, OptionSet(content_format=args["cf"]))
     elif verb == "get":
         args["path"] = pop("path").lstrip("/")
     elif verb == "observe":
         args["path"] = pop("path").lstrip("/")
         args["obs"] = _int(kv.get("obs", "0"), lineno)
+        _valid(lineno, validate_options, OptionSet(observe=args["obs"]))
     elif verb in ("deregister", "rst"):
         args["path"] = pop("path").lstrip("/")
     elif verb == "bind":
@@ -313,6 +315,8 @@ def _parse_event(at, verb, rest, lineno, node_names, client_names) -> ScenarioEv
         args["res"] = kv["res"].lstrip("/")
         args["pmin"] = _int(kv.get("pmin", "0"), lineno)
         args["pmax"] = _int(kv.get("pmax", "86400"), lineno)
+        info = BindingInfo(args["dest"], args["res"], args["pmin"], args["pmax"])
+        _valid(lineno, validate_options, OptionSet(binding=info))
     elif verb == "deploy":
         for key in ("file", "data"):
             if key not in kv:
@@ -320,6 +324,7 @@ def _parse_event(at, verb, rest, lineno, node_names, client_names) -> ScenarioEv
         args["file"] = kv["file"]
         args["data"] = _payload(kv["data"])
         args["block"] = _int(kv.get("block", "64"), lineno)
+        _valid(lineno, validate_options, OptionSet(block1=Block1(0, False, args["block"])))
         args["loader"] = kv.get("loader", "ldr").lstrip("/")
     elif verb == "change":
         args["path"] = pop("path").lstrip("/")
@@ -327,8 +332,9 @@ def _parse_event(at, verb, rest, lineno, node_names, client_names) -> ScenarioEv
     elif verb == "notify":
         args["path"] = pop("path").lstrip("/")
         args["counter"] = _int(kv["counter"], lineno) if "counter" in kv else None
+        _valid(lineno, validate_options, OptionSet(observe=args["counter"]))
     elif verb == "crash":
-        args["down"] = _float(kv.get("down", "1000"), lineno)
+        args["down"] = _nonnegative(kv.get("down", "1000"), lineno, "crash: down")
     elif verb in ("silence", "blackhole"):
         flag = pop("on|off")
         if flag not in ("on", "off"):
@@ -368,6 +374,22 @@ def _float(text: str, lineno: int) -> float:
     if not math.isfinite(value):
         raise ParseError(f"expected a finite number, got {text!r}", lineno)
     return value
+
+
+def _nonnegative(text: str, lineno: int, what: str) -> float:
+    value = _float(text, lineno)
+    if value < 0:
+        raise ParseError(f"{what} must be nonnegative", lineno)
+    return value
+
+
+def _valid(lineno: int, check, *args, **kwargs) -> None:
+    """Run the check a value meets later (a `LinkModel` is built, a message
+    encoded) at parse time, so that its `ValueError` is a parse error."""
+    try:
+        check(*args, **kwargs)
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno) from None
 
 
 def _rdc(text: str, lineno: int) -> RDC:

@@ -14,6 +14,8 @@ from math import inf
 from operator import itemgetter
 from typing import Callable, Optional
 
+MAX_EVENTS = 2_000_000  # per `Simulator.run` call; more is a runaway simulation
+
 
 class Event(list):
     """A scheduled call and its own heap entry: `[time, seq, fn, args]`.
@@ -72,7 +74,6 @@ class Simulator:
     def __init__(self, seed: int = 0) -> None:
         self.now = 0.0
         self.rng = random.Random(seed)
-        self.seed = seed
         self._queue: list[Event] = []
         self._seq = itertools.count()
         self.trace = TraceRecorder(lambda: self.now)
@@ -89,7 +90,7 @@ class Simulator:
         heapq.heappush(self._queue, event)
         return event
 
-    def run(self, until: Optional[float] = None, max_events: int = 2_000_000) -> None:
+    def run(self, until: Optional[float] = None) -> None:
         """Process events with time <= `until` (all pending when None)."""
         queue, pop = self._queue, heapq.heappop
         limit = inf if until is None else until
@@ -101,7 +102,7 @@ class Simulator:
             if fn is None:
                 continue
             processed += 1
-            if processed > max_events:
+            if processed > MAX_EVENTS:
                 raise RuntimeError("event budget exhausted; runaway simulation?")
             self.now = time
             fn(*args)

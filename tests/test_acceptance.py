@@ -14,7 +14,7 @@ from sdgateway.harness import (
     CLIENT_ADDR,
     NODE_ADDR,
     MetricKind,
-    build_world,
+    ScenarioRun,
     run_scenario,
     sweep,
 )
@@ -110,9 +110,8 @@ def test_criterion_2_observe_lifecycle():
 
 def _silent_client_run(seed: int):
     sc = simple_scenario(seed=seed, resources={"s/t": b"1"}, settle=130_000)
-    world = build_world(sc)
+    world = ScenarioRun(sc).world
     sim, node, client = world.sim, world.nodes["n1"], world.clients["c1"]
-    sim.schedule_at(0.0, node.boot)
     sim.schedule_at(1000.0, lambda: client.observe(node.addr, "s/t"))
     sim.schedule_at(2000.0, lambda: client.silence(True))
     sim.schedule_at(3000.0, lambda: node.change_resource("s/t", b"2"))

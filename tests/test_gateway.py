@@ -3,7 +3,7 @@ import pytest
 from worldutil import booted_world, simple_scenario
 from sdgateway.coap import CHANGED, Endpoint
 from sdgateway.gateway import GatewayConfig
-from sdgateway.harness import build_world, run_scenario
+from sdgateway.harness import ScenarioRun, run_scenario
 from sdgateway.lln import Frame
 from sdgateway.scenario import parse_scenario
 
@@ -76,9 +76,8 @@ def test_malformed_frame_forwarded_untouched_with_no_sd_effect():
 
 def test_interception_disabled_leaves_directory_untouched():
     sc = simple_scenario(resources={"s/t": b"0"})
-    world = build_world(sc, interception=False)
+    world = ScenarioRun(sc, interception=False).world
     node, client = world.nodes["n1"], world.clients["c1"]
-    world.sim.schedule_at(0.0, node.boot)
     world.sim.schedule_at(5000.0, lambda: client.put(node.addr, "s/t", b"7"))
     world.sim.run(until=10_000.0)
     assert node.resources["s/t"] == b"7"  # forwarding still works

@@ -8,6 +8,7 @@ import pytest
 from sdgateway.cli import main as cli_main
 from sdgateway.harness import (
     MetricKind,
+    ScenarioRun,
     canonical_recovery_scenario,
     csv_text,
     run_scenario,
@@ -73,6 +74,20 @@ NUMBERS_BASE = "version 1\nnode n1 aaaa::1\nclient c1 cccc::3\n"
     ("at 10 bind c1 n1 s/t dest=aaaa::2 res=a pmax=", "expected integer"),
     ("at 10 deploy c1 n1 file=f data=d block=big", "expected integer"),
     ("at 10 notify n1 s/t counter=many", "expected integer"),
+    ("hops 0", "hops must be >= 1"),
+    ("loss 1.5", "loss probability"),
+    ("node n2 aaaa::2 hops=0", "hops must be >= 1"),
+    ("node n2 aaaa::2 loss=1.5", "loss probability"),
+    ("settle -1", "settle must be nonnegative"),
+    ("pacing-gap -50", "pacing-gap must be nonnegative"),
+    ("assert -5 resource n1 s/t 1", "assertion time must be nonnegative"),
+    ("at 10 crash n1 down=-5", "down must be nonnegative"),
+    ("at 10 put c1 n1 s/t 1 cf=70000", "content-format out of range"),
+    ("at 10 observe c1 n1 s/t obs=99999999", "observe value out of range"),
+    ("at 10 notify n1 s/t counter=99999999", "observe value out of range"),
+    ("at 10 deploy c1 n1 file=f data=d block=17", "block1 size"),
+    ("at 10 bind c1 n1 s/t dest=aaaa::2 res=a pmin=9 pmax=1", "pmin > pmax"),
+    ("at 10 bind c1 n1 s/t dest=aaaa::2 res=", "dest_resource empty"),
 ]])
 def test_parse_errors_carry_line_numbers(text, expect_line, fragment, tmp_path, capsys):
     with pytest.raises(ParseError) as err:
@@ -116,6 +131,20 @@ def test_metrics_csv_is_deterministic_across_reruns():
     second = run_scenario(load_scenario(bundled("fig12_19.scn")))
     assert csv_text(first.metrics) == csv_text(second.metrics)
     assert first.world.sim.trace.text() == second.world.sim.trace.text()
+
+
+@pytest.mark.parametrize("name", ["fig12_19.scn", "bind_deploy.scn"])
+def test_a_run_advanced_in_steps_matches_run_scenario(name):
+    reference = run_scenario(bundled(name))
+    run = ScenarioRun(load_scenario(bundled(name)))
+    end = run.scenario.end_time()
+    for step in range(1, 8):
+        run.advance(until=end * step / 8)
+    run.advance()
+    assert run.finish() is run
+    assert run.world.sim.trace.text() == reference.world.sim.trace.text()
+    assert csv_text(run.metrics) == csv_text(reference.metrics)
+    assert run.assertions == reference.assertions and run.ok
 
 
 def test_csv_schema_is_stable():

@@ -17,8 +17,9 @@ from sdgateway.coap import (
     OptionSet,
     encode,
 )
-from sdgateway.harness import NODE_ADDR, build_world
+from sdgateway.harness import NODE_ADDR, ScenarioRun, run_scenario
 from sdgateway.lln import Frame, NodeState
+from sdgateway.scenario import parse_scenario
 
 
 def make_request(code, path, payload=b"", mid=900, token=b"\x77", **optkw):
@@ -41,11 +42,9 @@ def test_boot_serves_after_one_round_trip():
 
 
 def test_single_registration_loss_adds_one_retransmission_timeout():
-    sc = simple_scenario()
-    world = build_world(sc)
+    world = ScenarioRun(simple_scenario()).world
     node = world.nodes["n1"]
     world.network.blackholes.add(node.addr)
-    world.sim.schedule_at(0.0, node.boot)
     world.sim.schedule_at(1.0, lambda: world.network.blackholes.clear())
     world.sim.run(until=20_000.0)
     assert node.state is NodeState.UP
@@ -56,11 +55,9 @@ def test_single_registration_loss_adds_one_retransmission_timeout():
 
 
 def test_boot_stalls_after_max_retransmit_on_dead_link():
-    sc = simple_scenario(settle=200_000.0)
-    world = build_world(sc)
+    world = ScenarioRun(simple_scenario(settle=200_000.0)).world
     node = world.nodes["n1"]
     world.network.blackholes.add(node.addr)
-    world.sim.schedule_at(0.0, node.boot)
     world.sim.run(until=150_000.0)
     assert node.state is NodeState.STALLED
     failures = world.sim.trace.find("boot_failed", node="n1")
@@ -72,11 +69,9 @@ def test_boot_stalls_after_max_retransmit_on_dead_link():
 
 
 def test_booting_node_blocks_other_traffic():
-    sc = simple_scenario()
-    world = build_world(sc)
+    world = ScenarioRun(simple_scenario()).world
     node = world.nodes["n1"]
     world.network.blackholes.add(node.addr)
-    world.sim.schedule_at(0.0, node.boot)
     world.sim.run(until=100.0)
     assert node.state is NodeState.BOOTING
     # A request delivered while blocked on the registration is dropped.
@@ -236,6 +231,31 @@ def test_binding_keepalive_fires_at_pmax():
     assert len(world.sim.trace.find("binding_put", node="n1")) >= 2
 
 
+def test_boot_of_a_running_node_cancels_its_binding_timers():
+    # At 3000 ms a push is deferred to pmin (about 6000 ms), and the
+    # keepalive is due at about 9000 ms.  The boot at 3500 ms wipes the
+    # binding; the replayed one is installed fresh and has nothing to push
+    # before its own keepalive, after the run ends.
+    result = run_scenario(parse_scenario("""
+scenario reboot_binding
+version 1
+seed 5
+settle 7000
+node n1 aaaa::c30c:0:0:2
+resource n1 s/t 18
+node n2 aaaa::c30c:0:0:3
+resource n2 a/led 0
+client c1 cccc::3
+at 1000 bind c1 n1 s/t dest=aaaa::c30c:0:0:3 res=a/led pmin=5 pmax=8
+at 3000 change n1 s/t 20
+at 3500 boot n1
+"""))
+    trace = result.world.sim.trace
+    assert [f["epoch"] for _, f in trace.find("boot", node="n1")] == [1, 2]
+    assert len(trace.find("binding_add", node="n1")) == 2  # installed, then replayed
+    assert trace.find("binding_put", node="n1") == []
+
+
 def test_node_to_node_traffic_bypasses_gateway():
     sc = simple_scenario(resources={"s/t": b"18"}, second_node=True)
     world = booted_world(sc)
@@ -270,9 +290,8 @@ def test_con_always_policy_confirms_every_notification():
 def test_deterministic_trace_for_same_seed():
     def run_once():
         sc = simple_scenario(seed=77, loss=0.2, resources={"s/t": b"1", "a/b": b"2"})
-        world = build_world(sc)
+        world = ScenarioRun(sc).world
         node, client = world.nodes["n1"], world.clients["c1"]
-        world.sim.schedule_at(0.0, node.boot)
         world.sim.schedule_at(8000.0, lambda: client.put(node.addr, "s/t", b"5"))
         world.sim.schedule_at(9000.0, lambda: client.observe(node.addr, "a/b"))
         world.sim.schedule_at(12_000.0, lambda: node.crash(700.0))
@@ -283,9 +302,8 @@ def test_deterministic_trace_for_same_seed():
 
 
 def _node_in_state(state):
-    world = build_world(simple_scenario(settle=200_000.0))
+    world = ScenarioRun(simple_scenario(settle=200_000.0)).world
     node = world.nodes["n1"]
-    world.sim.schedule_at(0.0, node.boot)
     if state in (NodeState.BOOTING, NodeState.STALLED):
         world.network.blackholes.add(node.addr)
     until = {NodeState.BOOTING: 5000.0, NodeState.STALLED: 100_000.0}.get(state, 1000.0)
@@ -322,11 +340,9 @@ def test_crash_cancels_pending_notifications():
 
 
 def test_boot_while_booting_restarts_the_registration():
-    sc = simple_scenario()
-    world = build_world(sc)
+    world = ScenarioRun(simple_scenario()).world
     node = world.nodes["n1"]
     world.network.blackholes.add(node.addr)
-    world.sim.schedule_at(0.0, node.boot)
     world.sim.schedule_at(1000.0, node.boot)
     world.sim.schedule_at(1001.0, lambda: world.network.blackholes.clear())
     world.sim.run(until=30_000.0)

@@ -3,7 +3,7 @@ import random
 from worldutil import booted_world, simple_scenario
 from sdgateway.coap import GET, POST, PUT, Endpoint, MidAllocator
 from sdgateway.directory import DeployInfo, EntryType, SDEntry
-from sdgateway.harness import run_scenario
+from sdgateway.harness import ScenarioRun, run_scenario
 from sdgateway.recovery import RecoveryPlan, StepOutcome, build_plan
 from sdgateway.scenario import parse_scenario
 
@@ -119,15 +119,10 @@ at 2000 put c1 n1 r/1 2
 at 3000 put c1 n1 r/2 3
 at 5000 crash n1 down=200
 """)
-    from sdgateway.harness import _dispatch, build_world
-    world = build_world(sc)
-    world.nodes["n1"].link.delay_range = (10.0, 10.0)  # degenerate: exact delays
-    for node in world.nodes.values():
-        world.sim.schedule_at(0.0, node.boot)
-    for ev in sc.events:
-        world.sim.schedule_at(ev.time, _dispatch, world, ev)
-    world.sim.run(until=sc.end_time())
-    report = world.gateway.recovery.reports[0]
+    run = ScenarioRun(sc)
+    run.world.nodes["n1"].link.delay_range = (10.0, 10.0)  # degenerate: exact delays
+    run.advance()
+    report = run.world.gateway.recovery.reports[0]
     assert report.all_acked
     # Stop-and-wait: three 20 ms round trips plus two 50 ms pacing gaps.
     assert abs(report.total_delay - (3 * 20.0 + 2 * 50.0)) < 1.0
@@ -233,18 +228,14 @@ client c1 cccc::3
 at 1000 deploy c1 n1 file=img block=16 data=hex:000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f404142434445464748
 """)
     image = bytes(range(0x49))
-    from sdgateway.harness import _dispatch, build_world
-    world = build_world(sc)
+    run = ScenarioRun(sc)
+    world = run.world
     node = world.nodes["n1"]
-    for n in world.nodes.values():
-        world.sim.schedule_at(0.0, n.boot)
-    for ev in sc.events:
-        world.sim.schedule_at(ev.time, _dispatch, world, ev)
     world.sim.schedule_at(5000.0, lambda: node.crash(1000.0))
     # The stored module image, not the node's storage, must provide the
     # bytes: wipe flash while the node is down.
     world.sim.schedule_at(5500.0, node.flash.clear)
-    world.sim.run(until=30_000.0)
+    run.advance(until=30_000.0)
     injects = world.sim.trace.find("inject")
     assert len(injects) == 5 and all(f["et"] == 7 for _, f in injects)
     report = world.gateway.recovery.reports[0]

@@ -1,6 +1,6 @@
 """Programmatic scenario/world construction shared by the test suite."""
 
-from sdgateway.harness import CLIENT_ADDR, NODE_ADDR, build_world
+from sdgateway.harness import CLIENT_ADDR, NODE_ADDR, ScenarioRun
 from sdgateway.lln import RDC
 from sdgateway.scenario import ClientDecl, NodeDecl, Scenario
 
@@ -25,8 +25,6 @@ def simple_scenario(*, seed=1, hops=1, rdc=RDC.NULLRDC, loss=0.0,
 
 def booted_world(sc: Scenario):
     """World with all nodes booted and associated; clock past boot."""
-    world = build_world(sc)
-    for node in world.nodes.values():
-        world.sim.schedule_at(0.0, node.boot)
-    world.sim.run(until=10_000.0)
-    return world
+    run = ScenarioRun(sc)
+    run.advance(until=10_000.0)
+    return run.world
