@@ -5,11 +5,14 @@ delta-encoded options, payload marker) plus Observe (RFC 7641), Block1
 (RFC 7959) and four experimental-range options carrying binding
 descriptors.  Messages are immutable values; encode/decode are pure
 functions, safe to call from any thread.
+
+`CoapMessage` and `OptionSet` are `NamedTuple` values, so, like any tuple,
+they equal a plain tuple of the same fields; nothing here relies on that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import NamedTuple, Optional, Tuple
 
@@ -139,8 +142,7 @@ class BindingInfo:
     pmax: int = 86400   # seconds, maximum silence before a refresh push
 
 
-@dataclass(frozen=True)
-class OptionSet:
+class OptionSet(NamedTuple):
     uri_path: Tuple[str, ...] = ()
     uri_query: Tuple[str, ...] = ()
     observe: Optional[int] = None
@@ -162,13 +164,15 @@ class OptionSet:
         return None
 
 
-@dataclass(frozen=True)
-class CoapMessage:
+_NO_OPTIONS = OptionSet()  # immutable, so every option-less message can share it
+
+
+class CoapMessage(NamedTuple):
     msg_type: MsgType
     code: int
     mid: int
     token: bytes = b""
-    options: OptionSet = field(default_factory=OptionSet)
+    options: OptionSet = _NO_OPTIONS
     payload: bytes = b""
 
     def short(self) -> str:
@@ -220,7 +224,7 @@ def _validate(msg: CoapMessage) -> None:
         raise InvariantViolation(f"invalid code 0x{msg.code:02x}")
     o = msg.options
     if msg.code == EMPTY:
-        if msg.token or msg.payload or o != OptionSet():
+        if msg.token or msg.payload or o != _NO_OPTIONS:
             raise InvariantViolation("EMPTY message must carry no token, options or payload")
         if msg.msg_type is MsgType.NON:
             raise InvariantViolation("NON message must not be EMPTY")
@@ -278,8 +282,10 @@ def _wire_options(o: OptionSet) -> list[tuple[int, bytes]]:
         out.append((OPT_BIND_DEST_RESOURCE, bi.dest_resource.encode("utf-8")))
         out.append((OPT_BIND_PMIN, _uint_bytes(bi.pmin)))
         out.append((OPT_BIND_PMAX, _uint_bytes(bi.pmax)))
-    out.extend(o.extra)
-    out.sort(key=lambda pair: pair[0])  # stable: repeated numbers keep order
+    if o.extra:
+        # The known options above are already in ascending order.
+        out.extend(o.extra)
+        out.sort(key=lambda pair: pair[0])  # stable: repeated numbers keep order
     return out
 
 
@@ -315,8 +321,7 @@ def encode(msg: CoapMessage) -> bytes:
 
 
 def _ext(nibble: int, data: bytes, i: int) -> tuple[int, int]:
-    if nibble < 13:
-        return nibble, i
+    # Only for a nibble of 13 or more: its value from the extended bytes.
     if nibble == 13:
         if i >= len(data):
             raise MalformedFrame("truncated extended option field")
@@ -379,19 +384,8 @@ def _fold_options(raw: list[tuple[int, bytes]]) -> OptionSet:
         if binding.pmin > binding.pmax:
             raise MalformedFrame("binding pmin > pmax")
 
-    return OptionSet(
-        uri_path=tuple(path),
-        uri_query=tuple(query),
-        observe=observe,
-        block1=block1,
-        max_age=max_age,
-        content_format=content_format,
-        binding=binding,
-        extra=tuple(extra),
-    )
-
-
-_NO_OPTIONS = OptionSet()  # immutable, so every option-less message can share it
+    return OptionSet(tuple(path), tuple(query), observe, block1, max_age, content_format,
+                     binding, tuple(extra))
 
 
 def decode(data: bytes) -> CoapMessage:
@@ -426,8 +420,11 @@ def decode(data: bytes) -> CoapMessage:
                 raise MalformedFrame("payload marker with empty payload")
             payload = data[i:]
             break
-        delta, i = _ext(b >> 4, data, i)
-        length, i = _ext(b & 0xF, data, i)
+        delta, length = b >> 4, b & 0xF
+        if delta >= 13:
+            delta, i = _ext(delta, data, i)
+        if length >= 13:
+            length, i = _ext(length, data, i)
         number += delta
         if i + length > len(data):
             raise MalformedFrame("truncated option value")

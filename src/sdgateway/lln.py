@@ -10,9 +10,8 @@ forward radio behaviour and keeps CoAP exchanges well ordered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Callable, Optional
 
 from . import coap
@@ -100,32 +99,31 @@ class LinkModel:
         return lost
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Frame:
     """A UDP datagram in flight: raw CoAP bytes plus addressing metadata.
 
-    `raw` is authoritative and is what every hop forwards.  `parsed` and
-    `summary` are caches of it, each computed at most once per frame, so a
-    frame retransmitted or relayed as the same object is parsed once.
-    The frame is frozen so the caches cannot go stale.
+    `raw` is authoritative and is what every hop forwards.  `parsed` (the
+    decoded message, or None when `raw` is malformed) and `summary` (its
+    one-line trace text) are set once, when the frame is built: a frame
+    retransmitted or relayed as the same object is parsed once, and its
+    first hop traces the summary anyway.  The frame is frozen so neither
+    can go stale.
     """
 
     raw: bytes
     src: Endpoint
     dst: Endpoint
+    parsed: Optional[CoapMessage] = field(init=False, compare=False, repr=False)
+    summary: str = field(init=False, compare=False, repr=False)
 
-    @cached_property
-    def parsed(self) -> Optional[CoapMessage]:
-        """The decoded message, or None when `raw` is malformed."""
+    def __post_init__(self) -> None:
         try:
-            return coap.decode(self.raw)
+            parsed = coap.decode(self.raw)
         except coap.MalformedFrame:
-            return None
-
-    @cached_property
-    def summary(self) -> str:
-        """One-line trace text for the frame."""
-        return coap.summarize(self.raw, self.parsed)
+            parsed = None
+        object.__setattr__(self, "parsed", parsed)
+        object.__setattr__(self, "summary", coap.summarize(self.raw, parsed))
 
 
 class Confirmable:
@@ -215,14 +213,13 @@ class Network:
         self.sim.trace.emit("send", src=str(frame.src), dst=str(frame.dst),
                             msg=frame.summary)
         if not self.in_lln(frame.src.addr):
-            self._external_leg(frame, ("ext_in", frame.src.addr), "gw",
-                               lambda: self.gateway.on_frame(frame, "external"))
+            self._arrive_fifo(("ext_in", frame.src.addr), EXTERNAL_DELAY_MS, frame, "gw",
+                              self.gateway.on_frame, ("external",))
         elif self.in_lln(frame.dst.addr):
             self.deliver_to_node(frame, origin=frame.src.addr)
         else:
             self._lln_leg(frame, self.nodes[frame.src.addr].link,
-                          ("up", frame.src.addr), "gw",
-                          lambda: self.gateway.on_frame(frame, "lln"),
+                          ("up", frame.src.addr), "gw", self.gateway.on_frame, ("lln",),
                           blackhole_key=frame.src.addr)
 
     def deliver_to_node(self, frame: Frame, origin: str = "gw") -> None:
@@ -231,50 +228,46 @@ class Network:
             self.sim.trace.emit("drop", why="no-route", dst=str(frame.dst))
             return
         self._lln_leg(frame, node.link, ("down", origin, frame.dst.addr),
-                      str(frame.dst), lambda: node.on_frame(frame),
-                      blackhole_key=frame.dst.addr)
+                      str(frame.dst), node.on_frame, (), blackhole_key=frame.dst.addr)
 
     def deliver_to_client(self, frame: Frame) -> None:
         client = self.clients.get(frame.dst.addr)
         if client is None:
             self.sim.trace.emit("drop", why="no-client", dst=str(frame.dst))
             return
+        self._arrive_fifo(("ext_out", frame.dst.addr), EXTERNAL_DELAY_MS, frame,
+                          str(frame.dst), self._to_client, (client,))
 
-        def arrive() -> None:
-            self.external_frames.append(frame.raw)
-            client.on_frame(frame)
-
-        self._external_leg(frame, ("ext_out", frame.dst.addr), str(frame.dst), arrive)
+    def _to_client(self, frame: Frame, client: "ScriptedClient") -> None:
+        self.external_frames.append(frame.raw)
+        client.on_frame(frame)
 
     # -- legs -------------------------------------------------------------
 
     def _lln_leg(self, frame: Frame, link: LinkModel, path_key: tuple, at: str,
-                 handler: Callable[[], None], blackhole_key: str) -> None:
+                 handler: Callable[..., None], args: tuple, blackhole_key: str) -> None:
         delay = link.sample_delay(self.sim.rng)
         lost = link.draw_lost(self.sim.rng)
         if blackhole_key in self.blackholes or lost:
             self.sim.trace.emit("drop", why="loss", src=str(frame.src),
                                 dst=str(frame.dst), msg=frame.summary)
             return
-        self._arrive_fifo(path_key, delay, frame, at, handler)
-
-    def _external_leg(self, frame: Frame, path_key: tuple, at: str,
-                      handler: Callable[[], None]) -> None:
-        self._arrive_fifo(path_key, EXTERNAL_DELAY_MS, frame, at, handler)
+        self._arrive_fifo(path_key, delay, frame, at, handler, args)
 
     def _arrive_fifo(self, path_key: tuple, delay: float, frame: Frame, at: str,
-                     handler: Callable[[], None]) -> None:
+                     handler: Callable[..., None], args: tuple) -> None:
         arrival = self.sim.now + delay
         floor = self._last_arrival.get(path_key)
         if floor is not None and arrival < floor + FIFO_EPS:
             arrival = floor + FIFO_EPS
         self._last_arrival[path_key] = arrival
+        self.sim.schedule_at(arrival, self._arrive, frame, at, handler, args)
 
-        def deliver() -> None:
-            self.sim.trace.emit("recv", at=at, msg=frame.summary)
-            handler()
-
-        self.sim.schedule_at(arrival, deliver)
+    def _arrive(self, frame: Frame, at: str, handler: Callable[..., None],
+                args: tuple) -> None:
+        """One hop's end: trace the arrival, then `handler(frame, *args)`."""
+        self.sim.trace.emit("recv", at=at, msg=frame.summary)
+        handler(frame, *args)
 
 
 class NodeState(Enum):

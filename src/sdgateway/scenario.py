@@ -15,7 +15,7 @@ import shlex
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .coap import BindingInfo, Block1, OptionSet, validate_options
+from .coap import OBSERVE_DEREGISTER_VALUE, BindingInfo, Block1, OptionSet, validate_options
 from .directory import DeployMode
 from .lln import RDC, LinkModel, NotifyPolicy
 
@@ -316,7 +316,8 @@ def _parse_event(at, verb, rest, lineno, node_names, client_names) -> ScenarioEv
         args["pmin"] = _int(kv.get("pmin", "0"), lineno)
         args["pmax"] = _int(kv.get("pmax", "86400"), lineno)
         info = BindingInfo(args["dest"], args["res"], args["pmin"], args["pmax"])
-        _valid(lineno, validate_options, OptionSet(binding=info))
+        _valid(lineno, validate_options,
+               OptionSet(uri_path=tuple(args["res"].split("/")), binding=info))
     elif verb == "deploy":
         for key in ("file", "data"):
             if key not in kv:
@@ -324,14 +325,19 @@ def _parse_event(at, verb, rest, lineno, node_names, client_names) -> ScenarioEv
         args["file"] = kv["file"]
         args["data"] = _payload(kv["data"])
         args["block"] = _int(kv.get("block", "64"), lineno)
-        _valid(lineno, validate_options, OptionSet(block1=Block1(0, False, args["block"])))
         args["loader"] = kv.get("loader", "ldr").lstrip("/")
+        _valid(lineno, validate_options,
+               OptionSet(uri_path=tuple(args["loader"].split("/")),
+                         uri_query=(f"file={args['file']}",),
+                         block1=Block1(0, False, args["block"])))
     elif verb == "change":
         args["path"] = pop("path").lstrip("/")
         args["value"] = _payload(pop("value"))
     elif verb == "notify":
         args["path"] = pop("path").lstrip("/")
         args["counter"] = _int(kv["counter"], lineno) if "counter" in kv else None
+        if args["counter"] == OBSERVE_DEREGISTER_VALUE:
+            raise ParseError("notify: counter=1 is the observe cancellation sentinel", lineno)
         _valid(lineno, validate_options, OptionSet(observe=args["counter"]))
     elif verb == "crash":
         args["down"] = _nonnegative(kv.get("down", "1000"), lineno, "crash: down")
@@ -341,6 +347,8 @@ def _parse_event(at, verb, rest, lineno, node_names, client_names) -> ScenarioEv
             raise ParseError(f"{verb}: expected on|off", lineno)
         args["on"] = flag == "on"
 
+    if "path" in args:  # the Uri-Path options the event's request would carry
+        _valid(lineno, validate_options, OptionSet(uri_path=tuple(args["path"].split("/"))))
     return ScenarioEvent(at, verb, args, lineno)
 
 

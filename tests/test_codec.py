@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from sdgateway.coap import (
     BindingInfo,
     Block1,
     CoapMessage,
+    Endpoint,
     InteractionKind,
     InvariantViolation,
     MalformedFrame,
@@ -25,6 +27,7 @@ from sdgateway.coap import (
     registration_request,
     summarize,
 )
+from sdgateway.lln import Frame
 
 
 def test_empty_ack_is_minimal_four_byte_frame():
@@ -218,3 +221,47 @@ def test_summarize_never_raises():
     assert summarize(b"\x01\x02") == "malformed[2B]"
     frame = encode(CoapMessage(MsgType.CON, GET, 9, options=OptionSet(uri_path=("a",))))
     assert "GET" in summarize(frame)
+
+
+# Unknown options numbered below and between the known ones, given out of
+# order, with a repeated number whose two values must keep their order.
+EXTRAS = ((60, b"size"), (2049, b"x"), (1, b"\x01"), (8, b"e1"), (13, b"m"), (8, b"e2"))
+ALL_KNOWN = OptionSet(uri_path=("a", "lb"), uri_query=("k=v",), observe=5, content_format=0,
+                      max_age=60, block1=Block1(2, True, 64))
+WITH_BINDING = OptionSet(uri_path=("s",), observe=0, binding=BindingInfo("aaaa::2", "led", 1, 60))
+
+
+# The expected bytes are what an encoder that sorts every option list
+# produces for these messages.
+@pytest.mark.parametrize("code,mid,token,options,payload,wire", [
+    (PUT, 300, b"\x0b", ALL_KNOWN, b"10",
+     "4103012c0b61055161026c6210213c136b3d76c12aff3130"),
+    (PUT, 300, b"\x0b", ALL_KNOWN._replace(extra=EXTRAS), b"10",
+     "4103012c0b110151052265310265323161026c6210116d113c136b3d76c12ad41473697a65e106b878ff3130"),
+    (GET, 301, b"", WITH_BINDING, b"",
+     "4001012d605173e706e8616161613a3a32236c65642101213c"),
+    (GET, 301, b"", WITH_BINDING._replace(extra=EXTRAS), b"",
+     "4001012d1101502265310265323173216dd42273697a65e706b7616161613a3a321178136c65642101213c"),
+])
+def test_options_encode_in_ascending_order(code, mid, token, options, payload, wire):
+    msg = CoapMessage(MsgType.CON, code, mid, token=token, options=options, payload=payload)
+    frame = encode(msg)
+    assert frame.hex() == wire
+    numbers = [number for number, _ in _naive_option_walk(frame)]
+    assert numbers == sorted(numbers)
+    # Extras decode in wire order: sorted by number, repeats in given order.
+    in_order = tuple(sorted(options.extra, key=lambda pair: pair[0]))
+    assert decode(frame) == msg._replace(options=options._replace(extra=in_order))
+    assert encode(decode(frame)) == frame
+
+
+def test_messages_and_frames_reject_attribute_assignment():
+    msg = CoapMessage(MsgType.CON, GET, 1, options=OptionSet(uri_path=("a",)))
+    frame = Frame(encode(msg), Endpoint("cccc::3", 60001), Endpoint("aaaa::2"))
+    for value, attr in ((msg, "mid"), (msg.options, "observe"), (frame, "raw"),
+                        (frame, "parsed")):
+        with pytest.raises(AttributeError):
+            setattr(value, attr, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        frame.summary = ""
+    assert not hasattr(frame, "__dict__")

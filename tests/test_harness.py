@@ -88,7 +88,20 @@ NUMBERS_BASE = "version 1\nnode n1 aaaa::1\nclient c1 cccc::3\n"
     ("at 10 deploy c1 n1 file=f data=d block=17", "block1 size"),
     ("at 10 bind c1 n1 s/t dest=aaaa::2 res=a pmin=9 pmax=1", "pmin > pmax"),
     ("at 10 bind c1 n1 s/t dest=aaaa::2 res=", "dest_resource empty"),
-]])
+    ("at 10 notify n1 s/t counter=1", "cancellation sentinel"),
+] + [(line.replace("LONG", "s/" + "x" * 256), "uri segment longer than 255 bytes") for line in [
+    "at 10 put c1 n1 LONG 1",
+    "at 10 get c1 n1 LONG",
+    "at 10 observe c1 n1 LONG",
+    "at 10 deregister c1 n1 LONG",
+    "at 10 rst c1 n1 LONG",
+    "at 10 bind c1 n1 LONG dest=aaaa::2 res=a",
+    "at 10 bind c1 n1 s/t dest=aaaa::2 res=LONG",
+    "at 10 change n1 LONG 1",
+    "at 10 notify n1 LONG",
+    "at 10 deploy c1 n1 file=f data=d loader=LONG",
+    "at 10 deploy c1 n1 file=LONG data=d",
+]]])
 def test_parse_errors_carry_line_numbers(text, expect_line, fragment, tmp_path, capsys):
     with pytest.raises(ParseError) as err:
         parse_scenario(text)
