@@ -24,7 +24,7 @@ from .coap import (
 )
 from .directory import DeployMode, StateDirectory
 from .lln import Confirmable, Frame, Network
-from .recovery import DEFAULT_PACING_GAP_MS, RecoveryCoordinator, ReplayStep
+from .recovery import DEFAULT_PACING_GAP_MS, RecoveryCoordinator
 from .sim import Simulator
 
 
@@ -49,11 +49,12 @@ class _Replay:
 
     __slots__ = ("token", "mid", "dst", "on_ack", "exchange", "_end")
 
-    def __init__(self, step: ReplayStep, exchange: Confirmable, on_ack: Callable[[], None],
+    def __init__(self, exchange: Confirmable, on_ack: Callable[[], None],
                  end: Callable[["_Replay"], None]) -> None:
-        self.token = step.message.token
-        self.mid = step.message.mid
-        self.dst = step.spoofed_source
+        frame = exchange.frame
+        self.token = frame.parsed.token
+        self.mid = frame.parsed.mid
+        self.dst = frame.src
         self.on_ack = on_ack
         self.exchange = exchange
         self._end = end
@@ -155,10 +156,10 @@ class Gateway:
 
     # -- replay injection ----------------------------------------------------
 
-    def send_replay(self, step: ReplayStep, node_addr: str,
-                    on_ack: Callable[[], None], on_timeout: Callable[[], None]) -> _Replay:
-        frame = Frame(encode(step.message), step.spoofed_source,
-                      Endpoint(node_addr, COAP_PORT))
+    def send_replay(self, frame: Frame, on_ack: Callable[[], None],
+                    on_timeout: Callable[[], None]) -> _Replay:
+        """Inject `frame`, a replay addressed to the node and spoofing its
+        source, as a confirmable exchange whose response is consumed."""
 
         def give_up() -> None:
             self._end_replay(replay)
@@ -169,7 +170,7 @@ class Gateway:
             on_retry=lambda attempt: self.sim.trace.emit(
                 "inject_retransmit", dst=str(frame.dst), attempt=attempt),
             on_give_up=give_up)
-        replay = _Replay(step, exchange, on_ack, self._end_replay)
+        replay = _Replay(exchange, on_ack, self._end_replay)
         self._replays.setdefault(replay.dst, []).append(replay)
         exchange.start()
         return replay

@@ -136,6 +136,11 @@ class Confirmable:
     one calls `on_give_up()`.  The owner stores the exchange before it calls
     `start()`, so an answer delivered from within `transmit` finds it, and
     cancels the exchange when it is answered or abandoned.
+
+    After `cancel()` or the give-up, the exchange holds no callbacks.  The
+    callbacks usually reach the owner, which holds the exchange, so a
+    finished exchange and its owner are freed by reference counting rather
+    than left for the cyclic garbage collector.
     """
 
     __slots__ = ("frame", "transmissions", "_sim", "_transmit", "_on_retry",
@@ -167,8 +172,9 @@ class Confirmable:
 
     def _timeout(self) -> None:
         if self.transmissions > MAX_RETRANSMIT:
-            self._timer = None
-            self._on_give_up()
+            on_give_up = self._on_give_up
+            self._release()
+            on_give_up()
             return
         if self._on_retry is not None:
             self._on_retry(self.transmissions)
@@ -177,7 +183,10 @@ class Confirmable:
     def cancel(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
-            self._timer = None
+        self._release()
+
+    def _release(self) -> None:
+        self._timer = self._transmit = self._on_retry = self._on_give_up = None
 
 
 class Network:
@@ -591,13 +600,17 @@ class VirtualNode:
 
     def notify(self, path: str, counter: Optional[int] = None) -> None:
         """Notify all observers of `path`; the counter jumps to `counter`
-        when given (node-controlled, never backward), else increments."""
+        when given (node-controlled, never backward: an observer whose
+        counter is already past it is skipped and traced), else increments."""
         for (p, _), obs in list(self.observers.items()):
             if p != path:
                 continue
             if counter is not None:
                 if counter < obs.counter:
-                    raise ValueError("observe counter may not decrease")
+                    self.sim.trace.emit("notify_ignored", node=self.name, uri=path,
+                                        client=str(obs.client), counter=counter,
+                                        current=obs.counter)
+                    continue
                 if counter == 1:
                     raise ValueError("observe counter 1 is the cancellation sentinel")
                 obs.counter = counter
@@ -809,29 +822,30 @@ class ScriptedClient:
     def deploy(self, node_addr: str, filename: str, image: bytes,
                block_size: int = 64, loader_path: str = DEFAULT_LOADER_PATH) -> None:
         blocks = [image[i:i + block_size] for i in range(0, len(image), block_size)] or [b""]
-        port = self._next_port()
+        self._send_block(node_addr, self._next_port(), tuple(loader_path.split("/")),
+                         filename, blocks, block_size, 0)
 
-        def send_block(index: int) -> None:
-            more = index < len(blocks) - 1
-            msg = CoapMessage(MsgType.CON, POST, self.mid_alloc.next_mid(),
-                              options=OptionSet(uri_path=tuple(loader_path.split("/")),
-                                                uri_query=(f"file={filename}",),
-                                                block1=Block1(index, more, block_size)),
-                              payload=blocks[index])
+    def _send_block(self, node_addr: str, port: int, loader: tuple[str, ...],
+                    filename: str, blocks: list[bytes], block_size: int, index: int) -> None:
+        more = index < len(blocks) - 1
+        msg = CoapMessage(MsgType.CON, POST, self.mid_alloc.next_mid(),
+                          options=OptionSet(uri_path=loader,
+                                            uri_query=(f"file={filename}",),
+                                            block1=Block1(index, more, block_size)),
+                          payload=blocks[index])
 
-            def done(resp):
-                if resp is None or not is_response(resp.code) or resp.code >= BAD_REQUEST:
-                    self.sim.trace.emit("client_warn", client=self.name,
-                                        why="deploy-failed", file=filename)
-                    return
-                if more:
-                    send_block(index + 1)
-                else:
-                    self.sim.trace.emit("deploy_done", client=self.name, file=filename)
+        def done(resp):
+            if resp is None or not is_response(resp.code) or resp.code >= BAD_REQUEST:
+                self.sim.trace.emit("client_warn", client=self.name,
+                                    why="deploy-failed", file=filename)
+                return
+            if more:
+                self._send_block(node_addr, port, loader, filename, blocks, block_size,
+                                 index + 1)
+            else:
+                self.sim.trace.emit("deploy_done", client=self.name, file=filename)
 
-            self._send_con(msg, node_addr, port, on_response=done)
-
-        send_block(0)
+        self._send_con(msg, node_addr, port, on_response=done)
 
     def silence(self, on: bool) -> None:
         self.silenced = on

@@ -13,6 +13,7 @@ from enum import Enum
 from typing import Optional
 
 from .coap import (
+    COAP_PORT,
     GET,
     POST,
     PUT,
@@ -22,8 +23,10 @@ from .coap import (
     MidAllocator,
     MsgType,
     OptionSet,
+    encode,
 )
 from .directory import EntryType, SDEntry, StateDirectory, RegistrationStatus
+from .lln import Frame
 from .sim import Simulator
 
 DEFAULT_PACING_GAP_MS = 50.0
@@ -159,8 +162,8 @@ class RecoveryRun:
 class RecoveryCoordinator:
     """Drives recovery executions; one per node at a time.
 
-    The transport (the gateway) provides `send_replay(step, node_addr,
-    on_ack, on_timeout) -> exchange` where the exchange object supports
+    The transport (the gateway) provides `send_replay(frame, on_ack,
+    on_timeout) -> exchange` where the exchange object supports
     `.cancel()`.  A second registration from the same node aborts the
     in-flight run and starts over with the current directory contents.
     """
@@ -204,8 +207,10 @@ class RecoveryCoordinator:
             return
         if run.gap_event is not None:
             run.gap_event.cancel()
+            run.gap_event = None
         if run.exchange is not None:
             run.exchange.cancel()
+            run.exchange = None
             run.report.outcomes.append(StepResult(
                 run.index, run.current_step.entry_type, run.current_step.uri,
                 StepOutcome.ABORTED, self.sim.now))
@@ -216,11 +221,13 @@ class RecoveryCoordinator:
     def _fire(self, run: RecoveryRun) -> None:
         run.gap_event = None
         step = run.current_step
+        frame = Frame(encode(step.message), step.spoofed_source,
+                      Endpoint(run.plan.node, COAP_PORT))
         self.sim.trace.emit("inject", node=run.plan.node, step=run.index,
                             et=int(step.entry_type), uri=step.uri,
-                            src=str(step.spoofed_source), msg=step.message.short())
+                            src=str(step.spoofed_source), msg=frame.summary)
         run.exchange = self.transport.send_replay(
-            step, run.plan.node,
+            frame,
             on_ack=lambda: self._resolved(run, StepOutcome.ACKED),
             on_timeout=lambda: self._resolved(run, StepOutcome.TIMED_OUT))
 

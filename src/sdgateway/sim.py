@@ -34,18 +34,35 @@ class Event(list):
 
 
 class TraceRecorder:
-    """Collects (time, kind, fields) records and renders stable text lines."""
+    """Collects (time, kind, fields) records and renders stable text lines.
+
+    The records live in one flat list, `[t, kind, fields, t, kind, ...]`.
+    A fields dict of plain values is not tracked by the cyclic garbage
+    collector, but a tuple holding a dict always is, and a long run keeps
+    tens of thousands of records that every full collection would walk.
+    Typed records that are GC-tracked containers (a `NamedTuple` or a
+    dataclass) would put every record back under the collector.
+    """
 
     def __init__(self, clock: Callable[[], float]) -> None:
         self._clock = clock
-        self.records: list[tuple[float, str, dict]] = []
+        self._flat: list = []
+
+    @property
+    def records(self) -> list[tuple[float, str, dict]]:
+        """The (time, kind, fields) records, as a new list on each access."""
+        return list(self._triples())
+
+    def _triples(self):
+        it = iter(self._flat)
+        return zip(it, it, it)
 
     def emit(self, kind: str, **fields) -> None:
-        self.records.append((self._clock(), kind, fields))
+        self._flat += (self._clock(), kind, fields)
 
     def lines(self) -> list[str]:
         out = []
-        for t, kind, fields in self.records:
+        for t, kind, fields in self._triples():
             rendered = " ".join(f"{k}={v}" for k, v in fields.items())
             out.append(f"{t:12.3f} {kind} {rendered}".rstrip())
         return out
@@ -55,7 +72,7 @@ class TraceRecorder:
 
     def find(self, kind: str, **match) -> list[tuple[float, dict]]:
         hits = []
-        for t, k, fields in self.records:
+        for t, k, fields in self._triples():
             if k != kind:
                 continue
             if all(fields.get(key) == value for key, value in match.items()):

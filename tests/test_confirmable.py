@@ -1,6 +1,9 @@
 """The one confirmable-exchange primitive: RFC 7252 backoff, give-up and
 cancellation, on a bare simulator and through the scripted client."""
 
+import gc
+import weakref
+
 import pytest
 
 from worldutil import booted_world, simple_scenario
@@ -50,6 +53,47 @@ def test_cancel_stops_sends_and_callbacks(cancel_at):
     ex.cancel()  # idempotent
     sim.run()
     assert (len(sent), retries, give_ups) == before
+
+
+class Owner:
+    """Holds its exchange; the exchange's callbacks are the owner's methods."""
+
+    def __init__(self, sim, gave_up):
+        self.gave_up = gave_up
+        self.exchange = Confirmable(sim, FRAME, self.transmit, on_retry=self.retry,
+                                    on_give_up=self.give_up)
+
+    def transmit(self, frame):
+        pass
+
+    def retry(self, attempt):
+        pass
+
+    def give_up(self):
+        self.gave_up.append(self.exchange.transmissions)
+
+
+@pytest.mark.parametrize("ending", ["cancel", "give-up"])
+def test_a_finished_exchange_lets_its_owner_go(ending):
+    sim, gave_up = Simulator(), []
+    gc.collect()
+    gc.disable()
+    try:
+        owner = Owner(sim, gave_up)
+        owner.exchange.start()
+        sim.run(until=1.0)
+        ref = weakref.ref(owner)
+        exchange = owner.exchange
+        del owner
+        assert ref() is not None  # the pending timer reaches it
+        if ending == "cancel":
+            exchange.cancel()
+        del exchange
+        sim.run()
+        assert ref() is None  # freed by reference counting alone
+    finally:
+        gc.enable()
+    assert gave_up == ([] if ending == "cancel" else [5])
 
 
 def test_client_request_to_blackholed_node_times_out():

@@ -245,6 +245,24 @@ def test_cli_run_parse_error(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_cli_run_survives_a_decreasing_notify_counter(tmp_path, capsys):
+    text = MINIMAL + ("at 2500 observe c1 n1 s/t\n"
+                      "at 3000 notify n1 s/t counter=10\n"
+                      "at 4000 notify n1 s/t counter=5\n"
+                      "assert 5000 trace-contains notify_ignored counter=5 current=10\n")
+    path = tmp_path / "backward.scn"
+    path.write_text(text)
+    assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    result = run_scenario(parse_scenario(text))
+    assert result.ok, result.failures
+    trace = result.world.sim.trace
+    assert [f["obs"] for _, f in trace.find("notify", node="n1")] == [0, 10]
+    [(_, ignored)] = trace.find("notify_ignored")
+    assert ignored["node"] == "n1" and ignored["uri"] == "s/t"
+    assert ignored["client"].startswith("cccc::3")
+
+
 def test_cli_sweep_writes_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = cli_main(["sweep", "--param", "hops", "--range", "1..2", "--reps", "1",

@@ -164,8 +164,13 @@ def test_scripted_counter_jumps_but_never_backward():
         world.sim.run(until=world.sim.now + 500.0)
     values = [n["observe"] for n in client.notifications]
     assert values == [0, 0, 12, 20, 44]  # registration echo, push, then jumps
-    with pytest.raises(ValueError):
-        node.notify("s/t", counter=5)
+    node.notify("s/t", counter=5)  # backward: skipped and traced, not raised
+    world.sim.run(until=world.sim.now + 500.0)
+    assert [n["observe"] for n in client.notifications] == values
+    [obs] = node.observers.values()
+    assert obs.counter == 44
+    assert [f for _, f in world.sim.trace.find("notify_ignored")] == [
+        {"node": "n1", "uri": "s/t", "client": str(obs.client), "counter": 5, "current": 44}]
 
 
 def test_crash_clears_volatile_state_but_keeps_flash():

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import random
@@ -116,6 +117,33 @@ def test_trace_lines_render_stably():
     assert lines[0].endswith("boot node=n1 epoch=1")
     assert lines[1].startswith("       2.500 crash")
     assert sim.trace.find("crash", node="n1")
+
+
+def test_trace_records_are_a_new_list_of_tuples_on_each_access():
+    sim = Simulator()
+    sim.trace.emit("boot", node="n1", epoch=1)
+    sim.schedule(2.5, lambda: sim.trace.emit("crash", node="n1"))
+    sim.run()
+    records = sim.trace.records
+    assert records == [(0.0, "boot", {"node": "n1", "epoch": 1}),
+                       (2.5, "crash", {"node": "n1"})]
+    assert sim.trace.records is not records  # a new list on each access
+    assert sim.trace.find("crash", node="n2") == []
+
+
+def test_trace_records_stay_out_of_the_cyclic_collector():
+    sim = Simulator()
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        for i in range(1000):
+            sim.trace.emit("send", at="gw", mid=i, msg="CON-GET mid=1")
+        tracked = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert tracked < 10
+    assert len(sim.trace.records) == 1000
 
 
 def test_link_model_defaults_follow_rdc():
