@@ -1,7 +1,9 @@
 """The in-path gateway: routes frames between the external network and
 the LLN, runs the interception hook right after direction resolution,
-terminates the registration resource, and injects spoofed replay packets
-whose responses it then consumes instead of forwarding.
+terminates the registration resource, and builds the exchanges that
+inject spoofed replay packets.  A node's response that the recovery
+coordinator claims as the answer to its replay is consumed instead of
+forwarded.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .coap import (
     CoapMessage,
     Endpoint,
     MidAllocator,
-    MsgType,
     empty_ack,
     encode,
 )
@@ -42,27 +43,6 @@ class GatewayConfig:
             raise ValueError("gateway address must sit outside the LLN prefix")
 
 
-class _Replay:
-    """An injected replay frame in flight: the exchange that retransmits it,
-    and the matcher that consumes the node's response instead of forwarding
-    it to the spoofed source.  `cancel()` ends both."""
-
-    __slots__ = ("token", "mid", "dst", "on_ack", "exchange", "_end")
-
-    def __init__(self, exchange: Confirmable, on_ack: Callable[[], None],
-                 end: Callable[["_Replay"], None]) -> None:
-        frame = exchange.frame
-        self.token = frame.parsed.token
-        self.mid = frame.parsed.mid
-        self.dst = frame.src
-        self.on_ack = on_ack
-        self.exchange = exchange
-        self._end = end
-
-    def cancel(self) -> None:
-        self._end(self)
-
-
 class Gateway:
     """Event handler sitting between the two network sides."""
 
@@ -78,9 +58,6 @@ class Gateway:
             self.directory, self, sim=sim, mids=self.mids,
             gateway_addr=config.gateway_addr, pacing_gap=config.pacing_gap)
         self.overhead_us: list[float] = []
-        # Replays awaiting their response, per spoofed destination, in
-        # injection order.
-        self._replays: dict[Endpoint, list[_Replay]] = {}
         self._last_registration: dict[str, tuple[int, float]] = {}
         network.gateway = self
 
@@ -114,7 +91,7 @@ class Gateway:
                 msg, frame.src, frame.dst))
         elif msg is None:
             self.sim.trace.emit("gw", ev="fwd_malformed", dir="out", dst=str(frame.dst))
-        if msg is not None and self._consume_suppressed(frame, msg):
+        if msg is not None and self.recovery.consume(frame, msg):
             return
         self.network.deliver_to_client(frame)
 
@@ -134,7 +111,7 @@ class Gateway:
                 and msg.options.path_str() == REGISTRATION_PATH):
             self._handle_registration(frame, msg)
             return
-        if self._consume_suppressed(frame, msg):
+        if self.recovery.consume(frame, msg):
             return
         self.sim.trace.emit("gw", ev="unclaimed", src=str(frame.src), msg=frame.summary)
 
@@ -156,41 +133,13 @@ class Gateway:
 
     # -- replay injection ----------------------------------------------------
 
-    def send_replay(self, frame: Frame, on_ack: Callable[[], None],
-                    on_timeout: Callable[[], None]) -> _Replay:
-        """Inject `frame`, a replay addressed to the node and spoofing its
-        source, as a confirmable exchange whose response is consumed."""
-
-        def give_up() -> None:
-            self._end_replay(replay)
-            on_timeout()
-
-        exchange = Confirmable(
+    def send_replay(self, frame: Frame, on_timeout: Callable[[], None]) -> Confirmable:
+        """Build the confirmable exchange that injects `frame`, a replay
+        addressed to the node and spoofing its source.  The caller stores
+        it, then calls `start()`; the recovery coordinator matches the
+        node's response to it."""
+        return Confirmable(
             self.sim, frame, self.network.deliver_to_node,
             on_retry=lambda attempt: self.sim.trace.emit(
                 "inject_retransmit", dst=str(frame.dst), attempt=attempt),
-            on_give_up=give_up)
-        replay = _Replay(exchange, on_ack, self._end_replay)
-        self._replays.setdefault(replay.dst, []).append(replay)
-        exchange.start()
-        return replay
-
-    def _end_replay(self, replay: _Replay) -> None:
-        # A dead exchange must take its matcher with it, or a stale matcher
-        # could swallow the next recovery's response for the same stored token.
-        replay.exchange.cancel()
-        bucket = self._replays.get(replay.dst)
-        if bucket is not None and replay in bucket:
-            bucket.remove(replay)
-            if not bucket:
-                del self._replays[replay.dst]
-
-    def _consume_suppressed(self, frame: Frame, msg: CoapMessage) -> bool:
-        for s in self._replays.get(frame.dst, ()):
-            if ((s.token and msg.token == s.token)
-                    or (msg.msg_type is MsgType.ACK and msg.mid == s.mid)):
-                self._end_replay(s)
-                self.sim.trace.emit("consume", dst=str(frame.dst), msg=frame.summary)
-                s.on_ack()
-                return True
-        return False
+            on_give_up=on_timeout)

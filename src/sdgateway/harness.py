@@ -263,8 +263,7 @@ class ScenarioRun:
             if check.time is None:
                 self._check(check)
         world = self.world
-        self.metrics = collect_metrics(world,
-                                       include_overhead=world.gateway.config.measure_overhead)
+        self.metrics = collect_metrics(world)
         self.flagged = any(not r.all_acked for r in world.gateway.recovery.reports)
         if self.out_dir is not None:
             sid = self.scenario.scenario_id
@@ -286,7 +285,7 @@ def run_scenario(source: Union[Scenario, str, Path], *, interception: bool = Tru
     return run
 
 
-def collect_metrics(world: World, *, include_overhead: bool = False) -> list[MetricRecord]:
+def collect_metrics(world: World) -> list[MetricRecord]:
     sc = world.scenario
     rdc = sc.rdc.value
     records: list[MetricRecord] = []
@@ -313,9 +312,9 @@ def collect_metrics(world: World, *, include_overhead: bool = False) -> list[Met
                                     sc.scenario_id, sc.seed,
                                     max(n.link.hops for n in world.nodes.values()),
                                     rdc, run_states))
-    # Wall-clock overhead rows are opt-in: they would break the
-    # byte-identical-rerun guarantee of the metrics CSV.
-    if include_overhead and world.gateway.overhead_us:
+    # Wall-clock rows are opt-in, filled only under `measure_overhead`:
+    # they would break the byte-identical-rerun guarantee of the metrics CSV.
+    if world.gateway.overhead_us:
         mean = statistics.fmean(world.gateway.overhead_us)
         hops = max((n.link.hops for n in world.nodes.values()), default=1)
         records.append(MetricRecord(MetricKind.INTERCEPTION_OVERHEAD, mean,

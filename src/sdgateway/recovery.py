@@ -162,16 +162,17 @@ class RecoveryRun:
 class RecoveryCoordinator:
     """Drives recovery executions; one per node at a time.
 
-    The transport (the gateway) provides `send_replay(frame, on_ack,
-    on_timeout) -> exchange` where the exchange object supports
-    `.cancel()`.  A second registration from the same node aborts the
+    Each run owns the replay it has in flight: the gateway's
+    `send_replay(frame, on_timeout)` builds the `Confirmable` exchange,
+    the run stores it and starts it, and `consume` matches the node's
+    response to it.  A second registration from the same node aborts the
     in-flight run and starts over with the current directory contents.
     """
 
-    def __init__(self, directory: StateDirectory, transport, *, sim: Simulator,
+    def __init__(self, directory: StateDirectory, gateway, *, sim: Simulator,
                  mids: MidAllocator, gateway_addr: str, pacing_gap: float) -> None:
         self.directory = directory
-        self.transport = transport
+        self.gateway = gateway
         self.sim = sim
         self.mids = mids
         self.gateway_addr = gateway_addr
@@ -216,7 +217,7 @@ class RecoveryCoordinator:
                 StepOutcome.ABORTED, self.sim.now))
         run.report.aborted = True
         self.sim.trace.emit("recover_abort", node=node_addr, at_step=run.index)
-        self._finish(run, keep_active=True)
+        self._finish(run)
 
     def _fire(self, run: RecoveryRun) -> None:
         run.gap_event = None
@@ -226,10 +227,29 @@ class RecoveryCoordinator:
         self.sim.trace.emit("inject", node=run.plan.node, step=run.index,
                             et=int(step.entry_type), uri=step.uri,
                             src=str(step.spoofed_source), msg=frame.summary)
-        run.exchange = self.transport.send_replay(
-            frame,
-            on_ack=lambda: self._resolved(run, StepOutcome.ACKED),
-            on_timeout=lambda: self._resolved(run, StepOutcome.TIMED_OUT))
+        run.exchange = self.gateway.send_replay(
+            frame, on_timeout=lambda: self._resolved(run, StepOutcome.TIMED_OUT))
+        run.exchange.start()
+
+    def consume(self, frame: Frame, msg: CoapMessage) -> bool:
+        """Claim `frame` if it answers the replay in flight to the node that
+        sent it: addressed to the replay's spoofed source, and carrying the
+        replay's token (when it has one) or, as an ACK, the replay's MID.
+        A node has at most one run and a run at most one replay, so this is
+        one lookup.  A claimed response acknowledges the step."""
+        run = self.active.get(frame.src.addr)
+        if run is None or run.exchange is None:
+            return False
+        replay = run.exchange.frame
+        sent = replay.parsed
+        if frame.dst != replay.src or not (
+                (sent.token and msg.token == sent.token)
+                or (msg.msg_type is MsgType.ACK and msg.mid == sent.mid)):
+            return False
+        self.sim.trace.emit("consume", dst=str(frame.dst), msg=frame.summary)
+        run.exchange.cancel()
+        self._resolved(run, StepOutcome.ACKED)
+        return True
 
     def _resolved(self, run: RecoveryRun, outcome: StepOutcome) -> None:
         if run.done:
@@ -246,12 +266,11 @@ class RecoveryCoordinator:
         else:
             self._finish(run)
 
-    def _finish(self, run: RecoveryRun, keep_active: bool = False) -> None:
+    def _finish(self, run: RecoveryRun) -> None:
         run.done = True
         run.report.finished_at = self.sim.now
         self.reports.append(run.report)
-        if not keep_active:
-            self.active.pop(run.plan.node, None)
+        self.active.pop(run.plan.node, None)
         self.sim.trace.emit("recover_done", node=run.plan.node,
                             steps=len(run.report.outcomes),
                             aborted=run.report.aborted,

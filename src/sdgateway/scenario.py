@@ -33,8 +33,8 @@ EVENT_VERBS = {
     "change": ("node", "path", "value"),
     "notify": ("node", "path"),
     "crash": ("node",),
-    "silence": ("client", "flag"),
-    "blackhole": ("node", "flag"),
+    "silence": ("client", "on|off"),
+    "blackhole": ("node", "on|off"),
 }
 
 ASSERT_CHECKS = {
@@ -276,38 +276,31 @@ def _parse_event(at, verb, rest, lineno, node_names, client_names) -> ScenarioEv
         else:
             positional.append(tok)
 
-    def pop(what: str) -> str:
+    for name in EVENT_VERBS[verb]:
         if not positional:
-            raise ParseError(f"{verb}: missing <{what}>", lineno)
-        return positional.pop(0)
-
-    if verb in ("put", "get", "observe", "deregister", "rst", "bind", "deploy"):
-        args["client"] = pop("client")
-        _declared(args["client"], client_names, lineno)
-        args["node"] = pop("node")
-        _declared(args["node"], node_names, lineno)
-    elif verb in ("boot", "change", "notify", "crash", "blackhole"):
-        args["node"] = pop("node")
-        _declared(args["node"], node_names, lineno)
-    elif verb == "silence":
-        args["client"] = pop("client")
-        _declared(args["client"], client_names, lineno)
+            raise ParseError(f"{verb}: missing <{name}>", lineno)
+        value = positional.pop(0)
+        if name == "client":
+            _declared(value, client_names, lineno)
+        elif name == "node":
+            _declared(value, node_names, lineno)
+        elif name == "path":
+            value = value.lstrip("/")
+        elif name == "value":
+            value = _payload(value)
+        elif name == "on|off":
+            if value not in ("on", "off"):
+                raise ParseError(f"{verb}: expected on|off", lineno)
+            name, value = "on", value == "on"
+        args[name] = value
 
     if verb == "put":
-        args["path"] = pop("path").lstrip("/")
-        args["value"] = _payload(pop("value"))
         args["cf"] = _int(kv.get("cf", "0"), lineno)
         _valid(lineno, validate_options, OptionSet(content_format=args["cf"]))
-    elif verb == "get":
-        args["path"] = pop("path").lstrip("/")
     elif verb == "observe":
-        args["path"] = pop("path").lstrip("/")
         args["obs"] = _int(kv.get("obs", "0"), lineno)
         _valid(lineno, validate_options, OptionSet(observe=args["obs"]))
-    elif verb in ("deregister", "rst"):
-        args["path"] = pop("path").lstrip("/")
     elif verb == "bind":
-        args["path"] = pop("path").lstrip("/")
         for key in ("dest", "res"):
             if key not in kv:
                 raise ParseError(f"bind: missing {key}=", lineno)
@@ -330,22 +323,13 @@ def _parse_event(at, verb, rest, lineno, node_names, client_names) -> ScenarioEv
                OptionSet(uri_path=tuple(args["loader"].split("/")),
                          uri_query=(f"file={args['file']}",),
                          block1=Block1(0, False, args["block"])))
-    elif verb == "change":
-        args["path"] = pop("path").lstrip("/")
-        args["value"] = _payload(pop("value"))
     elif verb == "notify":
-        args["path"] = pop("path").lstrip("/")
         args["counter"] = _int(kv["counter"], lineno) if "counter" in kv else None
         if args["counter"] == OBSERVE_DEREGISTER_VALUE:
             raise ParseError("notify: counter=1 is the observe cancellation sentinel", lineno)
         _valid(lineno, validate_options, OptionSet(observe=args["counter"]))
     elif verb == "crash":
         args["down"] = _nonnegative(kv.get("down", "1000"), lineno, "crash: down")
-    elif verb in ("silence", "blackhole"):
-        flag = pop("on|off")
-        if flag not in ("on", "off"):
-            raise ParseError(f"{verb}: expected on|off", lineno)
-        args["on"] = flag == "on"
 
     if "path" in args:  # the Uri-Path options the event's request would carry
         _valid(lineno, validate_options, OptionSet(uri_path=tuple(args["path"].split("/"))))

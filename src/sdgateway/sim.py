@@ -22,7 +22,8 @@ class Event(list):
 
     Entries compare as lists, in C: by time, then by `seq`, which is unique,
     so ties pop in scheduling order and a comparison never reaches `fn`.
-    `cancel()` clears `fn`; the event loop skips such an entry.
+    `cancel()` clears `fn`, which the event loop skips, and `args`, so the
+    entry holds nothing alive while it waits in the heap for its time.
     """
 
     __slots__ = ()
@@ -30,7 +31,7 @@ class Event(list):
     time = property(itemgetter(0))
 
     def cancel(self) -> None:
-        self[2] = None
+        self[2] = self[3] = None
 
 
 class TraceRecorder:

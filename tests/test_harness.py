@@ -89,6 +89,14 @@ NUMBERS_BASE = "version 1\nnode n1 aaaa::1\nclient c1 cccc::3\n"
     ("at 10 bind c1 n1 s/t dest=aaaa::2 res=a pmin=9 pmax=1", "pmin > pmax"),
     ("at 10 bind c1 n1 s/t dest=aaaa::2 res=", "dest_resource empty"),
     ("at 10 notify n1 s/t counter=1", "cancellation sentinel"),
+    ("at 10 put c1 n1", "put: missing <path>"),
+    ("at 10 put c1 n1 s/t", "put: missing <value>"),
+    ("at 10 get c1", "get: missing <node>"),
+    ("at 10 crash", "crash: missing <node>"),
+    ("at 10 change n1 s/t", "change: missing <value>"),
+    ("at 10 silence c1", "silence: missing <on|off>"),
+    ("at 10 blackhole n1 maybe", "blackhole: expected on|off"),
+    ("at 10 silence n1 on", "undeclared name 'n1'"),
 ] + [(line.replace("LONG", "s/" + "x" * 256), "uri segment longer than 255 bytes") for line in [
     "at 10 put c1 n1 LONG 1",
     "at 10 get c1 n1 LONG",

@@ -158,7 +158,49 @@ assert final restored n1
     entries = result.world.gateway.directory.entries_for_server("aaaa::c30c:0:0:2")
     assert sorted(int(e.entry_type) for e in entries) == [2, 2, 5]
     # No response matcher outlives its exchange, timed out or acknowledged.
-    assert result.world.gateway._replays == {}
+    assert result.world.gateway.recovery.active == {}
+
+
+def _mid(summary: str) -> int:
+    return int(summary.split(" mid=")[1].split()[0])
+
+
+def test_a_response_answers_only_the_replay_to_the_node_that_sent_it():
+    """Every client starts its tokens at 0x0B28, so the bind replays to n1
+    and n2 both spoof the gateway and carry the same token.  Both are in
+    flight at once; each node's response must acknowledge its own node's
+    step, matched by the MID injected to that node."""
+    sc = parse_scenario("""
+scenario twobinds
+version 1
+seed 3
+settle 15000
+node n1 aaaa::c30c:0:0:2
+node n2 aaaa::c30c:0:0:3
+node n3 aaaa::c30c:0:0:4
+resource n1 s/t 18
+resource n2 s/t 19
+resource n3 a/led 0
+client c1 cccc::3
+client c2 cccc::4
+at 1000 bind c1 n1 s/t dest=aaaa::c30c:0:0:4 res=a/led pmin=1 pmax=600
+at 1000 bind c2 n2 s/t dest=aaaa::c30c:0:0:4 res=a/led pmin=1 pmax=600
+at 5000 crash n1 down=300
+at 5000 crash n2 down=300
+""")
+    records = run_scenario(sc).world.sim.trace.records
+    kinds = [kind for _, kind, _ in records]
+    injects = [fields for _, kind, fields in records if kind == "inject"]
+    assert len(injects) == 2 and all("tok=0b28" in f["msg"] for f in injects)
+    assert kinds.index("consume") > max(i for i, k in enumerate(kinds) if k == "inject")
+    injected = {f["node"]: _mid(f["msg"]) for f in injects}
+    steps = [i for i, kind in enumerate(kinds) if kind == "recover_step"]
+    assert sorted(records[i][2]["node"] for i in steps) == sorted(injected)
+    for i in steps:
+        step, (_, before, consumed) = records[i][2], records[i - 1]
+        assert step["outcome"] == "acked"
+        assert before == "consume"
+        assert _mid(consumed["msg"]) == injected[step["node"]], step["node"]
 
 
 def test_second_registration_aborts_and_restarts_recovery():
