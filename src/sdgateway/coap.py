@@ -6,12 +6,20 @@ delta-encoded options, payload marker) plus Observe (RFC 7641), Block1
 descriptors.  Messages are immutable values; encode/decode are pure
 functions, safe to call from any thread.
 
-`CoapMessage` and `OptionSet` are `NamedTuple` values, so, like any tuple,
-they equal a plain tuple of the same fields; nothing here relies on that.
+A run sees few distinct option blocks, so each distinct one is encoded,
+parsed and rendered once, through bounded `functools.lru_cache`s
+(`_option_block`, `_option_set`, `_option_text`).  The miss path is the
+only encoder, parser and renderer, and no cache changes an output: a
+value equal to a cached key gives the same bytes, message or text as a
+cold call.  So the miss paths read numbers as the ints they equal (`True`
+as 1) and option sets and Block1 descriptors by position, since a
+`NamedTuple` equals a plain tuple of the same fields.  Failures are never
+cached.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import NamedTuple, Optional, Tuple
@@ -47,6 +55,11 @@ class MsgType(IntEnum):
 
 
 _MSG_TYPES = tuple(MsgType)  # indexed by the 2-bit wire value
+_TYPE_NAMES = tuple(t.name for t in MsgType)
+
+# Distinct option blocks each codec cache holds.  A benchmark run sees at
+# most a few dozen; beyond the size the least recently used are dropped.
+OPTION_CACHE_SIZE = 256
 
 
 # Method and response codes, class.detail packed into one byte.
@@ -82,6 +95,7 @@ def code_valid(code: int) -> bool:
     return cls in (2, 4, 5)
 
 
+_VALID_CODES = frozenset(filter(code_valid, range(256)))
 _METHOD_NAMES = {EMPTY: "EMPTY", GET: "GET", POST: "POST", PUT: "PUT", DELETE: "DELETE"}
 
 
@@ -89,6 +103,9 @@ def code_str(code: int) -> str:
     if code in _METHOD_NAMES:
         return _METHOD_NAMES[code]
     return f"{code >> 5}.{code & 0x1F:02d}"
+
+
+_CODE_NAMES = {code: code_str(code) for code in range(256)}  # formatting is slow per call
 
 
 class Endpoint(NamedTuple):
@@ -176,19 +193,29 @@ class CoapMessage(NamedTuple):
     payload: bytes = b""
 
     def short(self) -> str:
-        parts = [f"{self.msg_type.name}-{code_str(self.code)}", f"mid={self.mid}"]
+        code = _CODE_NAMES.get(self.code) or code_str(self.code)
+        text = f"{_TYPE_NAMES[self.msg_type]}-{code} mid={self.mid}"
         if self.token:
-            parts.append(f"tok={self.token.hex()}")
-        if self.options.uri_path:
-            parts.append(f"uri={self.options.path_str()}")
-        if self.options.observe is not None:
-            parts.append(f"obs={self.options.observe}")
-        if self.options.block1 is not None:
-            b = self.options.block1
-            parts.append(f"blk1={b.num}/{int(b.more)}/{b.size}")
+            text += f" tok={self.token.hex()}"
+        text += _option_text(self.options)
         if self.payload:
-            parts.append(f"len={len(self.payload)}")
-        return " ".join(parts)
+            text += f" len={len(self.payload)}"
+        return text
+
+
+@functools.lru_cache(maxsize=OPTION_CACHE_SIZE)
+def _option_text(o: OptionSet) -> str:
+    """The ` uri=… obs=… blk1=…` part of `CoapMessage.short`."""
+    uri_path, _, observe, block1, *_ = o
+    text = ""
+    if uri_path:
+        text += " uri=" + "/".join(uri_path)
+    if observe is not None:
+        text += f" obs={int(observe)}"
+    if block1 is not None:
+        num, more, size = block1
+        text += f" blk1={int(num)}/{int(more)}/{int(size)}"
+    return text
 
 
 class InteractionKind(Enum):
@@ -203,7 +230,21 @@ class InteractionKind(Enum):
     OTHER = "Other"
 
 
+def _uint(value, what: str, top: Optional[int] = None) -> int:
+    """`value` as an int in [0, top], else InvariantViolation.  A value of
+    another type that equals such an int passes as that int (`True` as 1,
+    `1.0` as 1), so equal option sets encode alike."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = -1
+    if number != value or number < 0 or (top is not None and number > top):
+        raise InvariantViolation(f"{what} out of range: {value}")
+    return number
+
+
 def _uint_bytes(value: int) -> bytes:
+    value = int(value)
     if value == 0:
         return b""
     return value.to_bytes((value.bit_length() + 7) // 8, "big")
@@ -222,9 +263,8 @@ def _validate(msg: CoapMessage) -> None:
         raise InvariantViolation(f"token longer than 8 bytes: {len(msg.token)}")
     if not code_valid(msg.code):
         raise InvariantViolation(f"invalid code 0x{msg.code:02x}")
-    o = msg.options
     if msg.code == EMPTY:
-        if msg.token or msg.payload or o != _NO_OPTIONS:
+        if msg.token or msg.payload or msg.options != _NO_OPTIONS:
             raise InvariantViolation("EMPTY message must carry no token, options or payload")
         if msg.msg_type is MsgType.NON:
             raise InvariantViolation("NON message must not be EMPTY")
@@ -232,59 +272,61 @@ def _validate(msg: CoapMessage) -> None:
         raise InvariantViolation("RST must be EMPTY")
     if msg.msg_type is MsgType.ACK and msg.code != EMPTY and not is_response(msg.code):
         raise InvariantViolation("ACK must be EMPTY or carry a response code")
-    validate_options(o)
 
 
 def validate_options(o: OptionSet) -> None:
     """Raise InvariantViolation for an option value `encode` cannot carry."""
-    if o.observe is not None and not 0 <= o.observe <= OBSERVE_MAX:
-        raise InvariantViolation(f"observe value out of range: {o.observe}")
-    if o.content_format is not None and not 0 <= o.content_format <= 0xFFFF:
-        raise InvariantViolation("content-format out of range")
-    if o.max_age is not None and not 0 <= o.max_age <= 0xFFFFFFFF:
-        raise InvariantViolation("max-age out of range")
-    for seg in o.uri_path + o.uri_query:
+    uri_path, uri_query, observe, block1, max_age, content_format, binding, extra = o
+    if observe is not None:
+        _uint(observe, "observe value", OBSERVE_MAX)
+    if content_format is not None:
+        _uint(content_format, "content-format", 0xFFFF)
+    if max_age is not None:
+        _uint(max_age, "max-age", 0xFFFFFFFF)
+    for seg in uri_path + uri_query:
         if len(seg.encode("utf-8")) > 255:
             raise InvariantViolation("uri segment longer than 255 bytes")
-    if o.block1 is not None:
-        b = o.block1
-        if b.size not in (16, 32, 64, 128, 256, 512, 1024):
-            raise InvariantViolation(f"block1 size not a power of two in 16..1024: {b.size}")
-        if not 0 <= b.num <= 0xFFFFF:
-            raise InvariantViolation("block1 number out of range")
-    if o.binding is not None:
-        bi = o.binding
-        if not bi.dest_resource:
+    if block1 is not None:
+        num, more, size = block1
+        if size not in (16, 32, 64, 128, 256, 512, 1024):
+            raise InvariantViolation(f"block1 size not a power of two in 16..1024: {size}")
+        _uint(num, "block1 number", 0xFFFFF)
+        _uint(more, "block1 more flag", 1)
+    if binding is not None:
+        if not binding.dest_resource:
             raise InvariantViolation("binding dest_resource empty")
-        if bi.pmin > bi.pmax:
+        if binding.pmin > binding.pmax:
             raise InvariantViolation("binding pmin > pmax")
-        if min(bi.pmin, bi.pmax) < 0 or max(bi.pmin, bi.pmax) > 0xFFFFFFFF:
-            raise InvariantViolation("binding interval out of range")
+        _uint(binding.pmin, "binding interval", 0xFFFFFFFF)
+        _uint(binding.pmax, "binding interval", 0xFFFFFFFF)
+    for number, _ in extra:
+        _uint(number, "option number")
 
 
 def _wire_options(o: OptionSet) -> list[tuple[int, bytes]]:
+    # Only for options that passed validate_options.
+    uri_path, uri_query, observe, block1, max_age, content_format, binding, extra = o
     out: list[tuple[int, bytes]] = []
-    if o.observe is not None:
-        out.append((OPT_OBSERVE, _uint_bytes(o.observe)))
-    out.extend((OPT_URI_PATH, seg.encode("utf-8")) for seg in o.uri_path)
-    if o.content_format is not None:
-        out.append((OPT_CONTENT_FORMAT, _uint_bytes(o.content_format)))
-    if o.max_age is not None:
-        out.append((OPT_MAX_AGE, _uint_bytes(o.max_age)))
-    out.extend((OPT_URI_QUERY, seg.encode("utf-8")) for seg in o.uri_query)
-    if o.block1 is not None:
-        b = o.block1
-        szx = b.size.bit_length() - 5
-        out.append((OPT_BLOCK1, _uint_bytes((b.num << 4) | (int(b.more) << 3) | szx)))
-    if o.binding is not None:
-        bi = o.binding
-        out.append((OPT_BIND_DEST_ADDR, bi.dest_addr.encode("utf-8")))
-        out.append((OPT_BIND_DEST_RESOURCE, bi.dest_resource.encode("utf-8")))
-        out.append((OPT_BIND_PMIN, _uint_bytes(bi.pmin)))
-        out.append((OPT_BIND_PMAX, _uint_bytes(bi.pmax)))
-    if o.extra:
+    if observe is not None:
+        out.append((OPT_OBSERVE, _uint_bytes(observe)))
+    out.extend((OPT_URI_PATH, seg.encode("utf-8")) for seg in uri_path)
+    if content_format is not None:
+        out.append((OPT_CONTENT_FORMAT, _uint_bytes(content_format)))
+    if max_age is not None:
+        out.append((OPT_MAX_AGE, _uint_bytes(max_age)))
+    out.extend((OPT_URI_QUERY, seg.encode("utf-8")) for seg in uri_query)
+    if block1 is not None:
+        num, more, size = block1
+        szx = int(size).bit_length() - 5
+        out.append((OPT_BLOCK1, _uint_bytes((int(num) << 4) | (int(more) << 3) | szx)))
+    if binding is not None:
+        out.append((OPT_BIND_DEST_ADDR, binding.dest_addr.encode("utf-8")))
+        out.append((OPT_BIND_DEST_RESOURCE, binding.dest_resource.encode("utf-8")))
+        out.append((OPT_BIND_PMIN, _uint_bytes(binding.pmin)))
+        out.append((OPT_BIND_PMAX, _uint_bytes(binding.pmax)))
+    if extra:
         # The known options above are already in ascending order.
-        out.extend(o.extra)
+        out.extend((int(number), value) for number, value in extra)
         out.sort(key=lambda pair: pair[0])  # stable: repeated numbers keep order
     return out
 
@@ -297,16 +339,13 @@ def _nibble(value: int) -> tuple[int, bytes]:
     return 14, (value - 269).to_bytes(2, "big")
 
 
-def encode(msg: CoapMessage) -> bytes:
-    """Serialize a message to RFC 7252 wire format (version 1)."""
-    _validate(msg)
+@functools.lru_cache(maxsize=OPTION_CACHE_SIZE)
+def _option_block(o: OptionSet) -> bytes:
+    """The options of `o` in wire format, checked by validate_options."""
+    validate_options(o)
     buf = bytearray()
-    buf.append((COAP_VERSION << 6) | (msg.msg_type << 4) | len(msg.token))
-    buf.append(msg.code)
-    buf += msg.mid.to_bytes(2, "big")
-    buf += msg.token
     prev = 0
-    for number, value in _wire_options(msg.options):
+    for number, value in _wire_options(o):
         if len(value) > 65535 + 269:
             raise InvariantViolation("option value too long")
         dn, dx = _nibble(number - prev)
@@ -314,10 +353,17 @@ def encode(msg: CoapMessage) -> bytes:
         buf.append((dn << 4) | ln)
         buf += dx + lx + value
         prev = number
-    if msg.payload:
-        buf.append(0xFF)
-        buf += msg.payload
     return bytes(buf)
+
+
+def encode(msg: CoapMessage) -> bytes:
+    """Serialize a message to RFC 7252 wire format (version 1)."""
+    _validate(msg)
+    msg_type, code, mid, token, options, payload = msg
+    head = bytes(((COAP_VERSION << 6) | (msg_type << 4) | len(token), code, mid >> 8, mid & 0xFF))
+    if payload:
+        return b"".join((head, token, _option_block(options), b"\xff", payload))
+    return b"".join((head, token, _option_block(options)))
 
 
 def _ext(nibble: int, data: bytes, i: int) -> tuple[int, int]:
@@ -333,11 +379,44 @@ def _ext(nibble: int, data: bytes, i: int) -> tuple[int, int]:
     raise MalformedFrame("reserved option nibble 15")
 
 
+def _walk_options(data: bytes, i: int, raw: Optional[list] = None) -> int:
+    """Check the option headers from `data[i]` on and return where the
+    options end: at the payload marker or the end of `data`.  Each
+    (number, value) is appended to `raw` when it is given."""
+    number = 0
+    end = len(data)
+    while i < end:
+        b = data[i]
+        if b == 0xFF:
+            return i
+        i += 1
+        delta, length = b >> 4, b & 0xF
+        if delta >= 13:
+            delta, i = _ext(delta, data, i)
+        if length >= 13:
+            length, i = _ext(length, data, i)
+        if i + length > end:
+            raise MalformedFrame("truncated option value")
+        if raw is not None:
+            number += delta
+            raw.append((number, data[i:i + length]))
+        i += length
+    return i
+
+
 def _text(data: bytes, what: str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedFrame(f"{what} option is not valid UTF-8") from exc
+
+
+@functools.lru_cache(maxsize=OPTION_CACHE_SIZE)
+def _option_set(block: bytes) -> OptionSet:
+    """The options in a block of option bytes that `_walk_options` passed."""
+    raw: list[tuple[int, bytes]] = []
+    _walk_options(block, 0, raw)
+    return _fold_options(raw)
 
 
 def _fold_options(raw: list[tuple[int, bytes]]) -> OptionSet:
@@ -391,6 +470,8 @@ def _fold_options(raw: list[tuple[int, bytes]]) -> OptionSet:
 def decode(data: bytes) -> CoapMessage:
     """Parse wire bytes into a message, raising MalformedFrame on any
     framing violation.  decode(encode(m)) == m for every valid m."""
+    if type(data) is not bytes:
+        data = bytes(data)  # so that the option block is hashable
     if len(data) < 4:
         raise MalformedFrame(f"frame shorter than minimum header: {len(data)} bytes")
     b0 = data[0]
@@ -401,40 +482,24 @@ def decode(data: bytes) -> CoapMessage:
     if tkl > 8:
         raise MalformedFrame(f"token length {tkl} reserved")
     code = data[1]
-    if not code_valid(code):
+    if code not in _VALID_CODES:
         raise MalformedFrame(f"invalid code 0x{code:02x}")
-    mid = int.from_bytes(data[2:4], "big")
-    if len(data) < 4 + tkl:
+    mid = (data[2] << 8) | data[3]
+    start = 4 + tkl
+    if len(data) < start:
         raise MalformedFrame("truncated token")
-    token = data[4:4 + tkl]
+    token = data[4:start]
 
-    i = 4 + tkl
-    number = 0
-    raw: list[tuple[int, bytes]] = []
+    end = _walk_options(data, start)
     payload = b""
-    while i < len(data):
-        b = data[i]
-        i += 1
-        if b == 0xFF:
-            if i == len(data):
-                raise MalformedFrame("payload marker with empty payload")
-            payload = data[i:]
-            break
-        delta, length = b >> 4, b & 0xF
-        if delta >= 13:
-            delta, i = _ext(delta, data, i)
-        if length >= 13:
-            length, i = _ext(length, data, i)
-        number += delta
-        if i + length > len(data):
-            raise MalformedFrame("truncated option value")
-        raw.append((number, data[i:i + length]))
-        i += length
-
-    options = _fold_options(raw) if raw else _NO_OPTIONS
+    if end < len(data):
+        if end + 1 == len(data):
+            raise MalformedFrame("payload marker with empty payload")
+        payload = data[end + 1:]
+    options = _option_set(data[start:end]) if end > start else _NO_OPTIONS
 
     if code == EMPTY:
-        if tkl or raw or payload:
+        if tkl or end > start or payload:
             raise MalformedFrame("EMPTY message with token, options or payload")
         if msg_type is MsgType.NON:
             raise MalformedFrame("EMPTY NON message")
@@ -443,8 +508,7 @@ def decode(data: bytes) -> CoapMessage:
     if msg_type is MsgType.ACK and code != EMPTY and not is_response(code):
         raise MalformedFrame("ACK carrying a request code")
 
-    return CoapMessage(msg_type=msg_type, code=code, mid=mid, token=token,
-                       options=options, payload=payload)
+    return CoapMessage(msg_type, code, mid, token, options, payload)
 
 
 def classify(msg: CoapMessage) -> InteractionKind:

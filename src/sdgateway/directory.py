@@ -42,6 +42,9 @@ class EffectKind(Enum):
     NO_EFFECT = "NoEffect"
 
 
+_EFFECT_TEXT = {kind: kind.value for kind in EffectKind}  # `.value` is slow per call
+
+
 class RegistrationStatus(Enum):
     NEW = "new"
     KNOWN_EMPTY = "known_empty"
@@ -302,7 +305,7 @@ class StateDirectory:
         if e is None:
             return effect
         if self._trace is not None:
-            self._trace.emit("sd", dir=direction, effect=effect.kind.value,
+            self._trace.emit("sd", dir=direction, effect=_EFFECT_TEXT[effect.kind],
                              et=int(e.entry_type), client=str(e.client), server=str(e.server),
                              uri=e.uri_path, obs=e.observe_counter, mid=e.mid,
                              ret=e.retransmit_counter)

@@ -327,6 +327,7 @@ class VirtualNode:
         self.network = network
         self.name = name
         self.addr = addr
+        self.endpoint = Endpoint(addr, COAP_PORT)
         self.link = link
         self.loader_path = loader_path
         self.notify_policy = notify_policy
@@ -345,10 +346,6 @@ class VirtualNode:
         self._incoming_blocks: dict[tuple[Endpoint, str], list[bytes]] = {}
         self._registration: Optional[Confirmable] = None
         self._reg_sent_at = 0.0
-
-    @property
-    def endpoint(self) -> Endpoint:
-        return Endpoint(self.addr, COAP_PORT)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -631,9 +628,9 @@ class VirtualNode:
 
     def _send_notification(self, path: str, obs: Observer) -> None:
         if self.notify_policy is NotifyPolicy.NON_FIRST and obs.sent_since_register == 0:
-            mtype = MsgType.NON
+            mtype, type_name = MsgType.NON, "NON"
         else:
-            mtype = MsgType.CON
+            mtype, type_name = MsgType.CON, "CON"
         mid = self.mid_alloc.next_mid()
         msg = CoapMessage(mtype, CONTENT, mid, token=obs.token,
                           options=OptionSet(observe=obs.counter, max_age=obs.max_age),
@@ -642,7 +639,7 @@ class VirtualNode:
         obs.last_mid = mid
         obs.sent_since_register += 1
         self.sim.trace.emit("notify", node=self.name, uri=path, client=str(obs.client),
-                            obs=obs.counter, mid=mid, type=mtype.name)
+                            obs=obs.counter, mid=mid, type=type_name)
         if mtype is MsgType.NON:
             self.network.send(frame)
             return

@@ -293,6 +293,8 @@ def _parse_event(at, verb, rest, lineno, node_names, client_names) -> ScenarioEv
                 raise ParseError(f"{verb}: expected on|off", lineno)
             name, value = "on", value == "on"
         args[name] = value
+    if positional:
+        raise ParseError(f"{verb}: unexpected argument {positional[0]!r}", lineno)
 
     if verb == "put":
         args["cf"] = _int(kv.get("cf", "0"), lineno)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from msggen import random_message
+from sdgateway import coap
 from sdgateway.coap import (
     CHANGED,
     CONTENT,
@@ -265,3 +266,140 @@ def test_messages_and_frames_reject_attribute_assignment():
     with pytest.raises(dataclasses.FrozenInstanceError):
         frame.summary = ""
     assert not hasattr(frame, "__dict__")
+
+
+# -- the option caches --------------------------------------------------------
+
+CACHES = (coap._option_block, coap._option_set, coap._option_text)
+
+
+def clear_caches():
+    for cache in CACHES:
+        cache.cache_clear()
+
+
+def outcome(fn, value):
+    """What `fn(value)` gives: its result with its repr, or the exception's
+    type and message."""
+    try:
+        result = fn(value)
+    except Exception as exc:  # noqa: BLE001 - any exception is an outcome to compare
+        return type(exc), str(exc)
+    return result, repr(result)
+
+
+def short(msg):
+    return msg.short()
+
+
+def mutated(rng, frame):
+    data = bytearray(frame)
+    for _ in range(rng.randint(1, 3)):
+        roll = rng.random()
+        if roll < 0.5 and data:
+            data[rng.randrange(len(data))] = rng.randrange(256)
+        elif roll < 0.75:
+            data.insert(rng.randint(0, len(data)), rng.randrange(256))
+        elif data:
+            del data[rng.randrange(len(data))]
+    return bytes(data)
+
+
+def tuple_options(**kw):
+    # A plain tuple that equals the OptionSet of the same fields.
+    return tuple(OptionSet(**kw))
+
+
+# Option sets that equal each other but differ in the types of their values.
+EQUAL_BUT_TYPED = [
+    (OptionSet(observe=1), OptionSet(observe=True)),
+    (OptionSet(observe=0), OptionSet(observe=False)),
+    (OptionSet(observe=2), OptionSet(observe=2.0)),
+    (OptionSet(block1=Block1(3, True, 64)), OptionSet(block1=Block1(3, 1, 64))),
+    (OptionSet(block1=Block1(3, False, 64)), OptionSet(block1=Block1(3, 0.0, 64.0))),
+    (OptionSet(block1=Block1(3, True, 64)), OptionSet(block1=(3, True, 64))),
+    (OptionSet(uri_path=("a",), max_age=60), tuple_options(uri_path=("a",), max_age=60)),
+    (OptionSet(content_format=0), OptionSet(content_format=False)),
+    (OptionSet(uri_path=("s",), observe=0, binding=BindingInfo("aaaa::2", "led", 1, 60)),
+     OptionSet(uri_path=("s",), observe=0, binding=BindingInfo("aaaa::2", "led", True, 60.0))),
+    (OptionSet(extra=((60, b"x"),)), OptionSet(extra=((60.0, b"x"),))),
+]
+
+
+def codec_inputs():
+    rng = random.Random(0x0C4E)
+    messages = [random_message(rng) for _ in range(400)]
+    messages += [CoapMessage(MsgType.CON, PUT, 7, token=b"\x01", options=o, payload=b"1")
+                 for pair in EQUAL_BUT_TYPED for o in pair]
+    messages += [CoapMessage(MsgType.CON, GET, 8, options=OptionSet(observe=observe))
+                 for observe in (1.5, -1, "1", float("nan"), 0x1000000)]
+    frames = []
+    for msg in messages:
+        try:
+            frames.append(encode(msg))
+        except InvariantViolation:
+            pass
+    frames += [mutated(rng, frames[rng.randrange(len(frames))]) for _ in range(600)]
+    frames += [rng.randbytes(rng.randint(0, 24)) for _ in range(300)]
+    return messages, frames
+
+
+def test_caches_never_change_an_output():
+    messages, frames = codec_inputs()
+    calls = [(encode, m) for m in messages] + [(short, m) for m in messages]
+    calls += [(decode, f) for f in frames]
+    cold = []
+    for fn, value in calls:
+        clear_caches()
+        cold.append(outcome(fn, value))
+    warm = [outcome(fn, value) for fn, value in calls]  # warmed by the calls before
+    again = [outcome(fn, value) for fn, value in calls]
+    assert warm == cold and again == cold
+    assert all(cache.cache_info().hits for cache in CACHES)
+    decoded = [result for (fn, _), (result, _) in zip(calls, cold)
+               if fn is decode and isinstance(result, CoapMessage)]
+    assert len(decoded) > 200
+
+
+@pytest.mark.parametrize("first_second", [0, 1])
+@pytest.mark.parametrize("pair", EQUAL_BUT_TYPED, ids=lambda pair: repr(pair[1]))
+def test_equal_keys_of_other_types_give_the_cold_output(pair, first_second):
+    first, second = pair if first_second == 0 else pair[::-1]
+    assert first == second
+    msgs = [CoapMessage(MsgType.CON, PUT, 9, options=o, payload=b"v") for o in (first, second)]
+    cold = []
+    for msg in msgs:
+        clear_caches()
+        cold.append((outcome(encode, msg), outcome(short, msg)))
+    clear_caches()
+    warm = [(outcome(encode, msg), outcome(short, msg)) for msg in msgs]
+    assert warm == cold
+    # Equal option sets encode and render alike, whatever their types.
+    assert cold[0] == cold[1]
+    assert decode(cold[0][0][0]).options == first
+
+
+def test_caches_stay_bounded_and_outputs_right():
+    clear_caches()
+    size = coap.OPTION_CACHE_SIZE
+    assert all(cache.cache_info().maxsize == size for cache in CACHES)
+    msgs = [CoapMessage(MsgType.CON, CONTENT, n & 0xFFFF, token=b"\x07",
+                        options=OptionSet(observe=n, max_age=60), payload=b"%d" % n)
+            for n in range(2 * size + 10)]
+    for _ in range(2):  # the second pass meets entries the first one evicted
+        for n, msg in enumerate(msgs):
+            frame = encode(msg)
+            assert decode(frame) == msg
+            assert msg.short() == f"CON-2.05 mid={n} tok=07 obs={n} len={len(msg.payload)}"
+            assert all(cache.cache_info().currsize <= size for cache in CACHES)
+    assert all(cache.cache_info().currsize == size for cache in CACHES)
+
+
+def test_frames_with_the_same_option_bytes_share_one_option_set():
+    options = OptionSet(uri_path=("cfg", "r0"), content_format=0)
+    a = Frame(encode(CoapMessage(MsgType.CON, PUT, 1, b"\x01", options, b"5")),
+              Endpoint("cccc::3", 60001), Endpoint("aaaa::2"))
+    b = Frame(encode(CoapMessage(MsgType.NON, POST, 2, b"", options, b"")),
+              Endpoint("cccc::4", 60002), Endpoint("aaaa::3"))
+    assert a.parsed.options is b.parsed.options
+    assert a.parsed.options == options and a.parsed.options is not options

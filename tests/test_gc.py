@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from sdgateway import coap
+from sdgateway.coap import OptionSet
 from sdgateway.harness import CLIENT_ADDR, ScenarioRun
 from sdgateway.scenario import (
     ClientDecl,
@@ -172,3 +174,28 @@ at 2000 put c1 n1 r/1 2
     finally:
         gc.enable()
     assert recovery.reports[-1].aborted
+
+
+def test_a_run_keeps_one_option_set_per_distinct_block():
+    """Decoded frames with the same option bytes share one parsed
+    `OptionSet`, so what a finished run keeps alive is one per distinct
+    option block, however many nodes it has."""
+    caches = (coap._option_block, coap._option_set, coap._option_text)
+    held = []
+    for nodes in (10, 20):
+        for cache in caches:
+            cache.cache_clear()
+        gc.collect()
+        before = {id(o) for o in gc.get_objects() if type(o) is OptionSet}
+        run = ScenarioRun(mass_reboot_scenario(nodes))
+        run.advance()
+        run.finish()
+        assert run.ok, run.failures
+        for cache in caches:  # so that only what the run holds is left
+            cache.cache_clear()
+        gc.collect()
+        left = [o for o in gc.get_objects()
+                if type(o) is OptionSet and id(o) not in before]
+        assert len(left) == len(set(left)), left
+        held.append(len(left))
+    assert held[0] == held[1]

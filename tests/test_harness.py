@@ -97,6 +97,8 @@ NUMBERS_BASE = "version 1\nnode n1 aaaa::1\nclient c1 cccc::3\n"
     ("at 10 silence c1", "silence: missing <on|off>"),
     ("at 10 blackhole n1 maybe", "blackhole: expected on|off"),
     ("at 10 silence n1 on", "undeclared name 'n1'"),
+    ("at 10 crash n1 dwon=5 extra", "crash: unexpected argument 'dwon=5'"),
+    ("at 20 put c1 n1 s/t 1 fc=50", "put: unexpected argument 'fc=50'"),
 ] + [(line.replace("LONG", "s/" + "x" * 256), "uri segment longer than 255 bytes") for line in [
     "at 10 put c1 n1 LONG 1",
     "at 10 get c1 n1 LONG",
