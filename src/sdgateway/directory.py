@@ -56,6 +56,7 @@ class DeployInfo:
     filename: str
     loader_path: str
     blocks: Optional[Tuple[bytes, ...]] = None  # present only in block-capture mode
+    block_size: int = 0  # the transfer's Block1 size, which a block replay reuses
 
 
 @dataclass
@@ -274,7 +275,7 @@ class StateDirectory:
             return NO_EFFECT
         blocks = tuple(buf) if self.deploy_mode is DeployMode.BLOCK_CAPTURE else None
         return self._upsert((EntryType.DEPLOY, dst, filename), msg, src, dst, uri,
-                            deploy=DeployInfo(filename, uri, blocks))
+                            deploy=DeployInfo(filename, uri, blocks, block.size))
 
     def _client_ack(self, src, dst, mid) -> SDEffect:
         key = self._find_observe(src, dst, "mid", mid)

@@ -9,12 +9,10 @@ forwarded.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .coap import (
     COAP_PORT,
-    EXCHANGE_LIFETIME_MS,
     POST,
     REGISTRATION_PATH,
     CoapMessage,
@@ -24,79 +22,56 @@ from .coap import (
     encode,
 )
 from .directory import DeployMode, StateDirectory
-from .lln import Confirmable, Frame, Network
+from .lln import Confirmable, Deduplicator, Frame, Network
 from .recovery import DEFAULT_PACING_GAP_MS, RecoveryCoordinator
 from .sim import Simulator
-
-
-@dataclass
-class GatewayConfig:
-    lln_prefix: str = "aaaa"
-    gateway_addr: str = "cccc::1"
-    interception_enabled: bool = True
-    deploy_mode: DeployMode = DeployMode.FILENAME_ONLY
-    pacing_gap: float = DEFAULT_PACING_GAP_MS
-    measure_overhead: bool = False
-
-    def __post_init__(self) -> None:
-        if self.gateway_addr.startswith(self.lln_prefix):
-            raise ValueError("gateway address must sit outside the LLN prefix")
 
 
 class Gateway:
     """Event handler sitting between the two network sides."""
 
-    def __init__(self, sim: Simulator, network: Network, config: GatewayConfig) -> None:
+    def __init__(self, sim: Simulator, network: Network, *, interception: bool = True,
+                 deploy_mode: DeployMode = DeployMode.FILENAME_ONLY,
+                 pacing_gap: float = DEFAULT_PACING_GAP_MS,
+                 measure_overhead: bool = False) -> None:
         self.sim = sim
         self.network = network
-        self.config = config
-        self.directory = StateDirectory(clock=lambda: sim.now,
-                                        deploy_mode=config.deploy_mode,
+        self.endpoint = Endpoint(network.gateway_addr, COAP_PORT)
+        self.interception = interception
+        self.measure_overhead = measure_overhead
+        self.directory = StateDirectory(clock=lambda: sim.now, deploy_mode=deploy_mode,
                                         trace=sim.trace)
         self.mids = MidAllocator(sim.rng)
-        self.recovery = RecoveryCoordinator(
-            self.directory, self, sim=sim, mids=self.mids,
-            gateway_addr=config.gateway_addr, pacing_gap=config.pacing_gap)
+        self.recovery = RecoveryCoordinator(self.directory, self, sim=sim, mids=self.mids,
+                                            pacing_gap=pacing_gap)
         self.overhead_us: list[float] = []
-        self._last_registration: dict[str, tuple[int, float]] = {}
+        self._registrations = Deduplicator(sim)  # each kept with its ACK's bytes
         network.gateway = self
-
-    @property
-    def endpoint(self) -> Endpoint:
-        return Endpoint(self.config.gateway_addr, COAP_PORT)
 
     # -- forwarding --------------------------------------------------------
 
     def on_frame(self, frame: Frame, ingress: str) -> None:
         msg = frame.parsed
-        if frame.dst.addr == self.config.gateway_addr:
+        if frame.dst.addr == self.endpoint.addr:
             self._terminate(frame, msg, ingress)
             return
-        if self.network.in_lln(frame.dst.addr):
-            if msg is not None and self.config.interception_enabled:
-                self.sim.trace.emit("intercept", dir="in", src=f"<{frame.src.addr}>",
-                                    dst=f"<{frame.dst.addr}>")
-                self._intercept(lambda: self.directory.intercept_from_internet(
-                    msg, frame.src, frame.dst))
-            elif msg is None:
-                self.sim.trace.emit("gw", ev="fwd_malformed", dir="in",
-                                    dst=str(frame.dst))
-            self.network.deliver_to_node(frame)
-            return
-        # LLN -> external side.
-        if msg is not None and self.config.interception_enabled:
-            self.sim.trace.emit("intercept", dir="out", src=f"<{frame.src.addr}>",
+        inbound = self.network.in_lln(frame.dst.addr)
+        direction = "in" if inbound else "out"
+        if msg is None:
+            self.sim.trace.emit("gw", ev="fwd_malformed", dir=direction, dst=str(frame.dst))
+        elif self.interception:
+            self.sim.trace.emit("intercept", dir=direction, src=f"<{frame.src.addr}>",
                                 dst=f"<{frame.dst.addr}>")
-            self._intercept(lambda: self.directory.intercept_from_lln(
-                msg, frame.src, frame.dst))
-        elif msg is None:
-            self.sim.trace.emit("gw", ev="fwd_malformed", dir="out", dst=str(frame.dst))
-        if msg is not None and self.recovery.consume(frame, msg):
-            return
-        self.network.deliver_to_client(frame)
+            hook = (self.directory.intercept_from_internet if inbound
+                    else self.directory.intercept_from_lln)
+            self._intercept(lambda: hook(msg, frame.src, frame.dst))
+        if inbound:
+            self.network.deliver_to_node(frame)
+        elif msg is None or not self.recovery.consume(frame, msg):
+            self.network.deliver_to_client(frame)
 
     def _intercept(self, hook: Callable[[], None]) -> None:
-        if self.config.measure_overhead:
+        if self.measure_overhead:
             t0 = time.perf_counter()
             hook()
             self.overhead_us.append((time.perf_counter() - t0) * 1e6)
@@ -117,15 +92,12 @@ class Gateway:
 
     def _handle_registration(self, frame: Frame, msg: CoapMessage) -> None:
         node_addr = frame.src.addr
-        previous = self._last_registration.get(node_addr)
-        duplicate = (previous is not None and previous[0] == msg.mid
-                     and self.sim.now - previous[1] < EXCHANGE_LIFETIME_MS)
-        self._last_registration[node_addr] = (msg.mid, self.sim.now)
+        kept = self._registrations.reply(frame.src, msg.mid)
+        ack = kept or self._registrations.keep(frame.src, msg.mid, encode(empty_ack(msg.mid)))
         # The node blocks on this acknowledgement; it always goes out
         # before any replay packet.
-        ack = Frame(encode(empty_ack(msg.mid)), self.endpoint, frame.src)
-        self.network.deliver_to_node(ack)
-        if duplicate:
+        self.network.deliver_to_node(Frame(ack, self.endpoint, frame.src))
+        if kept is not None:
             self.sim.trace.emit("gw", ev="reg_dup", node=node_addr, mid=msg.mid)
             return
         self.sim.trace.emit("gw", ev="reg", node=node_addr, mid=msg.mid)
@@ -133,13 +105,14 @@ class Gateway:
 
     # -- replay injection ----------------------------------------------------
 
-    def send_replay(self, frame: Frame, on_timeout: Callable[[], None]) -> Confirmable:
+    def send_replay(self, frame: Frame, table: dict, *, on_answer: Callable[[Frame], None],
+                    on_timeout: Callable[[], None]) -> Confirmable:
         """Build the confirmable exchange that injects `frame`, a replay
-        addressed to the node and spoofing its source.  The caller stores
-        it, then calls `start()`; the recovery coordinator matches the
-        node's response to it."""
+        addressed to the node and spoofing its source, into `table`, the
+        recovery coordinator's open replays.  The caller stores it, then
+        calls `start()`."""
         return Confirmable(
-            self.sim, frame, self.network.deliver_to_node,
+            self.sim, frame, self.network.deliver_to_node, table=table, on_answer=on_answer,
             on_retry=lambda attempt: self.sim.trace.emit(
                 "inject_retransmit", dst=str(frame.dst), attempt=attempt),
             on_give_up=on_timeout)

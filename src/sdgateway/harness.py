@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 from .coap import BindingInfo
 from .directory import EntryType
-from .gateway import Gateway, GatewayConfig
+from .gateway import Gateway
 from .lln import RDC, LinkModel, Network, ScriptedClient, VirtualNode
 from .scenario import (
     AssertionFailure,
@@ -93,12 +93,8 @@ def build_world(sc: Scenario, *, interception: bool = True,
                 measure_overhead: bool = False) -> World:
     sim = Simulator(seed=sc.seed)
     network = Network(sim, lln_prefix=LLN_PREFIX, gateway_addr=GATEWAY_ADDR)
-    config = GatewayConfig(lln_prefix=LLN_PREFIX, gateway_addr=GATEWAY_ADDR,
-                           interception_enabled=interception,
-                           deploy_mode=sc.deploy_mode,
-                           pacing_gap=sc.pacing_gap,
-                           measure_overhead=measure_overhead)
-    gateway = Gateway(sim, network, config)
+    gateway = Gateway(sim, network, interception=interception, deploy_mode=sc.deploy_mode,
+                      pacing_gap=sc.pacing_gap, measure_overhead=measure_overhead)
     nodes: dict[str, VirtualNode] = {}
     for decl in sc.nodes:
         link = LinkModel(hops=decl.hops if decl.hops is not None else sc.hops,

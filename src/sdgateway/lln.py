@@ -10,6 +10,7 @@ forward radio behaviour and keeps CoAP exchanges well ordered.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -26,6 +27,7 @@ from .coap import (
     DELETE,
     DELETED,
     EMPTY,
+    EXCHANGE_LIFETIME_MS,
     GET,
     MAX_RETRANSMIT,
     NOT_FOUND,
@@ -129,40 +131,38 @@ class Frame:
 class Confirmable:
     """One confirmable exchange (RFC 7252 section 4.2) of a single `Frame`.
 
-    `start()` sends the frame through `transmit(frame)`; while no `cancel()`
-    arrives, the n-th transmission times out after ACK_TIMEOUT_MS * 2**(n-1)
-    and the same frame goes out again, after `on_retry(attempt)` with
-    attempt = n, as long as n <= MAX_RETRANSMIT.  The timeout after the last
-    one calls `on_give_up()`.  The owner stores the exchange before it calls
-    `start()`, so an answer delivered from within `transmit` finds it, and
-    cancels the exchange when it is answered or abandoned.
-
-    After `cancel()` or the give-up, the exchange holds no callbacks.  The
-    callbacks usually reach the owner, which holds the exchange, so a
-    finished exchange and its owner are freed by reference counting rather
-    than left for the cyclic garbage collector.
+    `start()` enters it in `table`, its owner's open exchanges, and sends
+    the frame through `transmit(frame)`.  While it is open, the n-th
+    transmission times out after ACK_TIMEOUT_MS * 2**(n-1) and the same
+    frame goes out again, after `on_retry(attempt)` with attempt = n, as
+    long as n <= MAX_RETRANSMIT; the timeout after the last one calls
+    `on_give_up()`.  `answer(table, frame)` closes it and calls
+    `on_answer(frame)`, and the owner closes it with `cancel()`.  A closed
+    exchange has left the table and holds no callbacks, which usually reach
+    the owner, so the two are freed by reference counting alone.
     """
 
-    __slots__ = ("frame", "transmissions", "_sim", "_transmit", "_on_retry",
-                 "_on_give_up", "_timer")
+    __slots__ = ("frame", "transmissions", "_sim", "_transmit", "_table", "_key",
+                 "_on_answer", "_on_retry", "_on_give_up", "_timer")
 
     def __init__(self, sim: Simulator, frame: Frame, transmit: Callable[[Frame], None], *,
+                 table: dict, on_answer: Callable[[Frame], None],
                  on_give_up: Callable[[], None],
                  on_retry: Optional[Callable[[int], None]] = None) -> None:
         self.frame = frame
         self.transmissions = 0
         self._sim = sim
         self._transmit = transmit
+        self._table = table
+        self._on_answer = on_answer
         self._on_retry = on_retry
         self._on_give_up = on_give_up
         self._timer: Optional[Event] = None
 
     def start(self) -> None:
+        self._key = (self.frame.dst, self.frame.src, self.frame.parsed.mid)
+        self._table[self._key] = self
         self._send()
-
-    @property
-    def mid(self) -> int:
-        return self.frame.parsed.mid
 
     def _send(self) -> None:
         self.transmissions += 1
@@ -173,7 +173,7 @@ class Confirmable:
     def _timeout(self) -> None:
         if self.transmissions > MAX_RETRANSMIT:
             on_give_up = self._on_give_up
-            self._release()
+            self.cancel()
             on_give_up()
             return
         if self._on_retry is not None:
@@ -181,12 +181,58 @@ class Confirmable:
         self._send()
 
     def cancel(self) -> None:
-        if self._timer is not None:
+        if self._timer is not None:  # started, and not yet closed
             self._timer.cancel()
-        self._release()
+            self._table.pop(self._key, None)
+        self._timer = self._transmit = self._table = self._key = self._on_answer = None
+        self._on_retry = self._on_give_up = None
 
-    def _release(self) -> None:
-        self._timer = self._transmit = self._on_retry = self._on_give_up = None
+
+_SIGNALS = frozenset((MsgType.ACK, MsgType.RST))  # one set lookup, not two enum reads
+
+
+def answer(table: dict, frame: Frame) -> bool:
+    """The one matching rule for answers (RFC 7252 sections 4.2-4.3): an ACK
+    or RST closes the open exchange in `table` that was sent to the frame's
+    source, from the frame's destination, with the frame's MID, and calls
+    its `on_answer(frame)`.  Returns whether the frame closed one."""
+    msg = frame.parsed
+    exchange = table.get((frame.src, frame.dst, msg.mid)) if msg.msg_type in _SIGNALS else None
+    if exchange is None:
+        return False
+    on_answer = exchange._on_answer
+    exchange.cancel()
+    on_answer(frame)
+    return True
+
+
+class Deduplicator:
+    """The replies to the confirmable messages received in the last
+    EXCHANGE_LIFETIME_MS, by (peer endpoint, MID) as in RFC 7252 section
+    4.5: a duplicate gets the same reply and is not processed again.
+    Entries expire in keep order; flat (address, port, MID) keys and float
+    keep times in a deque leave the garbage collector nothing per entry."""
+
+    __slots__ = ("_sim", "_replies", "_times")
+
+    def __init__(self, sim: Simulator) -> None:
+        self._sim = sim
+        self._replies: dict[tuple[str, int, int], object] = {}  # in keep order
+        self._times: deque[float] = deque()
+
+    def reply(self, peer: Endpoint, mid: int):
+        """The reply kept for a message from `peer` with `mid`, or None."""
+        times, replies = self._times, self._replies
+        while times and times[0] <= self._sim.now - EXCHANGE_LIFETIME_MS:
+            times.popleft()
+            del replies[next(iter(replies))]
+        return replies.get((peer.addr, peer.port, mid))
+
+    def keep(self, peer: Endpoint, mid: int, reply):
+        """Keep and return `reply`, not None, for a message `reply()` found new."""
+        self._replies[peer.addr, peer.port, mid] = reply
+        self._times.append(self._sim.now)
+        return reply
 
 
 class Network:
@@ -197,6 +243,8 @@ class Network:
     """
 
     def __init__(self, sim: Simulator, *, lln_prefix: str, gateway_addr: str) -> None:
+        if gateway_addr.startswith(lln_prefix):
+            raise ValueError("gateway address must sit outside the LLN prefix")
         self.sim = sim
         self.lln_prefix = lln_prefix
         self.gateway_addr = gateway_addr
@@ -342,7 +390,9 @@ class VirtualNode:
         self.loaded_modules: set[str] = set()
         self.mid_alloc: Optional[MidAllocator] = None
         self.associations: list[tuple[int, float, float]] = []
-        self._dedup: dict[tuple[Endpoint, int], Frame] = {}
+        # Open registration and CON notifications; replies to requests.
+        self._exchanges: dict[tuple[Endpoint, Endpoint, int], Confirmable] = {}
+        self._replies: Optional[Deduplicator] = None
         self._incoming_blocks: dict[tuple[Endpoint, str], list[bytes]] = {}
         self._registration: Optional[Confirmable] = None
         self._reg_sent_at = 0.0
@@ -356,7 +406,7 @@ class VirtualNode:
         self.observers.clear()
         self.bindings.clear()
         self.loaded_modules.clear()
-        self._dedup.clear()
+        self._replies = Deduplicator(self.sim)
         self._incoming_blocks.clear()
         self.mid_alloc = MidAllocator(self.sim.rng)
         self.state = NodeState.BOOTING
@@ -365,8 +415,16 @@ class VirtualNode:
                       Endpoint(self.network.gateway_addr, COAP_PORT))
         self._reg_sent_at = self.sim.now
         self._registration = Confirmable(self.sim, frame, self.network.send,
+                                         table=self._exchanges, on_answer=self._registered,
                                          on_give_up=self._registration_failed)
         self._registration.start()
+
+    def _registered(self, _answer: Frame) -> None:
+        self.state = NodeState.UP
+        self.associations.append((self.boot_epoch, self._reg_sent_at, self.sim.now))
+        self.sim.trace.emit("assoc", node=self.name, epoch=self.boot_epoch,
+                            delay=f"{self.sim.now - self._reg_sent_at:.3f}",
+                            transmissions=self._registration.transmissions)
 
     def _registration_failed(self) -> None:
         self.state = NodeState.STALLED
@@ -375,11 +433,8 @@ class VirtualNode:
 
     def _cancel_exchanges(self) -> None:
         # No retransmission or binding timer outlives its boot epoch.
-        if self._registration is not None:
-            self._registration.cancel()
-        for obs in self.observers.values():
-            if obs.pending is not None:
-                obs.pending.cancel()
+        for exchange in list(self._exchanges.values()):
+            exchange.cancel()
         for b in self.bindings.values():
             for ev in (b.pending_event, b.keepalive_event):
                 if ev is not None:
@@ -423,41 +478,30 @@ class VirtualNode:
             self.sim.trace.emit("drop", why="malformed", node=self.name)
             return
         if self.state is NodeState.BOOTING:
-            if (msg.msg_type is MsgType.ACK and msg.code == EMPTY
-                    and msg.mid == self._registration.mid):
-                self._registration.cancel()
-                self.state = NodeState.UP
-                delay = self.sim.now - self._reg_sent_at
-                self.associations.append((self.boot_epoch, self._reg_sent_at, self.sim.now))
-                self.sim.trace.emit("assoc", node=self.name, epoch=self.boot_epoch,
-                                    delay=f"{delay:.3f}",
-                                    transmissions=self._registration.transmissions)
-            else:
+            # Only the registration's answer gets through.
+            if not answer(self._exchanges, frame):
                 self.sim.trace.emit("drop", why="blocked-booting", node=self.name,
                                     msg=frame.summary)
             return
-        if msg.msg_type is MsgType.ACK and msg.code == EMPTY:
-            self._on_ack(msg.mid)
-            return
         if msg.msg_type is MsgType.RST:
             self._on_rst(frame.src, msg.mid)
-            return
-        if is_request(msg.code):
+        elif is_request(msg.code):
             self._serve(frame, msg)
-        # Responses (e.g. to this node's binding pushes) need no action.
+        else:  # an ACK may close an exchange; responses need no action
+            answer(self._exchanges, frame)
 
     def _serve(self, frame: Frame, msg: CoapMessage) -> None:
-        key = (frame.src, msg.mid)
-        if msg.msg_type is MsgType.CON and key in self._dedup:
-            self.network.send(self._dedup[key])
-            return
+        confirmable = msg.msg_type is MsgType.CON
+        if confirmable:
+            reply = self._replies.reply(frame.src, msg.mid)
+            if reply is not None:
+                self.network.send(reply)
+                return
         response, deferred = self._handle_request(msg, frame.src)
         if response is not None:
             reply = Frame(encode(response), self.endpoint, frame.src)
-            if msg.msg_type is MsgType.CON:
-                if len(self._dedup) > 64:
-                    self._dedup.pop(next(iter(self._dedup)))
-                self._dedup[key] = reply
+            if confirmable:
+                self._replies.keep(frame.src, msg.mid, reply)
             self.network.send(reply)
         for action in deferred:
             action()
@@ -618,10 +662,7 @@ class VirtualNode:
     def _resource_changed(self, path: str) -> None:
         if self.state is not NodeState.UP:
             return
-        for (p, _), obs in list(self.observers.items()):
-            if p == path:
-                obs.counter = self._bump_counter(obs.counter)
-                self._send_notification(path, obs)
+        self.notify(path)
         for b in self.bindings.values():
             if b.source_resource == path:
                 self._binding_due(b)
@@ -645,20 +686,17 @@ class VirtualNode:
             return
         if obs.pending is not None:
             obs.pending.cancel()  # newer state supersedes the pending one
+
+        def acked(_answer: Frame) -> None:
+            obs.pending = None
+
         obs.pending = Confirmable(
-            self.sim, frame, self.network.send,
+            self.sim, frame, self.network.send, table=self._exchanges, on_answer=acked,
             on_retry=lambda attempt: self.sim.trace.emit(
                 "retransmit", node=self.name, uri=path, mid=mid, attempt=attempt),
             on_give_up=lambda: self._remove_observer(path, obs.client,
                                                      reason="retransmit-limit", mid=mid))
         obs.pending.start()
-
-    def _on_ack(self, mid: int) -> None:
-        for obs in self.observers.values():
-            if obs.pending is not None and obs.pending.mid == mid:
-                obs.pending.cancel()
-                obs.pending = None
-                return
 
     def _on_rst(self, src: Endpoint, mid: int) -> None:
         for (path, client), obs in list(self.observers.items()):
@@ -732,19 +770,14 @@ class Relationship:
     cancel: bool = False
 
 
-@dataclass
-class PendingRequest:
-    exchange: Confirmable
-    on_response: Optional[Callable[[Optional[CoapMessage]], None]] = None
-
-
 class ScriptedClient:
     """External CoAP client driven by scenario events.
 
     Opens a fresh source port per request; an observe relationship keeps
     its port and token for its whole lifetime so deregistration and ACKs
     stay correlated.  A notification finds its relationship by (node
-    address, token).  While silenced it neither acknowledges nor resets
+    address, token); a duplicate CON notification is acknowledged again
+    and recorded once.  While silenced it neither acknowledges nor resets
     incoming notifications.
     """
 
@@ -760,7 +793,9 @@ class ScriptedClient:
         self._by_token: dict[tuple[str, bytes], tuple[str, Relationship]] = {}
         self.notifications: list[dict] = []
         self.responses: list[dict] = []
-        self._pending: dict[int, PendingRequest] = {}
+        # Open requests; ACKs sent to CON notifications.
+        self._exchanges: dict[tuple[Endpoint, Endpoint, int], Confirmable] = {}
+        self._replies = Deduplicator(sim)
         self._port_next = 49152
         self._token_next = 0x0B28
 
@@ -869,18 +904,23 @@ class ScriptedClient:
                   on_response=None) -> None:
         frame = Frame(encode(msg), Endpoint(self.addr, port), Endpoint(node_addr, COAP_PORT))
         mid = msg.mid
-
-        def give_up() -> None:
-            del self._pending[mid]
-            self.sim.trace.emit("client_timeout", client=self.name, mid=mid)
-
-        exchange = Confirmable(
-            self.sim, frame, self.network.send,
+        Confirmable(
+            self.sim, frame, self.network.send, table=self._exchanges,
+            on_answer=lambda answer: self._answered(answer.parsed, on_response),
             on_retry=lambda attempt: self.sim.trace.emit(
                 "client_retransmit", client=self.name, mid=mid, attempt=attempt),
-            on_give_up=give_up)
-        self._pending[mid] = PendingRequest(exchange, on_response)
-        exchange.start()
+            on_give_up=lambda: self.sim.trace.emit("client_timeout", client=self.name,
+                                                   mid=mid)).start()
+
+    def _answered(self, msg: CoapMessage, on_response) -> None:
+        if msg.msg_type is MsgType.RST:
+            self.sim.trace.emit("client_rejected", client=self.name, mid=msg.mid)
+            return
+        response = None if msg.code == EMPTY else msg
+        if response is not None:
+            self.responses.append({"time": self.sim.now, "msg": response})
+        if on_response is not None:
+            on_response(response)
 
     def on_frame(self, frame: Frame) -> None:
         if self.silenced:
@@ -890,20 +930,8 @@ class ScriptedClient:
         if msg is None:
             self.sim.trace.emit("drop", why="malformed", client=self.name)
             return
-        if msg.msg_type is MsgType.RST:
-            pending = self._pending.pop(msg.mid, None)
-            if pending is not None:
-                pending.exchange.cancel()
-                self.sim.trace.emit("client_rejected", client=self.name, mid=msg.mid)
-            return
-        if msg.msg_type is MsgType.ACK and msg.mid in self._pending:
-            pending = self._pending.pop(msg.mid)
-            pending.exchange.cancel()
-            response = None if msg.code == EMPTY else msg
-            if response is not None:
-                self.responses.append({"time": self.sim.now, "msg": response})
-            if pending.on_response is not None:
-                pending.on_response(response)
+        answer(self._exchanges, frame)
+        # A piggy-backed observe response is a notification too.
         if is_response(msg.code) and msg.options.observe is not None:
             self._on_notification(frame, msg)
 
@@ -913,6 +941,11 @@ class ScriptedClient:
         if found is None:
             return
         path, rel = found
+        if msg.msg_type is MsgType.CON:
+            ack = self._replies.reply(frame.src, msg.mid)
+            if ack is not None:
+                self.network.send(Frame(ack, Endpoint(self.addr, rel.port), frame.src))
+                return
         self.notifications.append({
             "time": self.sim.now, "node": node_addr, "path": path,
             "observe": msg.options.observe, "mid": msg.mid,
@@ -925,6 +958,5 @@ class ScriptedClient:
             self._forget(node_addr, path)
             return
         if msg.msg_type is MsgType.CON:
-            ack = coap.empty_ack(msg.mid)
-            self.network.send(Frame(encode(ack), Endpoint(self.addr, rel.port),
-                                    frame.src))
+            ack = self._replies.keep(frame.src, msg.mid, encode(coap.empty_ack(msg.mid)))
+            self.network.send(Frame(ack, Endpoint(self.addr, rel.port), frame.src))

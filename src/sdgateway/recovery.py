@@ -26,7 +26,7 @@ from .coap import (
     encode,
 )
 from .directory import EntryType, SDEntry, StateDirectory, RegistrationStatus
-from .lln import Frame
+from .lln import Confirmable, Frame, answer
 from .sim import Simulator
 
 DEFAULT_PACING_GAP_MS = 50.0
@@ -98,12 +98,12 @@ def build_plan(entries: list[SDEntry], gateway_addr: str, mids: MidAllocator) ->
               [e for e in entries if e.entry_type is EntryType.OBSERVE]
     for entry in ordered:
         path = tuple(entry.uri_path.split("/")) if entry.uri_path else ()
+        source = entry.client
         if entry.entry_type is EntryType.PUT:
-            msg = CoapMessage(MsgType.CON, PUT, mids.next_mid(), token=entry.token,
-                              options=OptionSet(uri_path=path,
-                                                content_format=entry.content_format),
-                              payload=entry.value)
-            steps.append(ReplayStep(msg, entry.client, entry.entry_type, entry.uri_path))
+            msgs = [CoapMessage(MsgType.CON, PUT, mids.next_mid(), token=entry.token,
+                                options=OptionSet(uri_path=path,
+                                                  content_format=entry.content_format),
+                                payload=entry.value)]
         elif entry.entry_type is EntryType.OBSERVE:
             # Fresh MID, stored token: tokens, not MIDs, bind notifications
             # to the relationship.  The stored counter rides in the observe
@@ -111,34 +111,27 @@ def build_plan(entries: list[SDEntry], gateway_addr: str, mids: MidAllocator) ->
             # of 1 would read as a cancellation on the wire, so it is bumped
             # past the sentinel.
             counter = 2 if entry.observe_counter == 1 else entry.observe_counter
-            msg = CoapMessage(MsgType.CON, GET, mids.next_mid(), token=entry.token,
-                              options=OptionSet(uri_path=path, observe=counter))
-            steps.append(ReplayStep(msg, entry.client, entry.entry_type, entry.uri_path))
+            msgs = [CoapMessage(MsgType.CON, GET, mids.next_mid(), token=entry.token,
+                                options=OptionSet(uri_path=path, observe=counter))]
         elif entry.entry_type is EntryType.BIND:
-            msg = CoapMessage(MsgType.CON, GET, mids.next_mid(), token=entry.token,
-                              options=OptionSet(uri_path=path, observe=0,
-                                                binding=entry.binding))
-            steps.append(ReplayStep(msg, gateway_source, entry.entry_type, entry.uri_path))
-        elif entry.entry_type is EntryType.DEPLOY:
-            info = entry.deploy
-            loader = tuple(info.loader_path.split("/"))
+            source = gateway_source
+            msgs = [CoapMessage(MsgType.CON, GET, mids.next_mid(), token=entry.token,
+                                options=OptionSet(uri_path=path, observe=0,
+                                                  binding=entry.binding))]
+        else:  # DEPLOY: the filename alone, or the captured transfer's blocks
+            source, info = gateway_source, entry.deploy
+            target = dict(uri_path=tuple(info.loader_path.split("/")),
+                          uri_query=(f"file={info.filename}",))
             if info.blocks is None:
-                msg = CoapMessage(MsgType.CON, POST, mids.next_mid(),
-                                  options=OptionSet(uri_path=loader,
-                                                    uri_query=(f"file={info.filename}",)))
-                steps.append(ReplayStep(msg, gateway_source, entry.entry_type,
-                                        entry.uri_path))
+                msgs = [CoapMessage(MsgType.CON, POST, mids.next_mid(),
+                                    options=OptionSet(**target))]
             else:
-                size = max(16, max((len(b) for b in info.blocks), default=16))
-                for i, block in enumerate(info.blocks):
-                    more = i < len(info.blocks) - 1
-                    msg = CoapMessage(MsgType.CON, POST, mids.next_mid(),
-                                      options=OptionSet(uri_path=loader,
-                                                        uri_query=(f"file={info.filename}",),
-                                                        block1=Block1(i, more, size)),
-                                      payload=block)
-                    steps.append(ReplayStep(msg, gateway_source, entry.entry_type,
-                                            entry.uri_path))
+                last = len(info.blocks) - 1
+                msgs = [CoapMessage(MsgType.CON, POST, mids.next_mid(), payload=block,
+                                    options=OptionSet(**target, block1=Block1(
+                                        i, i < last, info.block_size)))
+                        for i, block in enumerate(info.blocks)]
+        steps += [ReplayStep(msg, source, entry.entry_type, entry.uri_path) for msg in msgs]
     return RecoveryPlan(node=node, steps=steps)
 
 
@@ -162,22 +155,23 @@ class RecoveryRun:
 class RecoveryCoordinator:
     """Drives recovery executions; one per node at a time.
 
-    Each run owns the replay it has in flight: the gateway's
-    `send_replay(frame, on_timeout)` builds the `Confirmable` exchange,
-    the run stores it and starts it, and `consume` matches the node's
-    response to it.  A second registration from the same node aborts the
-    in-flight run and starts over with the current directory contents.
+    Each run owns the replay it has in flight: the gateway's `send_replay`
+    builds the `Confirmable` exchange into `replays`, the open replays of
+    every run, and the run stores it and starts it; `consume` matches the
+    node's response to it.  A second registration from the same node
+    aborts the in-flight run and starts over with the current directory
+    contents.
     """
 
     def __init__(self, directory: StateDirectory, gateway, *, sim: Simulator,
-                 mids: MidAllocator, gateway_addr: str, pacing_gap: float) -> None:
+                 mids: MidAllocator, pacing_gap: float) -> None:
         self.directory = directory
         self.gateway = gateway
         self.sim = sim
         self.mids = mids
-        self.gateway_addr = gateway_addr
         self.pacing_gap = pacing_gap
         self.active: dict[str, RecoveryRun] = {}
+        self.replays: dict[tuple[Endpoint, Endpoint, int], Confirmable] = {}
         self.reports: list[RecoveryReport] = []
 
     def on_registration(self, node_addr: str) -> Optional[RecoveryRun]:
@@ -185,12 +179,11 @@ class RecoveryCoordinator:
         acknowledged the registration before invoking this."""
         status = self.directory.register_node(node_addr)
         self.sim.trace.emit("reg", node=node_addr, status=status.value)
-        if node_addr in self.active:
-            self.abort(node_addr)
+        self.abort(node_addr)
         if status is not RegistrationStatus.KNOWN_WITH_STATE:
             return None
         entries = self.directory.entries_for_server(node_addr)
-        return self.execute_plan(build_plan(entries, self.gateway_addr, self.mids))
+        return self.execute_plan(build_plan(entries, self.gateway.endpoint.addr, self.mids))
 
     def execute_plan(self, plan: RecoveryPlan) -> RecoveryRun:
         run = RecoveryRun(plan, started_at=self.sim.now)
@@ -228,28 +221,33 @@ class RecoveryCoordinator:
                             et=int(step.entry_type), uri=step.uri,
                             src=str(step.spoofed_source), msg=frame.summary)
         run.exchange = self.gateway.send_replay(
-            frame, on_timeout=lambda: self._resolved(run, StepOutcome.TIMED_OUT))
+            frame, self.replays, on_answer=lambda reply: self._consumed(run, reply),
+            on_timeout=lambda: self._resolved(run, StepOutcome.TIMED_OUT))
         run.exchange.start()
 
     def consume(self, frame: Frame, msg: CoapMessage) -> bool:
         """Claim `frame` if it answers the replay in flight to the node that
-        sent it: addressed to the replay's spoofed source, and carrying the
-        replay's token (when it has one) or, as an ACK, the replay's MID.
-        A node has at most one run and a run at most one replay, so this is
-        one lookup.  A claimed response acknowledges the step."""
+        sent it: an ACK or RST by `answer`'s rule, or a separate response
+        addressed to the replay's spoofed source that carries the replay's
+        token.  A node has at most one run and a run at most one replay, so
+        the token clause is one lookup.  A claimed response acknowledges the
+        step."""
+        if answer(self.replays, frame):
+            return True
         run = self.active.get(frame.src.addr)
         if run is None or run.exchange is None:
             return False
         replay = run.exchange.frame
-        sent = replay.parsed
-        if frame.dst != replay.src or not (
-                (sent.token and msg.token == sent.token)
-                or (msg.msg_type is MsgType.ACK and msg.mid == sent.mid)):
+        token = replay.parsed.token
+        if not token or msg.token != token or frame.dst != replay.src:
             return False
-        self.sim.trace.emit("consume", dst=str(frame.dst), msg=frame.summary)
         run.exchange.cancel()
-        self._resolved(run, StepOutcome.ACKED)
+        self._consumed(run, frame)
         return True
+
+    def _consumed(self, run: RecoveryRun, frame: Frame) -> None:
+        self.sim.trace.emit("consume", dst=str(frame.dst), msg=frame.summary)
+        self._resolved(run, StepOutcome.ACKED)
 
     def _resolved(self, run: RecoveryRun, outcome: StepOutcome) -> None:
         if run.done:

@@ -8,7 +8,7 @@ import importlib.resources
 from pathlib import Path
 
 from msggen import random_message
-from worldutil import NODE2_ADDR, booted_world, simple_scenario
+from worldutil import booted_world, random_interaction_scenario, simple_scenario
 from sdgateway.coap import CoapMessage, MalformedFrame, decode, encode
 from sdgateway.harness import (
     CLIENT_ADDR,
@@ -19,7 +19,7 @@ from sdgateway.harness import (
     sweep,
 )
 from sdgateway.lln import RDC
-from sdgateway.scenario import ClientDecl, NodeDecl, Scenario, ScenarioAssert, ScenarioEvent
+from sdgateway.scenario import ClientDecl, NodeDecl, Scenario, ScenarioEvent
 
 
 def bundled(name: str) -> Path:
@@ -145,58 +145,10 @@ def test_criterion_3_retransmission_cancellation_agreement():
           "retransmission for 100/100 seeds")
 
 
-def _random_interaction_scenario(seed: int) -> Scenario:
-    rng = random.Random(seed)
-    sc = Scenario(scenario_id=f"mix{seed}", seed=seed, settle=25_000.0)
-    node = NodeDecl("n1", NODE_ADDR)
-    paths = ["cfg/a", "cfg/b", "cfg/c", "cfg/d"]
-    for path in paths:
-        node.resources[path] = b"0"
-    sc.nodes.append(node)
-    node2 = NodeDecl("n2", NODE2_ADDR)
-    node2.resources["a/led"] = b"0"
-    sc.nodes.append(node2)
-    sc.clients.append(ClientDecl("c1", CLIENT_ADDR))
-
-    t = 1000.0
-    observed: set[str] = set()
-    for _ in range(rng.randint(4, 10)):
-        op = rng.choice(["put", "put", "observe", "observe", "deregister",
-                         "bind", "deploy"])
-        path = rng.choice(paths)
-        if op == "put":
-            sc.events.append(ScenarioEvent(t, "put", {
-                "client": "c1", "node": "n1", "path": path,
-                "value": b"%d" % rng.randint(1, 99), "cf": 0}, 0))
-        elif op == "observe":
-            sc.events.append(ScenarioEvent(t, "observe", {
-                "client": "c1", "node": "n1", "path": path, "obs": 0}, 0))
-            observed.add(path)
-        elif op == "deregister" and observed:
-            gone = sorted(observed)[rng.randrange(len(observed))]
-            observed.discard(gone)
-            sc.events.append(ScenarioEvent(t, "deregister", {
-                "client": "c1", "node": "n1", "path": gone}, 0))
-        elif op == "bind":
-            sc.events.append(ScenarioEvent(t, "bind", {
-                "client": "c1", "node": "n1", "path": path,
-                "dest": NODE2_ADDR, "res": "a/led", "pmin": 1, "pmax": 3600}, 0))
-        elif op == "deploy":
-            sc.events.append(ScenarioEvent(t, "deploy", {
-                "client": "c1", "node": "n1", "file": f"mod{rng.randint(0, 1)}",
-                "data": rng.randbytes(rng.randint(20, 90)), "block": 32,
-                "loader": "ldr"}, 0))
-        t += 700.0
-    sc.asserts.append(ScenarioAssert(t + 2500.0, "snapshot", ["n1"], 0))
-    sc.events.append(ScenarioEvent(t + 3000.0, "crash", {"node": "n1", "down": 400.0}, 0))
-    sc.asserts.append(ScenarioAssert(t + 14_000.0, "restored", ["n1"], 0))
-    return sc
-
-
 def test_criterion_4_oracle_equivalence_over_randomized_sequences():
     failures = []
     for seed in range(100):
-        result = run_scenario(_random_interaction_scenario(seed))
+        result = run_scenario(random_interaction_scenario(seed))
         if not result.ok:
             failures.append((seed, result.failures))
     assert not failures, failures[:3]

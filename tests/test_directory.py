@@ -415,7 +415,7 @@ def check_against_reference(seed):
             found = next((e for e in ref.entries if e.entry_type is EntryType.DEPLOY
                           and e.server == server and e.deploy.filename == filename), None)
             want = ref.upsert(found, EntryType.DEPLOY, now[0], client, server, loader, b"", mid,
-                              deploy=DeployInfo(filename, loader, None))
+                              deploy=DeployInfo(filename, loader, None, 64))
         assert got.kind is want, (step, op)
         assert sd.entries == ref.entries, (step, op)
         assert sd.snapshot_lines() == [render(e) for e in ref.entries], (step, op)

@@ -1,8 +1,5 @@
-import pytest
-
 from worldutil import booted_world, simple_scenario
 from sdgateway.coap import CHANGED, Endpoint
-from sdgateway.gateway import GatewayConfig
 from sdgateway.harness import ScenarioRun, run_scenario
 from sdgateway.lln import Frame
 from sdgateway.scenario import parse_scenario
@@ -24,11 +21,6 @@ at 4000 get c1 n1 a/lb
 at 5000 change n1 s/t 22
 at 6000 deregister c1 n1 s/t
 """
-
-
-def test_gateway_config_validation():
-    with pytest.raises(ValueError):
-        GatewayConfig(lln_prefix="aaaa", gateway_addr="aaaa::1")
 
 
 def test_interception_on_off_is_byte_transparent_externally():
@@ -127,7 +119,7 @@ def test_spurious_response_toward_gateway_is_logged_unclaimed():
     node = world.nodes["n1"]
     msg_raw = bytes([0x60, CHANGED, 0x12, 0x34])
     world.network.send(Frame(msg_raw, node.endpoint,
-                             Endpoint(world.gateway.config.gateway_addr, 5683)))
+                             Endpoint(world.network.gateway_addr, 5683)))
     world.sim.run(until=world.sim.now + 1000.0)
     assert world.sim.trace.find("gw", ev="unclaimed")
 

@@ -18,8 +18,9 @@ from sdgateway.coap import (
     encode,
 )
 from sdgateway.harness import NODE_ADDR, ScenarioRun, run_scenario
-from sdgateway.lln import Frame, NodeState
+from sdgateway.lln import Frame, Network, NodeState
 from sdgateway.scenario import parse_scenario
+from sdgateway.sim import Simulator
 
 
 def make_request(code, path, payload=b"", mid=900, token=b"\x77", **optkw):
@@ -29,6 +30,11 @@ def make_request(code, path, payload=b"", mid=900, token=b"\x77", **optkw):
 
 
 CLIENT_EP = Endpoint("cccc::3", 60001)
+
+
+def test_network_rejects_a_gateway_address_inside_the_lln_prefix():
+    with pytest.raises(ValueError):
+        Network(Simulator(), lln_prefix="aaaa", gateway_addr="aaaa::1")
 
 
 def test_boot_serves_after_one_round_trip():

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from worldutil import booted_world, simple_scenario
 from sdgateway.coap import GET, POST, PUT, Endpoint, MidAllocator
 from sdgateway.directory import DeployInfo, EntryType, SDEntry
@@ -63,12 +65,13 @@ def test_bind_and_deploy_steps_originate_from_the_gateway():
 def test_deploy_block_capture_expands_into_block_steps():
     blocks = (b"a" * 64, b"b" * 64, b"c" * 9)
     entries = [SDEntry(EntryType.DEPLOY, Endpoint("cccc::3", 40001), NODE, "ldr",
-                       deploy=DeployInfo("img", "ldr", blocks), created_at=1.0)]
+                       deploy=DeployInfo("img", "ldr", blocks, 64), created_at=1.0)]
     plan = build_plan(entries, GW, MidAllocator(random.Random(0)))
     assert len(plan.steps) == 3
     b1 = [s.message.options.block1 for s in plan.steps]
     assert [b.num for b in b1] == [0, 1, 2]
     assert [b.more for b in b1] == [True, True, False]
+    assert [b.size for b in b1] == [64, 64, 64]
     assert b"".join(s.message.payload for s in plan.steps) == b"".join(blocks)
 
 
@@ -284,6 +287,33 @@ at 1000 deploy c1 n1 file=img block=16 data=hex:000102030405060708090a0b0c0d0e0f
     assert report.all_acked and report.steps_total == 5
     assert node.flash["img"] == image  # byte-for-byte reassembly
     assert node.loaded_modules == {"img"}
+
+
+@pytest.mark.parametrize("size,block", [(20, 32), (50, 64)])
+def test_block_capture_replays_a_one_block_image_at_its_transfer_size(size, block):
+    image = bytes(range(size))
+    sc = parse_scenario(f"""
+scenario oneblock
+version 1
+seed 3
+deploy-mode blocks
+settle 15000
+node n1 aaaa::c30c:0:0:2
+client c1 cccc::3
+at 1000 deploy c1 n1 file=img block={block} data=hex:{image.hex()}
+assert 3000 snapshot n1
+at 4000 crash n1 down=500
+assert 12000 restored n1
+""")
+    run = run_scenario(sc)
+    assert run.ok, run.failures
+    world = run.world
+    (entry,) = world.gateway.directory.entries
+    assert entry.deploy.blocks == (image,) and entry.deploy.block_size == block
+    (_, inject), = world.sim.trace.find("inject")
+    assert f"blk1=0/0/{block} " in inject["msg"]
+    assert world.nodes["n1"].flash["img"] == image
+    assert len(world.sim.trace.find("load", file="img", source="transfer")) == 2
 
 
 def test_first_ever_registration_triggers_no_recovery():
