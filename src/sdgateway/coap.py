@@ -55,6 +55,9 @@ class MsgType(IntEnum):
 
 
 _MSG_TYPES = tuple(MsgType)  # indexed by the 2-bit wire value
+# Module-level names for the members the codec tests on every frame: a
+# global read, not an enum member read (about 4x the cost).
+_NON, _ACK, _RST = MsgType.NON, MsgType.ACK, MsgType.RST
 _TYPE_NAMES = tuple(t.name for t in MsgType)
 
 # Distinct option blocks each codec cache holds.  A benchmark run sees at
@@ -266,11 +269,11 @@ def _validate(msg: CoapMessage) -> None:
     if msg.code == EMPTY:
         if msg.token or msg.payload or msg.options != _NO_OPTIONS:
             raise InvariantViolation("EMPTY message must carry no token, options or payload")
-        if msg.msg_type is MsgType.NON:
+        if msg.msg_type is _NON:
             raise InvariantViolation("NON message must not be EMPTY")
-    if msg.msg_type is MsgType.RST and msg.code != EMPTY:
+    if msg.msg_type is _RST and msg.code != EMPTY:
         raise InvariantViolation("RST must be EMPTY")
-    if msg.msg_type is MsgType.ACK and msg.code != EMPTY and not is_response(msg.code):
+    if msg.msg_type is _ACK and msg.code != EMPTY and not is_response(msg.code):
         raise InvariantViolation("ACK must be EMPTY or carry a response code")
 
 
@@ -501,11 +504,11 @@ def decode(data: bytes) -> CoapMessage:
     if code == EMPTY:
         if tkl or end > start or payload:
             raise MalformedFrame("EMPTY message with token, options or payload")
-        if msg_type is MsgType.NON:
+        if msg_type is _NON:
             raise MalformedFrame("EMPTY NON message")
-    if msg_type is MsgType.RST and code != EMPTY:
+    if msg_type is _RST and code != EMPTY:
         raise MalformedFrame("RST with non-EMPTY code")
-    if msg_type is MsgType.ACK and code != EMPTY and not is_response(code):
+    if msg_type is _ACK and code != EMPTY and not is_response(code):
         raise MalformedFrame("ACK carrying a request code")
 
     return CoapMessage(msg_type, code, mid, token, options, payload)
@@ -518,10 +521,10 @@ def classify(msg: CoapMessage) -> InteractionKind:
     falls through to OTHER.  A GET carrying both observe and binding
     options is always a BindingRequest, never an ObserveRegister.
     """
-    if msg.msg_type is MsgType.RST:
+    if msg.msg_type is _RST:
         return InteractionKind.RESET_SIGNAL
     if msg.code == EMPTY:
-        if msg.msg_type is MsgType.ACK:
+        if msg.msg_type is _ACK:
             return InteractionKind.ACK_SIGNAL
         return InteractionKind.OTHER
     o = msg.options

@@ -51,7 +51,7 @@ class RegistrationStatus(Enum):
     KNOWN_WITH_STATE = "known_with_state"
 
 
-@dataclass
+@dataclass(slots=True)
 class DeployInfo:
     filename: str
     loader_path: str
@@ -59,7 +59,7 @@ class DeployInfo:
     block_size: int = 0  # the transfer's Block1 size, which a block replay reuses
 
 
-@dataclass
+@dataclass(slots=True)
 class SDEntry:
     entry_type: EntryType
     client: Endpoint
@@ -295,9 +295,8 @@ class StateDirectory:
         if not bucket:
             del self._by_server[entry.server.addr]
         if self._trace is not None:
-            self._trace.emit("sd_remove", reason=reason, et=int(entry.entry_type),
-                             server=entry.server.addr, uri=entry.uri_path, mid=entry.mid,
-                             ret=entry.retransmit_counter)
+            self._trace.emit("sd_remove", reason, int(entry.entry_type), entry.server.addr,
+                             entry.uri_path, entry.mid, entry.retransmit_counter)
         return SDEffect(EffectKind.REMOVED, entry)
 
     def _done(self, direction: str, effect: SDEffect) -> SDEffect:
@@ -306,10 +305,9 @@ class StateDirectory:
         if e is None:
             return effect
         if self._trace is not None:
-            self._trace.emit("sd", dir=direction, effect=_EFFECT_TEXT[effect.kind],
-                             et=int(e.entry_type), client=str(e.client), server=str(e.server),
-                             uri=e.uri_path, obs=e.observe_counter, mid=e.mid,
-                             ret=e.retransmit_counter)
+            self._trace.emit("sd", direction, _EFFECT_TEXT[effect.kind], int(e.entry_type),
+                             e.client, e.server, e.uri_path, e.observe_counter, e.mid,
+                             e.retransmit_counter)
         if e.entry_type is EntryType.OBSERVE:
             ok = e.retransmit_counter <= MAX_RETRANSMIT
         elif e.entry_type is EntryType.PUT:

@@ -12,11 +12,9 @@ import time
 from typing import Callable, Optional
 
 from .coap import (
-    COAP_PORT,
     POST,
     REGISTRATION_PATH,
     CoapMessage,
-    Endpoint,
     MidAllocator,
     empty_ack,
     encode,
@@ -36,7 +34,7 @@ class Gateway:
                  measure_overhead: bool = False) -> None:
         self.sim = sim
         self.network = network
-        self.endpoint = Endpoint(network.gateway_addr, COAP_PORT)
+        self.endpoint = network.endpoint(network.gateway_addr)
         self.interception = interception
         self.measure_overhead = measure_overhead
         self.directory = StateDirectory(clock=lambda: sim.now, deploy_mode=deploy_mode,
@@ -58,10 +56,9 @@ class Gateway:
         inbound = self.network.in_lln(frame.dst.addr)
         direction = "in" if inbound else "out"
         if msg is None:
-            self.sim.trace.emit("gw", ev="fwd_malformed", dir=direction, dst=str(frame.dst))
+            self.sim.trace.emit("gw_fwd_malformed", direction, frame.dst)
         elif self.interception:
-            self.sim.trace.emit("intercept", dir=direction, src=f"<{frame.src.addr}>",
-                                dst=f"<{frame.dst.addr}>")
+            self.sim.trace.emit("intercept", direction, frame.src, frame.dst)
             hook = (self.directory.intercept_from_internet if inbound
                     else self.directory.intercept_from_lln)
             self._intercept(lambda: hook(msg, frame.src, frame.dst))
@@ -80,7 +77,7 @@ class Gateway:
 
     def _terminate(self, frame: Frame, msg: Optional[CoapMessage], ingress: str) -> None:
         if msg is None:
-            self.sim.trace.emit("gw", ev="drop_malformed", src=str(frame.src))
+            self.sim.trace.emit("gw_drop_malformed", frame.src)
             return
         if (ingress == "lln" and msg.code == POST
                 and msg.options.path_str() == REGISTRATION_PATH):
@@ -88,7 +85,7 @@ class Gateway:
             return
         if self.recovery.consume(frame, msg):
             return
-        self.sim.trace.emit("gw", ev="unclaimed", src=str(frame.src), msg=frame.summary)
+        self.sim.trace.emit("gw_unclaimed", frame.src, frame.summary)
 
     def _handle_registration(self, frame: Frame, msg: CoapMessage) -> None:
         node_addr = frame.src.addr
@@ -98,9 +95,9 @@ class Gateway:
         # before any replay packet.
         self.network.deliver_to_node(Frame(ack, self.endpoint, frame.src))
         if kept is not None:
-            self.sim.trace.emit("gw", ev="reg_dup", node=node_addr, mid=msg.mid)
+            self.sim.trace.emit("gw_reg_dup", node_addr, msg.mid)
             return
-        self.sim.trace.emit("gw", ev="reg", node=node_addr, mid=msg.mid)
+        self.sim.trace.emit("gw_reg", node_addr, msg.mid)
         self.recovery.on_registration(node_addr)
 
     # -- replay injection ----------------------------------------------------
@@ -114,5 +111,5 @@ class Gateway:
         return Confirmable(
             self.sim, frame, self.network.deliver_to_node, table=table, on_answer=on_answer,
             on_retry=lambda attempt: self.sim.trace.emit(
-                "inject_retransmit", dst=str(frame.dst), attempt=attempt),
+                "inject_retransmit", frame.dst, attempt),
             on_give_up=on_timeout)

@@ -56,7 +56,7 @@ _UNITS = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class MetricRecord:
     metric: MetricKind
     value: float

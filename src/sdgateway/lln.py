@@ -188,7 +188,10 @@ class Confirmable:
         self._on_retry = self._on_give_up = None
 
 
-_SIGNALS = frozenset((MsgType.ACK, MsgType.RST))  # one set lookup, not two enum reads
+# Module-level names for the enum members the per-frame paths test: one
+# global read or set lookup, not an enum member read (about 4x a global).
+_SIGNALS = frozenset((MsgType.ACK, MsgType.RST))
+_CON, _RST = MsgType.CON, MsgType.RST
 
 
 def answer(table: dict, frame: Frame) -> bool:
@@ -254,6 +257,7 @@ class Network:
         self.blackholes: set[str] = set()
         self.external_frames: list[bytes] = []
         self._last_arrival: dict[tuple, float] = {}
+        self._endpoints: dict[tuple[str, int], Endpoint] = {}
 
     def add_node(self, node: "VirtualNode") -> None:
         self.nodes[node.addr] = node
@@ -264,11 +268,19 @@ class Network:
     def in_lln(self, addr: str) -> bool:
         return addr.startswith(self.lln_prefix)
 
+    def endpoint(self, addr: str, port: int = COAP_PORT) -> Endpoint:
+        """The one `Endpoint` for (addr, port) in this network: frames,
+        directory entries and trace records all hold it by reference."""
+        key = (addr, port)
+        endpoint = self._endpoints.get(key)
+        if endpoint is None:
+            endpoint = self._endpoints[key] = Endpoint(addr, port)
+        return endpoint
+
     # -- routing --------------------------------------------------------
 
     def send(self, frame: Frame) -> None:
-        self.sim.trace.emit("send", src=str(frame.src), dst=str(frame.dst),
-                            msg=frame.summary)
+        self.sim.trace.emit("send", frame.src, frame.dst, frame.summary)
         if not self.in_lln(frame.src.addr):
             self._arrive_fifo(("ext_in", frame.src.addr), EXTERNAL_DELAY_MS, frame, "gw",
                               self.gateway.on_frame, ("external",))
@@ -282,18 +294,18 @@ class Network:
     def deliver_to_node(self, frame: Frame, origin: str = "gw") -> None:
         node = self.nodes.get(frame.dst.addr)
         if node is None:
-            self.sim.trace.emit("drop", why="no-route", dst=str(frame.dst))
+            self.sim.trace.emit("drop_no_route", frame.dst)
             return
         self._lln_leg(frame, node.link, ("down", origin, frame.dst.addr),
-                      str(frame.dst), node.on_frame, (), blackhole_key=frame.dst.addr)
+                      frame.dst, node.on_frame, (), blackhole_key=frame.dst.addr)
 
     def deliver_to_client(self, frame: Frame) -> None:
         client = self.clients.get(frame.dst.addr)
         if client is None:
-            self.sim.trace.emit("drop", why="no-client", dst=str(frame.dst))
+            self.sim.trace.emit("drop_no_client", frame.dst)
             return
         self._arrive_fifo(("ext_out", frame.dst.addr), EXTERNAL_DELAY_MS, frame,
-                          str(frame.dst), self._to_client, (client,))
+                          frame.dst, self._to_client, (client,))
 
     def _to_client(self, frame: Frame, client: "ScriptedClient") -> None:
         self.external_frames.append(frame.raw)
@@ -301,17 +313,16 @@ class Network:
 
     # -- legs -------------------------------------------------------------
 
-    def _lln_leg(self, frame: Frame, link: LinkModel, path_key: tuple, at: str,
+    def _lln_leg(self, frame: Frame, link: LinkModel, path_key: tuple, at: str | Endpoint,
                  handler: Callable[..., None], args: tuple, blackhole_key: str) -> None:
         delay = link.sample_delay(self.sim.rng)
         lost = link.draw_lost(self.sim.rng)
         if blackhole_key in self.blackholes or lost:
-            self.sim.trace.emit("drop", why="loss", src=str(frame.src),
-                                dst=str(frame.dst), msg=frame.summary)
+            self.sim.trace.emit("drop_loss", frame.src, frame.dst, frame.summary)
             return
         self._arrive_fifo(path_key, delay, frame, at, handler, args)
 
-    def _arrive_fifo(self, path_key: tuple, delay: float, frame: Frame, at: str,
+    def _arrive_fifo(self, path_key: tuple, delay: float, frame: Frame, at: str | Endpoint,
                      handler: Callable[..., None], args: tuple) -> None:
         arrival = self.sim.now + delay
         floor = self._last_arrival.get(path_key)
@@ -320,10 +331,11 @@ class Network:
         self._last_arrival[path_key] = arrival
         self.sim.schedule_at(arrival, self._arrive, frame, at, handler, args)
 
-    def _arrive(self, frame: Frame, at: str, handler: Callable[..., None],
+    def _arrive(self, frame: Frame, at: str | Endpoint, handler: Callable[..., None],
                 args: tuple) -> None:
-        """One hop's end: trace the arrival, then `handler(frame, *args)`."""
-        self.sim.trace.emit("recv", at=at, msg=frame.summary)
+        """One hop's end: trace the arrival `at` the gateway ("gw") or the
+        destination endpoint, then `handler(frame, *args)`."""
+        self.sim.trace.emit("recv", at, frame.summary)
         handler(frame, *args)
 
 
@@ -332,6 +344,10 @@ class NodeState(Enum):
     BOOTING = "booting"
     UP = "up"
     STALLED = "stalled"
+
+
+_POWERED_OFF = frozenset((NodeState.DOWN, NodeState.STALLED))
+_BOOTING = NodeState.BOOTING
 
 
 class NotifyPolicy(Enum):
@@ -375,7 +391,7 @@ class VirtualNode:
         self.network = network
         self.name = name
         self.addr = addr
-        self.endpoint = Endpoint(addr, COAP_PORT)
+        self.endpoint = network.endpoint(addr)
         self.link = link
         self.loader_path = loader_path
         self.notify_policy = notify_policy
@@ -410,9 +426,9 @@ class VirtualNode:
         self._incoming_blocks.clear()
         self.mid_alloc = MidAllocator(self.sim.rng)
         self.state = NodeState.BOOTING
-        self.sim.trace.emit("boot", node=self.name, epoch=self.boot_epoch)
+        self.sim.trace.emit("boot", self.name, self.boot_epoch)
         frame = Frame(encode(registration_request(self.mid_alloc.next_mid())), self.endpoint,
-                      Endpoint(self.network.gateway_addr, COAP_PORT))
+                      self.network.endpoint(self.network.gateway_addr))
         self._reg_sent_at = self.sim.now
         self._registration = Confirmable(self.sim, frame, self.network.send,
                                          table=self._exchanges, on_answer=self._registered,
@@ -422,14 +438,12 @@ class VirtualNode:
     def _registered(self, _answer: Frame) -> None:
         self.state = NodeState.UP
         self.associations.append((self.boot_epoch, self._reg_sent_at, self.sim.now))
-        self.sim.trace.emit("assoc", node=self.name, epoch=self.boot_epoch,
-                            delay=f"{self.sim.now - self._reg_sent_at:.3f}",
-                            transmissions=self._registration.transmissions)
+        self.sim.trace.emit("assoc", self.name, self.boot_epoch,
+                            self.sim.now - self._reg_sent_at, self._registration.transmissions)
 
     def _registration_failed(self) -> None:
         self.state = NodeState.STALLED
-        self.sim.trace.emit("boot_failed", node=self.name, epoch=self.boot_epoch,
-                            retries=MAX_RETRANSMIT)
+        self.sim.trace.emit("boot_failed", self.name, self.boot_epoch, MAX_RETRANSMIT)
 
     def _cancel_exchanges(self) -> None:
         # No retransmission or binding timer outlives its boot epoch.
@@ -447,8 +461,7 @@ class VirtualNode:
             raise AssertionError("crash requires a running node")
         self.state = NodeState.DOWN
         self._cancel_exchanges()
-        self.sim.trace.emit("crash", node=self.name, epoch=self.boot_epoch,
-                            downtime=downtime_ms)
+        self.sim.trace.emit("crash", self.name, self.boot_epoch, downtime_ms)
         self.sim.schedule(downtime_ms, self.boot)
 
     def dynamic_state(self) -> dict:
@@ -469,21 +482,19 @@ class VirtualNode:
     # -- receive path ------------------------------------------------------
 
     def on_frame(self, frame: Frame) -> None:
-        if self.state in (NodeState.DOWN, NodeState.STALLED):
-            self.sim.trace.emit("drop", why="node-down", node=self.name,
-                                msg=frame.summary)
+        if self.state in _POWERED_OFF:
+            self.sim.trace.emit("drop_node_down", self.name, frame.summary)
             return
         msg = frame.parsed
         if msg is None:
-            self.sim.trace.emit("drop", why="malformed", node=self.name)
+            self.sim.trace.emit("drop_node_malformed", self.name)
             return
-        if self.state is NodeState.BOOTING:
+        if self.state is _BOOTING:
             # Only the registration's answer gets through.
             if not answer(self._exchanges, frame):
-                self.sim.trace.emit("drop", why="blocked-booting", node=self.name,
-                                    msg=frame.summary)
+                self.sim.trace.emit("drop_blocked_booting", self.name, frame.summary)
             return
-        if msg.msg_type is MsgType.RST:
+        if msg.msg_type is _RST:
             self._on_rst(frame.src, msg.mid)
         elif is_request(msg.code):
             self._serve(frame, msg)
@@ -491,7 +502,7 @@ class VirtualNode:
             answer(self._exchanges, frame)
 
     def _serve(self, frame: Frame, msg: CoapMessage) -> None:
-        confirmable = msg.msg_type is MsgType.CON
+        confirmable = msg.msg_type is _CON
         if confirmable:
             reply = self._replies.reply(frame.src, msg.mid)
             if reply is not None:
@@ -521,7 +532,7 @@ class VirtualNode:
         deferred: list[Callable[[], None]] = []
 
         def reply(code: int, *, payload: bytes = b"", **optkw) -> CoapMessage:
-            if msg.msg_type is MsgType.CON:
+            if msg.msg_type is _CON:
                 return CoapMessage(MsgType.ACK, code, msg.mid, token=msg.token,
                                    options=OptionSet(**optkw), payload=payload)
             return CoapMessage(MsgType.NON, code, self.mid_alloc.next_mid(),
@@ -554,7 +565,7 @@ class VirtualNode:
             if not filename or filename not in self.flash:
                 return reply(BAD_REQUEST), deferred
             self.loaded_modules.add(filename)
-            self.sim.trace.emit("load", node=self.name, file=filename, source="flash")
+            self.sim.trace.emit("load", self.name, filename, "flash")
             return reply(CREATED), deferred
 
         if msg.code == DELETE:
@@ -582,7 +593,7 @@ class VirtualNode:
         # into main memory.
         self.flash[filename] = b"".join(buf)
         self.loaded_modules.add(filename)
-        self.sim.trace.emit("load", node=self.name, file=filename, source="transfer")
+        self.sim.trace.emit("load", self.name, filename, "transfer")
         return reply(CREATED, block1=block)
 
     # -- observe ----------------------------------------------------------
@@ -602,8 +613,7 @@ class VirtualNode:
                 # registration continues the pre-crash numbering.
                 obs.counter = value
         obs.sent_since_register = 0
-        self.sim.trace.emit("observer_add", node=self.name, uri=path,
-                            client=str(src), counter=obs.counter)
+        self.sim.trace.emit("observer_add", self.name, path, src, obs.counter)
         # Immediate state push after (re)registration, counter unchanged;
         # it runs right after the response is sent, not from a timer.
         deferred.append(lambda: self._send_notification(path, obs))
@@ -619,15 +629,14 @@ class VirtualNode:
         if obs.pending is not None:
             obs.pending.cancel()
             retries = obs.pending.transmissions - 1
-        self.sim.trace.emit("obs_drop", node=self.name, uri=path, client=str(src),
-                            reason=reason, mid=obs.last_mid if mid is None else mid,
-                            retries=retries)
+        self.sim.trace.emit("obs_drop", self.name, path, src, reason,
+                            obs.last_mid if mid is None else mid, retries)
 
     def change_resource(self, path: str, value: bytes) -> None:
         """Internal state change (e.g. a sensor reading): updates the
         resource and fans out to observers and bindings."""
         if self.state is not NodeState.UP:
-            self.sim.trace.emit("drop", why="change-while-down", node=self.name, uri=path)
+            self.sim.trace.emit("drop_change_while_down", self.name, path)
             return
         self.resources[path] = value
         self._resource_changed(path)
@@ -648,9 +657,8 @@ class VirtualNode:
                 continue
             if counter is not None:
                 if counter < obs.counter:
-                    self.sim.trace.emit("notify_ignored", node=self.name, uri=path,
-                                        client=str(obs.client), counter=counter,
-                                        current=obs.counter)
+                    self.sim.trace.emit("notify_ignored", self.name, path, obs.client,
+                                        counter, obs.counter)
                     continue
                 if counter == 1:
                     raise ValueError("observe counter 1 is the cancellation sentinel")
@@ -679,8 +687,7 @@ class VirtualNode:
         frame = Frame(encode(msg), self.endpoint, obs.client)
         obs.last_mid = mid
         obs.sent_since_register += 1
-        self.sim.trace.emit("notify", node=self.name, uri=path, client=str(obs.client),
-                            obs=obs.counter, mid=mid, type=type_name)
+        self.sim.trace.emit("notify", self.name, path, obs.client, obs.counter, mid, type_name)
         if mtype is MsgType.NON:
             self.network.send(frame)
             return
@@ -693,7 +700,7 @@ class VirtualNode:
         obs.pending = Confirmable(
             self.sim, frame, self.network.send, table=self._exchanges, on_answer=acked,
             on_retry=lambda attempt: self.sim.trace.emit(
-                "retransmit", node=self.name, uri=path, mid=mid, attempt=attempt),
+                "retransmit", self.name, path, mid, attempt),
             on_give_up=lambda: self._remove_observer(path, obs.client,
                                                      reason="retransmit-limit", mid=mid))
         obs.pending.start()
@@ -718,8 +725,7 @@ class VirtualNode:
         else:
             binding.info = info
             binding.last_sent = self.sim.now
-        self.sim.trace.emit("binding_add", node=self.name, uri=path,
-                            dest=f"{info.dest_addr}/{info.dest_resource}")
+        self.sim.trace.emit("binding_add", self.name, path, info)
         self._schedule_keepalive(binding)
         return reply(CONTENT, payload=self.resources[path], observe=0), deferred
 
@@ -742,11 +748,9 @@ class VirtualNode:
                               uri_path=tuple(binding.info.dest_resource.split("/"))),
                           payload=self.resources.get(binding.source_resource, b""))
         binding.last_sent = self.sim.now
-        self.sim.trace.emit("binding_put", node=self.name,
-                            src_uri=binding.source_resource,
-                            dest=f"{binding.info.dest_addr}/{binding.info.dest_resource}")
+        self.sim.trace.emit("binding_put", self.name, binding.source_resource, binding.info)
         self.network.send(Frame(encode(msg), self.endpoint,
-                                Endpoint(binding.info.dest_addr, COAP_PORT)))
+                                self.network.endpoint(binding.info.dest_addr)))
         self._schedule_keepalive(binding)
 
     def _schedule_keepalive(self, binding: Binding) -> None:
@@ -827,8 +831,7 @@ class ScriptedClient:
     def deregister(self, node_addr: str, path: str) -> None:
         rel = self.relationships.get((node_addr, path))
         if rel is None:
-            self.sim.trace.emit("client_warn", client=self.name,
-                                why="deregister-unknown", uri=path)
+            self.sim.trace.emit("client_warn_deregister", self.name, path)
             return
         msg = CoapMessage(MsgType.CON, GET, self.mid_alloc.next_mid(), token=rel.token,
                           options=OptionSet(uri_path=tuple(path.split("/")),
@@ -868,20 +871,19 @@ class ScriptedClient:
 
         def done(resp):
             if resp is None or not is_response(resp.code) or resp.code >= BAD_REQUEST:
-                self.sim.trace.emit("client_warn", client=self.name,
-                                    why="deploy-failed", file=filename)
+                self.sim.trace.emit("client_warn_deploy", self.name, filename)
                 return
             if more:
                 self._send_block(node_addr, port, loader, filename, blocks, block_size,
                                  index + 1)
             else:
-                self.sim.trace.emit("deploy_done", client=self.name, file=filename)
+                self.sim.trace.emit("deploy_done", self.name, filename)
 
         self._send_con(msg, node_addr, port, on_response=done)
 
     def silence(self, on: bool) -> None:
         self.silenced = on
-        self.sim.trace.emit("silence", client=self.name, on=on)
+        self.sim.trace.emit("silence", self.name, on)
 
     # -- transport ----------------------------------------------------------
 
@@ -902,19 +904,19 @@ class ScriptedClient:
 
     def _send_con(self, msg: CoapMessage, node_addr: str, port: int,
                   on_response=None) -> None:
-        frame = Frame(encode(msg), Endpoint(self.addr, port), Endpoint(node_addr, COAP_PORT))
+        frame = Frame(encode(msg), self.network.endpoint(self.addr, port),
+                      self.network.endpoint(node_addr))
         mid = msg.mid
         Confirmable(
             self.sim, frame, self.network.send, table=self._exchanges,
             on_answer=lambda answer: self._answered(answer.parsed, on_response),
             on_retry=lambda attempt: self.sim.trace.emit(
-                "client_retransmit", client=self.name, mid=mid, attempt=attempt),
-            on_give_up=lambda: self.sim.trace.emit("client_timeout", client=self.name,
-                                                   mid=mid)).start()
+                "client_retransmit", self.name, mid, attempt),
+            on_give_up=lambda: self.sim.trace.emit("client_timeout", self.name, mid)).start()
 
     def _answered(self, msg: CoapMessage, on_response) -> None:
-        if msg.msg_type is MsgType.RST:
-            self.sim.trace.emit("client_rejected", client=self.name, mid=msg.mid)
+        if msg.msg_type is _RST:
+            self.sim.trace.emit("client_rejected", self.name, msg.mid)
             return
         response = None if msg.code == EMPTY else msg
         if response is not None:
@@ -924,11 +926,11 @@ class ScriptedClient:
 
     def on_frame(self, frame: Frame) -> None:
         if self.silenced:
-            self.sim.trace.emit("drop", why="client-silent", client=self.name)
+            self.sim.trace.emit("drop_client_silent", self.name)
             return
         msg = frame.parsed
         if msg is None:
-            self.sim.trace.emit("drop", why="malformed", client=self.name)
+            self.sim.trace.emit("drop_client_malformed", self.name)
             return
         answer(self._exchanges, frame)
         # A piggy-backed observe response is a notification too.
@@ -941,10 +943,11 @@ class ScriptedClient:
         if found is None:
             return
         path, rel = found
-        if msg.msg_type is MsgType.CON:
+        source = self.network.endpoint(self.addr, rel.port)
+        if msg.msg_type is _CON:
             ack = self._replies.reply(frame.src, msg.mid)
             if ack is not None:
-                self.network.send(Frame(ack, Endpoint(self.addr, rel.port), frame.src))
+                self.network.send(Frame(ack, source, frame.src))
                 return
         self.notifications.append({
             "time": self.sim.now, "node": node_addr, "path": path,
@@ -953,10 +956,9 @@ class ScriptedClient:
         })
         if rel.cancel:
             reply = coap.reset_for(msg.mid)
-            self.network.send(Frame(encode(reply), Endpoint(self.addr, rel.port),
-                                    frame.src))
+            self.network.send(Frame(encode(reply), source, frame.src))
             self._forget(node_addr, path)
             return
-        if msg.msg_type is MsgType.CON:
+        if msg.msg_type is _CON:
             ack = self._replies.keep(frame.src, msg.mid, encode(coap.empty_ack(msg.mid)))
-            self.network.send(Frame(ack, Endpoint(self.addr, rel.port), frame.src))
+            self.network.send(Frame(ack, source, frame.src))

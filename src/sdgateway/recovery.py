@@ -13,7 +13,6 @@ from enum import Enum
 from typing import Optional
 
 from .coap import (
-    COAP_PORT,
     GET,
     POST,
     PUT,
@@ -32,7 +31,7 @@ from .sim import Simulator
 DEFAULT_PACING_GAP_MS = 50.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplayStep:
     message: CoapMessage
     spoofed_source: Endpoint
@@ -52,7 +51,7 @@ class StepOutcome(Enum):
     ABORTED = "aborted"
 
 
-@dataclass
+@dataclass(slots=True)
 class StepResult:
     index: int
     entry_type: EntryType
@@ -61,7 +60,7 @@ class StepResult:
     completed_at: float
 
 
-@dataclass
+@dataclass(slots=True)
 class RecoveryReport:
     node: str
     started_at: float
@@ -80,15 +79,14 @@ class RecoveryReport:
                 and all(o.outcome is StepOutcome.ACKED for o in self.outcomes))
 
 
-def build_plan(entries: list[SDEntry], gateway_addr: str, mids: MidAllocator) -> RecoveryPlan:
+def build_plan(entries: list[SDEntry], gateway: Endpoint, mids: MidAllocator) -> RecoveryPlan:
     """Turn one node's directory entries into an ordered replay plan.
 
     PUT and OBSERVE replays spoof the stored client endpoint; BIND and
-    DEPLOY replays originate from the gateway's own address.  An empty
-    entry list yields a valid empty plan.
+    DEPLOY replays originate from `gateway`, the gateway's own endpoint.
+    An empty entry list yields a valid empty plan.
     """
     node = entries[0].server.addr if entries else ""
-    gateway_source = Endpoint(gateway_addr)
     steps: list[ReplayStep] = []
     # State-modifying replays go first (each in creation order); observe
     # registrations land last so the counter they seed is final — a PUT
@@ -114,12 +112,12 @@ def build_plan(entries: list[SDEntry], gateway_addr: str, mids: MidAllocator) ->
             msgs = [CoapMessage(MsgType.CON, GET, mids.next_mid(), token=entry.token,
                                 options=OptionSet(uri_path=path, observe=counter))]
         elif entry.entry_type is EntryType.BIND:
-            source = gateway_source
+            source = gateway
             msgs = [CoapMessage(MsgType.CON, GET, mids.next_mid(), token=entry.token,
                                 options=OptionSet(uri_path=path, observe=0,
                                                   binding=entry.binding))]
         else:  # DEPLOY: the filename alone, or the captured transfer's blocks
-            source, info = gateway_source, entry.deploy
+            source, info = gateway, entry.deploy
             target = dict(uri_path=tuple(info.loader_path.split("/")),
                           uri_query=(f"file={info.filename}",))
             if info.blocks is None:
@@ -178,16 +176,16 @@ class RecoveryCoordinator:
         """Handle a (deduplicated) registration.  The caller must have
         acknowledged the registration before invoking this."""
         status = self.directory.register_node(node_addr)
-        self.sim.trace.emit("reg", node=node_addr, status=status.value)
+        self.sim.trace.emit("reg", node_addr, status.value)
         self.abort(node_addr)
         if status is not RegistrationStatus.KNOWN_WITH_STATE:
             return None
         entries = self.directory.entries_for_server(node_addr)
-        return self.execute_plan(build_plan(entries, self.gateway.endpoint.addr, self.mids))
+        return self.execute_plan(build_plan(entries, self.gateway.endpoint, self.mids))
 
     def execute_plan(self, plan: RecoveryPlan) -> RecoveryRun:
         run = RecoveryRun(plan, started_at=self.sim.now)
-        self.sim.trace.emit("recover_start", node=plan.node, steps=len(plan.steps))
+        self.sim.trace.emit("recover_start", plan.node, len(plan.steps))
         if not plan.steps:
             self._finish(run)
             return run
@@ -209,17 +207,16 @@ class RecoveryCoordinator:
                 run.index, run.current_step.entry_type, run.current_step.uri,
                 StepOutcome.ABORTED, self.sim.now))
         run.report.aborted = True
-        self.sim.trace.emit("recover_abort", node=node_addr, at_step=run.index)
+        self.sim.trace.emit("recover_abort", node_addr, run.index)
         self._finish(run)
 
     def _fire(self, run: RecoveryRun) -> None:
         run.gap_event = None
         step = run.current_step
         frame = Frame(encode(step.message), step.spoofed_source,
-                      Endpoint(run.plan.node, COAP_PORT))
-        self.sim.trace.emit("inject", node=run.plan.node, step=run.index,
-                            et=int(step.entry_type), uri=step.uri,
-                            src=str(step.spoofed_source), msg=frame.summary)
+                      self.gateway.network.endpoint(run.plan.node))
+        self.sim.trace.emit("inject", run.plan.node, run.index, int(step.entry_type), step.uri,
+                            step.spoofed_source, frame.summary)
         run.exchange = self.gateway.send_replay(
             frame, self.replays, on_answer=lambda reply: self._consumed(run, reply),
             on_timeout=lambda: self._resolved(run, StepOutcome.TIMED_OUT))
@@ -246,7 +243,7 @@ class RecoveryCoordinator:
         return True
 
     def _consumed(self, run: RecoveryRun, frame: Frame) -> None:
-        self.sim.trace.emit("consume", dst=str(frame.dst), msg=frame.summary)
+        self.sim.trace.emit("consume", frame.dst, frame.summary)
         self._resolved(run, StepOutcome.ACKED)
 
     def _resolved(self, run: RecoveryRun, outcome: StepOutcome) -> None:
@@ -256,8 +253,7 @@ class RecoveryCoordinator:
         step = run.current_step
         run.report.outcomes.append(StepResult(run.index, step.entry_type, step.uri,
                                               outcome, self.sim.now))
-        self.sim.trace.emit("recover_step", node=run.plan.node, step=run.index,
-                            outcome=outcome.value)
+        self.sim.trace.emit("recover_step", run.plan.node, run.index, outcome.value)
         run.index += 1
         if run.index < len(run.plan.steps):
             run.gap_event = self.sim.schedule(self.pacing_gap, self._fire, run)
@@ -269,7 +265,5 @@ class RecoveryCoordinator:
         run.report.finished_at = self.sim.now
         self.reports.append(run.report)
         self.active.pop(run.plan.node, None)
-        self.sim.trace.emit("recover_done", node=run.plan.node,
-                            steps=len(run.report.outcomes),
-                            aborted=run.report.aborted,
-                            delay=f"{run.report.total_delay:.3f}")
+        self.sim.trace.emit("recover_done", run.plan.node, len(run.report.outcomes),
+                            run.report.aborted, run.report.total_delay)

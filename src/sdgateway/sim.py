@@ -34,50 +34,160 @@ class Event(list):
         self[2] = self[3] = None
 
 
-class TraceRecorder:
-    """Collects (time, kind, fields) records and renders stable text lines.
+# Every kind of trace record, by the name `emit` takes, and its layout:
+# the record's kind, then its fields in order.  A field written `name` is a
+# value `emit` is given, kept as it is; `name:how` is one shown through
+# `_SHOWN[how]`; `name=text` is the same on every record of the kind, so it
+# is not given.  A kind whose records differ in their fields is one name
+# per variant.  To add a kind, add its line here and call `emit` with one
+# value per given field, in order; `tests/test_source.py` checks each call.
+TRACE_KINDS = {
+    # lln.Network
+    "send": "send src:str dst:str msg",
+    "recv": "recv at:str msg",
+    "drop_no_route": "drop why=no-route dst:str",
+    "drop_no_client": "drop why=no-client dst:str",
+    "drop_loss": "drop why=loss src:str dst:str msg",
+    # lln.VirtualNode
+    "boot": "boot node epoch",
+    "assoc": "assoc node epoch delay:ms transmissions",
+    "boot_failed": "boot_failed node epoch retries",
+    "crash": "crash node epoch downtime",
+    "drop_node_down": "drop why=node-down node msg",
+    "drop_node_malformed": "drop why=malformed node",
+    "drop_blocked_booting": "drop why=blocked-booting node msg",
+    "drop_change_while_down": "drop why=change-while-down node uri",
+    "load": "load node file source",
+    "observer_add": "observer_add node uri client:str counter",
+    "obs_drop": "obs_drop node uri client:str reason mid retries",
+    "notify_ignored": "notify_ignored node uri client:str counter current",
+    "notify": "notify node uri client:str obs mid type",
+    "retransmit": "retransmit node uri mid attempt",
+    "binding_add": "binding_add node uri dest:dest",
+    "binding_put": "binding_put node src_uri dest:dest",
+    # lln.ScriptedClient
+    "client_warn_deregister": "client_warn client why=deregister-unknown uri",
+    "client_warn_deploy": "client_warn client why=deploy-failed file",
+    "deploy_done": "deploy_done client file",
+    "silence": "silence client on",
+    "client_retransmit": "client_retransmit client mid attempt",
+    "client_timeout": "client_timeout client mid",
+    "client_rejected": "client_rejected client mid",
+    "drop_client_silent": "drop why=client-silent client",
+    "drop_client_malformed": "drop why=malformed client",
+    # gateway.Gateway
+    "intercept": "intercept dir src:addr dst:addr",
+    "gw_fwd_malformed": "gw ev=fwd_malformed dir dst:str",
+    "gw_drop_malformed": "gw ev=drop_malformed src:str",
+    "gw_unclaimed": "gw ev=unclaimed src:str msg",
+    "gw_reg_dup": "gw ev=reg_dup node mid",
+    "gw_reg": "gw ev=reg node mid",
+    "inject_retransmit": "inject_retransmit dst:str attempt",
+    # directory.StateDirectory
+    "sd": "sd dir effect et client:str server:str uri obs mid ret",
+    "sd_remove": "sd_remove reason et server uri mid ret",
+    # recovery.RecoveryCoordinator
+    "reg": "reg node status",
+    "recover_start": "recover_start node steps",
+    "recover_abort": "recover_abort node at_step",
+    "inject": "inject node step et uri src:str msg",
+    "consume": "consume dst:str msg",
+    "recover_step": "recover_step node step outcome",
+    "recover_done": "recover_done node steps aborted delay:ms",
+}
 
-    The records live in one flat list, `[t, kind, fields, t, kind, ...]`.
-    A fields dict of plain values is not tracked by the cyclic garbage
-    collector, but a tuple holding a dict always is, and a long run keeps
-    tens of thousands of records that every full collection would walk.
-    Typed records that are GC-tracked containers (a `NamedTuple` or a
-    dataclass) would put every record back under the collector.
+# How a `name:how` field is shown: an endpoint or any other value as `str`
+# shows it, a duration in ms to three places, an intercepted frame's
+# address without its port, a binding's destination.
+_SHOWN = {"str": "{0}", "ms": "{0:.3f}", "addr": "<{0.addr}>",
+          "dest": "{0.dest_addr}/{0.dest_resource}"}
+
+
+class _Layout:
+    """One kind's layout, worked out once from its `TRACE_KINDS` line.
+
+    A record is `t, name, *values` in the flat list; `line` formats exactly
+    that slice, and `fields` gives its fields by name."""
+
+    __slots__ = ("kind", "arity", "line", "_fields")
+
+    def __init__(self, layout: str) -> None:
+        self.kind, *words = layout.split()
+        line = ["{0:12.3f}", self.kind]
+        self._fields = []  # (name, index in the slice, render) or (name, None, text)
+        given = 0
+        for word in words:
+            name, constant, text = word.partition("=")
+            if constant:
+                line.append(word)
+                self._fields.append((name, None, text))
+                continue
+            name, _, how = name.partition(":")
+            shown = _SHOWN[how] if how else None
+            given += 1
+            # The slice is (t, name, *values): the given-th value is at given + 1.
+            line.append(name + "=" + (shown or "{0}").replace("{0", "{%d" % (given + 1)))
+            self._fields.append((name, given + 1, shown and shown.format))
+        self.arity = given
+        self.line = " ".join(line)
+
+    def fields(self, record) -> dict:
+        """The fields of a record's slice, each as its line shows it; a
+        value shown as it is keeps its own type."""
+        return {name: show if index is None else show(record[index]) if show else record[index]
+                for name, index, show in self._fields}
+
+
+_LAYOUTS = {name: _Layout(layout) for name, layout in TRACE_KINDS.items()}
+
+
+class TraceRecorder:
+    """Collects trace records and renders them as stable text lines.
+
+    `emit(name, *values)` appends `t, name, *values` to one flat list: the
+    values by reference, in the order `TRACE_KINDS[name]` gives, with no
+    dict, tuple or text per record.  Text is made only when it is read:
+    `lines()` renders each record through its kind's layout, and `records`
+    and `find` build `(t, kind, fields)` from it.  The flat list is the one
+    container that the cyclic garbage collector tracks.
     """
 
     def __init__(self, clock: Callable[[], float]) -> None:
         self._clock = clock
         self._flat: list = []
 
+    def emit(self, kind: str, *values) -> None:
+        self._flat += (self._clock(), kind, *values)
+
+    def _slices(self):
+        """Each record's layout and its `t, name, *values` slice."""
+        flat, i, end = self._flat, 0, len(self._flat)
+        while i < end:
+            layout = _LAYOUTS[flat[i + 1]]
+            j = i + 2 + layout.arity
+            yield layout, flat[i:j]
+            i = j
+
     @property
     def records(self) -> list[tuple[float, str, dict]]:
         """The (time, kind, fields) records, as a new list on each access."""
-        return list(self._triples())
-
-    def _triples(self):
-        it = iter(self._flat)
-        return zip(it, it, it)
-
-    def emit(self, kind: str, **fields) -> None:
-        self._flat += (self._clock(), kind, fields)
+        return [(record[0], layout.kind, layout.fields(record))
+                for layout, record in self._slices()]
 
     def lines(self) -> list[str]:
-        out = []
-        for t, kind, fields in self._triples():
-            rendered = " ".join(f"{k}={v}" for k, v in fields.items())
-            out.append(f"{t:12.3f} {kind} {rendered}".rstrip())
-        return out
+        return [layout.line.format(*record).rstrip() for layout, record in self._slices()]
 
     def text(self) -> str:
         return "\n".join(self.lines()) + "\n"
 
     def find(self, kind: str, **match) -> list[tuple[float, dict]]:
         hits = []
-        for t, k, fields in self._triples():
-            if k != kind:
+        for layout, record in self._slices():
+            if layout.kind != kind:
                 continue
+            fields = layout.fields(record)
             if all(fields.get(key) == value for key, value in match.items()):
-                hits.append((t, fields))
+                hits.append((record[0], fields))
         return hits
 
     def write(self, path) -> None:

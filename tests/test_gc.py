@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from sdgateway import coap
-from sdgateway.coap import OptionSet
+from sdgateway.coap import Endpoint, OptionSet
 from sdgateway.harness import CLIENT_ADDR, ScenarioRun
 from sdgateway.scenario import (
     ClientDecl,
@@ -199,3 +199,29 @@ def test_a_run_keeps_one_option_set_per_distinct_block():
         assert len(left) == len(set(left)), left
         held.append(len(left))
     assert held[0] == held[1]
+
+
+def test_trace_records_hold_shared_endpoints_and_no_container_per_record():
+    """A record is its time, kind and values in the trace's flat list: no
+    dict, tuple or `addr:port` text is made for it.  Its endpoints are the
+    network's, one `Endpoint` per (addr, port): the gateway's, each node's,
+    and the client's source port of each of a node's six requests."""
+    held = []
+    for nodes in (10, 20):
+        gc.collect()
+        earlier = [o for o in gc.get_objects() if type(o) is Endpoint]  # kept: no id reused
+        before = {id(o) for o in earlier}
+        run = ScenarioRun(mass_reboot_scenario(nodes))
+        run.advance()
+        run.finish()
+        assert run.ok, run.failures
+        gc.collect()
+        left = [o for o in gc.get_objects() if type(o) is Endpoint and id(o) not in before]
+        assert len(left) == len(set(left)), left
+        texts = {str(e) for e in left}
+        flat = run.world.sim.trace._flat
+        assert not [v for v in flat
+                    if type(v) in (dict, tuple) or (type(v) is str and v in texts)]
+        assert {v for v in flat if type(v) is Endpoint} <= set(left)
+        held.append(len(left))
+    assert held == [1 + 7 * 10, 1 + 7 * 20]

@@ -26,6 +26,7 @@ from sdgateway.scenario import (
     load_scenario,
     parse_scenario,
 )
+from sdgateway.sim import TRACE_KINDS
 
 MINIMAL = """
 scenario mini
@@ -405,6 +406,81 @@ def test_behaviour_under_loss_is_pinned():
         runs += 1
     assert runs == 198 and 0 < aborted < runs
     assert digest.hexdigest() == LOSSY_SET_DIGEST
+
+
+# The type of each field's value in `TraceRecorder.records`, by record
+# kind: endpoints, intercepted addresses and durations are text.
+FIELD_TYPES = {
+    "send": {"src": str, "dst": str, "msg": str},
+    "recv": {"at": str, "msg": str},
+    "drop": {"why": str, "src": str, "dst": str, "msg": str, "node": str, "uri": str,
+             "client": str},
+    "boot": {"node": str, "epoch": int},
+    "assoc": {"node": str, "epoch": int, "delay": str, "transmissions": int},
+    "boot_failed": {"node": str, "epoch": int, "retries": int},
+    "crash": {"node": str, "epoch": int, "downtime": float},
+    "load": {"node": str, "file": str, "source": str},
+    "observer_add": {"node": str, "uri": str, "client": str, "counter": int},
+    "obs_drop": {"node": str, "uri": str, "client": str, "reason": str, "mid": int,
+                 "retries": int},
+    "notify_ignored": {"node": str, "uri": str, "client": str, "counter": int,
+                       "current": int},
+    "notify": {"node": str, "uri": str, "client": str, "obs": int, "mid": int, "type": str},
+    "retransmit": {"node": str, "uri": str, "mid": int, "attempt": int},
+    "binding_add": {"node": str, "uri": str, "dest": str},
+    "binding_put": {"node": str, "src_uri": str, "dest": str},
+    "client_warn": {"client": str, "why": str, "uri": str, "file": str},
+    "deploy_done": {"client": str, "file": str},
+    "silence": {"client": str, "on": bool},
+    "client_retransmit": {"client": str, "mid": int, "attempt": int},
+    "client_timeout": {"client": str, "mid": int},
+    "client_rejected": {"client": str, "mid": int},
+    "intercept": {"dir": str, "src": str, "dst": str},
+    "gw": {"ev": str, "dir": str, "dst": str, "src": str, "msg": str, "node": str,
+           "mid": int},
+    "inject_retransmit": {"dst": str, "attempt": int},
+    "sd": {"dir": str, "effect": str, "et": int, "client": str, "server": str, "uri": str,
+           "obs": int, "mid": int, "ret": int},
+    "sd_remove": {"reason": str, "et": int, "server": str, "uri": str, "mid": int,
+                  "ret": int},
+    "reg": {"node": str, "status": str},
+    "recover_start": {"node": str, "steps": int},
+    "recover_abort": {"node": str, "at_step": int},
+    "inject": {"node": str, "step": int, "et": int, "uri": str, "src": str, "msg": str},
+    "consume": {"dst": str, "msg": str},
+    "recover_step": {"node": str, "step": int, "outcome": str},
+    "recover_done": {"node": str, "steps": int, "aborted": bool, "delay": str},
+}
+
+
+def test_every_trace_kind_has_its_field_types():
+    for layout in TRACE_KINDS.values():
+        kind, *words = layout.split()
+        names = [word.partition("=")[0].partition(":")[0] for word in words]
+        assert set(names) <= set(FIELD_TYPES[kind]), layout
+
+
+def test_trace_records_render_as_the_trace_lines():
+    """`records` gives each field the value its line shows, of its kind's
+    type, for both bundled scenarios and every run of the lossy set."""
+    runs = [pinned_run(name, None, None) for name in ("fig12_19.scn", "bind_deploy.scn")]
+    for sc in lossy_set():
+        run = ScenarioRun(sc)
+        try:
+            run.advance()
+            run.finish()
+        except Exception:  # an aborted run keeps the trace it made
+            pass
+        runs.append(run)
+    for run in runs:
+        trace = run.world.sim.trace
+        records = trace.records
+        rendered = [f"{t:12.3f} {kind} {' '.join(f'{k}={v}' for k, v in fields.items())}"
+                    .rstrip() for t, kind, fields in records]
+        assert rendered == trace.lines()
+        wrong = [(kind, k, v) for _, kind, fields in records for k, v in fields.items()
+                 if type(v) is not FIELD_TYPES[kind][k]]
+        assert not wrong, wrong[:5]
 
 
 def same_time_scenario(nodes: int = 12) -> Scenario:

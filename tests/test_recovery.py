@@ -9,7 +9,7 @@ from sdgateway.harness import ScenarioRun, run_scenario
 from sdgateway.recovery import RecoveryPlan, StepOutcome, build_plan
 from sdgateway.scenario import parse_scenario
 
-GW = "cccc::1"
+GW = Endpoint("cccc::1")  # the gateway's own endpoint
 NODE = Endpoint("aaaa::c30c:0:0:2", 5683)
 
 
@@ -41,7 +41,7 @@ def test_put_and_observe_steps_spoof_the_stored_client():
     assert plan.steps[0].spoofed_source == Endpoint("cccc::3", 50824)
     assert plan.steps[2].spoofed_source == Endpoint("cccc::3", 52808)
     for step in plan.steps:
-        assert step.spoofed_source.addr != GW
+        assert step.spoofed_source.addr != GW.addr
 
 
 def test_bind_and_deploy_steps_originate_from_the_gateway():
@@ -59,7 +59,7 @@ def test_bind_and_deploy_steps_originate_from_the_gateway():
     assert plan.steps[0].message.options.binding == entries[0].binding
     assert plan.steps[1].message.options.uri_query == ("file=blinker",)
     for step in plan.steps:
-        assert step.spoofed_source.addr == GW
+        assert step.spoofed_source.addr == GW.addr
 
 
 def test_deploy_block_capture_expands_into_block_steps():

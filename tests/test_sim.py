@@ -110,8 +110,8 @@ def test_schedule_at_a_non_finite_time_rejected_under_python_O():
 
 def test_trace_lines_render_stably():
     sim = Simulator()
-    sim.trace.emit("boot", node="n1", epoch=1)
-    sim.schedule(2.5, lambda: sim.trace.emit("crash", node="n1"))
+    sim.trace.emit("boot", "n1", 1)
+    sim.schedule(2.5, lambda: sim.trace.emit("crash", "n1", 1, 500.0))
     sim.run()
     lines = sim.trace.lines()
     assert lines[0].endswith("boot node=n1 epoch=1")
@@ -121,12 +121,12 @@ def test_trace_lines_render_stably():
 
 def test_trace_records_are_a_new_list_of_tuples_on_each_access():
     sim = Simulator()
-    sim.trace.emit("boot", node="n1", epoch=1)
-    sim.schedule(2.5, lambda: sim.trace.emit("crash", node="n1"))
+    sim.trace.emit("boot", "n1", 1)
+    sim.schedule(2.5, lambda: sim.trace.emit("crash", "n1", 1, 500.0))
     sim.run()
     records = sim.trace.records
     assert records == [(0.0, "boot", {"node": "n1", "epoch": 1}),
-                       (2.5, "crash", {"node": "n1"})]
+                       (2.5, "crash", {"node": "n1", "epoch": 1, "downtime": 500.0})]
     assert sim.trace.records is not records  # a new list on each access
     assert sim.trace.find("crash", node="n2") == []
 
@@ -138,7 +138,7 @@ def test_trace_records_stay_out_of_the_cyclic_collector():
     try:
         before = len(gc.get_objects())
         for i in range(1000):
-            sim.trace.emit("send", at="gw", mid=i, msg="CON-GET mid=1")
+            sim.trace.emit("client_retransmit", "c1", i, 1)
         tracked = len(gc.get_objects()) - before
     finally:
         gc.enable()

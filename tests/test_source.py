@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import sdgateway
+from sdgateway.sim import TRACE_KINDS
 
 SOURCES = sorted(Path(sdgateway.__file__).parent.glob("*.py"))
 
@@ -78,3 +79,56 @@ def test_every_cache_in_the_program_is_bounded():
 ])
 def test_unbounded_cache_check_flags_what_it_should(source, bounded):
     assert (unbounded_caches(source) == []) is bounded
+
+
+# Each trace kind's number of given fields: the words of its layout after
+# the kind, less the constant `name=text` ones.
+FIELD_COUNTS = {name: sum("=" not in word for word in layout.split()[1:])
+                for name, layout in TRACE_KINDS.items()}
+
+
+def bad_emits(source: str) -> list[int]:
+    """Lines of `emit(...)` calls that do not name a `TRACE_KINDS` kind as a
+    string literal, or that pass anything but that kind's number of fields,
+    each as one positional argument."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")) != "emit":
+            continue
+        kind = node.args[0] if node.args else None
+        name = kind.value if isinstance(kind, ast.Constant) else None
+        if (name not in FIELD_COUNTS or node.keywords
+                or any(isinstance(a, ast.Starred) for a in node.args)
+                or len(node.args) - 1 != FIELD_COUNTS[name]):
+            found.append(node.lineno)
+    return found
+
+
+def test_every_trace_emit_names_a_kind_and_its_fields():
+    checked = {path.name for path in SOURCES if ".emit(" in path.read_text(encoding="utf-8")}
+    assert {"lln.py", "gateway.py", "directory.py", "recovery.py"} <= checked
+    found = {path.name: bad_emits(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert not any(found.values()), found
+
+
+@pytest.mark.parametrize("source,ok", [
+    ("trace.emit('send', a, b, c)", True),
+    ("self.sim.trace.emit('drop_loss', f.src, f.dst, f.summary)", True),
+    ("retry = lambda n: trace.emit('retransmit', node, uri, mid, n)", True),
+    ("emit('boot', name, epoch)", True),
+    ("trace.emitted('send')", True),
+    ("trace.emit('send', a, b)", False),
+    ("trace.emit('send', a, b, c, d)", False),
+    ("trace.emit('drop_loss', a, b, c, why='loss')", False),
+    ("trace.emit('send', src=a, dst=b, msg=c)", False),
+    ("trace.emit('send', *values)", False),
+    ("trace.emit('send', a, b, *rest)", False),
+    ("trace.emit(kind, a, b, c)", False),
+    ("trace.emit('no_such_kind', a)", False),
+    ("trace.emit()", False),
+])
+def test_emit_check_flags_what_it_should(source, ok):
+    assert (bad_emits(source) == []) is ok
