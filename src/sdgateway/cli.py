@@ -6,7 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .harness import default_out_dir, run_scenario, sweep, write_csv
+from .harness import check_sweep, default_out_dir, run_scenario, sweep, write_csv
 from .lln import RDC
 from .scenario import ParseError
 
@@ -49,6 +49,7 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     try:
         values = _parse_range(args.range, args.param)
+        check_sweep(args.param, values, args.reps, hops=args.hops, state_count=args.states)
     except ValueError as exc:
         print(f"bad range: {exc}", file=sys.stderr)
         return 2

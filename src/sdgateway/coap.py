@@ -233,6 +233,11 @@ class InteractionKind(Enum):
     OTHER = "Other"
 
 
+# The kinds `classify` returns, as module-level names (see `_NON`).
+(_PUT_REQUEST, _OBSERVE_REGISTER, _OBSERVE_DEREGISTER, _BINDING_REQUEST, _DEPLOY_BLOCK,
+ _NOTIFICATION, _RESET_SIGNAL, _ACK_SIGNAL, _OTHER) = InteractionKind
+
+
 def _uint(value, what: str, top: Optional[int] = None) -> int:
     """`value` as an int in [0, top], else InvariantViolation.  A value of
     another type that equals such an int passes as that int (`True` as 1,
@@ -514,6 +519,25 @@ def decode(data: bytes) -> CoapMessage:
     return CoapMessage(msg_type, code, mid, token, options, payload)
 
 
+def decode_encoded(raw: bytes, msg: CoapMessage) -> CoapMessage:
+    """What `decode(raw)` returns or raises, for `raw = encode(msg)`, without
+    walking the bytes when `msg`'s fields have the types `decode` gives:
+    then `encode` has checked each field as `decode` would, and wrote the
+    option block that ends where the payload's length places it.  The
+    options are that block's cached `OptionSet`, so the result equals
+    `decode`'s in value and in the type of every field.  A message with a
+    field of another type (`True` as a code, a `bytearray` payload) is
+    decoded."""
+    msg_type, code, mid, token, _, payload = msg
+    if (type(msg_type) is not MsgType or type(code) is not int or type(mid) is not int
+            or type(token) is not bytes or type(payload) is not bytes):
+        return decode(raw)
+    start = 4 + len(token)
+    end = len(raw) - len(payload) - 1 if payload else len(raw)
+    options = _option_set(raw[start:end]) if end > start else _NO_OPTIONS
+    return CoapMessage(msg_type, code, mid, token, options, payload)
+
+
 def classify(msg: CoapMessage) -> InteractionKind:
     """Map a decoded message to the interaction kind the gateway acts on.
 
@@ -522,27 +546,27 @@ def classify(msg: CoapMessage) -> InteractionKind:
     options is always a BindingRequest, never an ObserveRegister.
     """
     if msg.msg_type is _RST:
-        return InteractionKind.RESET_SIGNAL
+        return _RESET_SIGNAL
     if msg.code == EMPTY:
         if msg.msg_type is _ACK:
-            return InteractionKind.ACK_SIGNAL
-        return InteractionKind.OTHER
+            return _ACK_SIGNAL
+        return _OTHER
     o = msg.options
     if msg.code == GET:
         if o.observe is not None and o.binding is not None:
-            return InteractionKind.BINDING_REQUEST
+            return _BINDING_REQUEST
         if o.observe == OBSERVE_DEREGISTER_VALUE:
-            return InteractionKind.OBSERVE_DEREGISTER
+            return _OBSERVE_DEREGISTER
         if o.observe is not None:
-            return InteractionKind.OBSERVE_REGISTER
-        return InteractionKind.OTHER
+            return _OBSERVE_REGISTER
+        return _OTHER
     if msg.code in (PUT, POST) and o.block1 is not None:
-        return InteractionKind.DEPLOY_BLOCK
+        return _DEPLOY_BLOCK
     if msg.code == PUT:
-        return InteractionKind.PUT_REQUEST
+        return _PUT_REQUEST
     if is_response(msg.code) and o.observe is not None:
-        return InteractionKind.NOTIFICATION
-    return InteractionKind.OTHER
+        return _NOTIFICATION
+    return _OTHER
 
 
 def registration_request(mid: int) -> CoapMessage:

@@ -132,33 +132,15 @@ class StateDirectory:
     def intercept_from_internet(self, msg: CoapMessage, src: Endpoint, dst: Endpoint) -> SDEffect:
         """Inspect a packet heading into the LLN.  Never blocks or
         mutates the packet; only the directory may change."""
-        kind = classify(msg)
-        uri = msg.options.path_str()
-        if kind is InteractionKind.PUT_REQUEST:
-            effect = self._upsert((EntryType.PUT, dst, uri), msg, src, dst, uri,
-                                  value=msg.payload, content_format=msg.options.content_format)
-        elif kind is InteractionKind.OBSERVE_REGISTER:
-            effect = self._upsert((EntryType.OBSERVE, src, dst, uri), msg, src, dst, uri)
-        elif kind is InteractionKind.OBSERVE_DEREGISTER:
-            effect = self._remove((EntryType.OBSERVE, src, dst, uri), "deregister")
-        elif kind is InteractionKind.BINDING_REQUEST:
-            info = msg.options.binding
-            effect = self._upsert((EntryType.BIND, dst, uri, info.dest_addr, info.dest_resource),
-                                  msg, src, dst, uri, binding=info)
-        elif kind is InteractionKind.DEPLOY_BLOCK:
-            effect = self._deploy_block(msg, src, dst, uri)
-        elif kind is InteractionKind.RESET_SIGNAL:
-            effect = self._remove(self._find_observe(src, dst, "mid", msg.mid), "rst")
-        elif kind is InteractionKind.ACK_SIGNAL:
-            effect = self._client_ack(src, dst, msg.mid)
-        else:
-            effect = NO_EFFECT
+        collect = _COLLECT.get(classify(msg))
+        effect = NO_EFFECT if collect is None else collect(self, msg, src, dst,
+                                                           msg.options.path_str())
         return self._done("in", effect)
 
     def intercept_from_lln(self, msg: CoapMessage, src: Endpoint, dst: Endpoint) -> SDEffect:
         """Inspect a packet leaving the LLN.  Only observe notifications
         (and their retransmissions) have an effect."""
-        if classify(msg) is not InteractionKind.NOTIFICATION:
+        if classify(msg) is not _NOTIFICATION:
             return self._done("lln", NO_EFFECT)
         key = self._find_observe(dst, src, "token", msg.token)
         if key is None:
@@ -245,6 +227,27 @@ class StateDirectory:
         entry.updated_at = now
         return SDEffect(EffectKind.UPDATED, entry)
 
+    # What an inbound packet of each collected kind does, as one call of
+    # (msg, src, dst, uri): see `_COLLECT`.
+
+    def _put(self, msg, src, dst, uri) -> SDEffect:
+        return self._upsert((EntryType.PUT, dst, uri), msg, src, dst, uri,
+                            value=msg.payload, content_format=msg.options.content_format)
+
+    def _observe(self, msg, src, dst, uri) -> SDEffect:
+        return self._upsert((EntryType.OBSERVE, src, dst, uri), msg, src, dst, uri)
+
+    def _deregister(self, msg, src, dst, uri) -> SDEffect:
+        return self._remove((EntryType.OBSERVE, src, dst, uri), "deregister")
+
+    def _bind(self, msg, src, dst, uri) -> SDEffect:
+        info = msg.options.binding
+        return self._upsert((EntryType.BIND, dst, uri, info.dest_addr, info.dest_resource),
+                            msg, src, dst, uri, binding=info)
+
+    def _reset(self, msg, src, dst, uri) -> SDEffect:
+        return self._remove(self._find_observe(src, dst, "mid", msg.mid), "rst")
+
     def _find_observe(self, client: Endpoint, server: Endpoint, field: str, value) -> Optional[tuple]:
         """Key of the first OBSERVE entry, in creation order, of `client`
         at `server` whose `field` equals `value`."""
@@ -277,8 +280,8 @@ class StateDirectory:
         return self._upsert((EntryType.DEPLOY, dst, filename), msg, src, dst, uri,
                             deploy=DeployInfo(filename, uri, blocks, block.size))
 
-    def _client_ack(self, src, dst, mid) -> SDEffect:
-        key = self._find_observe(src, dst, "mid", mid)
+    def _client_ack(self, msg, src, dst, uri) -> SDEffect:
+        key = self._find_observe(src, dst, "mid", msg.mid)
         if key is None or self._entries[key].retransmit_counter == 0:
             return NO_EFFECT
         entry = self._entries[key]
@@ -319,3 +322,18 @@ class StateDirectory:
         if not ok:
             raise DirectoryInvariantError(f"corrupt {e.entry_type.name} entry: {e!r}")
         return effect
+
+
+# The directory's action on an inbound packet, by its interaction kind: one
+# dict lookup per packet, not a test against each kind (an enum member read
+# costs about 4x a global read).  Other kinds have no effect.
+_COLLECT = {
+    InteractionKind.PUT_REQUEST: StateDirectory._put,
+    InteractionKind.OBSERVE_REGISTER: StateDirectory._observe,
+    InteractionKind.OBSERVE_DEREGISTER: StateDirectory._deregister,
+    InteractionKind.BINDING_REQUEST: StateDirectory._bind,
+    InteractionKind.DEPLOY_BLOCK: StateDirectory._deploy_block,
+    InteractionKind.RESET_SIGNAL: StateDirectory._reset,
+    InteractionKind.ACK_SIGNAL: StateDirectory._client_ack,
+}
+_NOTIFICATION = InteractionKind.NOTIFICATION  # the one kind an outbound packet acts on

@@ -61,19 +61,16 @@ class Gateway:
             self.sim.trace.emit("intercept", direction, frame.src, frame.dst)
             hook = (self.directory.intercept_from_internet if inbound
                     else self.directory.intercept_from_lln)
-            self._intercept(lambda: hook(msg, frame.src, frame.dst))
+            if self.measure_overhead:
+                t0 = time.perf_counter()
+                hook(msg, frame.src, frame.dst)
+                self.overhead_us.append((time.perf_counter() - t0) * 1e6)
+            else:
+                hook(msg, frame.src, frame.dst)
         if inbound:
             self.network.deliver_to_node(frame)
         elif msg is None or not self.recovery.consume(frame, msg):
             self.network.deliver_to_client(frame)
-
-    def _intercept(self, hook: Callable[[], None]) -> None:
-        if self.measure_overhead:
-            t0 = time.perf_counter()
-            hook()
-            self.overhead_us.append((time.perf_counter() - t0) * 1e6)
-        else:
-            hook()
 
     def _terminate(self, frame: Frame, msg: Optional[CoapMessage], ingress: str) -> None:
         if msg is None:

@@ -363,14 +363,26 @@ def canonical_recovery_scenario(*, hops: int, rdc, state_count: int,
 SWEEP_PARAMS = ("hops", "state_count", "rdc")
 
 
-def sweep(param: str, values: list, reps: int, seed: int, *,
-          hops: int = 3, rdc=None, state_count: int = 3) -> list[MetricRecord]:
-    """Run the canonical scenario `reps` times per parameter value with
-    rep-paired derived seeds; returns per-run rows plus summary rows."""
+def check_sweep(param: str, values: list, reps: int, *, hops: int = 3,
+                state_count: int = 3) -> None:
+    """Raise ValueError for `sweep` arguments that some run could not take:
+    the canonical scenario needs at least one hop, and a state count below
+    zero would crash the node before it boots."""
     if param not in SWEEP_PARAMS:
         raise ValueError(f"unknown sweep parameter {param!r}")
     if not values or reps < 1:
         raise ValueError("sweep needs a nonempty range and reps >= 1")
+    for name, least, swept in (("hops", 1, hops), ("state_count", 0, state_count)):
+        for value in values if param == name else [swept]:
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, not {value}")
+
+
+def sweep(param: str, values: list, reps: int, seed: int, *,
+          hops: int = 3, rdc=None, state_count: int = 3) -> list[MetricRecord]:
+    """Run the canonical scenario `reps` times per parameter value with
+    rep-paired derived seeds; returns per-run rows plus summary rows."""
+    check_sweep(param, values, reps, hops=hops, state_count=state_count)
     if rdc is None:
         rdc = RDC.NULLRDC
 

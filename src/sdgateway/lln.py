@@ -88,8 +88,14 @@ class LinkModel:
             raise ValueError("delays must be nonnegative")
 
     def sample_delay(self, rng) -> float:
+        # `lo + (hi - lo) * rng.random()` is `rng.uniform(lo, hi)`, draw for
+        # draw and bit for bit, without a call per hop.
         lo, hi = self.delay_range
-        return sum(rng.uniform(lo, hi) for _ in range(self.hops))
+        span, draw = hi - lo, rng.random
+        total = 0.0
+        for _ in range(self.hops):
+            total += lo + span * draw()
+        return total
 
     def draw_lost(self, rng) -> bool:
         if self.loss == 0.0:
@@ -106,11 +112,17 @@ class Frame:
     """A UDP datagram in flight: raw CoAP bytes plus addressing metadata.
 
     `raw` is authoritative and is what every hop forwards.  `parsed` (the
-    decoded message, or None when `raw` is malformed) and `summary` (its
-    one-line trace text) are set once, when the frame is built: a frame
-    retransmitted or relayed as the same object is parsed once, and its
-    first hop traces the summary anyway.  The frame is frozen so neither
-    can go stale.
+    parse of `raw`: the message `coap.decode(raw)` returns, or None when
+    `raw` is malformed) and `summary` (its one-line trace text) are set
+    once, when the frame is built: a frame retransmitted or relayed as the
+    same object is parsed once, and its first hop traces the summary
+    anyway.  The frame is frozen so neither can go stale.
+
+    `Frame(raw, src, dst)` decodes `raw`; it is for frames that exist only
+    as bytes.  `Frame.of(msg, src, dst)` encodes `msg` and takes the parse
+    from `coap.decode_encoded`, which builds the message `decode` would
+    return without walking the bytes again.  Either way equal bytes give
+    an equal frame, parse and summary.
     """
 
     raw: bytes
@@ -126,6 +138,24 @@ class Frame:
             parsed = None
         object.__setattr__(self, "parsed", parsed)
         object.__setattr__(self, "summary", coap.summarize(self.raw, parsed))
+
+    @classmethod
+    def of(cls, msg: CoapMessage, src: Endpoint, dst: Endpoint) -> Frame:
+        """The frame `Frame(encode(msg), src, dst)`, built without parsing
+        the bytes `encode` has just written."""
+        raw = encode(msg)
+        try:
+            parsed = coap.decode_encoded(raw, msg)
+        except coap.MalformedFrame:
+            parsed = None
+        frame = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(frame, "raw", raw)
+        setattr_(frame, "src", src)
+        setattr_(frame, "dst", dst)
+        setattr_(frame, "parsed", parsed)
+        setattr_(frame, "summary", coap.summarize(raw, parsed))
+        return frame
 
 
 class Confirmable:
@@ -281,15 +311,15 @@ class Network:
 
     def send(self, frame: Frame) -> None:
         self.sim.trace.emit("send", frame.src, frame.dst, frame.summary)
-        if not self.in_lln(frame.src.addr):
-            self._arrive_fifo(("ext_in", frame.src.addr), EXTERNAL_DELAY_MS, frame, "gw",
+        src, prefix = frame.src.addr, self.lln_prefix
+        if not src.startswith(prefix):
+            self._arrive_fifo(("ext_in", src), EXTERNAL_DELAY_MS, frame, "gw",
                               self.gateway.on_frame, ("external",))
-        elif self.in_lln(frame.dst.addr):
-            self.deliver_to_node(frame, origin=frame.src.addr)
+        elif frame.dst.addr.startswith(prefix):
+            self.deliver_to_node(frame, origin=src)
         else:
-            self._lln_leg(frame, self.nodes[frame.src.addr].link,
-                          ("up", frame.src.addr), "gw", self.gateway.on_frame, ("lln",),
-                          blackhole_key=frame.src.addr)
+            self._lln_leg(frame, self.nodes[src].link, ("up", src), "gw",
+                          self.gateway.on_frame, ("lln",), blackhole_key=src)
 
     def deliver_to_node(self, frame: Frame, origin: str = "gw") -> None:
         node = self.nodes.get(frame.dst.addr)
@@ -315,8 +345,10 @@ class Network:
 
     def _lln_leg(self, frame: Frame, link: LinkModel, path_key: tuple, at: str | Endpoint,
                  handler: Callable[..., None], args: tuple, blackhole_key: str) -> None:
-        delay = link.sample_delay(self.sim.rng)
-        lost = link.draw_lost(self.sim.rng)
+        rng = self.sim.rng
+        delay = link.sample_delay(rng)
+        # Drawn before the blackhole test, so a blackhole moves no later draw.
+        lost = link.loss != 0.0 and link.draw_lost(rng)
         if blackhole_key in self.blackholes or lost:
             self.sim.trace.emit("drop_loss", frame.src, frame.dst, frame.summary)
             return
@@ -427,8 +459,8 @@ class VirtualNode:
         self.mid_alloc = MidAllocator(self.sim.rng)
         self.state = NodeState.BOOTING
         self.sim.trace.emit("boot", self.name, self.boot_epoch)
-        frame = Frame(encode(registration_request(self.mid_alloc.next_mid())), self.endpoint,
-                      self.network.endpoint(self.network.gateway_addr))
+        frame = Frame.of(registration_request(self.mid_alloc.next_mid()), self.endpoint,
+                         self.network.endpoint(self.network.gateway_addr))
         self._reg_sent_at = self.sim.now
         self._registration = Confirmable(self.sim, frame, self.network.send,
                                          table=self._exchanges, on_answer=self._registered,
@@ -510,7 +542,7 @@ class VirtualNode:
                 return
         response, deferred = self._handle_request(msg, frame.src)
         if response is not None:
-            reply = Frame(encode(response), self.endpoint, frame.src)
+            reply = Frame.of(response, self.endpoint, frame.src)
             if confirmable:
                 self._replies.keep(frame.src, msg.mid, reply)
             self.network.send(reply)
@@ -684,7 +716,7 @@ class VirtualNode:
         msg = CoapMessage(mtype, CONTENT, mid, token=obs.token,
                           options=OptionSet(observe=obs.counter, max_age=obs.max_age),
                           payload=self.resources.get(path, b""))
-        frame = Frame(encode(msg), self.endpoint, obs.client)
+        frame = Frame.of(msg, self.endpoint, obs.client)
         obs.last_mid = mid
         obs.sent_since_register += 1
         self.sim.trace.emit("notify", self.name, path, obs.client, obs.counter, mid, type_name)
@@ -749,8 +781,8 @@ class VirtualNode:
                           payload=self.resources.get(binding.source_resource, b""))
         binding.last_sent = self.sim.now
         self.sim.trace.emit("binding_put", self.name, binding.source_resource, binding.info)
-        self.network.send(Frame(encode(msg), self.endpoint,
-                                self.network.endpoint(binding.info.dest_addr)))
+        self.network.send(Frame.of(msg, self.endpoint,
+                                   self.network.endpoint(binding.info.dest_addr)))
         self._schedule_keepalive(binding)
 
     def _schedule_keepalive(self, binding: Binding) -> None:
@@ -904,8 +936,8 @@ class ScriptedClient:
 
     def _send_con(self, msg: CoapMessage, node_addr: str, port: int,
                   on_response=None) -> None:
-        frame = Frame(encode(msg), self.network.endpoint(self.addr, port),
-                      self.network.endpoint(node_addr))
+        frame = Frame.of(msg, self.network.endpoint(self.addr, port),
+                         self.network.endpoint(node_addr))
         mid = msg.mid
         Confirmable(
             self.sim, frame, self.network.send, table=self._exchanges,
@@ -956,7 +988,7 @@ class ScriptedClient:
         })
         if rel.cancel:
             reply = coap.reset_for(msg.mid)
-            self.network.send(Frame(encode(reply), source, frame.src))
+            self.network.send(Frame.of(reply, source, frame.src))
             self._forget(node_addr, path)
             return
         if msg.msg_type is _CON:

@@ -22,7 +22,6 @@ from .coap import (
     MidAllocator,
     MsgType,
     OptionSet,
-    encode,
 )
 from .directory import EntryType, SDEntry, StateDirectory, RegistrationStatus
 from .lln import Confirmable, Frame, answer
@@ -213,8 +212,8 @@ class RecoveryCoordinator:
     def _fire(self, run: RecoveryRun) -> None:
         run.gap_event = None
         step = run.current_step
-        frame = Frame(encode(step.message), step.spoofed_source,
-                      self.gateway.network.endpoint(run.plan.node))
+        frame = Frame.of(step.message, step.spoofed_source,
+                         self.gateway.network.endpoint(run.plan.node))
         self.sim.trace.emit("inject", run.plan.node, run.index, int(step.entry_type), step.uri,
                             step.spoofed_source, frame.summary)
         run.exchange = self.gateway.send_replay(

@@ -152,12 +152,12 @@ class TraceRecorder:
     container that the cyclic garbage collector tracks.
     """
 
-    def __init__(self, clock: Callable[[], float]) -> None:
-        self._clock = clock
+    def __init__(self, sim: Simulator) -> None:
+        self._sim = sim  # each record's time is the simulator's `now` at `emit`
         self._flat: list = []
 
     def emit(self, kind: str, *values) -> None:
-        self._flat += (self._clock(), kind, *values)
+        self._flat += (self._sim.now, kind, *values)
 
     def _slices(self):
         """Each record's layout and its `t, name, *values` slice."""
@@ -204,7 +204,7 @@ class Simulator:
         self.rng = random.Random(seed)
         self._queue: list[Event] = []
         self._seq = itertools.count()
-        self.trace = TraceRecorder(lambda: self.now)
+        self.trace = TraceRecorder(self)
 
     def schedule(self, delay: float, fn: Callable, *args) -> Event:
         return self.schedule_at(self.now + delay, fn, *args)

@@ -403,3 +403,59 @@ def test_frames_with_the_same_option_bytes_share_one_option_set():
               Endpoint("cccc::4", 60002), Endpoint("aaaa::3"))
     assert a.parsed.options is b.parsed.options
     assert a.parsed.options == options and a.parsed.options is not options
+
+
+# -- a frame built from a message ------------------------------------------------
+
+# Messages that `encode` writes but whose fields have other types than
+# `decode` gives, or whose bytes `decode` rejects.
+ODD_MESSAGES = [
+    CoapMessage(MsgType.CON, True, 5, options=OptionSet(uri_path=("a",))),  # code GET
+    CoapMessage(MsgType.CON, PUT, True, payload=b"x"),  # MID 1
+    CoapMessage(1, EMPTY, 5),  # an int type passes encode's checks: EMPTY NON
+    CoapMessage(3, GET, 5),  # RST with a request code
+    CoapMessage(2, GET, 5),  # ACK with a request code
+    CoapMessage(4, GET, 5),  # too wide for the type's two bits, so its bits are dropped
+    CoapMessage(MsgType.NON, CONTENT, 6, token=bytearray(b"\x01"), payload=bytearray(b"yz")),
+    CoapMessage(MsgType.NON, CONTENT, 7, payload=memoryview(b"ab")),
+    CoapMessage(MsgType.CON, PUT, 8, options=OptionSet(extra=((11, b"\xff"),))),
+    CoapMessage(MsgType.CON, GET, 9, options=OptionSet(observe=3, extra=((6, b"\x01"),))),
+    CoapMessage(MsgType.CON, PUT, 10, options=OptionSet(extra=((27, b"\x07"),)), payload=b"1"),
+    CoapMessage(MsgType.CON, PUT, 11, options=OptionSet(extra=((2048, b"a"),))),
+    CoapMessage(MsgType.CON, PUT, 12, options=OptionSet(extra=((14, bytes(5)),))),
+    CoapMessage(MsgType.CON, PUT, 0x10000),
+]
+
+
+def frame_outcome(build, msg):
+    """What `build(msg)` gives: the frame's bytes, addresses, summary, the
+    repr and field types of its parse and whether the parse holds the
+    options `decode` returns; or the exception's type and message."""
+    try:
+        frame = build(msg)
+    except Exception as exc:  # noqa: BLE001 - any exception is an outcome to compare
+        return type(exc), str(exc)
+    parsed = frame.parsed
+    if parsed is None:
+        return frame.raw, frame.src, frame.dst, frame.summary, None
+    return (frame.raw, frame.src, frame.dst, frame.summary, repr(parsed),
+            [type(value) for value in parsed], parsed.options is decode(frame.raw).options)
+
+
+def test_frame_of_is_the_frame_of_the_encoded_bytes():
+    messages, _ = codec_inputs()
+    src, dst = Endpoint("cccc::3", 60001), Endpoint("aaaa::2")
+    kinds = []
+    for msg in messages + ODD_MESSAGES:
+        built = frame_outcome(lambda m: Frame(encode(m), src, dst), msg)
+        assert frame_outcome(lambda m: Frame.of(m, src, dst), msg) == built, msg
+        if len(built) > 2:  # the bytes `encode` wrote: the same message or error
+            raw = built[0]
+            assert outcome(lambda m: coap.decode_encoded(raw, m), msg) == outcome(decode, raw)
+        kinds.append("raised" if len(built) == 2 else "malformed" if built[-1] is None
+                     else "parsed")
+        if kinds[-1] == "parsed":
+            assert built[-1] is True
+    # Every outcome is met: a parse, bytes that do not parse, and no frame.
+    assert kinds.count("parsed") > 300
+    assert kinds.count("malformed") >= 8 and kinds.count("raised") >= 5

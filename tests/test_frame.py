@@ -1,5 +1,6 @@
-"""A frame's bytes are parsed at most once, and retransmissions resend the
-frame they first sent instead of building (and parsing) a new one."""
+"""A frame's bytes are parsed at most once, a frame built from a message is
+not parsed at all, and retransmissions resend the frame they first sent
+instead of building (and parsing) a new one."""
 
 import dataclasses
 import importlib.resources
@@ -32,25 +33,34 @@ def lossy_fig12_19():
 
 @pytest.fixture
 def spies(monkeypatch):
-    """Record every Frame built and every decode call, on each sdgateway
-    module that binds `coap.decode`."""
+    """Record every Frame built, by `Frame(raw, ...)` or `Frame.of`, the
+    frames `Frame.of` built from a message, and every decode call, on each
+    sdgateway module that binds `coap.decode`."""
     frames: list[Frame] = []
+    from_messages: list[Frame] = []
     decoded: Counter = Counter()
-    original_init, original_decode = Frame.__init__, coap.decode
+    original_init, original_of, original_decode = Frame.__init__, Frame.of, coap.decode
 
     def init(self, *args, **kwargs):
         original_init(self, *args, **kwargs)
         frames.append(self)
+
+    def of(cls, *args, **kwargs):
+        frame = original_of(*args, **kwargs)
+        frames.append(frame)
+        from_messages.append(frame)
+        return frame
 
     def decode(data):
         decoded[id(data)] += 1
         return original_decode(data)
 
     monkeypatch.setattr(Frame, "__init__", init)
+    monkeypatch.setattr(Frame, "of", classmethod(of))
     for name, module in list(sys.modules.items()):
         if name.startswith("sdgateway") and getattr(module, "decode", None) is original_decode:
             monkeypatch.setattr(module, "decode", decode)
-    return frames, decoded
+    return frames, from_messages, decoded
 
 
 @pytest.mark.parametrize("make", [
@@ -59,7 +69,7 @@ def spies(monkeypatch):
     lossy_fig12_19,
 ], ids=["fig12_19.scn", "bind_deploy.scn", "fig12_19-loss0.25"])
 def test_no_frame_is_decoded_more_than_once(spies, make):
-    frames, decoded = spies
+    frames, from_messages, decoded = spies
     run_scenario(make())
     # `frames` keeps every raw alive, so no id is reused during the run.
     per_raw = Counter(id(f.raw) for f in frames)
@@ -67,10 +77,14 @@ def test_no_frame_is_decoded_more_than_once(spies, make):
     assert set(decoded) <= set(per_raw), "decoded bytes that belong to no Frame"
     over = {raw: n for raw, n in decoded.items() if n > per_raw[raw]}
     assert not over, f"{len(over)} frames decoded more than once"
+    # A frame built from a message takes its parse from the message.
+    assert len(from_messages) > len(frames) // 2
+    parsed_again = [f for f in from_messages if decoded[id(f.raw)]]
+    assert not parsed_again, f"{len(parsed_again)} frames built from a message were decoded"
 
 
 def test_frame_parse_and_summary_are_cached(spies):
-    _, decoded = spies
+    _, _, decoded = spies
     msg = CoapMessage(MsgType.CON, PUT, 7, token=b"\x01",
                       options=OptionSet(uri_path=("a", "lb")), payload=b"10")
     frame = Frame(encode(msg), CLIENT_EP, Endpoint("aaaa::2"))
@@ -84,7 +98,7 @@ def test_frame_parse_and_summary_are_cached(spies):
 
 
 def test_malformed_frame_is_forwarded_by_gateway_and_dropped_by_node(spies):
-    _, decoded = spies
+    _, _, decoded = spies
     world = booted_world(simple_scenario())
     node = world.nodes["n1"]
     garbage = b"\x13\x37\x00"

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from worldutil import random_interaction_scenario
+from sdgateway import harness
 from sdgateway.cli import main as cli_main
 from sdgateway.harness import (
     MetricKind,
@@ -217,6 +218,10 @@ def test_sweep_rejects_bad_arguments():
         sweep("hops", [], 1, seed=1)
     with pytest.raises(ValueError):
         sweep("hops", [1], 0, seed=1)
+    with pytest.raises(ValueError, match="hops must be >= 1"):
+        sweep("hops", [2, 0], 1, seed=1)
+    with pytest.raises(ValueError, match="state_count must be >= 0"):
+        sweep("rdc", [RDC.NULLRDC], 1, seed=1, state_count=-1)
 
 
 def test_sweep_rdc_parameter():
@@ -291,6 +296,27 @@ def test_cli_sweep_range_forms(tmp_path):
                    "--seed", "3", "--hops", "1", "--out", str(out)])
     assert rc == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("argv,problem", [
+    (["--param", "hops", "--range", "5..3"], "nonempty range"),
+    (["--param", "hops", "--range", "1", "--reps", "0"], "reps >= 1"),
+    (["--param", "hops", "--range", "0"], "hops must be >= 1, not 0"),
+    (["--param", "state_count", "--range", "-1"], "state_count must be >= 0, not -1"),
+    (["--param", "rdc", "--range", "nullrdc", "--hops", "0"], "hops must be >= 1, not 0"),
+    (["--param", "hops", "--range", "1,2", "--states", "-2"], "state_count must be >= 0"),
+], ids=["empty-range", "no-reps", "no-hops", "negative-states", "fixed-hops", "fixed-states"])
+def test_cli_sweep_rejects_bad_input_before_any_run(tmp_path, capsys, monkeypatch, argv,
+                                                    problem):
+    def run_scenario(*_args, **_kwargs):
+        raise AssertionError("a sweep with bad input started a run")
+
+    monkeypatch.setattr(harness, "run_scenario", run_scenario)
+    out = tmp_path / "s.csv"
+    assert cli_main(["sweep", *argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("bad range: ") and problem in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 # sha256 of each bundled scenario's trace text, metrics CSV and directory

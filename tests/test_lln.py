@@ -433,3 +433,25 @@ def test_reobserve_after_deregister_is_matched_under_its_new_token():
     assert len(client.notifications) == seen
     client.on_frame(_notification(world, node.addr, new.token, new.port, counter=90))
     assert client.notifications[-1]["observe"] == 90
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.3])
+def test_a_blackholed_hop_draws_what_a_delivered_one_draws(loss):
+    # Each hop draws its delays, then its losses when the link has any,
+    # whether or not a blackhole then drops the frame.
+    states = []
+    for blackholed in (False, True):
+        world = booted_world(simple_scenario(hops=2, loss=loss))
+        node, rng = world.nodes["n1"], world.sim.rng
+        if blackholed:
+            world.network.blackholes.add(node.addr)
+        before = rng.getstate()
+        world.network.deliver_to_node(Frame.of(make_request(GET, "s/t"), CLIENT_EP,
+                                               node.endpoint))
+        states.append(rng.getstate())
+        rng.setstate(before)
+        for _ in range(4 if loss else 2):  # two hops: two delays, then two losses
+            rng.random()
+        assert states[-1] == rng.getstate()
+    assert states[0] == states[1]
+

@@ -170,6 +170,19 @@ def test_degenerate_delay_is_exactly_hops_times_delay():
         assert link.draw_lost(rng) is False
 
 
+@pytest.mark.parametrize("delay_range", [(5.0, 15.0), (50.0, 250.0), (5, 15), (0.1, 0.7)])
+def test_sample_delay_is_the_sum_of_uniform_draws(delay_range):
+    # The reference: one `uniform` draw per hop, summed.  The same floats
+    # to the last bit, and the generator left in the same state.
+    for hops in range(1, 7):
+        link = LinkModel(hops=hops, delay_range=delay_range)
+        rng, ref = random.Random(hops), random.Random(hops)
+        for _ in range(200):
+            expected = sum(ref.uniform(*delay_range) for _ in range(hops))
+            assert link.sample_delay(rng).hex() == expected.hex()
+        assert rng.getstate() == ref.getstate()
+
+
 def test_contikimac_slower_than_nullrdc_on_seed_paired_samples():
     draws = 1000
     null_link = LinkModel(hops=3, rdc=RDC.NULLRDC)

@@ -132,3 +132,113 @@ def test_every_trace_emit_names_a_kind_and_its_fields():
 ])
 def test_emit_check_flags_what_it_should(source, ok):
     assert (bad_emits(source) == []) is ok
+
+
+def _called(func) -> str:
+    """The name a call is made through: `f` for `f(...)` and `x.f(...)`."""
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
+def frames_of_encoded_bytes(source: str) -> list[int]:
+    """Lines that build a `Frame` from bytes `encode` has just written:
+    `Frame(encode(...), ...)`, or `Frame(raw, ...)` where `raw = encode(...)`
+    earlier in the same function.  `Frame.of` builds that frame without
+    parsing the bytes again."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+    def own_nodes(scope):
+        # The nodes of `scope`, less those of the functions defined in it.
+        for child in ast.iter_child_nodes(scope):
+            if not isinstance(child, functions):
+                yield child
+                yield from own_nodes(child)
+
+    found = []
+    for scope in ast.walk(ast.parse(source)):
+        if not isinstance(scope, (ast.Module,) + functions):
+            continue
+        nodes = list(own_nodes(scope))
+        encoded = {target.id for node in nodes if isinstance(node, ast.Assign)
+                   and isinstance(node.value, ast.Call) and _called(node.value.func) == "encode"
+                   for target in node.targets if isinstance(target, ast.Name)}
+        for node in nodes:
+            if not (isinstance(node, ast.Call) and _called(node.func) == "Frame"):
+                continue
+            raw = node.args[0] if node.args else next(
+                (k.value for k in node.keywords if k.arg == "raw"), None)
+            if (isinstance(raw, ast.Call) and _called(raw.func) == "encode"
+                    or isinstance(raw, ast.Name) and raw.id in encoded):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_frame_is_built_from_encoded_bytes():
+    checked = [path.name for path in SOURCES if "Frame.of(" in path.read_text(encoding="utf-8")]
+    assert {"lln.py", "recovery.py"} <= set(checked)
+    found = {path.name: frames_of_encoded_bytes(path.read_text(encoding="utf-8"))
+             for path in SOURCES}
+    assert not any(found.values()), found
+
+
+@pytest.mark.parametrize("source,ok", [
+    ("frame = Frame.of(msg, src, dst)", True),
+    ("send(Frame(ack, source, frame.src))", True),
+    ("ack = keep(src, mid, encode(empty_ack(mid)))\nsend(Frame(ack, src, dst))", True),
+    ("def f():\n    raw = encode(m)\n\ndef g(raw):\n    return Frame(raw, a, b)", True),
+    ("Frame(encode(msg), src, dst)", False),
+    ("lln.Frame(coap.encode(msg), src, dst)", False),
+    ("Frame(raw=encode(msg), src=a, dst=b)", False),
+    ("def f():\n    raw = encode(m)\n    return Frame(raw, a, b)", False),
+    ("send(Frame(encode(reply), source, frame.src))", False),
+])
+def test_encoded_frame_check_flags_what_it_should(source, ok):
+    assert (frames_of_encoded_bytes(source) == []) is ok
+
+
+# The heapq functions that put an entry on a heap.
+_HEAP_PUSHES = frozenset({"heappush", "heappushpop", "heapreplace"})
+
+
+def heap_push_sites(source: str) -> list[str]:
+    """Each mention of a heapq push (a call, an alias, an import or the
+    name as text), as the function it is in: `Class.method`, or `<module>`."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            name = (child.attr if isinstance(child, ast.Attribute)
+                    else child.id if isinstance(child, ast.Name)
+                    else child.name if isinstance(child, ast.alias)
+                    else child.value if isinstance(child, ast.Constant) else None)
+            if name in _HEAP_PUSHES:
+                sites.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sites
+
+
+def test_only_schedule_at_puts_events_on_the_heap():
+    # The benchmark traces each event by wrapping `Simulator.schedule_at`,
+    # and checks that a traced run equals an untraced one: an event put on
+    # the heap another way would escape both.
+    found = {path.name: heap_push_sites(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert found.pop("sim.py") == ["Simulator.schedule_at"]
+    assert not any(found.values()), found
+
+
+@pytest.mark.parametrize("source,sites", [
+    ("class S:\n    def schedule_at(self):\n        heapq.heappush(self.q, e)",
+     ["S.schedule_at"]),
+    ("def run(q):\n    heapq.heappop(q)\n    heapq.heapify(q)", []),
+    ("def f(q):\n    heapq.heappush(q, 1)", ["f"]),
+    ("from heapq import heappush\nheappush(q, 1)", ["<module>", "<module>"]),
+    ("import heapq as h\nclass S:\n    def g(self):\n        push = h.heappush", ["S.g"]),
+    ("def f(q):\n    heapq.heapreplace(q, 1)\n    heapq.heappushpop(q, 2)", ["f", "f"]),
+    ("def f(q):\n    getattr(heapq, 'heappush')(q, 1)", ["f"]),
+])
+def test_heap_push_check_flags_what_it_should(source, sites):
+    assert heap_push_sites(source) == sites
