@@ -6,15 +6,14 @@ delta-encoded options, payload marker) plus Observe (RFC 7641), Block1
 descriptors.  Messages are immutable values; encode/decode are pure
 functions, safe to call from any thread.
 
-A run sees few distinct option blocks, so each distinct one is encoded,
-parsed and rendered once, through bounded `functools.lru_cache`s
-(`_option_block`, `_option_set`, `_option_text`).  The miss path is the
-only encoder, parser and renderer, and no cache changes an output: a
-value equal to a cached key gives the same bytes, message or text as a
-cold call.  So the miss paths read numbers as the ints they equal (`True`
-as 1) and option sets and Block1 descriptors by position, since a
-`NamedTuple` equals a plain tuple of the same fields.  Failures are never
-cached.
+A run sees few distinct option blocks, so each distinct one is encoded
+and parsed once, through two bounded `functools.lru_cache`s
+(`_option_block`, `_option_set`).  The miss path is the only encoder and
+parser, and no cache changes an output: a value equal to a cached key
+gives the same bytes or message as a cold call.  So the miss paths read
+numbers as the ints they equal (`True` as 1) and option sets and Block1
+descriptors by position, since a `NamedTuple` equals a plain tuple of the
+same fields.  Failures are never cached.
 """
 
 from __future__ import annotations
@@ -108,9 +107,6 @@ def code_str(code: int) -> str:
     return f"{code >> 5}.{code & 0x1F:02d}"
 
 
-_CODE_NAMES = {code: code_str(code) for code in range(256)}  # formatting is slow per call
-
-
 class Endpoint(NamedTuple):
     addr: str
     port: int = COAP_PORT
@@ -196,29 +192,21 @@ class CoapMessage(NamedTuple):
     payload: bytes = b""
 
     def short(self) -> str:
-        code = _CODE_NAMES.get(self.code) or code_str(self.code)
-        text = f"{_TYPE_NAMES[self.msg_type]}-{code} mid={self.mid}"
+        """One line of text; equal messages give the same text (`True` as 1)."""
+        uri_path, _, observe, block1, *_ = self.options
+        text = f"{_TYPE_NAMES[self.msg_type]}-{code_str(self.code)} mid={self.mid}"
         if self.token:
             text += f" tok={self.token.hex()}"
-        text += _option_text(self.options)
+        if uri_path:
+            text += " uri=" + "/".join(uri_path)
+        if observe is not None:
+            text += f" obs={int(observe)}"
+        if block1 is not None:
+            num, more, size = block1
+            text += f" blk1={int(num)}/{int(more)}/{int(size)}"
         if self.payload:
             text += f" len={len(self.payload)}"
         return text
-
-
-@functools.lru_cache(maxsize=OPTION_CACHE_SIZE)
-def _option_text(o: OptionSet) -> str:
-    """The ` uri=… obs=… blk1=…` part of `CoapMessage.short`."""
-    uri_path, _, observe, block1, *_ = o
-    text = ""
-    if uri_path:
-        text += " uri=" + "/".join(uri_path)
-    if observe is not None:
-        text += f" obs={int(observe)}"
-    if block1 is not None:
-        num, more, size = block1
-        text += f" blk1={int(num)}/{int(more)}/{int(size)}"
-    return text
 
 
 class InteractionKind(Enum):
@@ -602,17 +590,9 @@ class MidAllocator:
         return value
 
 
-_DECODE = object()
-
-
-def summarize(raw: bytes, msg=_DECODE) -> str:
-    """Best-effort one-line description of a frame; never raises.
-
-    `msg` is a parse of `raw` the caller already holds, or None when `raw`
-    is known to be malformed; without it `raw` is decoded here."""
-    if msg is _DECODE:
-        try:
-            msg = decode(raw)
-        except MalformedFrame:
-            msg = None
-    return f"malformed[{len(raw)}B]" if msg is None else msg.short()
+def summarize(raw: bytes) -> str:
+    """Best-effort one-line description of a frame; never raises."""
+    try:
+        return decode(raw).short()
+    except MalformedFrame:
+        return f"malformed[{len(raw)}B]"

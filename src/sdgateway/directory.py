@@ -42,9 +42,6 @@ class EffectKind(Enum):
     NO_EFFECT = "NoEffect"
 
 
-_EFFECT_TEXT = {kind: kind.value for kind in EffectKind}  # `.value` is slow per call
-
-
 class RegistrationStatus(Enum):
     NEW = "new"
     KNOWN_EMPTY = "known_empty"
@@ -308,7 +305,7 @@ class StateDirectory:
         if e is None:
             return effect
         if self._trace is not None:
-            self._trace.emit("sd", direction, _EFFECT_TEXT[effect.kind], int(e.entry_type),
+            self._trace.emit("sd", direction, effect.kind, int(e.entry_type),
                              e.client, e.server, e.uri_path, e.observe_counter, e.mid,
                              e.retransmit_counter)
         if e.entry_type is EntryType.OBSERVE:

@@ -82,7 +82,7 @@ class Gateway:
             return
         if self.recovery.consume(frame, msg):
             return
-        self.sim.trace.emit("gw_unclaimed", frame.src, frame.summary)
+        self.sim.trace.emit("gw_unclaimed", frame.src, frame.raw)
 
     def _handle_registration(self, frame: Frame, msg: CoapMessage) -> None:
         node_addr = frame.src.addr

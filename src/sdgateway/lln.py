@@ -111,25 +111,24 @@ class LinkModel:
 class Frame:
     """A UDP datagram in flight: raw CoAP bytes plus addressing metadata.
 
-    `raw` is authoritative and is what every hop forwards.  `parsed` (the
+    `raw` is authoritative: it is what every hop forwards and what the
+    trace keeps, to be rendered only when the trace is read.  `parsed` (the
     parse of `raw`: the message `coap.decode(raw)` returns, or None when
-    `raw` is malformed) and `summary` (its one-line trace text) are set
-    once, when the frame is built: a frame retransmitted or relayed as the
-    same object is parsed once, and its first hop traces the summary
-    anyway.  The frame is frozen so neither can go stale.
+    `raw` is malformed) is set once, when the frame is built, so a frame
+    retransmitted or relayed as the same object is parsed once.  The frame
+    is frozen so the parse cannot go stale.
 
     `Frame(raw, src, dst)` decodes `raw`; it is for frames that exist only
     as bytes.  `Frame.of(msg, src, dst)` encodes `msg` and takes the parse
     from `coap.decode_encoded`, which builds the message `decode` would
     return without walking the bytes again.  Either way equal bytes give
-    an equal frame, parse and summary.
+    an equal frame and parse.
     """
 
     raw: bytes
     src: Endpoint
     dst: Endpoint
     parsed: Optional[CoapMessage] = field(init=False, compare=False, repr=False)
-    summary: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         try:
@@ -137,7 +136,6 @@ class Frame:
         except coap.MalformedFrame:
             parsed = None
         object.__setattr__(self, "parsed", parsed)
-        object.__setattr__(self, "summary", coap.summarize(self.raw, parsed))
 
     @classmethod
     def of(cls, msg: CoapMessage, src: Endpoint, dst: Endpoint) -> Frame:
@@ -154,7 +152,6 @@ class Frame:
         setattr_(frame, "src", src)
         setattr_(frame, "dst", dst)
         setattr_(frame, "parsed", parsed)
-        setattr_(frame, "summary", coap.summarize(raw, parsed))
         return frame
 
 
@@ -310,7 +307,7 @@ class Network:
     # -- routing --------------------------------------------------------
 
     def send(self, frame: Frame) -> None:
-        self.sim.trace.emit("send", frame.src, frame.dst, frame.summary)
+        self.sim.trace.emit("send", frame.src, frame.dst, frame.raw)
         src, prefix = frame.src.addr, self.lln_prefix
         if not src.startswith(prefix):
             self._arrive_fifo(("ext_in", src), EXTERNAL_DELAY_MS, frame, "gw",
@@ -350,7 +347,7 @@ class Network:
         # Drawn before the blackhole test, so a blackhole moves no later draw.
         lost = link.loss != 0.0 and link.draw_lost(rng)
         if blackhole_key in self.blackholes or lost:
-            self.sim.trace.emit("drop_loss", frame.src, frame.dst, frame.summary)
+            self.sim.trace.emit("drop_loss", frame.src, frame.dst, frame.raw)
             return
         self._arrive_fifo(path_key, delay, frame, at, handler, args)
 
@@ -367,7 +364,7 @@ class Network:
                 args: tuple) -> None:
         """One hop's end: trace the arrival `at` the gateway ("gw") or the
         destination endpoint, then `handler(frame, *args)`."""
-        self.sim.trace.emit("recv", at, frame.summary)
+        self.sim.trace.emit("recv", at, frame.raw)
         handler(frame, *args)
 
 
@@ -515,7 +512,7 @@ class VirtualNode:
 
     def on_frame(self, frame: Frame) -> None:
         if self.state in _POWERED_OFF:
-            self.sim.trace.emit("drop_node_down", self.name, frame.summary)
+            self.sim.trace.emit("drop_node_down", self.name, frame.raw)
             return
         msg = frame.parsed
         if msg is None:
@@ -524,7 +521,7 @@ class VirtualNode:
         if self.state is _BOOTING:
             # Only the registration's answer gets through.
             if not answer(self._exchanges, frame):
-                self.sim.trace.emit("drop_blocked_booting", self.name, frame.summary)
+                self.sim.trace.emit("drop_blocked_booting", self.name, frame.raw)
             return
         if msg.msg_type is _RST:
             self._on_rst(frame.src, msg.mid)

@@ -175,7 +175,7 @@ class RecoveryCoordinator:
         """Handle a (deduplicated) registration.  The caller must have
         acknowledged the registration before invoking this."""
         status = self.directory.register_node(node_addr)
-        self.sim.trace.emit("reg", node_addr, status.value)
+        self.sim.trace.emit("reg", node_addr, status)
         self.abort(node_addr)
         if status is not RegistrationStatus.KNOWN_WITH_STATE:
             return None
@@ -215,7 +215,7 @@ class RecoveryCoordinator:
         frame = Frame.of(step.message, step.spoofed_source,
                          self.gateway.network.endpoint(run.plan.node))
         self.sim.trace.emit("inject", run.plan.node, run.index, int(step.entry_type), step.uri,
-                            step.spoofed_source, frame.summary)
+                            step.spoofed_source, frame.raw)
         run.exchange = self.gateway.send_replay(
             frame, self.replays, on_answer=lambda reply: self._consumed(run, reply),
             on_timeout=lambda: self._resolved(run, StepOutcome.TIMED_OUT))
@@ -242,7 +242,7 @@ class RecoveryCoordinator:
         return True
 
     def _consumed(self, run: RecoveryRun, frame: Frame) -> None:
-        self.sim.trace.emit("consume", frame.dst, frame.summary)
+        self.sim.trace.emit("consume", frame.dst, frame.raw)
         self._resolved(run, StepOutcome.ACKED)
 
     def _resolved(self, run: RecoveryRun, outcome: StepOutcome) -> None:
@@ -252,7 +252,7 @@ class RecoveryCoordinator:
         step = run.current_step
         run.report.outcomes.append(StepResult(run.index, step.entry_type, step.uri,
                                               outcome, self.sim.now))
-        self.sim.trace.emit("recover_step", run.plan.node, run.index, outcome.value)
+        self.sim.trace.emit("recover_step", run.plan.node, run.index, outcome)
         run.index += 1
         if run.index < len(run.plan.steps):
             run.gap_event = self.sim.schedule(self.pacing_gap, self._fire, run)

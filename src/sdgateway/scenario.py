@@ -4,12 +4,14 @@ Line-oriented, `#` comments, shell-style quoting.  A header block sets
 run parameters, `node`/`client`/`resource`/`flash` declare the topology,
 `at <ms> <verb> ...` lines schedule timed events and `assert <ms|final>
 <check> ...` lines schedule assertions.  Event times must be
-nondecreasing, every number finite and in range, and every event must
-reference a declared name.
+nondecreasing, every number finite and in range, every line must take
+exactly its arguments and keys, and every event and check must reference
+a declared name.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import shlex
 from dataclasses import dataclass, field
@@ -37,10 +39,22 @@ EVENT_VERBS = {
     "blackhole": ("node", "on|off"),
 }
 
+# Each check's arguments, as its evaluation reads them: `count` and
+# `counter` are integers, `types` is a comma-separated list of integers or
+# `-`.  `trace-contains` takes one or more words instead.
 ASSERT_CHECKS = {
-    "sd-types", "sd-count", "sd-obs", "resource", "observer-count",
-    "observer-client", "snapshot", "restored", "trace-contains",
+    "sd-types": ("node", "types"),
+    "sd-count": ("node", "count"),
+    "sd-obs": ("node", "path", "counter"),
+    "resource": ("node", "path", "value"),
+    "observer-count": ("node", "path", "count"),
+    "observer-client": ("node", "path", "addr"),
+    "snapshot": ("node",),
+    "restored": ("node",),
+    "trace-contains": None,
 }
+
+_NODE_KEYS = {"hops", "loss", "loader"}
 
 
 class ParseError(Exception):
@@ -197,6 +211,9 @@ def parse_scenario(text: str) -> Scenario:
             if name in node_names or name in client_names:
                 raise ParseError(f"duplicate name {name!r}", lineno)
             kv = _kv(rest[2:], lineno)
+            for key in kv:
+                if key not in _NODE_KEYS:
+                    raise ParseError(f"node: unknown key {key!r}", lineno)
             decl = NodeDecl(name, addr,
                             hops=_int(kv["hops"], lineno) if "hops" in kv else None,
                             loss=_float(kv["loss"], lineno) if "loss" in kv else None,
@@ -241,8 +258,7 @@ def parse_scenario(text: str) -> Scenario:
             check, args = rest[1], rest[2:]
             if check not in ASSERT_CHECKS:
                 raise ParseError(f"unknown assertion {check!r}", lineno)
-            if check != "trace-contains":
-                _declared(args[0] if args else "", node_names, lineno)
+            _check_args(check, args, lineno, node_names)
             sc.asserts.append(ScenarioAssert(at, check, args, lineno))
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
@@ -338,14 +354,36 @@ def _parse_event(at, verb, rest, lineno, node_names, client_names) -> ScenarioEv
     return ScenarioEvent(at, verb, args, lineno)
 
 
+def _check_args(check: str, args: list[str], lineno: int, node_names: set[str]) -> None:
+    if check == "trace-contains":
+        if not args:
+            raise ParseError(f"{check}: missing <text>", lineno)
+        return
+    for name, value in itertools.zip_longest(ASSERT_CHECKS[check], args):
+        if name is None:
+            raise ParseError(f"{check}: unexpected argument {value!r}", lineno)
+        if value is None:
+            raise ParseError(f"{check}: missing <{name}>", lineno)
+        if name == "node":
+            _declared(value, node_names, lineno)
+        elif name in ("count", "counter"):
+            _int(value, lineno)
+        elif name == "types" and value != "-":
+            for number in value.split(","):
+                _int(number, lineno)
+
+
 def _declared(name: str, names: set[str], lineno: int) -> None:
     if name not in names:
         raise ParseError(f"undeclared name {name!r}", lineno)
 
 
 def _need(rest: list[str], n: int, lineno: int, usage: str) -> None:
+    """Exactly `n` arguments."""
     if len(rest) < n:
         raise ParseError(f"usage: {usage}", lineno)
+    if len(rest) > n:
+        raise ParseError(f"unexpected argument {rest[n]!r}", lineno)
 
 
 def _one(rest: list[str], lineno: int, head: str) -> str:

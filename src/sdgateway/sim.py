@@ -14,6 +14,8 @@ from math import inf
 from operator import itemgetter
 from typing import Callable, Optional
 
+from . import coap
+
 MAX_EVENTS = 2_000_000  # per `Simulator.run` call; more is a runaway simulation
 
 
@@ -37,25 +39,26 @@ class Event(list):
 # Every kind of trace record, by the name `emit` takes, and its layout:
 # the record's kind, then its fields in order.  A field written `name` is a
 # value `emit` is given, kept as it is; `name:how` is one shown through
-# `_SHOWN[how]`; `name=text` is the same on every record of the kind, so it
-# is not given.  A kind whose records differ in their fields is one name
-# per variant.  To add a kind, add its line here and call `emit` with one
-# value per given field, in order; `tests/test_source.py` checks each call.
+# `_SHOWN[how]`, or a frame's bytes when `how` is `coap`; `name=text` is
+# the same on every record of the kind, so it is not given.  A kind whose
+# records differ in their fields is one name per variant.  To add a kind,
+# add its line here and call `emit` with one value per given field, in
+# order; `tests/test_source.py` checks each call.
 TRACE_KINDS = {
     # lln.Network
-    "send": "send src:str dst:str msg",
-    "recv": "recv at:str msg",
+    "send": "send src:str dst:str msg:coap",
+    "recv": "recv at:str msg:coap",
     "drop_no_route": "drop why=no-route dst:str",
     "drop_no_client": "drop why=no-client dst:str",
-    "drop_loss": "drop why=loss src:str dst:str msg",
+    "drop_loss": "drop why=loss src:str dst:str msg:coap",
     # lln.VirtualNode
     "boot": "boot node epoch",
     "assoc": "assoc node epoch delay:ms transmissions",
     "boot_failed": "boot_failed node epoch retries",
     "crash": "crash node epoch downtime",
-    "drop_node_down": "drop why=node-down node msg",
+    "drop_node_down": "drop why=node-down node msg:coap",
     "drop_node_malformed": "drop why=malformed node",
-    "drop_blocked_booting": "drop why=blocked-booting node msg",
+    "drop_blocked_booting": "drop why=blocked-booting node msg:coap",
     "drop_change_while_down": "drop why=change-while-down node uri",
     "load": "load node file source",
     "observer_add": "observer_add node uri client:str counter",
@@ -79,41 +82,48 @@ TRACE_KINDS = {
     "intercept": "intercept dir src:addr dst:addr",
     "gw_fwd_malformed": "gw ev=fwd_malformed dir dst:str",
     "gw_drop_malformed": "gw ev=drop_malformed src:str",
-    "gw_unclaimed": "gw ev=unclaimed src:str msg",
+    "gw_unclaimed": "gw ev=unclaimed src:str msg:coap",
     "gw_reg_dup": "gw ev=reg_dup node mid",
     "gw_reg": "gw ev=reg node mid",
     "inject_retransmit": "inject_retransmit dst:str attempt",
     # directory.StateDirectory
-    "sd": "sd dir effect et client:str server:str uri obs mid ret",
+    "sd": "sd dir effect:value et client:str server:str uri obs mid ret",
     "sd_remove": "sd_remove reason et server uri mid ret",
     # recovery.RecoveryCoordinator
-    "reg": "reg node status",
+    "reg": "reg node status:value",
     "recover_start": "recover_start node steps",
     "recover_abort": "recover_abort node at_step",
-    "inject": "inject node step et uri src:str msg",
-    "consume": "consume dst:str msg",
-    "recover_step": "recover_step node step outcome",
+    "inject": "inject node step et uri src:str msg:coap",
+    "consume": "consume dst:str msg:coap",
+    "recover_step": "recover_step node step outcome:value",
     "recover_done": "recover_done node steps aborted delay:ms",
 }
 
 # How a `name:how` field is shown: an endpoint or any other value as `str`
 # shows it, a duration in ms to three places, an intercepted frame's
-# address without its port, a binding's destination.
+# address without its port, a binding's destination, an enum member by its
+# value.  A `coap` field is a frame's bytes, shown as `coap.summarize`
+# describes them.
 _SHOWN = {"str": "{0}", "ms": "{0:.3f}", "addr": "<{0.addr}>",
-          "dest": "{0.dest_addr}/{0.dest_resource}"}
+          "dest": "{0.dest_addr}/{0.dest_resource}", "value": "{0.value}"}
+
+
+def _summarize(raw: bytes) -> str:
+    return coap.summarize(raw)  # looked up per call, so a wrapper of it sees every render
 
 
 class _Layout:
     """One kind's layout, worked out once from its `TRACE_KINDS` line.
 
-    A record is `t, name, *values` in the flat list; `line` formats exactly
+    A record is `t, name, *values` in the flat list; `text` renders exactly
     that slice, and `fields` gives its fields by name."""
 
-    __slots__ = ("kind", "arity", "line", "_fields")
+    __slots__ = ("kind", "arity", "line", "frames", "_fields")
 
     def __init__(self, layout: str) -> None:
         self.kind, *words = layout.split()
         line = ["{0:12.3f}", self.kind]
+        self.frames = ()  # where in the slice the `coap` fields are
         self._fields = []  # (name, index in the slice, render) or (name, None, text)
         given = 0
         for word in words:
@@ -123,13 +133,24 @@ class _Layout:
                 self._fields.append((name, None, text))
                 continue
             name, _, how = name.partition(":")
-            shown = _SHOWN[how] if how else None
             given += 1
-            # The slice is (t, name, *values): the given-th value is at given + 1.
-            line.append(name + "=" + (shown or "{0}").replace("{0", "{%d" % (given + 1)))
-            self._fields.append((name, given + 1, shown and shown.format))
+            index = given + 1  # the slice is (t, name, *values)
+            if how == "coap":
+                self.frames += (index,)
+                shown, render = None, _summarize
+            else:
+                shown = _SHOWN[how] if how else None
+                render = shown and shown.format
+            line.append(name + "=" + (shown or "{0}").replace("{0", "{%d" % index))
+            self._fields.append((name, index, render))
         self.arity = given
         self.line = " ".join(line)
+
+    def text(self, record: list) -> str:
+        """The line of a record's slice, a list that this fills in."""
+        for index in self.frames:
+            record[index] = _summarize(record[index])
+        return self.line.format(*record).rstrip()
 
     def fields(self, record) -> dict:
         """The fields of a record's slice, each as its line shows it; a
@@ -146,10 +167,11 @@ class TraceRecorder:
 
     `emit(name, *values)` appends `t, name, *values` to one flat list: the
     values by reference, in the order `TRACE_KINDS[name]` gives, with no
-    dict, tuple or text per record.  Text is made only when it is read:
-    `lines()` renders each record through its kind's layout, and `records`
-    and `find` build `(t, kind, fields)` from it.  The flat list is the one
-    container that the cyclic garbage collector tracks.
+    dict, tuple or text per record; a frame is its `raw` bytes.  Text is
+    made only when it is read: `lines()` renders each record through its
+    kind's layout, and `records` and `find` build `(t, kind, fields)` from
+    it.  The flat list is the one container that the cyclic garbage
+    collector tracks.
     """
 
     def __init__(self, sim: Simulator) -> None:
@@ -175,7 +197,7 @@ class TraceRecorder:
                 for layout, record in self._slices()]
 
     def lines(self) -> list[str]:
-        return [layout.line.format(*record).rstrip() for layout, record in self._slices()]
+        return [layout.text(record) for layout, record in self._slices()]
 
     def text(self) -> str:
         return "\n".join(self.lines()) + "\n"

@@ -264,13 +264,13 @@ def test_messages_and_frames_reject_attribute_assignment():
         with pytest.raises(AttributeError):
             setattr(value, attr, None)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        frame.summary = ""
+        frame.dst = None
     assert not hasattr(frame, "__dict__")
 
 
 # -- the option caches --------------------------------------------------------
 
-CACHES = (coap._option_block, coap._option_set, coap._option_text)
+CACHES = (coap._option_block, coap._option_set)
 
 
 def clear_caches():
@@ -428,7 +428,7 @@ ODD_MESSAGES = [
 
 
 def frame_outcome(build, msg):
-    """What `build(msg)` gives: the frame's bytes, addresses, summary, the
+    """What `build(msg)` gives: the frame's bytes and addresses, the
     repr and field types of its parse and whether the parse holds the
     options `decode` returns; or the exception's type and message."""
     try:
@@ -437,8 +437,8 @@ def frame_outcome(build, msg):
         return type(exc), str(exc)
     parsed = frame.parsed
     if parsed is None:
-        return frame.raw, frame.src, frame.dst, frame.summary, None
-    return (frame.raw, frame.src, frame.dst, frame.summary, repr(parsed),
+        return frame.raw, frame.src, frame.dst, None
+    return (frame.raw, frame.src, frame.dst, repr(parsed),
             [type(value) for value in parsed], parsed.options is decode(frame.raw).options)
 
 

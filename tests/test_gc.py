@@ -16,6 +16,7 @@ import pytest
 from sdgateway import coap
 from sdgateway.coap import Endpoint, OptionSet
 from sdgateway.harness import CLIENT_ADDR, ScenarioRun
+from sdgateway.lln import Frame
 from sdgateway.scenario import (
     ClientDecl,
     NodeDecl,
@@ -25,6 +26,7 @@ from sdgateway.scenario import (
     load_scenario,
     parse_scenario,
 )
+from sdgateway.sim import TRACE_KINDS
 
 
 def bundled(name: str) -> Path:
@@ -180,7 +182,7 @@ def test_a_run_keeps_one_option_set_per_distinct_block():
     """Decoded frames with the same option bytes share one parsed
     `OptionSet`, so what a finished run keeps alive is one per distinct
     option block, however many nodes it has."""
-    caches = (coap._option_block, coap._option_set, coap._option_text)
+    caches = (coap._option_block, coap._option_set)
     held = []
     for nodes in (10, 20):
         for cache in caches:
@@ -201,11 +203,35 @@ def test_a_run_keeps_one_option_set_per_distinct_block():
     assert held[0] == held[1]
 
 
-def test_trace_records_hold_shared_endpoints_and_no_container_per_record():
+# Where a record's `msg` is in its `t, name, *values` slice, by kind.
+MSG_AT = {}
+for name, layout in TRACE_KINDS.items():
+    given = [word.partition(":")[0] for word in layout.split()[1:] if "=" not in word]
+    if "msg" in given:
+        MSG_AT[name] = 2 + given.index("msg")
+
+
+def test_trace_records_hold_shared_endpoints_and_no_container_per_record(monkeypatch):
     """A record is its time, kind and values in the trace's flat list: no
     dict, tuple or `addr:port` text is made for it.  Its endpoints are the
     network's, one `Endpoint` per (addr, port): the gateway's, each node's,
-    and the client's source port of each of a node's six requests."""
+    and the client's source port of each of a node's six requests.  A
+    frame's `msg` is the frame's own `raw` bytes, so no text is made per
+    frame either."""
+    raws = []  # every frame's bytes, kept alive so that no id is reused
+    original_post_init, original_of = Frame.__post_init__, Frame.of
+
+    def post_init(self):
+        raws.append(self.raw)
+        original_post_init(self)
+
+    def of(cls, *args):
+        frame = original_of(*args)
+        raws.append(frame.raw)
+        return frame
+
+    monkeypatch.setattr(Frame, "__post_init__", post_init)
+    monkeypatch.setattr(Frame, "of", classmethod(of))
     held = []
     for nodes in (10, 20):
         gc.collect()
@@ -219,9 +245,17 @@ def test_trace_records_hold_shared_endpoints_and_no_container_per_record():
         left = [o for o in gc.get_objects() if type(o) is Endpoint and id(o) not in before]
         assert len(left) == len(set(left)), left
         texts = {str(e) for e in left}
-        flat = run.world.sim.trace._flat
+        trace = run.world.sim.trace
+        flat = trace._flat
         assert not [v for v in flat
                     if type(v) in (dict, tuple) or (type(v) is str and v in texts)]
         assert {v for v in flat if type(v) is Endpoint} <= set(left)
         held.append(len(left))
+        msgs = [record[MSG_AT[record[1]]] for _, record in trace._slices()
+                if record[1] in MSG_AT]
+        assert len(msgs) > 10 * nodes and len(MSG_AT) == 8
+        frame_raws = {id(raw) for raw in raws}
+        assert all(type(v) is bytes and id(v) in frame_raws for v in msgs)
+        summaries = {coap.summarize(raw) for raw in raws}
+        assert not [v for v in flat if type(v) is str and v in summaries]
     assert held == [1 + 7 * 10, 1 + 7 * 20]

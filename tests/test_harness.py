@@ -102,6 +102,31 @@ NUMBERS_BASE = "version 1\nnode n1 aaaa::1\nclient c1 cccc::3\n"
     ("at 10 silence n1 on", "undeclared name 'n1'"),
     ("at 10 crash n1 dwon=5 extra", "crash: unexpected argument 'dwon=5'"),
     ("at 20 put c1 n1 s/t 1 fc=50", "put: unexpected argument 'fc=50'"),
+    ("assert final resource n1", "resource: missing <path>"),
+    ("assert final resource n1 s/t", "resource: missing <value>"),
+    ("assert final sd-obs n1 a/b", "sd-obs: missing <counter>"),
+    ("assert final sd-obs n1 a/b many", "expected integer, got 'many'"),
+    ("assert final sd-count n1 abc", "expected integer, got 'abc'"),
+    ("assert final sd-count n1", "sd-count: missing <count>"),
+    ("assert final observer-count n1 a/b x", "expected integer, got 'x'"),
+    ("assert final observer-client n1 a/b", "observer-client: missing <addr>"),
+    ("assert final sd-types n1 1,x", "expected integer, got 'x'"),
+    ("assert final sd-types n1 1,,2", "expected integer, got ''"),
+    ("assert final sd-types n1", "sd-types: missing <types>"),
+    ("assert final restored", "restored: missing <node>"),
+    ("assert final snapshot c1", "undeclared name 'c1'"),
+    ("assert final snapshot n1 now", "snapshot: unexpected argument 'now'"),
+    ("assert final sd-count n1 1 2", "sd-count: unexpected argument '2'"),
+    ("assert final resource n1 s/t 1 extra", "resource: unexpected argument 'extra'"),
+    ("assert final trace-contains", "trace-contains: missing <text>"),
+    ("node n2 aaaa::3 hop=3", "node: unknown key 'hop'"),
+    ("node n2 aaaa::3 hops=2 lodaer=x", "node: unknown key 'lodaer'"),
+    ("seed 1 2", "unexpected argument '2'"),
+    ("settle 10 20", "unexpected argument '20'"),
+    ("scenario a b", "unexpected argument 'b'"),
+    ("client c2 cccc::4 extra", "unexpected argument 'extra'"),
+    ("resource n1 a/b 5 extra", "unexpected argument 'extra'"),
+    ("flash n1 f.bin data extra", "unexpected argument 'extra'"),
 ] + [(line.replace("LONG", "s/" + "x" * 256), "uri segment longer than 255 bytes") for line in [
     "at 10 put c1 n1 LONG 1",
     "at 10 get c1 n1 LONG",

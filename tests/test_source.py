@@ -87,22 +87,34 @@ FIELD_COUNTS = {name: sum("=" not in word for word in layout.split()[1:])
                 for name, layout in TRACE_KINDS.items()}
 
 
+def renders_text(arg) -> bool:
+    """Whether an expression makes text: an f-string, `str(...)`, a
+    `format` call, `.short()`, `summarize(...)`, or a `.value` or
+    `.summary` read."""
+    for node in ast.walk(arg):
+        if (isinstance(node, ast.JoinedStr)
+                or isinstance(node, ast.Attribute) and node.attr in ("value", "summary")
+                or isinstance(node, ast.Call)
+                and _called(node.func) in ("str", "format", "short", "summarize")):
+            return True
+    return False
+
+
 def bad_emits(source: str) -> list[int]:
     """Lines of `emit(...)` calls that do not name a `TRACE_KINDS` kind as a
-    string literal, or that pass anything but that kind's number of fields,
-    each as one positional argument."""
+    string literal, that pass anything but that kind's number of fields,
+    each as one positional argument, or that make text for a field: the
+    trace makes it when it is read."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")) != "emit":
+        if not isinstance(node, ast.Call) or _called(node.func) != "emit":
             continue
         kind = node.args[0] if node.args else None
         name = kind.value if isinstance(kind, ast.Constant) else None
         if (name not in FIELD_COUNTS or node.keywords
                 or any(isinstance(a, ast.Starred) for a in node.args)
-                or len(node.args) - 1 != FIELD_COUNTS[name]):
+                or len(node.args) - 1 != FIELD_COUNTS[name]
+                or any(renders_text(a) for a in node.args[1:])):
             found.append(node.lineno)
     return found
 
@@ -116,7 +128,9 @@ def test_every_trace_emit_names_a_kind_and_its_fields():
 
 @pytest.mark.parametrize("source,ok", [
     ("trace.emit('send', a, b, c)", True),
-    ("self.sim.trace.emit('drop_loss', f.src, f.dst, f.summary)", True),
+    ("self.sim.trace.emit('drop_loss', f.src, f.dst, f.raw)", True),
+    ("trace.emit('sd_remove', why, int(e.entry_type), s, uri, mid, n)", True),
+    ("trace.emit('reg', node, status)", True),
     ("retry = lambda n: trace.emit('retransmit', node, uri, mid, n)", True),
     ("emit('boot', name, epoch)", True),
     ("trace.emitted('send')", True),
@@ -129,6 +143,16 @@ def test_every_trace_emit_names_a_kind_and_its_fields():
     ("trace.emit(kind, a, b, c)", False),
     ("trace.emit('no_such_kind', a)", False),
     ("trace.emit()", False),
+    ("self.sim.trace.emit('drop_loss', f.src, f.dst, f.summary)", False),
+    ("trace.emit('send', a, b, f'{c}')", False),
+    ("trace.emit('send', a, b, str(c))", False),
+    ("trace.emit('reg', node, status.value)", False),
+    ("trace.emit('reg', node, TEXT[status.value])", False),
+    ("trace.emit('send', a, b, msg.short())", False),
+    ("trace.emit('send', a, b, decode(raw).short())", False),
+    ("trace.emit('send', a, b, coap.summarize(f.raw))", False),
+    ("trace.emit('send', a, b, '{}'.format(c))", False),
+    ("trace.emit('send', a, b, format(c, 'x'))", False),
 ])
 def test_emit_check_flags_what_it_should(source, ok):
     assert (bad_emits(source) == []) is ok
