@@ -6,7 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .harness import check_sweep, default_out_dir, run_scenario, sweep, write_csv
+from .harness import SWEEP_PARAMS, check_sweep, default_out_dir, run_scenario, sweep, write_csv
 from .lln import RDC
 from .scenario import ParseError
 
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=_cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="sweep hops, state_count or rdc")
-    sweep_p.add_argument("--param", required=True, choices=["hops", "state_count", "rdc"])
+    sweep_p.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     sweep_p.add_argument("--range", required=True,
                          help="a..b, comma list, or rdc names for --param rdc")
     sweep_p.add_argument("--reps", type=int, default=30)

@@ -4,7 +4,9 @@ Implements the RFC 7252 subset this project needs (base header, token,
 delta-encoded options, payload marker) plus Observe (RFC 7641), Block1
 (RFC 7959) and four experimental-range options carrying binding
 descriptors.  Messages are immutable values; encode/decode are pure
-functions, safe to call from any thread.
+functions, safe to call from any thread.  Each message rule is stated
+once, in the checks `encode` runs, and `decode` ends in the same checks:
+it accepts exactly the frames whose message `encode` can send again.
 
 A run sees few distinct option blocks, so each distinct one is encoded
 and parsed once, through two bounded `functools.lru_cache`s
@@ -97,7 +99,6 @@ def code_valid(code: int) -> bool:
     return cls in (2, 4, 5)
 
 
-_VALID_CODES = frozenset(filter(code_valid, range(256)))
 _METHOD_NAMES = {EMPTY: "EMPTY", GET: "GET", POST: "POST", PUT: "PUT", DELETE: "DELETE"}
 
 
@@ -409,10 +410,13 @@ def _text(data: bytes, what: str) -> str:
 
 @functools.lru_cache(maxsize=OPTION_CACHE_SIZE)
 def _option_set(block: bytes) -> OptionSet:
-    """The options in a block of option bytes that `_walk_options` passed."""
+    """The options in a block of option bytes that `_walk_options` passed,
+    checked by validate_options."""
     raw: list[tuple[int, bytes]] = []
     _walk_options(block, 0, raw)
-    return _fold_options(raw)
+    options = _fold_options(raw)
+    validate_options(options)
+    return options
 
 
 def _fold_options(raw: list[tuple[int, bytes]]) -> OptionSet:
@@ -454,10 +458,6 @@ def _fold_options(raw: list[tuple[int, bytes]]) -> OptionSet:
             pmin=_uint_value(singles.get(OPT_BIND_PMIN, b""), 4, "pmin"),
             pmax=_uint_value(singles.get(OPT_BIND_PMAX, b"\x01\x51\x80"), 4, "pmax"),
         )
-        if not binding.dest_resource:
-            raise MalformedFrame("binding dest_resource empty")
-        if binding.pmin > binding.pmax:
-            raise MalformedFrame("binding pmin > pmax")
 
     return OptionSet(tuple(path), tuple(query), observe, block1, max_age, content_format,
                      binding, tuple(extra))
@@ -465,7 +465,9 @@ def _fold_options(raw: list[tuple[int, bytes]]) -> OptionSet:
 
 def decode(data: bytes) -> CoapMessage:
     """Parse wire bytes into a message, raising MalformedFrame on any
-    framing violation.  decode(encode(m)) == m for every valid m."""
+    framing violation and on a message that breaks a rule `encode` checks,
+    so encode(decode(b)) never raises.  decode(encode(m)) == m for every
+    valid m."""
     if type(data) is not bytes:
         data = bytes(data)  # so that the option block is hashable
     if len(data) < 4:
@@ -473,18 +475,9 @@ def decode(data: bytes) -> CoapMessage:
     b0 = data[0]
     if b0 >> 6 != COAP_VERSION:
         raise MalformedFrame(f"unsupported version {b0 >> 6}")
-    msg_type = _MSG_TYPES[(b0 >> 4) & 0x3]
-    tkl = b0 & 0xF
-    if tkl > 8:
-        raise MalformedFrame(f"token length {tkl} reserved")
-    code = data[1]
-    if code not in _VALID_CODES:
-        raise MalformedFrame(f"invalid code 0x{code:02x}")
-    mid = (data[2] << 8) | data[3]
-    start = 4 + tkl
+    start = 4 + (b0 & 0xF)
     if len(data) < start:
         raise MalformedFrame("truncated token")
-    token = data[4:start]
 
     end = _walk_options(data, start)
     payload = b""
@@ -492,19 +485,14 @@ def decode(data: bytes) -> CoapMessage:
         if end + 1 == len(data):
             raise MalformedFrame("payload marker with empty payload")
         payload = data[end + 1:]
-    options = _option_set(data[start:end]) if end > start else _NO_OPTIONS
-
-    if code == EMPTY:
-        if tkl or end > start or payload:
-            raise MalformedFrame("EMPTY message with token, options or payload")
-        if msg_type is _NON:
-            raise MalformedFrame("EMPTY NON message")
-    if msg_type is _RST and code != EMPTY:
-        raise MalformedFrame("RST with non-EMPTY code")
-    if msg_type is _ACK and code != EMPTY and not is_response(code):
-        raise MalformedFrame("ACK carrying a request code")
-
-    return CoapMessage(msg_type, code, mid, token, options, payload)
+    try:
+        options = _option_set(data[start:end]) if end > start else _NO_OPTIONS
+        msg = CoapMessage(_MSG_TYPES[(b0 >> 4) & 0x3], data[1], (data[2] << 8) | data[3],
+                          data[4:start], options, payload)
+        _validate(msg)
+    except InvariantViolation as exc:
+        raise MalformedFrame(str(exc)) from exc
+    return msg
 
 
 def decode_encoded(raw: bytes, msg: CoapMessage) -> CoapMessage:
@@ -582,7 +570,6 @@ class MidAllocator:
 
     def __init__(self, rng) -> None:
         self._next = rng.randrange(0x10000)
-        self.first = self._next
 
     def next_mid(self) -> int:
         value = self._next

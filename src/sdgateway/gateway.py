@@ -17,7 +17,6 @@ from .coap import (
     CoapMessage,
     MidAllocator,
     empty_ack,
-    encode,
 )
 from .directory import DeployMode, StateDirectory
 from .lln import Confirmable, Deduplicator, Frame, Network
@@ -43,7 +42,7 @@ class Gateway:
         self.recovery = RecoveryCoordinator(self.directory, self, sim=sim, mids=self.mids,
                                             pacing_gap=pacing_gap)
         self.overhead_us: list[float] = []
-        self._registrations = Deduplicator(sim)  # each kept with its ACK's bytes
+        self._registrations = Deduplicator(sim)  # each kept with its ACK frame
         network.gateway = self
 
     # -- forwarding --------------------------------------------------------
@@ -69,7 +68,7 @@ class Gateway:
                 hook(msg, frame.src, frame.dst)
         if inbound:
             self.network.deliver_to_node(frame)
-        elif msg is None or not self.recovery.consume(frame, msg):
+        elif msg is None or not self.recovery.consume(frame):
             self.network.deliver_to_client(frame)
 
     def _terminate(self, frame: Frame, msg: Optional[CoapMessage], ingress: str) -> None:
@@ -80,17 +79,18 @@ class Gateway:
                 and msg.options.path_str() == REGISTRATION_PATH):
             self._handle_registration(frame, msg)
             return
-        if self.recovery.consume(frame, msg):
+        if self.recovery.consume(frame):
             return
         self.sim.trace.emit("gw_unclaimed", frame.src, frame.raw)
 
     def _handle_registration(self, frame: Frame, msg: CoapMessage) -> None:
         node_addr = frame.src.addr
         kept = self._registrations.reply(frame.src, msg.mid)
-        ack = kept or self._registrations.keep(frame.src, msg.mid, encode(empty_ack(msg.mid)))
+        ack = kept or self._registrations.keep(
+            frame.src, msg.mid, Frame.of(empty_ack(msg.mid), self.endpoint, frame.src))
         # The node blocks on this acknowledgement; it always goes out
         # before any replay packet.
-        self.network.deliver_to_node(Frame(ack, self.endpoint, frame.src))
+        self.network.deliver_to_node(ack)
         if kept is not None:
             self.sim.trace.emit("gw_reg_dup", node_addr, msg.mid)
             return

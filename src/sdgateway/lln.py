@@ -118,11 +118,12 @@ class Frame:
     retransmitted or relayed as the same object is parsed once.  The frame
     is frozen so the parse cannot go stale.
 
-    `Frame(raw, src, dst)` decodes `raw`; it is for frames that exist only
-    as bytes.  `Frame.of(msg, src, dst)` encodes `msg` and takes the parse
-    from `coap.decode_encoded`, which builds the message `decode` would
-    return without walking the bytes again.  Either way equal bytes give
-    an equal frame and parse.
+    `Frame(raw, src, dst)` decodes `raw`; it is only for bytes from outside
+    the program, such as injected or malformed frames.  Every frame the
+    program builds from a message is `Frame.of(msg, src, dst)`, which
+    encodes `msg` and takes the parse from `coap.decode_encoded`: the
+    message `decode` would return, without walking the bytes again.  Either
+    way equal bytes give an equal frame and parse.
     """
 
     raw: bytes
@@ -976,7 +977,7 @@ class ScriptedClient:
         if msg.msg_type is _CON:
             ack = self._replies.reply(frame.src, msg.mid)
             if ack is not None:
-                self.network.send(Frame(ack, source, frame.src))
+                self.network.send(ack)
                 return
         self.notifications.append({
             "time": self.sim.now, "node": node_addr, "path": path,
@@ -989,5 +990,5 @@ class ScriptedClient:
             self._forget(node_addr, path)
             return
         if msg.msg_type is _CON:
-            ack = self._replies.keep(frame.src, msg.mid, encode(coap.empty_ack(msg.mid)))
-            self.network.send(Frame(ack, source, frame.src))
+            ack = Frame.of(coap.empty_ack(msg.mid), source, frame.src)
+            self.network.send(self._replies.keep(frame.src, msg.mid, ack))

@@ -221,7 +221,7 @@ class RecoveryCoordinator:
             on_timeout=lambda: self._resolved(run, StepOutcome.TIMED_OUT))
         run.exchange.start()
 
-    def consume(self, frame: Frame, msg: CoapMessage) -> bool:
+    def consume(self, frame: Frame) -> bool:
         """Claim `frame` if it answers the replay in flight to the node that
         sent it: an ACK or RST by `answer`'s rule, or a separate response
         addressed to the replay's spoofed source that carries the replay's
@@ -235,7 +235,7 @@ class RecoveryCoordinator:
             return False
         replay = run.exchange.frame
         token = replay.parsed.token
-        if not token or msg.token != token or frame.dst != replay.src:
+        if not token or frame.parsed.token != token or frame.dst != replay.src:
             return False
         run.exchange.cancel()
         self._consumed(run, frame)

@@ -102,14 +102,23 @@ TRACE_KINDS = {
 # How a `name:how` field is shown: an endpoint or any other value as `str`
 # shows it, a duration in ms to three places, an intercepted frame's
 # address without its port, a binding's destination, an enum member by its
-# value.  A `coap` field is a frame's bytes, shown as `coap.summarize`
-# describes them.
+# value.  A `coap` field is a frame's bytes, shown as the text `_Texts`
+# puts in their place.
 _SHOWN = {"str": "{0}", "ms": "{0:.3f}", "addr": "<{0.addr}>",
-          "dest": "{0.dest_addr}/{0.dest_resource}", "value": "{0.value}"}
+          "dest": "{0.dest_addr}/{0.dest_resource}", "value": "{0.value}", "coap": "{0}"}
 
 
 def _summarize(raw: bytes) -> str:
     return coap.summarize(raw)  # looked up per call, so a wrapper of it sees every render
+
+
+class _Texts(dict):
+    """Frames' text by their bytes, for one read of the trace: each distinct
+    frame is rendered once, as `coap.summarize` describes it."""
+
+    def __missing__(self, raw: bytes) -> str:
+        text = self[raw] = _summarize(raw)
+        return text
 
 
 class _Layout:
@@ -137,24 +146,24 @@ class _Layout:
             index = given + 1  # the slice is (t, name, *values)
             if how == "coap":
                 self.frames += (index,)
-                shown, render = None, _summarize
-            else:
-                shown = _SHOWN[how] if how else None
-                render = shown and shown.format
+            shown = _SHOWN[how] if how else None
+            render = shown and shown.format
             line.append(name + "=" + (shown or "{0}").replace("{0", "{%d" % index))
             self._fields.append((name, index, render))
         self.arity = given
         self.line = " ".join(line)
 
-    def text(self, record: list) -> str:
+    def text(self, record: list, texts: _Texts) -> str:
         """The line of a record's slice, a list that this fills in."""
         for index in self.frames:
-            record[index] = _summarize(record[index])
+            record[index] = texts[record[index]]
         return self.line.format(*record).rstrip()
 
-    def fields(self, record) -> dict:
-        """The fields of a record's slice, each as its line shows it; a
-        value shown as it is keeps its own type."""
+    def fields(self, record: list, texts: _Texts) -> dict:
+        """The fields of a record's slice, a list that this fills in, each
+        as its line shows it; a value shown as it is keeps its own type."""
+        for index in self.frames:
+            record[index] = texts[record[index]]
         return {name: show if index is None else show(record[index]) if show else record[index]
                 for name, index, show in self._fields}
 
@@ -170,8 +179,8 @@ class TraceRecorder:
     dict, tuple or text per record; a frame is its `raw` bytes.  Text is
     made only when it is read: `lines()` renders each record through its
     kind's layout, and `records` and `find` build `(t, kind, fields)` from
-    it.  The flat list is the one container that the cyclic garbage
-    collector tracks.
+    it, each read rendering each distinct frame once.  The flat list is the
+    one container that the cyclic garbage collector tracks.
     """
 
     def __init__(self, sim: Simulator) -> None:
@@ -193,21 +202,23 @@ class TraceRecorder:
     @property
     def records(self) -> list[tuple[float, str, dict]]:
         """The (time, kind, fields) records, as a new list on each access."""
-        return [(record[0], layout.kind, layout.fields(record))
+        texts = _Texts()
+        return [(record[0], layout.kind, layout.fields(record, texts))
                 for layout, record in self._slices()]
 
     def lines(self) -> list[str]:
-        return [layout.text(record) for layout, record in self._slices()]
+        texts = _Texts()
+        return [layout.text(record, texts) for layout, record in self._slices()]
 
     def text(self) -> str:
         return "\n".join(self.lines()) + "\n"
 
     def find(self, kind: str, **match) -> list[tuple[float, dict]]:
-        hits = []
+        hits, texts = [], _Texts()
         for layout, record in self._slices():
             if layout.kind != kind:
                 continue
-            fields = layout.fields(record)
+            fields = layout.fields(record, texts)
             if all(fields.get(key) == value for key, value in match.items()):
                 hits.append((record[0], fields))
         return hits

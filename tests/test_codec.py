@@ -118,6 +118,10 @@ def test_unknown_elective_option_preserved_opaquely():
     bytes([0x60, 0x01, 0x00, 0x01]),                  # ACK carrying a request code
     bytes([0x70, 0x45, 0x00, 0x01]),                  # RST with non-empty code
     bytes([0x50, 0x00, 0x00, 0x01]),                  # EMPTY NON
+    pytest.param(bytes([0x40, 0x03, 0x00, 0x01, 0xBD, 243]) + b"p" * 256,
+                 id="uri-path-256B"),                 # a segment encode refuses
+    pytest.param(bytes([0x40, 0x03, 0x00, 0x01, 0xDD, 2, 243]) + b"q" * 256,
+                 id="uri-query-256B"),
 ])
 def test_decode_rejects_malformed(data):
     with pytest.raises(MalformedFrame):
@@ -125,14 +129,20 @@ def test_decode_rejects_malformed(data):
 
 
 def test_decoder_survives_random_bytes():
+    # Whatever decode accepts, encode can send again.
     rng = random.Random(99)
-    for _ in range(2000):
-        data = rng.randbytes(rng.randint(0, 64))
+    frames = [rng.randbytes(rng.randint(0, 64)) for _ in range(2000)]
+    for _ in range(2000):  # valid frames with one byte changed
+        data = bytearray(encode(random_message(rng)))
+        data[rng.randrange(len(data))] = rng.randrange(256)
+        frames.append(bytes(data))
+    for data in frames:
         try:
             msg = decode(data)
         except MalformedFrame:
             continue
         assert isinstance(msg, CoapMessage)
+        assert decode(encode(msg)) == msg
 
 
 @pytest.mark.parametrize("msg", [

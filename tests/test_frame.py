@@ -1,5 +1,6 @@
-"""While a simulation runs, a frame's bytes are parsed at most once, a frame
-not parsed at all, and retransmissions resend the frame they first sent
+"""While a simulation runs, only bytes from outside the program are parsed,
+each frame of them once; a frame built from a message is not parsed at all,
+and retransmissions and duplicate replies resend the frame they first sent
 instead of building (and parsing) a new one."""
 
 import dataclasses
@@ -11,7 +12,18 @@ import pytest
 
 from worldutil import booted_world, simple_scenario
 from sdgateway import coap
-from sdgateway.coap import GET, PUT, CoapMessage, Endpoint, MsgType, OptionSet, encode
+from sdgateway.coap import (
+    CONTENT,
+    EMPTY,
+    GET,
+    PUT,
+    CoapMessage,
+    Endpoint,
+    MsgType,
+    OptionSet,
+    encode,
+    registration_request,
+)
 from sdgateway.harness import ScenarioRun
 from sdgateway.lln import Frame, NotifyPolicy
 from sdgateway.scenario import load_scenario
@@ -71,11 +83,12 @@ def spies(monkeypatch):
 def test_no_frame_is_decoded_more_than_once(spies, make):
     frames, from_messages, decoded = spies
     # The simulation only: reading the trace, as the final checks do,
-    # renders each traced frame from its bytes, and so decodes it again.
+    # renders each traced frame from its bytes, and so decodes it.  The
+    # bundled scenarios inject no bytes from outside, so nothing is parsed.
     ScenarioRun(make()).advance()
     # `frames` keeps every raw alive, so no id is reused during the run.
     per_raw = Counter(id(f.raw) for f in frames)
-    assert frames and sum(decoded.values()) > 0
+    assert frames and not decoded, f"{sum(decoded.values())} decodes while simulating"
     assert set(decoded) <= set(per_raw), "decoded bytes that belong to no Frame"
     over = {raw: n for raw, n in decoded.items() if n > per_raw[raw]}
     assert not over, f"{len(over)} frames decoded more than once"
@@ -149,6 +162,37 @@ def test_node_dedup_resends_the_same_response_frame(monkeypatch):
     node.on_frame(Frame(raw, CLIENT_EP, node.endpoint))
     node.on_frame(Frame(raw, CLIENT_EP, node.endpoint))  # a retransmission
     assert len(sent) == 2 and sent[0] is sent[1]
+
+
+def test_gateway_dedup_resends_the_same_registration_ack(monkeypatch):
+    world = booted_world(simple_scenario())
+    node, gateway = world.nodes["n1"], world.gateway
+    delivered: list[Frame] = []
+    monkeypatch.setattr(world.network, "deliver_to_node",
+                        lambda frame, origin="gw": delivered.append(frame))
+    registration = Frame.of(registration_request(901), node.endpoint, gateway.endpoint)
+    gateway.on_frame(registration, "lln")
+    gateway.on_frame(registration, "lln")  # a retransmission
+    assert world.sim.trace.find("gw", ev="reg_dup", mid=901)
+    acks = [f for f in delivered if f.parsed.code == EMPTY]
+    assert len(acks) == 2 and acks[0] is acks[1]
+
+
+def test_client_dedup_resends_the_same_notification_ack(monkeypatch):
+    world = booted_world(simple_scenario(resources={"gpio/btn": b"0"}))
+    node, client = world.nodes["n1"], world.clients["c1"]
+    client.observe(node.addr, "gpio/btn")
+    world.sim.run(until=world.sim.now + 1000.0)
+    rel = client.relationships[(node.addr, "gpio/btn")]
+    note = Frame.of(CoapMessage(MsgType.CON, CONTENT, 902, token=rel.token,
+                                options=OptionSet(observe=7), payload=b"1"),
+                    node.endpoint, Endpoint(client.addr, rel.port))
+    sent = _sends(world, monkeypatch)
+    seen = len(client.notifications)
+    client.on_frame(note)
+    client.on_frame(note)  # a retransmission
+    assert len(client.notifications) == seen + 1
+    assert len(sent) == 2 and sent[0] is sent[1] and sent[0].parsed.mid == 902
 
 
 def test_notification_retransmission_resends_the_same_frame(monkeypatch):

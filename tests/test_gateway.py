@@ -66,6 +66,27 @@ def test_malformed_frame_forwarded_untouched_with_no_sd_effect():
     assert world.gateway.directory.entries == []
 
 
+def test_overlong_uri_segment_is_malformed_and_never_replayed():
+    # A 300-byte Uri-Path segment is beyond what encode can send, so the
+    # gateway must not store it for a replay after the crash.
+    world = booted_world(simple_scenario(resources={"s/t": b"0"}))
+    node, client = world.nodes["n1"], world.clients["c1"]
+    client.put(node.addr, "s/t", b"7")
+    world.sim.run(until=world.sim.now + 1000.0)
+    before = node.dynamic_state()
+    raw = bytes([0x40, 0x03, 0x12, 0x34, 0xBE, 0x00, 300 - 269]) + b"x" * 300 + b"\xff5"
+    world.network.send(Frame(raw, Endpoint(client.addr, 45001), node.endpoint))
+    world.sim.run(until=world.sim.now + 1000.0)
+    node.crash(300.0)
+    world.sim.run(until=world.sim.now + 15_000.0)
+    assert world.sim.trace.find("gw", ev="fwd_malformed", dir="in")
+    assert world.sim.trace.find("drop", why="malformed", node="n1")
+    entries = world.gateway.directory.entries_for_server(node.addr)
+    assert [e.uri_path for e in entries] == ["s/t"]
+    assert world.gateway.recovery.reports[-1].all_acked
+    assert node.dynamic_state() == before
+
+
 def test_interception_disabled_leaves_directory_untouched():
     sc = simple_scenario(resources={"s/t": b"0"})
     world = ScenarioRun(sc, interception=False).world

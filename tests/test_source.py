@@ -164,11 +164,15 @@ def _called(func) -> str:
 
 
 def frames_of_encoded_bytes(source: str) -> list[int]:
-    """Lines that build a `Frame` from bytes `encode` has just written:
-    `Frame(encode(...), ...)`, or `Frame(raw, ...)` where `raw = encode(...)`
-    earlier in the same function.  `Frame.of` builds that frame without
-    parsing the bytes again."""
+    """Lines that build a `Frame` from bytes `encode` may have just written:
+    `Frame(x, ...)` where `x` contains an `encode(...)` call, or is a name
+    assigned in the same function from an expression that contains one.
+    `Frame.of` builds that frame without parsing the bytes again."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+    def encodes(expr) -> bool:
+        return any(isinstance(node, ast.Call) and _called(node.func) == "encode"
+                   for node in ast.walk(expr))
 
     def own_nodes(scope):
         # The nodes of `scope`, less those of the functions defined in it.
@@ -182,23 +186,23 @@ def frames_of_encoded_bytes(source: str) -> list[int]:
         if not isinstance(scope, (ast.Module,) + functions):
             continue
         nodes = list(own_nodes(scope))
-        encoded = {target.id for node in nodes if isinstance(node, ast.Assign)
-                   and isinstance(node.value, ast.Call) and _called(node.value.func) == "encode"
+        encoded = {target.id for node in nodes
+                   if isinstance(node, ast.Assign) and encodes(node.value)
                    for target in node.targets if isinstance(target, ast.Name)}
         for node in nodes:
             if not (isinstance(node, ast.Call) and _called(node.func) == "Frame"):
                 continue
             raw = node.args[0] if node.args else next(
                 (k.value for k in node.keywords if k.arg == "raw"), None)
-            if (isinstance(raw, ast.Call) and _called(raw.func) == "encode"
-                    or isinstance(raw, ast.Name) and raw.id in encoded):
+            if raw is not None and (encodes(raw) or isinstance(raw, ast.Name)
+                                    and raw.id in encoded):
                 found.append(node.lineno)
     return sorted(found)
 
 
 def test_no_frame_is_built_from_encoded_bytes():
     checked = [path.name for path in SOURCES if "Frame.of(" in path.read_text(encoding="utf-8")]
-    assert {"lln.py", "recovery.py"} <= set(checked)
+    assert {"gateway.py", "lln.py", "recovery.py"} <= set(checked)
     found = {path.name: frames_of_encoded_bytes(path.read_text(encoding="utf-8"))
              for path in SOURCES}
     assert not any(found.values()), found
@@ -207,13 +211,14 @@ def test_no_frame_is_built_from_encoded_bytes():
 @pytest.mark.parametrize("source,ok", [
     ("frame = Frame.of(msg, src, dst)", True),
     ("send(Frame(ack, source, frame.src))", True),
-    ("ack = keep(src, mid, encode(empty_ack(mid)))\nsend(Frame(ack, src, dst))", True),
     ("def f():\n    raw = encode(m)\n\ndef g(raw):\n    return Frame(raw, a, b)", True),
     ("Frame(encode(msg), src, dst)", False),
     ("lln.Frame(coap.encode(msg), src, dst)", False),
     ("Frame(raw=encode(msg), src=a, dst=b)", False),
     ("def f():\n    raw = encode(m)\n    return Frame(raw, a, b)", False),
     ("send(Frame(encode(reply), source, frame.src))", False),
+    ("ack = keep(src, mid, encode(empty_ack(mid)))\nsend(Frame(ack, src, dst))", False),
+    ("def f():\n    ack = kept or keep(p, encode(m))\n    send(Frame(ack, a, b))", False),
 ])
 def test_encoded_frame_check_flags_what_it_should(source, ok):
     assert (frames_of_encoded_bytes(source) == []) is ok
