@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from worldutil import random_interaction_scenario
+import lossy_pins
 from sdgateway import harness
 from sdgateway.cli import main as cli_main
 from sdgateway.harness import (
@@ -415,48 +415,17 @@ def test_lossy_pins_cover_every_retransmission_path():
                      "assoc transmissions>1"}
 
 
-def lossy_set():
-    """Both bundled scenarios at seeds 1-12 and loss 0.1 and 0.25, then
-    criterion 4's generator at seeds 0-49 and loss 0.05, 0.1 and 0.25:
-    198 runs that retransmit, give up, drop duplicates and abort."""
-    for name in ("fig12_19.scn", "bind_deploy.scn"):
-        for seed in range(1, 13):
-            for loss in (0.1, 0.25):
-                sc = load_scenario(bundled(name))
-                sc.seed, sc.loss = seed, loss
-                yield sc
-    for seed in range(50):
-        for loss in (0.05, 0.1, 0.25):
-            sc = random_interaction_scenario(seed)
-            sc.loss = loss
-            yield sc
-
-
-# sha256 over every run of `lossy_set()`: its trace text, metrics CSV,
-# directory snapshot lines and check outcomes, or the exception that
-# aborted it.  Pinned like PINNED_DIGESTS.  The client's notification
-# records are left out: they are not an output of the gateway.
-LOSSY_SET_DIGEST = "198762a02da22a22fd9f735ce6338c4088daad85c0dc986844a51aaaca455724"
-
-
 def test_behaviour_under_loss_is_pinned():
-    digest, runs, aborted = hashlib.sha256(), 0, 0
-    for sc in lossy_set():
-        run, abort = ScenarioRun(sc), None
-        try:
-            run.advance()
-            run.finish()
-        except Exception as exc:  # hashed: an abort is an outcome like any other
-            abort = f"{type(exc).__name__}: {exc}"
-            aborted += 1
-        world = run.world
-        for text in (world.sim.trace.text(), csv_text(run.metrics),
-                     "\n".join(world.gateway.directory.snapshot_lines()),
-                     repr((run.assertions, abort))):
-            digest.update(text.encode() + b"\0")
-        runs += 1
-    assert runs == 198 and 0 < aborted < runs
-    assert digest.hexdigest() == LOSSY_SET_DIGEST
+    """Every run of `lossy_pins.lossy_set()` matches its row of the pin
+    table; a failure names each run that moved and how its records moved."""
+    got, aborted = {}, 0
+    for key, sc in lossy_pins.lossy_set():
+        run, abort = lossy_pins.run(sc)
+        aborted += abort is not None
+        got[key] = lossy_pins.pin(lossy_pins.artifacts(run, abort))
+    assert len(got) == 198 and 0 < aborted < len(got)
+    moved = lossy_pins.moved(lossy_pins.load_table(), got)
+    assert not moved, "runs moved:\n" + "\n".join(moved)
 
 
 # The type of each field's value in `TraceRecorder.records`, by record
@@ -515,14 +484,8 @@ def test_trace_records_render_as_the_trace_lines():
     """`records` gives each field the value its line shows, of its kind's
     type, for both bundled scenarios and every run of the lossy set."""
     runs = [pinned_run(name, None, None) for name in ("fig12_19.scn", "bind_deploy.scn")]
-    for sc in lossy_set():
-        run = ScenarioRun(sc)
-        try:
-            run.advance()
-            run.finish()
-        except Exception:  # an aborted run keeps the trace it made
-            pass
-        runs.append(run)
+    for _key, sc in lossy_pins.lossy_set():
+        runs.append(lossy_pins.run(sc)[0])  # an aborted run keeps the trace it made
     for run in runs:
         trace = run.world.sim.trace
         records = trace.records
