@@ -166,6 +166,11 @@ class StateDirectory:
         """The server's entries, in creation order (a copy)."""
         return list(self._by_server.get(server_addr, {}).values())
 
+    def holds(self, entry: SDEntry) -> bool:
+        """Whether `entry` itself is still stored: not removed, and not
+        replaced by a newer entry under its key."""
+        return any(e is entry for e in self._by_server.get(entry.server.addr, {}).values())
+
     def register_node(self, node_addr: str) -> RegistrationStatus:
         known = node_addr in self.known_nodes
         self.known_nodes.add(node_addr)

@@ -1,9 +1,11 @@
-"""Plan and execute replay of stored dynamic states onto a rebooted node.
+"""Replay stored dynamic states onto a rebooted node, from the live directory.
 
-A plan is built from the node's directory entries in creation order; the
-executor injects one step at a time, waits for the (suppressed) response
-or a retransmission timeout, and paces consecutive injections so recovery
-traffic cannot congest the LLN.
+`build_plan` orders the node's entries into steps when it registers.  The
+executor fires one step at a time, building its replay from the entry as
+the directory holds it then, so a client request made during recovery is
+never undone; a step whose entry is gone is skipped.  It waits for the
+(suppressed) response or a retransmission timeout, and paces consecutive
+injections so recovery traffic cannot congest the LLN.
 """
 
 from __future__ import annotations
@@ -29,25 +31,11 @@ from .sim import Simulator
 
 DEFAULT_PACING_GAP_MS = 50.0
 
-
-@dataclass(frozen=True, slots=True)
-class ReplayStep:
-    message: CoapMessage
-    spoofed_source: Endpoint
-    entry_type: EntryType = EntryType.PUT
-    uri: str = ""
-
-
-@dataclass
-class RecoveryPlan:
-    node: str
-    steps: list[ReplayStep]
-
-
 class StepOutcome(Enum):
     ACKED = "acked"
     TIMED_OUT = "timed_out"
     ABORTED = "aborted"
+    SKIPPED = "skipped"  # the entry was removed before the step fired
 
 
 @dataclass(slots=True)
@@ -75,78 +63,75 @@ class RecoveryReport:
     @property
     def all_acked(self) -> bool:
         return (not self.aborted and len(self.outcomes) == self.steps_total
-                and all(o.outcome is StepOutcome.ACKED for o in self.outcomes))
+                and all(o.outcome in (StepOutcome.ACKED, StepOutcome.SKIPPED)
+                        for o in self.outcomes))
 
 
-def build_plan(entries: list[SDEntry], gateway: Endpoint, mids: MidAllocator) -> RecoveryPlan:
-    """Turn one node's directory entries into an ordered replay plan.
+def build_plan(entries: list[SDEntry], mids: MidAllocator) -> list[tuple]:
+    """Order one node's entries into replay steps `(entry, transfer, block,
+    mid)`: one per block of a block-capture deploy's `transfer`, the
+    `DeployInfo` it holds now, and one with `transfer` None for any other
+    entry.  Each MID is reserved now, so concurrent recoveries keep theirs.
 
-    PUT and OBSERVE replays spoof the stored client endpoint; BIND and
-    DEPLOY replays originate from `gateway`, the gateway's own endpoint.
-    An empty entry list yields a valid empty plan.
+    State-modifying entries go first (each in creation order); observe
+    registrations land last so the counter they seed is final — a PUT
+    replayed onto an already-restored observer would notify and push the
+    counter past the stored value.
     """
-    node = entries[0].server.addr if entries else ""
-    steps: list[ReplayStep] = []
-    # State-modifying replays go first (each in creation order); observe
-    # registrations land last so the counter they seed is final — a PUT
-    # replayed onto an already-restored observer would notify and push the
-    # counter past the stored value.
     ordered = [e for e in entries if e.entry_type is not EntryType.OBSERVE] + \
               [e for e in entries if e.entry_type is EntryType.OBSERVE]
+    steps = []
     for entry in ordered:
-        path = tuple(entry.uri_path.split("/")) if entry.uri_path else ()
-        source = entry.client
-        if entry.entry_type is EntryType.PUT:
-            msgs = [CoapMessage(MsgType.CON, PUT, mids.next_mid(), token=entry.token,
-                                options=OptionSet(uri_path=path,
-                                                  content_format=entry.content_format),
-                                payload=entry.value)]
-        elif entry.entry_type is EntryType.OBSERVE:
-            # Fresh MID, stored token: tokens, not MIDs, bind notifications
-            # to the relationship.  The stored counter rides in the observe
-            # option so numbering continues where it stopped; a stored value
-            # of 1 would read as a cancellation on the wire, so it is bumped
-            # past the sentinel.
-            counter = 2 if entry.observe_counter == 1 else entry.observe_counter
-            msgs = [CoapMessage(MsgType.CON, GET, mids.next_mid(), token=entry.token,
-                                options=OptionSet(uri_path=path, observe=counter))]
-        elif entry.entry_type is EntryType.BIND:
-            source = gateway
-            msgs = [CoapMessage(MsgType.CON, GET, mids.next_mid(), token=entry.token,
-                                options=OptionSet(uri_path=path, observe=0,
-                                                  binding=entry.binding))]
-        else:  # DEPLOY: the filename alone, or the captured transfer's blocks
-            source, info = gateway, entry.deploy
-            target = dict(uri_path=tuple(info.loader_path.split("/")),
-                          uri_query=(f"file={info.filename}",))
-            if info.blocks is None:
-                msgs = [CoapMessage(MsgType.CON, POST, mids.next_mid(),
-                                    options=OptionSet(**target))]
-            else:
-                last = len(info.blocks) - 1
-                msgs = [CoapMessage(MsgType.CON, POST, mids.next_mid(), payload=block,
-                                    options=OptionSet(**target, block1=Block1(
-                                        i, i < last, info.block_size)))
-                        for i, block in enumerate(info.blocks)]
-        steps += [ReplayStep(msg, source, entry.entry_type, entry.uri_path) for msg in msgs]
-    return RecoveryPlan(node=node, steps=steps)
+        transfer = entry.deploy
+        if transfer is not None and transfer.blocks is not None:
+            steps += [(entry, transfer, i, mids.next_mid()) for i in range(len(transfer.blocks))]
+        else:
+            steps.append((entry, None, 0, mids.next_mid()))
+    return steps
+
+
+def build_replay(step: tuple, gateway: Endpoint) -> tuple[CoapMessage, Endpoint]:
+    """The message that replays `step`, from its entry as it is now, and
+    the source it spoofs: the stored client for PUT and OBSERVE, `gateway`,
+    the gateway's own endpoint, for BIND and DEPLOY."""
+    entry, transfer, block, mid = step
+    path = tuple(entry.uri_path.split("/")) if entry.uri_path else ()
+    if entry.entry_type is EntryType.PUT:
+        options = OptionSet(uri_path=path, content_format=entry.content_format)
+        return CoapMessage(MsgType.CON, PUT, mid, token=entry.token, options=options,
+                           payload=entry.value), entry.client
+    if entry.entry_type is EntryType.OBSERVE:
+        # Fresh MID, stored token: tokens, not MIDs, bind notifications to
+        # the relationship.  The stored counter continues the numbering; 1
+        # would read as a cancellation on the wire, so it is bumped past it.
+        counter = 2 if entry.observe_counter == 1 else entry.observe_counter
+        return CoapMessage(MsgType.CON, GET, mid, token=entry.token,
+                           options=OptionSet(uri_path=path, observe=counter)), entry.client
+    if entry.entry_type is EntryType.BIND:
+        options = OptionSet(uri_path=path, observe=0, binding=entry.binding)
+        return CoapMessage(MsgType.CON, GET, mid, token=entry.token, options=options), gateway
+    # DEPLOY: the filename alone, or one block of the captured transfer
+    target = dict(uri_path=tuple(entry.deploy.loader_path.split("/")),
+                  uri_query=(f"file={entry.deploy.filename}",))
+    if transfer is None:
+        return CoapMessage(MsgType.CON, POST, mid, options=OptionSet(**target)), gateway
+    block1 = Block1(block, block < len(transfer.blocks) - 1, transfer.block_size)
+    return CoapMessage(MsgType.CON, POST, mid, payload=transfer.blocks[block],
+                       options=OptionSet(**target, block1=block1)), gateway
 
 
 class RecoveryRun:
-    """Execution state for one plan; owned by the coordinator."""
+    """Execution state for one node's steps; owned by the coordinator."""
 
-    def __init__(self, plan: RecoveryPlan, started_at: float) -> None:
-        self.plan = plan
+    def __init__(self, node: str, steps: list[tuple], started_at: float) -> None:
+        self.node = node
+        self.steps = steps
         self.index = 0
-        self.report = RecoveryReport(node=plan.node, started_at=started_at,
-                                     steps_total=len(plan.steps))
+        self.report = RecoveryReport(node=node, started_at=started_at,
+                                     steps_total=len(steps))
         self.gap_event = None
         self.exchange = None
         self.done = False
-
-    @property
-    def current_step(self) -> ReplayStep:
-        return self.plan.steps[self.index]
 
 
 class RecoveryCoordinator:
@@ -179,16 +164,9 @@ class RecoveryCoordinator:
         self.abort(node_addr)
         if status is not RegistrationStatus.KNOWN_WITH_STATE:
             return None
-        entries = self.directory.entries_for_server(node_addr)
-        return self.execute_plan(build_plan(entries, self.gateway.endpoint, self.mids))
-
-    def execute_plan(self, plan: RecoveryPlan) -> RecoveryRun:
-        run = RecoveryRun(plan, started_at=self.sim.now)
-        self.sim.trace.emit("recover_start", plan.node, len(plan.steps))
-        if not plan.steps:
-            self._finish(run)
-            return run
-        self.active[plan.node] = run
+        steps = build_plan(self.directory.entries_for_server(node_addr), self.mids)
+        run = self.active[node_addr] = RecoveryRun(node_addr, steps, self.sim.now)
+        self.sim.trace.emit("recover_start", node_addr, len(steps))
         self._fire(run)
         return run
 
@@ -202,20 +180,31 @@ class RecoveryCoordinator:
         if run.exchange is not None:
             run.exchange.cancel()
             run.exchange = None
-            run.report.outcomes.append(StepResult(
-                run.index, run.current_step.entry_type, run.current_step.uri,
-                StepOutcome.ABORTED, self.sim.now))
+            entry = run.steps[run.index][0]
+            run.report.outcomes.append(StepResult(run.index, entry.entry_type, entry.uri_path,
+                                                  StepOutcome.ABORTED, self.sim.now))
         run.report.aborted = True
         self.sim.trace.emit("recover_abort", node_addr, run.index)
         self._finish(run)
 
     def _fire(self, run: RecoveryRun) -> None:
+        """Inject the next step whose entry the directory still holds,
+        built from that entry as it is now.  A step whose entry is gone, or
+        whose block transfer a newer one replaced, is skipped at once: it
+        sends nothing, so it takes no pacing gap."""
         run.gap_event = None
-        step = run.current_step
-        frame = Frame.of(step.message, step.spoofed_source,
-                         self.gateway.network.endpoint(run.plan.node))
-        self.sim.trace.emit("inject", run.plan.node, run.index, int(step.entry_type), step.uri,
-                            step.spoofed_source, frame.raw)
+        while run.index < len(run.steps):
+            step = entry, transfer, _, _ = run.steps[run.index]
+            if self.directory.holds(entry) and (transfer is None or entry.deploy is transfer):
+                break
+            self._record(run, StepOutcome.SKIPPED)
+        else:
+            self._finish(run)
+            return
+        message, source = build_replay(step, self.gateway.endpoint)
+        frame = Frame.of(message, source, self.gateway.network.endpoint(run.node))
+        self.sim.trace.emit("inject", run.node, run.index, int(entry.entry_type),
+                            entry.uri_path, source, frame.raw)
         run.exchange = self.gateway.send_replay(
             frame, self.replays, on_answer=lambda reply: self._consumed(run, reply),
             on_timeout=lambda: self._resolved(run, StepOutcome.TIMED_OUT))
@@ -249,20 +238,24 @@ class RecoveryCoordinator:
         if run.done:
             return
         run.exchange = None
-        step = run.current_step
-        run.report.outcomes.append(StepResult(run.index, step.entry_type, step.uri,
-                                              outcome, self.sim.now))
-        self.sim.trace.emit("recover_step", run.plan.node, run.index, outcome)
-        run.index += 1
-        if run.index < len(run.plan.steps):
+        self._record(run, outcome)
+        if run.index < len(run.steps):
             run.gap_event = self.sim.schedule(self.pacing_gap, self._fire, run)
         else:
             self._finish(run)
+
+    def _record(self, run: RecoveryRun, outcome: StepOutcome) -> None:
+        """Record the current step's outcome and move on to the next step."""
+        entry = run.steps[run.index][0]
+        run.report.outcomes.append(StepResult(run.index, entry.entry_type, entry.uri_path,
+                                              outcome, self.sim.now))
+        self.sim.trace.emit("recover_step", run.node, run.index, outcome)
+        run.index += 1
 
     def _finish(self, run: RecoveryRun) -> None:
         run.done = True
         run.report.finished_at = self.sim.now
         self.reports.append(run.report)
-        self.active.pop(run.plan.node, None)
-        self.sim.trace.emit("recover_done", run.plan.node, len(run.report.outcomes),
+        self.active.pop(run.node, None)
+        self.sim.trace.emit("recover_done", run.node, len(run.report.outcomes),
                             run.report.aborted, run.report.total_delay)

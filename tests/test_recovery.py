@@ -6,7 +6,7 @@ from worldutil import booted_world, simple_scenario
 from sdgateway.coap import GET, POST, PUT, Endpoint, MidAllocator
 from sdgateway.directory import DeployInfo, EntryType, SDEntry
 from sdgateway.harness import ScenarioRun, run_scenario
-from sdgateway.recovery import RecoveryPlan, StepOutcome, build_plan
+from sdgateway.recovery import StepOutcome, build_plan, build_replay
 from sdgateway.scenario import parse_scenario
 
 GW = Endpoint("cccc::1")  # the gateway's own endpoint
@@ -25,23 +25,32 @@ def fig17_entries():
     ]
 
 
+def replays(entries, mids=None):
+    """The steps `build_plan` orders `entries` into, each as the message
+    that replays it and the source it spoofs."""
+    steps = build_plan(entries, mids or MidAllocator(random.Random(0)))
+    return [build_replay(step, GW) for step in steps]
+
+
 def test_plan_for_three_stored_entries():
-    mids = MidAllocator(random.Random(0))
-    plan = build_plan(fig17_entries(), GW, mids)
-    assert plan.node == NODE.addr
-    assert [s.message.code for s in plan.steps] == [PUT, PUT, GET]
-    assert [s.uri for s in plan.steps] == ["a/lb", "a/m", "gpi/btn"]
-    assert plan.steps[0].message.payload == b"10"
-    assert plan.steps[2].message.options.observe == 10
-    assert plan.steps[2].message.token == b"\x0b\x2a"
+    entries = fig17_entries()
+    steps = build_plan(entries, MidAllocator(random.Random(0)))
+    assert [entry for entry, *_ in steps] == entries
+    assert len({mid for *_, mid in steps}) == 3  # each step reserves its own MID
+    msgs = [build_replay(step, GW)[0] for step in steps]
+    assert [m.mid for m in msgs] == [mid for *_, mid in steps]
+    assert [m.code for m in msgs] == [PUT, PUT, GET]
+    assert [m.options.path_str() for m in msgs] == ["a/lb", "a/m", "gpi/btn"]
+    assert msgs[0].payload == b"10"
+    assert msgs[2].options.observe == 10
+    assert msgs[2].token == b"\x0b\x2a"
 
 
 def test_put_and_observe_steps_spoof_the_stored_client():
-    plan = build_plan(fig17_entries(), GW, MidAllocator(random.Random(0)))
-    assert plan.steps[0].spoofed_source == Endpoint("cccc::3", 50824)
-    assert plan.steps[2].spoofed_source == Endpoint("cccc::3", 52808)
-    for step in plan.steps:
-        assert step.spoofed_source.addr != GW.addr
+    sources = [source for _, source in replays(fig17_entries())]
+    assert sources[0] == Endpoint("cccc::3", 50824)
+    assert sources[2] == Endpoint("cccc::3", 52808)
+    assert all(source.addr != GW.addr for source in sources)
 
 
 def test_bind_and_deploy_steps_originate_from_the_gateway():
@@ -53,56 +62,53 @@ def test_bind_and_deploy_steps_originate_from_the_gateway():
     ]
     from sdgateway.coap import BindingInfo
     entries[0].binding = BindingInfo("aaaa::9", "a/led", 1, 60)
-    plan = build_plan(entries, GW, MidAllocator(random.Random(0)))
-    assert [s.message.code for s in plan.steps] == [GET, POST]
-    assert plan.steps[0].message.options.observe == 0
-    assert plan.steps[0].message.options.binding == entries[0].binding
-    assert plan.steps[1].message.options.uri_query == ("file=blinker",)
-    for step in plan.steps:
-        assert step.spoofed_source.addr == GW.addr
+    (bind, bind_src), (deploy, deploy_src) = replays(entries)
+    assert [bind.code, deploy.code] == [GET, POST]
+    assert bind.options.observe == 0
+    assert bind.options.binding == entries[0].binding
+    assert deploy.options.uri_query == ("file=blinker",)
+    assert bind_src == deploy_src == GW
 
 
 def test_deploy_block_capture_expands_into_block_steps():
     blocks = (b"a" * 64, b"b" * 64, b"c" * 9)
     entries = [SDEntry(EntryType.DEPLOY, Endpoint("cccc::3", 40001), NODE, "ldr",
                        deploy=DeployInfo("img", "ldr", blocks, 64), created_at=1.0)]
-    plan = build_plan(entries, GW, MidAllocator(random.Random(0)))
-    assert len(plan.steps) == 3
-    b1 = [s.message.options.block1 for s in plan.steps]
+    msgs = [msg for msg, _ in replays(entries)]
+    assert len(msgs) == 3
+    b1 = [m.options.block1 for m in msgs]
     assert [b.num for b in b1] == [0, 1, 2]
     assert [b.more for b in b1] == [True, True, False]
     assert [b.size for b in b1] == [64, 64, 64]
-    assert b"".join(s.message.payload for s in plan.steps) == b"".join(blocks)
+    assert b"".join(m.payload for m in msgs) == b"".join(blocks)
 
 
 def test_replay_fidelity_against_stored_originals():
     entries = fig17_entries()
-    plan = build_plan(entries, GW, MidAllocator(random.Random(0)))
-    for entry, step in zip(entries[:2], plan.steps[:2]):
-        assert step.message.code == PUT
-        assert step.message.options.path_str() == entry.uri_path
-        assert step.message.payload == entry.value
-        assert step.message.options.content_format == entry.content_format
+    for entry, (msg, _) in zip(entries[:2], replays(entries)[:2]):
+        assert msg.code == PUT
+        assert msg.options.path_str() == entry.uri_path
+        assert msg.payload == entry.value
+        assert msg.options.content_format == entry.content_format
+
+
+def test_a_step_replays_its_entry_as_it_is_when_the_step_fires():
+    entries = fig17_entries()
+    steps = build_plan(entries, MidAllocator(random.Random(0)))
+    entries[0].value, entries[0].client = b"99", Endpoint("cccc::3", 40404)
+    msg, source = build_replay(steps[0], GW)
+    assert msg.payload == b"99" and source == Endpoint("cccc::3", 40404)
 
 
 def test_state_steps_keep_creation_order_and_observes_go_last():
     entries = fig17_entries()
     entries[0].created_at, entries[2].created_at = 9.0, 0.5  # observe is oldest now
     reordered = sorted(entries, key=lambda e: e.created_at)
-    plan = build_plan(reordered, GW, MidAllocator(random.Random(0)))
+    steps = build_plan(reordered, MidAllocator(random.Random(0)))
     # Observe registrations replay after state-modifying entries so the
     # seeded counter cannot be bumped by a later PUT replay.
-    assert [int(s.entry_type) for s in plan.steps] == [2, 2, 5]
-    assert [s.uri for s in plan.steps] == ["a/m", "a/lb", "gpi/btn"]
-
-
-def test_empty_plan_executes_to_an_empty_report():
-    world = booted_world(simple_scenario())
-    run = world.gateway.recovery.execute_plan(RecoveryPlan(node="aaaa::none", steps=[]))
-    assert run.done
-    assert run.report.steps_total == 0
-    assert run.report.total_delay == 0.0
-    assert run.report.all_acked
+    assert [int(entry.entry_type) for entry, *_ in steps] == [2, 2, 5]
+    assert [entry.uri_path for entry, *_ in steps] == ["a/m", "a/lb", "gpi/btn"]
 
 
 def test_recovery_delay_matches_stop_and_wait_formula():
@@ -253,9 +259,7 @@ at 5000 crash n1 down=200
     world = result.world
     assert world.gateway.recovery.reports[0].all_acked
     state_after_first = world.nodes["n1"].dynamic_state()
-    entries = world.gateway.directory.entries_for_server("aaaa::c30c:0:0:2")
-    plan = build_plan(entries, GW, world.gateway.mids)
-    run = world.gateway.recovery.execute_plan(plan)
+    run = world.gateway.recovery.on_registration("aaaa::c30c:0:0:2")
     world.sim.run(until=world.sim.now + 20_000.0)
     assert run.report.all_acked
     assert world.nodes["n1"].dynamic_state() == state_after_first
@@ -431,3 +435,90 @@ at 4000 crash n1 down=200
     injects = result.world.sim.trace.find("inject")
     assert [f["et"] for _, f in injects] == [2, 5]
     assert [f["step"] for _, f in injects] == [0, 1]
+
+
+def test_a_put_made_during_recovery_is_not_undone_by_the_replay():
+    """The client writes cfg/a=9 while the recovery still has cfg/a=5 to
+    replay: the step replays the entry as it is when it fires, so the node
+    keeps 9."""
+    result = run_scenario(parse_scenario("""
+scenario put_during_recovery
+version 1
+seed 1
+rdc contikimac
+hops 3
+settle 30000
+node n1 aaaa::c30c:0:0:2
+resource n1 cfg/a 0
+resource n1 cfg/b 0
+resource n1 cfg/c 0
+resource n1 cfg/d 0
+client c1 cccc::3
+at 1000 put c1 n1 cfg/b 1
+at 2000 put c1 n1 cfg/c 2
+at 3000 put c1 n1 cfg/d 3
+at 4000 put c1 n1 cfg/a 5
+at 11000 crash n1 down=500
+at 13500 put c1 n1 cfg/a 9
+assert 30000 resource n1 cfg/a 9
+"""))
+    assert result.ok, result.failures
+    trace = result.world.sim.trace
+    (_, update), = trace.find("sd", uri="cfg/a", effect="Updated")
+    t, replayed = trace.find("inject", uri="cfg/a")[-1]
+    assert t > 13_500.0 and replayed["src"] == update["client"]  # the PUT of 9 it spoofs
+
+
+def test_an_entry_deregistered_during_recovery_is_skipped():
+    result = run_scenario(parse_scenario("""
+scenario deregister_during_recovery
+version 1
+seed 1
+rdc contikimac
+hops 3
+settle 30000
+node n1 aaaa::c30c:0:0:2
+resource n1 cfg/a 0
+resource n1 cfg/b 0
+resource n1 gpio/btn 0
+client c1 cccc::3
+at 1000 put c1 n1 cfg/a 1
+at 2000 put c1 n1 cfg/b 2
+at 4000 observe c1 n1 gpio/btn
+at 11000 crash n1 down=500
+at 13500 deregister c1 n1 gpio/btn
+assert 30000 observer-count n1 gpio/btn 0
+"""))
+    assert result.ok, result.failures
+    trace = result.world.sim.trace
+    assert [f["outcome"] for _, f in trace.find("recover_step")] == ["acked", "acked", "skipped"]
+    assert not trace.find("inject", uri="gpio/btn")
+    (report,) = result.world.gateway.recovery.reports
+    assert report.all_acked and not result.flagged
+
+
+def test_a_block_transfer_replaced_during_its_replay_is_not_mixed_in():
+    """The client deploys a new image of the same file while the old one's
+    blocks replay: the old transfer's remaining blocks are skipped, and the
+    node keeps the new image."""
+    old = bytes(range(64))
+    result = run_scenario(parse_scenario(f"""
+scenario transfer_replaced_during_recovery
+version 1
+seed 1
+rdc contikimac
+hops 2
+deploy-mode blocks
+settle 40000
+node n1 aaaa::c30c:0:0:2
+client c1 cccc::3
+at 1000 deploy c1 n1 file=img block=16 data=hex:{old.hex()}
+at 11000 crash n1 down=500
+at 12500 deploy c1 n1 file=img block=16 data=hex:ffff
+"""))
+    assert result.ok, result.failures
+    outcomes = [f["outcome"] for _, f in result.world.sim.trace.find("recover_step")]
+    assert outcomes == ["acked", "skipped", "skipped", "skipped"]
+    assert result.world.nodes["n1"].flash["img"] == b"\xff\xff"
+    (entry,) = result.world.gateway.directory.entries
+    assert entry.deploy.blocks == (b"\xff\xff",)
