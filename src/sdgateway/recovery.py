@@ -35,7 +35,7 @@ class StepOutcome(Enum):
     ACKED = "acked"
     TIMED_OUT = "timed_out"
     ABORTED = "aborted"
-    SKIPPED = "skipped"  # the entry was removed before the step fired
+    SKIPPED = "skipped"  # its entry, or its block transfer, was gone when it fired
 
 
 @dataclass(slots=True)
