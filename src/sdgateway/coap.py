@@ -92,11 +92,10 @@ def is_response(code: int) -> bool:
     return (code >> 5) in (2, 4, 5)
 
 
-def code_valid(code: int) -> bool:
-    cls, detail = code >> 5, code & 0x1F
-    if cls == 0:
-        return detail <= 4
-    return cls in (2, 4, 5)
+# EMPTY and the methods (class 0, detail 0-4), and the responses (classes
+# 2, 4 and 5): a set, so that `encode` tests a code without a call.
+_VALID_CODES = frozenset(range(5)) | {cls << 5 | detail
+                                      for cls in (2, 4, 5) for detail in range(32)}
 
 
 _METHOD_NAMES = {EMPTY: "EMPTY", GET: "GET", POST: "POST", PUT: "PUT", DELETE: "DELETE"}
@@ -220,6 +219,7 @@ class InteractionKind(Enum):
     RESET_SIGNAL = "ResetSignal"
     ACK_SIGNAL = "AckSignal"
     OTHER = "Other"
+    __hash__ = object.__hash__  # by identity, as members compare: no Python-level call
 
 
 # The kinds `classify` returns, as module-level names (see `_NON`).
@@ -258,7 +258,7 @@ def _validate(msg: CoapMessage) -> None:
         raise InvariantViolation(f"mid out of range: {msg.mid}")
     if len(msg.token) > 8:
         raise InvariantViolation(f"token longer than 8 bytes: {len(msg.token)}")
-    if not code_valid(msg.code):
+    if msg.code not in _VALID_CODES:
         raise InvariantViolation(f"invalid code 0x{msg.code:02x}")
     if msg.code == EMPTY:
         if msg.token or msg.payload or msg.options != _NO_OPTIONS:
@@ -501,17 +501,21 @@ def decode_encoded(raw: bytes, msg: CoapMessage) -> CoapMessage:
     then `encode` has checked each field as `decode` would, and wrote the
     option block that ends where the payload's length places it.  The
     options are that block's cached `OptionSet`, so the result equals
-    `decode`'s in value and in the type of every field.  A message with a
-    field of another type (`True` as a code, a `bytearray` payload) is
-    decoded."""
-    msg_type, code, mid, token, _, payload = msg
+    `decode`'s in value and in the type of every field.  It is `msg` itself
+    when `msg` holds that very set (`_NO_OPTIONS`, or a parse's options),
+    else a new one made by `tuple.__new__`, without the NamedTuple's
+    Python-level `__new__`.  A message with a field of another type (`True`
+    as a code, a `bytearray` payload) is decoded."""
+    msg_type, code, mid, token, options, payload = msg
     if (type(msg_type) is not MsgType or type(code) is not int or type(mid) is not int
             or type(token) is not bytes or type(payload) is not bytes):
         return decode(raw)
     start = 4 + len(token)
     end = len(raw) - len(payload) - 1 if payload else len(raw)
-    options = _option_set(raw[start:end]) if end > start else _NO_OPTIONS
-    return CoapMessage(msg_type, code, mid, token, options, payload)
+    canonical = _option_set(raw[start:end]) if end > start else _NO_OPTIONS
+    if options is canonical:
+        return msg
+    return tuple.__new__(CoapMessage, (msg_type, code, mid, token, canonical, payload))
 
 
 def classify(msg: CoapMessage) -> InteractionKind:

@@ -9,7 +9,7 @@ mutation goes through the two intercept operations; reads are snapshots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Callable, Optional, Tuple
 
@@ -72,6 +72,7 @@ class SDEntry:
     deploy: Optional[DeployInfo] = None
     created_at: float = 0.0
     updated_at: float = 0.0
+    key: tuple = field(default=(), repr=False, compare=False)  # its key, for `holds`
 
 
 class DirectoryInvariantError(RuntimeError):
@@ -79,17 +80,15 @@ class DirectoryInvariantError(RuntimeError):
     asserted, so the check survives `python -O`."""
 
 
-@dataclass(frozen=True)
 class SDEffect:
-    kind: EffectKind
-    entry: Optional[SDEntry] = None
+    """An intercept's effect: `entry` is None exactly when `kind` is NO_EFFECT."""
 
-    def __post_init__(self) -> None:
-        if (self.kind is EffectKind.NO_EFFECT) != (self.entry is None):
-            raise DirectoryInvariantError(f"{self.kind.value} effect with entry {self.entry!r}")
+    __slots__ = ("kind", "entry")
 
-
-NO_EFFECT = SDEffect(EffectKind.NO_EFFECT)
+    def __init__(self, kind: EffectKind, entry: Optional[SDEntry] = None) -> None:
+        if (kind is _NONE) != (entry is None):
+            raise DirectoryInvariantError(f"{kind.value} effect with entry {entry!r}")
+        self.kind, self.entry = kind, entry
 
 
 class StateDirectory:
@@ -151,13 +150,13 @@ class StateDirectory:
             if entry.retransmit_counter >= MAX_RETRANSMIT:
                 effect = self._remove(key, "retransmit")
             else:
-                effect = SDEffect(EffectKind.UPDATED, entry)
+                effect = SDEffect(_UPDATED, entry)
         else:
             entry.observe_counter = msg.options.observe or 0
             entry.mid = msg.mid
             entry.retransmit_counter = 0
             entry.updated_at = self._clock()
-            effect = SDEffect(EffectKind.UPDATED, entry)
+            effect = SDEffect(_UPDATED, entry)
         return self._done("lln", effect)
 
     # -- queries -------------------------------------------------------
@@ -169,7 +168,7 @@ class StateDirectory:
     def holds(self, entry: SDEntry) -> bool:
         """Whether `entry` itself is still stored: not removed, and not
         replaced by a newer entry under its key."""
-        return any(e is entry for e in self._by_server.get(entry.server.addr, {}).values())
+        return self._entries.get(entry.key) is entry
 
     def register_node(self, node_addr: str) -> RegistrationStatus:
         known = node_addr in self.known_nodes
@@ -217,17 +216,17 @@ class StateDirectory:
         entry = self._entries.get(key)
         if entry is None:
             entry = SDEntry(key[0], src, dst, uri, token=msg.token, mid=msg.mid,
-                            created_at=now, updated_at=now, **fields)
+                            created_at=now, updated_at=now, key=key, **fields)
             self._entries[key] = entry
             self._by_server.setdefault(dst.addr, {})[key] = entry
-            return SDEffect(EffectKind.CREATED, entry)
+            return SDEffect(_CREATED, entry)
         for name, value in fields.items():
             setattr(entry, name, value)
         entry.client = src
         entry.token = msg.token
         entry.mid = msg.mid
         entry.updated_at = now
-        return SDEffect(EffectKind.UPDATED, entry)
+        return SDEffect(_UPDATED, entry)
 
     # What an inbound packet of each collected kind does, as one call of
     # (msg, src, dst, uri): see `_COLLECT`.
@@ -289,7 +288,7 @@ class StateDirectory:
         entry = self._entries[key]
         entry.retransmit_counter = 0
         entry.updated_at = self._clock()
-        return SDEffect(EffectKind.UPDATED, entry)
+        return SDEffect(_UPDATED, entry)
 
     def _remove(self, key: Optional[tuple], reason: str) -> SDEffect:
         entry = self._entries.pop(key, None)
@@ -302,7 +301,7 @@ class StateDirectory:
         if self._trace is not None:
             self._trace.emit("sd_remove", reason, int(entry.entry_type), entry.server.addr,
                              entry.uri_path, entry.mid, entry.retransmit_counter)
-        return SDEffect(EffectKind.REMOVED, entry)
+        return SDEffect(_REMOVED, entry)
 
     def _done(self, direction: str, effect: SDEffect) -> SDEffect:
         """Trace the intercept's effect and check the one entry it touched."""
@@ -339,3 +338,5 @@ _COLLECT = {
     InteractionKind.ACK_SIGNAL: StateDirectory._client_ack,
 }
 _NOTIFICATION = InteractionKind.NOTIFICATION  # the one kind an outbound packet acts on
+_CREATED, _UPDATED, _REMOVED, _NONE = EffectKind  # global reads, not enum member reads
+NO_EFFECT = SDEffect(_NONE)  # the one effect without an entry, shared

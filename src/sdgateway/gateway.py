@@ -52,7 +52,7 @@ class Gateway:
         if frame.dst.addr == self.endpoint.addr:
             self._terminate(frame, msg, ingress)
             return
-        inbound = self.network.in_lln(frame.dst.addr)
+        inbound = frame.dst.addr.startswith(self.network.lln_prefix)
         direction = "in" if inbound else "out"
         if msg is None:
             self.sim.trace.emit("gw_fwd_malformed", direction, frame.dst)

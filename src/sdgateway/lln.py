@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from math import inf
 from typing import Callable, Optional
 
 from . import coap
@@ -40,12 +41,13 @@ from .coap import (
     MidAllocator,
     MsgType,
     OptionSet,
+    _NO_OPTIONS,
     encode,
     is_request,
     is_response,
     registration_request,
 )
-from .sim import Event, Simulator
+from .sim import Simulator
 
 FIFO_EPS = 0.001  # ms; minimal inter-arrival spacing on one path
 EXTERNAL_DELAY_MS = 2.0  # one-way delay between a client and the gateway
@@ -80,12 +82,13 @@ class LinkModel:
     def __post_init__(self) -> None:
         if self.delay_range is None:
             self.delay_range = _RDC_DELAY[self.rdc]
-        if self.hops < 1:
-            raise ValueError("hops must be >= 1")
+        if type(self.hops) is not int or self.hops < 1:  # a bool is not a hop count
+            raise ValueError(f"hops must be >= 1 and an int, not {self.hops!r}")
         if not 0.0 <= self.loss < 1.0:
-            raise ValueError("loss probability must be in [0, 1)")
-        if min(self.delay_range) < 0:
-            raise ValueError("delays must be nonnegative")
+            raise ValueError(f"loss probability must be in [0, 1), not {self.loss!r}")
+        lo, hi = self.delay_range
+        if not 0.0 <= lo <= hi < inf:
+            raise ValueError(f"delay_range must be finite, 0 <= lo <= hi: {self.delay_range!r}")
 
     def sample_delay(self, rng) -> float:
         # `lo + (hi - lo) * rng.random()` is `rng.uniform(lo, hi)`, draw for
@@ -140,8 +143,8 @@ class Frame:
 
     @classmethod
     def of(cls, msg: CoapMessage, src: Endpoint, dst: Endpoint) -> Frame:
-        """The frame `Frame(encode(msg), src, dst)`, built without parsing
-        the bytes `encode` has just written."""
+        """The frame `Frame(encode(msg), src, dst)`, whose parse is
+        `coap.decode_encoded`'s, often `msg` itself: no byte is read again."""
         raw = encode(msg)
         try:
             parsed = coap.decode_encoded(raw, msg)
@@ -185,7 +188,7 @@ class Confirmable:
         self._on_answer = on_answer
         self._on_retry = on_retry
         self._on_give_up = on_give_up
-        self._timer: Optional[Event] = None
+        self._timer: Optional[list] = None  # the pending timeout's event
 
     def start(self) -> None:
         self._key = (self.frame.dst, self.frame.src, self.frame.parsed.mid)
@@ -194,8 +197,8 @@ class Confirmable:
 
     def _send(self) -> None:
         self.transmissions += 1
-        self._timer = self._sim.schedule(ACK_TIMEOUT_MS * 2 ** (self.transmissions - 1),
-                                         self._timeout)
+        self._timer = self._sim.schedule_at(
+            self._sim.now + ACK_TIMEOUT_MS * 2 ** (self.transmissions - 1), self._timeout)
         self._transmit(self.frame)
 
     def _timeout(self) -> None:
@@ -210,7 +213,7 @@ class Confirmable:
 
     def cancel(self) -> None:
         if self._timer is not None:  # started, and not yet closed
-            self._timer.cancel()
+            self._sim.cancel(self._timer)
             self._table.pop(self._key, None)
         self._timer = self._transmit = self._table = self._key = self._on_answer = None
         self._on_retry = self._on_give_up = None
@@ -219,7 +222,7 @@ class Confirmable:
 # Module-level names for the enum members the per-frame paths test: one
 # global read or set lookup, not an enum member read (about 4x a global).
 _SIGNALS = frozenset((MsgType.ACK, MsgType.RST))
-_CON, _RST = MsgType.CON, MsgType.RST
+_CON, _NON, _ACK, _RST = MsgType
 
 
 def answer(table: dict, frame: Frame) -> bool:
@@ -292,9 +295,6 @@ class Network:
 
     def add_client(self, client: "ScriptedClient") -> None:
         self.clients[client.addr] = client
-
-    def in_lln(self, addr: str) -> bool:
-        return addr.startswith(self.lln_prefix)
 
     def endpoint(self, addr: str, port: int = COAP_PORT) -> Endpoint:
         """The one `Endpoint` for (addr, port) in this network: frames,
@@ -374,6 +374,7 @@ class NodeState(Enum):
     BOOTING = "booting"
     UP = "up"
     STALLED = "stalled"
+    __hash__ = object.__hash__  # as `coap.InteractionKind`: no Python-level call per lookup
 
 
 _POWERED_OFF = frozenset((NodeState.DOWN, NodeState.STALLED))
@@ -401,8 +402,8 @@ class Binding:
     info: BindingInfo
     source_resource: str
     last_sent: float = 0.0
-    pending_event: Optional[Event] = None
-    keepalive_event: Optional[Event] = None
+    pending_event: Optional[list] = None  # events, as `Simulator.schedule_at` returns them
+    keepalive_event: Optional[list] = None
 
 
 class VirtualNode:
@@ -482,7 +483,7 @@ class VirtualNode:
         for b in self.bindings.values():
             for ev in (b.pending_event, b.keepalive_event):
                 if ev is not None:
-                    ev.cancel()
+                    self.sim.cancel(ev)
 
     def crash(self, downtime_ms: float) -> None:
         """Power the running node off for `downtime_ms`, then boot it again."""
@@ -561,12 +562,10 @@ class VirtualNode:
         path = o.path_str()
         deferred: list[Callable[[], None]] = []
 
-        def reply(code: int, *, payload: bytes = b"", **optkw) -> CoapMessage:
+        def reply(code: int, payload=b"", options=_NO_OPTIONS) -> CoapMessage:
             if msg.msg_type is _CON:
-                return CoapMessage(MsgType.ACK, code, msg.mid, token=msg.token,
-                                   options=OptionSet(**optkw), payload=payload)
-            return CoapMessage(MsgType.NON, code, self.mid_alloc.next_mid(),
-                               token=msg.token, options=OptionSet(**optkw), payload=payload)
+                return CoapMessage(_ACK, code, msg.mid, msg.token, options, payload)
+            return CoapMessage(_NON, code, self.mid_alloc.next_mid(), msg.token, options, payload)
 
         if msg.code == GET:
             if o.binding is not None and o.observe is not None:
@@ -575,10 +574,10 @@ class VirtualNode:
                 return reply(NOT_FOUND), deferred
             if o.observe == coap.OBSERVE_DEREGISTER_VALUE:
                 self._remove_observer(path, src, reason="deregister")
-                return reply(CONTENT, payload=self.resources[path]), deferred
+                return reply(CONTENT, self.resources[path]), deferred
             if o.observe is not None:
                 return self._register_observer(msg, src, path, reply, deferred)
-            return reply(CONTENT, payload=self.resources[path]), deferred
+            return reply(CONTENT, self.resources[path]), deferred
 
         if msg.code in (PUT, POST) and o.block1 is not None and path == self.loader_path:
             return self._deploy_block(msg, src, reply), deferred
@@ -617,14 +616,14 @@ class VirtualNode:
         buf = self._incoming_blocks.setdefault(key, [])
         buf.append(msg.payload)
         if block.more:
-            return reply(CONTINUE, block1=block)
+            return reply(CONTINUE, b"", OptionSet(block1=block))
         del self._incoming_blocks[key]
         # Raw image lands in permanent storage first, then is relocated
         # into main memory.
         self.flash[filename] = b"".join(buf)
         self.loaded_modules.add(filename)
         self.sim.trace.emit("load", self.name, filename, "transfer")
-        return reply(CREATED, block1=block)
+        return reply(CREATED, b"", OptionSet(block1=block))
 
     # -- observe ----------------------------------------------------------
 
@@ -647,8 +646,8 @@ class VirtualNode:
         # Immediate state push after (re)registration, counter unchanged;
         # it runs right after the response is sent, not from a timer.
         deferred.append(lambda: self._send_notification(path, obs))
-        return reply(CONTENT, payload=self.resources[path],
-                     observe=obs.counter, max_age=obs.max_age), deferred
+        return reply(CONTENT, self.resources[path],
+                     OptionSet(observe=obs.counter, max_age=obs.max_age)), deferred
 
     def _remove_observer(self, path, src, *, reason: str, mid=None) -> None:
         key = (path, src)
@@ -757,7 +756,7 @@ class VirtualNode:
             binding.last_sent = self.sim.now
         self.sim.trace.emit("binding_add", self.name, path, info)
         self._schedule_keepalive(binding)
-        return reply(CONTENT, payload=self.resources[path], observe=0), deferred
+        return reply(CONTENT, self.resources[path], OptionSet(observe=0)), deferred
 
     def _binding_due(self, binding: Binding) -> None:
         pmin_ms = binding.info.pmin * 1000.0
@@ -785,7 +784,7 @@ class VirtualNode:
 
     def _schedule_keepalive(self, binding: Binding) -> None:
         if binding.keepalive_event is not None:
-            binding.keepalive_event.cancel()
+            self.sim.cancel(binding.keepalive_event)
         binding.keepalive_event = self.sim.schedule(
             binding.info.pmax * 1000.0, self._binding_keepalive, binding)
 

@@ -175,7 +175,7 @@ class RecoveryCoordinator:
         if run is None or run.done:
             return
         if run.gap_event is not None:
-            run.gap_event.cancel()
+            self.sim.cancel(run.gap_event)
             run.gap_event = None
         if run.exchange is not None:
             run.exchange.cancel()

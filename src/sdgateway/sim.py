@@ -11,29 +11,11 @@ import heapq
 import itertools
 import random
 from math import inf
-from operator import itemgetter
 from typing import Callable, Optional
 
 from . import coap
 
 MAX_EVENTS = 2_000_000  # per `Simulator.run` call; more is a runaway simulation
-
-
-class Event(list):
-    """A scheduled call and its own heap entry: `[time, seq, fn, args]`.
-
-    Entries compare as lists, in C: by time, then by `seq`, which is unique,
-    so ties pop in scheduling order and a comparison never reaches `fn`.
-    `cancel()` clears `fn`, which the event loop skips, and `args`, so the
-    entry holds nothing alive while it waits in the heap for its time.
-    """
-
-    __slots__ = ()
-
-    time = property(itemgetter(0))
-
-    def cancel(self) -> None:
-        self[2] = self[3] = None
 
 
 # Every kind of trace record, by the name `emit` takes, and its layout:
@@ -229,27 +211,38 @@ class TraceRecorder:
 
 
 class Simulator:
-    """Event loop over simulated milliseconds.  Time never moves backward;
-    ties pop in scheduling order."""
+    """Event loop over simulated milliseconds.  Time never moves backward.
+
+    An event is a plain list `[time, seq, fn, args]` and its own heap entry,
+    made and pushed only by `schedule_at`, which returns it.  Entries compare
+    as lists, in C: by time, then by the unique `seq`, so ties pop in
+    scheduling order and `fn` is never compared.  `cancel(event)` clears
+    `fn`, which the loop skips, and `args`, so a cancelled event holds
+    nothing alive while it waits in the heap."""
 
     def __init__(self, seed: int = 0) -> None:
         self.now = 0.0
         self.rng = random.Random(seed)
-        self._queue: list[Event] = []
+        self._queue: list[list] = []
         self._seq = itertools.count()
         self.trace = TraceRecorder(self)
 
-    def schedule(self, delay: float, fn: Callable, *args) -> Event:
+    def schedule(self, delay: float, fn: Callable, *args) -> list:
         return self.schedule_at(self.now + delay, fn, *args)
 
-    def schedule_at(self, time: float, fn: Callable, *args) -> Event:
+    def schedule_at(self, time: float, fn: Callable, *args) -> list:
         if not self.now <= time < inf:
             if time < self.now:
                 raise ValueError(f"cannot schedule into the past: {time} < {self.now}")
             raise ValueError(f"cannot schedule at a non-finite time: {time}")
-        event = Event((time, next(self._seq), fn, args))
+        event = [time, next(self._seq), fn, args]
         heapq.heappush(self._queue, event)
         return event
+
+    @staticmethod
+    def cancel(event: list) -> None:
+        """Stop `event`, which `schedule_at` returned, from firing."""
+        event[2] = event[3] = None
 
     def run(self, until: Optional[float] = None) -> None:
         """Process events with time <= `until` (all pending when None)."""

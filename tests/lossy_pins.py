@@ -15,6 +15,7 @@ moved; a change that means to move it regenerates the table and says why.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import importlib.resources
 import sys
@@ -64,6 +65,14 @@ def run(sc) -> tuple[ScenarioRun, str | None]:
     except Exception as exc:
         abort = f"{type(exc).__name__}: {exc}"
     return result, abort
+
+
+@functools.cache
+def finished() -> tuple[tuple[tuple, ScenarioRun, str | None], ...]:
+    """Every run of `lossy_set()` as `(key, result, abort)`, simulated on
+    the first call and kept for the rest of the process, so the checks
+    that each need the whole set share one pass."""
+    return tuple((key, *run(sc)) for key, sc in lossy_set())
 
 
 def artifacts(result: ScenarioRun, abort: str | None) -> dict[str, str]:

@@ -503,3 +503,54 @@ def test_effect_and_entry_must_agree():
         SDEffect(EffectKind.CREATED)
     with pytest.raises(DirectoryInvariantError):
         SDEffect(EffectKind.NO_EFFECT, entry)
+
+
+# One request of each entry type, sent twice: the second updates in place.
+HELD_KINDS = {
+    "put": lambda mid: put_msg("a/lb", b"%d" % mid, mid=mid),
+    "observe": lambda mid: observe_msg("s/t", 0, mid=mid),
+    "bind": lambda mid: CoapMessage(
+        MsgType.CON, GET, mid, token=b"\x05",
+        options=OptionSet(uri_path=("s", "t"), observe=0,
+                          binding=BindingInfo("aaaa::c30c:0:0:3", "a/led", pmin=1, pmax=60))),
+    "deploy": lambda mid: deploy_block(0, False, b"z" * mid, mid),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HELD_KINDS))
+def test_an_entry_updated_in_place_is_still_held(kind):
+    sd = StateDirectory()
+    entry = sd.intercept_from_internet(HELD_KINDS[kind](1), CLIENT, NODE).entry
+    assert sd.holds(entry)
+    effect = sd.intercept_from_internet(HELD_KINDS[kind](2), CLIENT, NODE)
+    assert effect.kind is EffectKind.UPDATED and effect.entry is entry
+    assert sd.holds(entry)
+
+
+def test_a_removed_entry_is_not_held():
+    sd = StateDirectory()
+    entry = sd.intercept_from_internet(observe_msg("s/t", 0), CLIENT, NODE).entry
+    sd.intercept_from_internet(observe_msg("s/t", 1), CLIENT, NODE)
+    assert sd.entries == [] and not sd.holds(entry)
+
+
+def test_after_remove_then_recreate_only_the_new_entry_is_held():
+    sd = StateDirectory()
+    old = sd.intercept_from_internet(observe_msg("s/t", 0, mid=1), CLIENT, NODE).entry
+    sd.intercept_from_internet(observe_msg("s/t", 1, mid=2), CLIENT, NODE)
+    new = sd.intercept_from_internet(observe_msg("s/t", 0, mid=3), CLIENT, NODE).entry
+    assert new is not old and sd.entries == [new]
+    assert sd.holds(new) and not sd.holds(old)
+
+
+def test_an_equal_key_on_another_server_does_not_count():
+    sd = StateDirectory()
+    on_a = sd.intercept_from_internet(observe_msg("s/t", 0), CLIENT, NODE).entry
+    on_b = sd.intercept_from_internet(observe_msg("s/t", 0), CLIENT, NODE_B).entry
+    sd.intercept_from_internet(observe_msg("s/t", 1), CLIENT, NODE)
+    assert not sd.holds(on_a) and sd.holds(on_b)
+    # Neither a copy of a held entry nor that copy moved to another server is held.
+    twin = copy.copy(on_b)
+    assert twin == on_b and not sd.holds(twin)
+    twin.server = NODE
+    assert not sd.holds(twin)

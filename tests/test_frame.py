@@ -111,6 +111,16 @@ def test_frame_parse_is_cached(spies):
         frame.raw = b""  # the parse would no longer describe the bytes
 
 
+def test_a_message_holding_the_cached_options_is_its_own_parse():
+    msg = CoapMessage(MsgType.CON, PUT, 7, token=b"\x01",
+                      options=OptionSet(uri_path=("a", "lb")), payload=b"10")
+    parse = Frame.of(msg, CLIENT_EP, Endpoint("aaaa::2")).parsed
+    assert parse == msg and parse is not msg and type(parse) is CoapMessage
+    assert parse.options is coap.decode(encode(msg)).options  # the cached set
+    for own in (parse, coap.empty_ack(7), CoapMessage(MsgType.ACK, CONTENT, 7, b"\x01")):
+        assert Frame.of(own, CLIENT_EP, Endpoint("aaaa::2")).parsed is own
+
+
 def test_malformed_frame_is_forwarded_by_gateway_and_dropped_by_node(spies):
     _, _, decoded = spies
     world = booted_world(simple_scenario())

@@ -421,8 +421,7 @@ def test_behaviour_under_loss_is_pinned():
     """Every run of `lossy_pins.lossy_set()` matches its row of the pin
     table; a failure names each run that moved and how its records moved."""
     got, aborted = {}, 0
-    for key, sc in lossy_pins.lossy_set():
-        run, abort = lossy_pins.run(sc)
+    for key, run, abort in lossy_pins.finished():
         aborted += abort is not None
         got[key] = lossy_pins.pin(lossy_pins.artifacts(run, abort))
     assert len(got) == 198 and 0 < aborted < len(got)
@@ -486,8 +485,8 @@ def test_trace_records_render_as_the_trace_lines():
     """`records` gives each field the value its line shows, of its kind's
     type, for both bundled scenarios and every run of the lossy set."""
     runs = [pinned_run(name, None, None) for name in ("fig12_19.scn", "bind_deploy.scn")]
-    for _key, sc in lossy_pins.lossy_set():
-        runs.append(lossy_pins.run(sc)[0])  # an aborted run keeps the trace it made
+    # An aborted run keeps the trace it made.
+    runs += [run for _key, run, _abort in lossy_pins.finished()]
     for run in runs:
         trace = run.world.sim.trace
         records = trace.records

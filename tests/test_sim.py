@@ -30,10 +30,10 @@ def test_cancelled_events_do_not_fire():
     out = []
     keep = sim.schedule(1.0, out.append, 1)
     drop = sim.schedule(2.0, out.append, 2)
-    drop.cancel()
+    sim.cancel(drop)
     sim.run()
     assert out == [1]
-    assert keep.time == 1.0
+    assert keep[0] == 1.0  # an event is `[time, seq, fn, args]`
 
 
 def test_run_until_leaves_later_events_pending():
@@ -156,9 +156,19 @@ def test_link_model_defaults_follow_rdc():
     {"loss": 1.0},
     {"loss": -0.1},
     {"delay_range": (-1.0, 5.0)},
+    # Caught at construction: otherwise a delay that is not finite or a hop
+    # count that is not an int fails only at the first send, and `lo > hi`
+    # not at all.
+    {"delay_range": (5.0, math.inf)},
+    {"delay_range": (math.nan, 5.0)},
+    {"delay_range": (5.0, math.nan)},
+    {"delay_range": (15.0, 5.0)},
+    {"hops": 2.5},
+    {"hops": True},
 ])
 def test_link_model_rejects_bad_parameters(kwargs):
-    with pytest.raises(ValueError):
+    (field,) = kwargs  # the error names the one field given
+    with pytest.raises(ValueError, match=field):
         LinkModel(**kwargs)
 
 
@@ -238,11 +248,14 @@ class ReferenceQueue:
         return self.schedule_at(self.now + delay, fn, *args)
 
     def schedule_at(self, time, fn, *args):
-        entry = ReferenceEntry(self, (time, self.inserted), fn, args)
+        entry = ReferenceEntry((time, self.inserted), fn, args)
         self.inserted += 1
         self.pending.append(entry)
         self.pending.sort(key=lambda e: e.key)
         return entry
+
+    def cancel(self, entry) -> None:
+        self.pending = [e for e in self.pending if e is not entry]
 
     def run(self, until=None):
         while self.pending and (until is None or self.pending[0].key[0] <= until):
@@ -254,11 +267,8 @@ class ReferenceQueue:
 
 
 class ReferenceEntry:
-    def __init__(self, queue, key, fn, args) -> None:
-        self.queue, self.key, self.fn, self.args = queue, key, fn, args
-
-    def cancel(self) -> None:
-        self.queue.pending = [e for e in self.queue.pending if e is not self]
+    def __init__(self, key, fn, args) -> None:
+        self.key, self.fn, self.args = key, fn, args
 
 
 def _handler_plan(seed: int, label: int):
@@ -292,14 +302,14 @@ def _drive(queue, seed: int, ops) -> list:
         for how, delay in children:
             add(how, delay)
         if cancel is not None:
-            handles[cancel].cancel()
+            queue.cancel(handles[cancel])
 
     for op, value in ops:
         if op in ("schedule", "schedule_at"):
             add(op, value)
         elif op == "cancel":
             if handles:
-                handles[value % len(handles)].cancel()
+                queue.cancel(handles[value % len(handles)])
         else:
             queue.run() if value is None else queue.run(until=queue.now + value)
         log.append((op, "now", queue.now))
