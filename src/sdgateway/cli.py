@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .harness import SWEEP_PARAMS, check_sweep, default_out_dir, run_scenario, sweep, write_csv
 from .lln import RDC
-from .scenario import ParseError
+from .scenario import ParseError, load_scenario
 
 
 def _parse_range(text: str, param: str):
@@ -24,14 +24,17 @@ def _parse_range(text: str, param: str):
 def _cmd_run(args) -> int:
     out_dir = Path(args.out) if args.out else default_out_dir()
     try:
-        result = run_scenario(args.scenario,
-                              interception=not args.no_intercept,
-                              measure_overhead=args.measure_overhead,
-                              out_dir=out_dir,
-                              trace_path=Path(args.trace) if args.trace else None)
+        sc = load_scenario(args.scenario)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        print(f"error: cannot read {args.scenario}: {reason}", file=sys.stderr)
+        return 2
+    result = run_scenario(sc, interception=not args.no_intercept,
+                          measure_overhead=args.measure_overhead, out_dir=out_dir,
+                          trace_path=Path(args.trace) if args.trace else None)
     for name, problem in result.assertions:
         status = "ok  " if problem is None else "FAIL"
         detail = "" if problem is None else f"  ({problem})"

@@ -15,7 +15,6 @@ from .coap import (
     POST,
     REGISTRATION_PATH,
     CoapMessage,
-    MidAllocator,
     empty_ack,
 )
 from .directory import DeployMode, StateDirectory
@@ -38,9 +37,7 @@ class Gateway:
         self.measure_overhead = measure_overhead
         self.directory = StateDirectory(clock=lambda: sim.now, deploy_mode=deploy_mode,
                                         trace=sim.trace)
-        self.mids = MidAllocator(sim.rng)
-        self.recovery = RecoveryCoordinator(self.directory, self, sim=sim, mids=self.mids,
-                                            pacing_gap=pacing_gap)
+        self.recovery = RecoveryCoordinator(self.directory, self, sim=sim, pacing_gap=pacing_gap)
         self.overhead_us: list[float] = []
         self._registrations = Deduplicator(sim)  # each kept with its ACK frame
         network.gateway = self

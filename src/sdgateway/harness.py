@@ -101,16 +101,13 @@ def build_world(sc: Scenario, *, interception: bool = True,
                          rdc=sc.rdc,
                          loss=decl.loss if decl.loss is not None else sc.loss)
         node = VirtualNode(sim, network, name=decl.name, addr=decl.addr, link=link,
-                           defaults=decl.resources, loader_path=decl.loader,
-                           notify_policy=sc.notify_policy)
+                           defaults=decl.resources, loader_path=decl.loader)
         node.flash.update(decl.flash)
-        network.add_node(node)
-        nodes[decl.name] = node
+        network.nodes[node.addr] = nodes[decl.name] = node
     clients: dict[str, ScriptedClient] = {}
     for decl in sc.clients:
         client = ScriptedClient(sim, network, name=decl.name, addr=decl.addr)
-        network.add_client(client)
-        clients[decl.name] = client
+        network.clients[client.addr] = clients[decl.name] = client
     return World(sim, network, gateway, nodes, clients, sc)
 
 

@@ -290,12 +290,6 @@ class Network:
         self._last_arrival: dict[tuple, float] = {}
         self._endpoints: dict[tuple[str, int], Endpoint] = {}
 
-    def add_node(self, node: "VirtualNode") -> None:
-        self.nodes[node.addr] = node
-
-    def add_client(self, client: "ScriptedClient") -> None:
-        self.clients[client.addr] = client
-
     def endpoint(self, addr: str, port: int = COAP_PORT) -> Endpoint:
         """The one `Endpoint` for (addr, port) in this network: frames,
         directory entries and trace records all hold it by reference."""
@@ -381,17 +375,11 @@ _POWERED_OFF = frozenset((NodeState.DOWN, NodeState.STALLED))
 _BOOTING = NodeState.BOOTING
 
 
-class NotifyPolicy(Enum):
-    NON_FIRST = "non-first"   # first notification after (re)registration is NON
-    CON_ALWAYS = "con-always"
-
-
 @dataclass
 class Observer:
     client: Endpoint
     token: bytes
     counter: int = 0
-    max_age: int = DEFAULT_MAX_AGE
     last_mid: Optional[int] = None
     sent_since_register: int = 0
     pending: Optional[Confirmable] = None  # the unacknowledged CON notification
@@ -416,8 +404,7 @@ class VirtualNode:
 
     def __init__(self, sim: Simulator, network: Network, *, name: str, addr: str,
                  link: LinkModel, defaults: Optional[dict[str, bytes]] = None,
-                 loader_path: str = DEFAULT_LOADER_PATH,
-                 notify_policy: NotifyPolicy = NotifyPolicy.NON_FIRST) -> None:
+                 loader_path: str = DEFAULT_LOADER_PATH) -> None:
         self.sim = sim
         self.network = network
         self.name = name
@@ -425,7 +412,6 @@ class VirtualNode:
         self.endpoint = network.endpoint(addr)
         self.link = link
         self.loader_path = loader_path
-        self.notify_policy = notify_policy
         self.defaults: dict[str, bytes] = dict(defaults or {})
         self.flash: dict[str, bytes] = {}
 
@@ -501,7 +487,7 @@ class VirtualNode:
         return {
             "resources": dict(self.resources),
             "observers": tuple(sorted(
-                (path, ep.addr, ep.port, o.token.hex(), o.counter, o.max_age)
+                (path, ep.addr, ep.port, o.token.hex(), o.counter)
                 for (path, ep), o in self.observers.items())),
             "bindings": tuple(sorted(
                 (b.source_resource, b.info.dest_addr, b.info.dest_resource,
@@ -540,15 +526,14 @@ class VirtualNode:
                 self.network.send(reply)
                 return
         response, deferred = self._handle_request(msg, frame.src)
-        if response is not None:
-            reply = Frame.of(response, self.endpoint, frame.src)
-            if confirmable:
-                self._replies.keep(frame.src, msg.mid, reply)
-            self.network.send(reply)
+        reply = Frame.of(response, self.endpoint, frame.src)
+        if confirmable:
+            self._replies.keep(frame.src, msg.mid, reply)
+        self.network.send(reply)
         for action in deferred:
             action()
 
-    def handle_request(self, msg: CoapMessage, src: Endpoint) -> Optional[CoapMessage]:
+    def handle_request(self, msg: CoapMessage, src: Endpoint) -> CoapMessage:
         """Process a request as if it arrived from `src`; returns the
         response.  Deferred side effects (notifications, binding pushes)
         run immediately."""
@@ -647,7 +632,7 @@ class VirtualNode:
         # it runs right after the response is sent, not from a timer.
         deferred.append(lambda: self._send_notification(path, obs))
         return reply(CONTENT, self.resources[path],
-                     OptionSet(observe=obs.counter, max_age=obs.max_age)), deferred
+                     OptionSet(observe=obs.counter, max_age=DEFAULT_MAX_AGE)), deferred
 
     def _remove_observer(self, path, src, *, reason: str, mid=None) -> None:
         key = (path, src)
@@ -705,13 +690,14 @@ class VirtualNode:
                 self._binding_due(b)
 
     def _send_notification(self, path: str, obs: Observer) -> None:
-        if self.notify_policy is NotifyPolicy.NON_FIRST and obs.sent_since_register == 0:
+        # The first notification after a (re)registration is NON, later ones CON.
+        if obs.sent_since_register == 0:
             mtype, type_name = MsgType.NON, "NON"
         else:
             mtype, type_name = MsgType.CON, "CON"
         mid = self.mid_alloc.next_mid()
         msg = CoapMessage(mtype, CONTENT, mid, token=obs.token,
-                          options=OptionSet(observe=obs.counter, max_age=obs.max_age),
+                          options=OptionSet(observe=obs.counter, max_age=DEFAULT_MAX_AGE),
                           payload=self.resources.get(path, b""))
         frame = Frame.of(msg, self.endpoint, obs.client)
         obs.last_mid = mid

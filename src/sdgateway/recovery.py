@@ -131,7 +131,6 @@ class RecoveryRun:
                                      steps_total=len(steps))
         self.gap_event = None
         self.exchange = None
-        self.done = False
 
 
 class RecoveryCoordinator:
@@ -146,11 +145,11 @@ class RecoveryCoordinator:
     """
 
     def __init__(self, directory: StateDirectory, gateway, *, sim: Simulator,
-                 mids: MidAllocator, pacing_gap: float) -> None:
+                 pacing_gap: float) -> None:
         self.directory = directory
         self.gateway = gateway
         self.sim = sim
-        self.mids = mids
+        self.mids = MidAllocator(sim.rng)
         self.pacing_gap = pacing_gap
         self.active: dict[str, RecoveryRun] = {}
         self.replays: dict[tuple[Endpoint, Endpoint, int], Confirmable] = {}
@@ -172,7 +171,7 @@ class RecoveryCoordinator:
 
     def abort(self, node_addr: str) -> None:
         run = self.active.pop(node_addr, None)
-        if run is None or run.done:
+        if run is None:
             return
         if run.gap_event is not None:
             self.sim.cancel(run.gap_event)
@@ -235,8 +234,6 @@ class RecoveryCoordinator:
         self._resolved(run, StepOutcome.ACKED)
 
     def _resolved(self, run: RecoveryRun, outcome: StepOutcome) -> None:
-        if run.done:
-            return
         run.exchange = None
         self._record(run, outcome)
         if run.index < len(run.steps):
@@ -253,7 +250,6 @@ class RecoveryCoordinator:
         run.index += 1
 
     def _finish(self, run: RecoveryRun) -> None:
-        run.done = True
         run.report.finished_at = self.sim.now
         self.reports.append(run.report)
         self.active.pop(run.node, None)

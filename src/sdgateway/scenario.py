@@ -14,12 +14,14 @@ from __future__ import annotations
 import itertools
 import math
 import shlex
+from collections.abc import Container
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .coap import OBSERVE_DEREGISTER_VALUE, BindingInfo, Block1, OptionSet, validate_options
 from .directory import DeployMode
-from .lln import RDC, LinkModel, NotifyPolicy
+from .lln import DEFAULT_LOADER_PATH, RDC, LinkModel
+from .recovery import DEFAULT_PACING_GAP_MS
 
 SCENARIO_VERSION = 1
 
@@ -75,7 +77,7 @@ class NodeDecl:
     addr: str
     hops: Optional[int] = None
     loss: Optional[float] = None
-    loader: str = "ldr"
+    loader: str = DEFAULT_LOADER_PATH
     resources: dict[str, bytes] = field(default_factory=dict)
     flash: dict[str, bytes] = field(default_factory=dict)
 
@@ -114,9 +116,8 @@ class Scenario:
     rdc: RDC = RDC.NULLRDC
     hops: int = 1
     loss: float = 0.0
-    pacing_gap: float = 50.0
+    pacing_gap: float = DEFAULT_PACING_GAP_MS
     deploy_mode: DeployMode = DeployMode.FILENAME_ONLY
-    notify_policy: NotifyPolicy = NotifyPolicy.NON_FIRST
     settle: float = 30_000.0
     nodes: list[NodeDecl] = field(default_factory=list)
     clients: list[ClientDecl] = field(default_factory=list)
@@ -127,12 +128,6 @@ class Scenario:
         times = [e.time for e in self.events]
         times += [a.time for a in self.asserts if a.time is not None]
         return (max(times) if times else 0.0) + self.settle
-
-    def node_by_name(self, name: str) -> NodeDecl:
-        for n in self.nodes:
-            if n.name == name:
-                return n
-        raise KeyError(name)
 
 
 def _payload(text: str) -> bytes:
@@ -155,8 +150,13 @@ def _kv(tokens: list[str], line: int) -> dict[str, str]:
 
 def parse_scenario(text: str) -> Scenario:
     sc = Scenario()
-    node_names: set[str] = set()
+    node_names: dict[str, NodeDecl] = {}
     client_names: set[str] = set()
+    # Nodes with a timed and with a final `snapshot` so far, and each final
+    # `restored` still waiting for a timed `snapshot` on a later line.
+    timed_snapshots: set[str] = set()
+    final_snapshots: set[str] = set()
+    final_restores: list[tuple[str, int]] = []
     saw_version = False
     last_event_time = 0.0
     last_assert_time = 0.0
@@ -196,12 +196,6 @@ def parse_scenario(text: str) -> Scenario:
                 sc.deploy_mode = DeployMode(value)
             except ValueError:
                 raise ParseError(f"unknown deploy mode {value!r}", lineno) from None
-        elif head == "notify-policy":
-            value = _one(rest, lineno, head)
-            try:
-                sc.notify_policy = NotifyPolicy(value)
-            except ValueError:
-                raise ParseError(f"unknown notify policy {value!r}", lineno) from None
         elif head == "settle":
             sc.settle = _nonnegative(_one(rest, lineno, head), lineno, head)
         elif head == "node":
@@ -217,11 +211,11 @@ def parse_scenario(text: str) -> Scenario:
             decl = NodeDecl(name, addr,
                             hops=_int(kv["hops"], lineno) if "hops" in kv else None,
                             loss=_float(kv["loss"], lineno) if "loss" in kv else None,
-                            loader=kv.get("loader", "ldr"))
+                            loader=kv.get("loader", DEFAULT_LOADER_PATH))
             _valid(lineno, LinkModel, hops=1 if decl.hops is None else decl.hops,
                    loss=decl.loss or 0.0)
             sc.nodes.append(decl)
-            node_names.add(name)
+            node_names[name] = decl
         elif head == "client":
             _need(rest, 2, lineno, "client <name> <addr>")
             if rest[0] in client_names or rest[0] in node_names:
@@ -231,11 +225,11 @@ def parse_scenario(text: str) -> Scenario:
         elif head == "resource":
             _need(rest, 3, lineno, "resource <node> <path> <value>")
             _declared(rest[0], node_names, lineno)
-            sc.node_by_name(rest[0]).resources[rest[1].lstrip("/")] = _payload(rest[2])
+            node_names[rest[0]].resources[rest[1].lstrip("/")] = _payload(rest[2])
         elif head == "flash":
             _need(rest, 3, lineno, "flash <node> <filename> <data>")
             _declared(rest[0], node_names, lineno)
-            sc.node_by_name(rest[0]).flash[rest[1]] = _payload(rest[2])
+            node_names[rest[0]].flash[rest[1]] = _payload(rest[2])
         elif head == "at":
             if len(rest) < 2:
                 raise ParseError("at <ms> <verb> ...", lineno)
@@ -259,12 +253,22 @@ def parse_scenario(text: str) -> Scenario:
             if check not in ASSERT_CHECKS:
                 raise ParseError(f"unknown assertion {check!r}", lineno)
             _check_args(check, args, lineno, node_names)
+            if check == "snapshot":
+                (timed_snapshots if at is not None else final_snapshots).add(args[0])
+            elif check == "restored" and args[0] not in timed_snapshots:
+                if at is not None:
+                    _no_snapshot(args[0], lineno)
+                if args[0] not in final_snapshots:
+                    final_restores.append((args[0], lineno))
             sc.asserts.append(ScenarioAssert(at, check, args, lineno))
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
 
     if not saw_version:
         raise ParseError("missing 'version' header line", 1)
+    for node, lineno in final_restores:
+        if node not in timed_snapshots:
+            _no_snapshot(node, lineno)
     return sc
 
 
@@ -336,7 +340,7 @@ def _parse_event(at, verb, rest, lineno, node_names, client_names) -> ScenarioEv
         args["file"] = kv["file"]
         args["data"] = _payload(kv["data"])
         args["block"] = _int(kv.get("block", "64"), lineno)
-        args["loader"] = kv.get("loader", "ldr").lstrip("/")
+        args["loader"] = kv.get("loader", DEFAULT_LOADER_PATH).lstrip("/")
         _valid(lineno, validate_options,
                OptionSet(uri_path=tuple(args["loader"].split("/")),
                          uri_query=(f"file={args['file']}",),
@@ -354,7 +358,8 @@ def _parse_event(at, verb, rest, lineno, node_names, client_names) -> ScenarioEv
     return ScenarioEvent(at, verb, args, lineno)
 
 
-def _check_args(check: str, args: list[str], lineno: int, node_names: set[str]) -> None:
+def _check_args(check: str, args: list[str], lineno: int,
+                node_names: dict[str, NodeDecl]) -> None:
     if check == "trace-contains":
         if not args:
             raise ParseError(f"{check}: missing <text>", lineno)
@@ -373,9 +378,14 @@ def _check_args(check: str, args: list[str], lineno: int, node_names: set[str]) 
                 _int(number, lineno)
 
 
-def _declared(name: str, names: set[str], lineno: int) -> None:
+def _declared(name: str, names: Container[str], lineno: int) -> None:
     if name not in names:
         raise ParseError(f"undeclared name {name!r}", lineno)
+
+
+def _no_snapshot(node: str, lineno: int) -> None:
+    """A `restored` check of `node` that no `snapshot` check runs before."""
+    raise ParseError(f"restored: no snapshot of {node!r} runs before it", lineno)
 
 
 def _need(rest: list[str], n: int, lineno: int, usage: str) -> None:

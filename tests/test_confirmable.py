@@ -24,7 +24,7 @@ from sdgateway.coap import (
     encode,
     registration_request,
 )
-from sdgateway.lln import Confirmable, Frame, NodeState, NotifyPolicy, answer
+from sdgateway.lln import Confirmable, Frame, NodeState, answer
 from sdgateway.sim import Simulator
 
 FRAME = Frame(encode(CoapMessage(MsgType.CON, GET, 42, options=OptionSet(uri_path=("s",)))),
@@ -219,7 +219,6 @@ def test_an_ack_from_another_endpoint_completes_no_client_request(monkeypatch):
 def test_an_ack_from_another_endpoint_leaves_a_notification_unacknowledged():
     world = booted_world(simple_scenario())
     node, client = world.nodes["n1"], world.clients["c1"]
-    node.notify_policy = NotifyPolicy.CON_ALWAYS
     client.observe(node.addr, "s/t")
     world.sim.run(until=world.sim.now + 1000.0)
     client.silence(True)

@@ -25,7 +25,7 @@ from sdgateway.coap import (
     registration_request,
 )
 from sdgateway.harness import ScenarioRun
-from sdgateway.lln import Frame, NotifyPolicy
+from sdgateway.lln import Frame
 from sdgateway.scenario import load_scenario
 
 CLIENT_EP = Endpoint("cccc::3", 60001)
@@ -208,7 +208,6 @@ def test_client_dedup_resends_the_same_notification_ack(monkeypatch):
 def test_notification_retransmission_resends_the_same_frame(monkeypatch):
     world = booted_world(simple_scenario(resources={"gpio/btn": b"0"}))
     node, client = world.nodes["n1"], world.clients["c1"]
-    node.notify_policy = NotifyPolicy.CON_ALWAYS
     client.observe(node.addr, "gpio/btn")
     world.sim.run(until=world.sim.now + 1000.0)
     client.silence(True)

@@ -139,7 +139,16 @@ NUMBERS_BASE = "version 1\nnode n1 aaaa::1\nclient c1 cccc::3\n"
     "at 10 notify n1 LONG",
     "at 10 deploy c1 n1 file=f data=d loader=LONG",
     "at 10 deploy c1 n1 file=LONG data=d",
-]]])
+]]] + [(NUMBERS_BASE + lines, line, "restored: no snapshot of 'n1' runs before it")
+       for lines, line in [
+    ("assert final restored n1", 4),
+    ("assert 100 restored n1", 4),
+    ("assert 100 restored n1\nassert 100 snapshot n1", 4),
+    ("assert final snapshot n1\nassert 100 restored n1", 5),
+    ("assert final restored n1\nassert final snapshot n1", 4),
+    ("node n2 aaaa::2\nassert 10 snapshot n2\nassert final restored n1", 6),
+    ("node n2 aaaa::2\nassert 10 snapshot n2\nassert 20 restored n1", 6),
+]])
 def test_parse_errors_carry_line_numbers(text, expect_line, fragment, tmp_path, capsys):
     with pytest.raises(ParseError) as err:
         parse_scenario(text)
@@ -149,6 +158,75 @@ def test_parse_errors_carry_line_numbers(text, expect_line, fragment, tmp_path, 
     path.write_text(text)
     assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 2
     assert f"parse error: line {expect_line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines", [
+    "assert 10 snapshot n1\nassert 20 restored n1",
+    "assert 10 snapshot n1\nassert 10 restored n1",
+    "assert 10 snapshot n1\nassert final restored n1",
+    "assert final restored n1\nassert 10 snapshot n1",
+    "assert final snapshot n1\nassert final restored n1",
+])
+def test_a_restored_check_after_a_snapshot_parses_and_holds(lines):
+    result = run_scenario(parse_scenario(NUMBERS_BASE + lines))
+    assert [problem for _, problem in result.assertions] == [None, None]
+
+
+VERB_BASE = NUMBERS_BASE + "resource n1 s/t 1\n"
+
+
+def test_rst_verb_cancels_the_observation_at_the_node_and_in_the_directory():
+    result = run_scenario(parse_scenario(VERB_BASE + (
+        "at 1000 observe c1 n1 s/t\n"
+        "at 2000 rst c1 n1 s/t\n"
+        "at 3000 change n1 s/t 2\n"
+        "assert final observer-count n1 s/t 0\n"
+        "assert final sd-count n1 0\n")))
+    assert result.ok, result.failures
+    trace = result.world.sim.trace
+    [(_, dropped)] = trace.find("obs_drop", node="n1")
+    assert dropped["reason"] == "rst" and dropped["uri"] == "s/t"
+    [(_, removed)] = trace.find("sd_remove", server="aaaa::1")
+    assert removed["reason"] == "rst" and removed["mid"] == dropped["mid"]
+
+
+def test_silence_verb_drops_frames_to_the_client_only_while_on():
+    result = run_scenario(parse_scenario(VERB_BASE + (
+        "at 1000 observe c1 n1 s/t\n"
+        "at 2000 silence c1 on\n"
+        "at 3000 change n1 s/t 2\n"
+        "at 4000 silence c1 off\n")))
+    trace = result.world.sim.trace
+    drops = trace.find("drop", why="client-silent", client="c1")
+    assert drops and all(2000.0 < t < 4000.0 for t, _ in drops)
+    # The notification's retransmission, after `off`, is received and ACKed.
+    assert trace.find("retransmit", node="n1")
+    last = result.world.clients["c1"].notifications[-1]
+    assert last["payload"] == b"2" and last["time"] > 4000.0
+    [observer] = result.world.nodes["n1"].observers.values()
+    assert observer.pending is None
+
+
+def test_blackhole_verb_loses_the_node_traffic_only_while_on():
+    result = run_scenario(parse_scenario(VERB_BASE + (
+        "at 1000 blackhole n1 on\n"
+        "at 1500 get c1 n1 s/t\n"
+        "at 2000 blackhole n1 off\n"
+        "at 20000 put c1 n1 s/t 7\n"
+        "assert 21000 resource n1 s/t 7\n")))
+    assert result.ok, result.failures
+    drops = result.world.sim.trace.find("drop", why="loss")
+    assert drops and all(1000.0 < t < 2000.0 and f["dst"].startswith("aaaa::1:")
+                         for t, f in drops)
+
+
+def test_sd_count_check_passes_on_the_count_and_names_a_wrong_one():
+    result = run_scenario(parse_scenario(VERB_BASE + (
+        "at 1000 put c1 n1 s/t 5\n"
+        "at 1500 observe c1 n1 s/t\n"
+        "assert 3000 sd-count n1 2\n"
+        "assert 3000 sd-count n1 3\n")))
+    assert [problem for _, problem in result.assertions] == [None, "sd count 2 != 3"]
 
 
 def test_parse_minimal_scenario_fields():
@@ -285,6 +363,19 @@ def test_cli_run_parse_error(tmp_path, capsys):
     rc = cli_main(["run", str(bad), "--out", str(tmp_path)])
     assert rc == 2
     assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make,reason", [
+    (lambda path: None, "No such file or directory"),
+    (lambda path: path.mkdir(), "Is a directory"),
+    (lambda path: path.write_bytes(b"version 1\n\xff\n"), "can't decode byte 0xff"),
+], ids=["missing", "directory", "not-utf-8"])
+def test_cli_run_reports_a_scenario_path_it_cannot_read(make, reason, tmp_path, capsys):
+    path = tmp_path / "unreadable.scn"
+    make(path)
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: ") and reason in err
 
 
 def test_cli_run_survives_a_decreasing_notify_counter(tmp_path, capsys):

@@ -284,20 +284,6 @@ def test_node_to_node_traffic_bypasses_gateway():
     assert not [f for f in world.network.external_frames if b"33" in f]
 
 
-def test_con_always_policy_confirms_every_notification():
-    sc = simple_scenario(resources={"s/t": b"1"})
-    from sdgateway.lln import NotifyPolicy
-    sc.notify_policy = NotifyPolicy.CON_ALWAYS
-    world = booted_world(sc)
-    node, client = world.nodes["n1"], world.clients["c1"]
-    world.sim.schedule_at(world.sim.now, lambda: client.observe(node.addr, "s/t"))
-    world.sim.run(until=world.sim.now + 1000.0)
-    node.change_resource("s/t", b"2")
-    world.sim.run(until=world.sim.now + 1000.0)
-    types = [f["type"] for _, f in world.sim.trace.find("notify", node="n1")]
-    assert types and all(t == "CON" for t in types)
-
-
 def test_deterministic_trace_for_same_seed():
     def run_once():
         sc = simple_scenario(seed=77, loss=0.2, resources={"s/t": b"1", "a/b": b"2"})
