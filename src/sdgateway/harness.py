@@ -155,7 +155,7 @@ def _evaluate(world: World, check: ScenarioAssert, snapshots: dict) -> Optional[
     a = check.args
     directory = world.gateway.directory
     if check.check == "trace-contains":
-        for line in world.sim.trace.lines():
+        for line in world.sim.trace.iter_lines():
             if all(tok in line for tok in a):
                 return None
         return f"no trace line contains {a}"
@@ -203,7 +203,8 @@ class ScenarioRun:
     world and schedules every node boot at 0 ms, then the events, then the
     timed checks; `advance` runs the simulator, in one call or in steps;
     `finish` runs the final checks, collects the metrics and writes the
-    artifacts to `out_dir` (when given)."""
+    artifacts to `out_dir` (when given) and the trace to `trace_path` (when
+    given)."""
 
     def __init__(self, sc: Scenario, *, interception: bool = True,
                  measure_overhead: bool = False, out_dir: Optional[Path] = None) -> None:
@@ -251,17 +252,20 @@ class ScenarioRun:
         """Run the simulator to `until`, or to the scenario's end time."""
         self.world.sim.run(until=self.scenario.end_time() if until is None else until)
 
-    def finish(self) -> "ScenarioRun":
+    def finish(self, trace_path: Optional[Path] = None) -> "ScenarioRun":
         for check in self.scenario.asserts:
             if check.time is None:
                 self._check(check)
         world = self.world
         self.metrics = collect_metrics(world)
         self.flagged = any(not r.all_acked for r in world.gateway.recovery.reports)
+        trace_paths = [] if trace_path is None else [trace_path]
         if self.out_dir is not None:
             sid = self.scenario.scenario_id
             write_csv(self.out_dir / f"{sid}.metrics.csv", self.metrics)
-            world.sim.trace.write(self.out_dir / f"{sid}.trace.txt")
+            trace_paths.append(self.out_dir / f"{sid}.trace.txt")
+        if trace_paths:
+            world.sim.trace.write(*trace_paths)  # one render for both files
         return self
 
 
@@ -272,10 +276,7 @@ def run_scenario(source: Union[Scenario, str, Path], *, interception: bool = Tru
     run = ScenarioRun(sc, interception=interception, measure_overhead=measure_overhead,
                       out_dir=out_dir)
     run.advance()
-    run.finish()
-    if trace_path is not None:
-        run.world.sim.trace.write(trace_path)
-    return run
+    return run.finish(trace_path)
 
 
 def collect_metrics(world: World) -> list[MetricRecord]:

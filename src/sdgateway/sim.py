@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import os
 import random
+from contextlib import ExitStack
 from math import inf
 from typing import Callable, Optional
 
@@ -153,15 +155,68 @@ class _Layout:
 _LAYOUTS = {name: _Layout(layout) for name, layout in TRACE_KINDS.items()}
 
 
+class TraceRecords:
+    """The trace's `(time, kind, fields)` records: a read-only view of a
+    recorder's flat list, live as records are emitted.
+
+    A pass over it builds each record when it reaches it, rendering each
+    distinct frame once per pass, and keeps none; `len` counts records
+    without building any.  Indexing and slicing walk the list, and the
+    view compares equal to a list of the same records."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: TraceRecorder) -> None:
+        self._trace = trace
+
+    def __iter__(self):
+        texts = _Texts()
+        for layout, record in self._trace._slices():
+            yield record[0], layout.kind, layout.fields(record, texts)
+
+    def __len__(self) -> int:
+        flat, i, count = self._trace._flat, 0, 0
+        end = len(flat)
+        while i < end:
+            i += 2 + _LAYOUTS[flat[i + 1]].arity
+            count += 1
+        return count
+
+    def __getitem__(self, index):
+        wanted = range(len(self))[index]  # raises as a list's index would
+        if isinstance(wanted, int):
+            return self[wanted:wanted + 1][0]
+        picked, texts = {}, _Texts()
+        last = max(wanted, default=-1)
+        for i, (layout, record) in enumerate(self._trace._slices()):
+            if i > last:
+                break
+            if i in wanted:
+                picked[i] = record[0], layout.kind, layout.fields(record, texts)
+        return [picked[i] for i in wanted]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, TraceRecords)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 class TraceRecorder:
     """Collects trace records and renders them as stable text lines.
 
     `emit(name, *values)` appends `t, name, *values` to one flat list: the
     values by reference, in the order `TRACE_KINDS[name]` gives, with no
     dict, tuple or text per record; a frame is its `raw` bytes.  Text is
-    made only when it is read: `lines()` renders each record through its
-    kind's layout, and `records` and `find` build `(t, kind, fields)` from
-    it, each read rendering each distinct frame once.  The flat list is the
+    made only when it is read: `iter_lines()` renders each record through
+    its kind's layout, `records` and `find` build `(t, kind, fields)` from
+    it, and each read renders each distinct frame once.  `lines()` and
+    `text()` hold the whole text; a pass over `iter_lines()` or `records`,
+    and `write`, hold one line or record at a time.  The flat list is the
     one container that the cyclic garbage collector tracks.
     """
 
@@ -173,7 +228,8 @@ class TraceRecorder:
         self._flat += (self._sim.now, kind, *values)
 
     def _slices(self):
-        """Each record's layout and its `t, name, *values` slice."""
+        """Each record's layout and its `t, name, *values` slice, for the
+        records the trace holds when the pass starts."""
         flat, i, end = self._flat, 0, len(self._flat)
         while i < end:
             layout = _LAYOUTS[flat[i + 1]]
@@ -182,15 +238,18 @@ class TraceRecorder:
             i = j
 
     @property
-    def records(self) -> list[tuple[float, str, dict]]:
-        """The (time, kind, fields) records, as a new list on each access."""
+    def records(self) -> TraceRecords:
+        """The (time, kind, fields) records, as a new view on each access."""
+        return TraceRecords(self)
+
+    def iter_lines(self):
+        """The trace's lines, each rendered when the pass reaches it."""
         texts = _Texts()
-        return [(record[0], layout.kind, layout.fields(record, texts))
-                for layout, record in self._slices()]
+        for layout, record in self._slices():
+            yield layout.text(record, texts)
 
     def lines(self) -> list[str]:
-        texts = _Texts()
-        return [layout.text(record, texts) for layout, record in self._slices()]
+        return list(self.iter_lines())
 
     def text(self) -> str:
         return "\n".join(self.lines()) + "\n"
@@ -205,9 +264,17 @@ class TraceRecorder:
                 hits.append((record[0], fields))
         return hits
 
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.text())
+    def write(self, *paths) -> None:
+        """Write `text()` to each of `paths`, rendering it once, a line at a
+        time; the same file named twice is written once."""
+        with ExitStack() as stack:
+            files = [stack.enter_context(open(path, "w", encoding="utf-8"))
+                     for path in dict.fromkeys(map(os.path.realpath, paths))]
+            # An empty trace's text is one empty line, as `text()` gives.
+            for line in self.iter_lines() if self._flat else ("",):
+                line += "\n"
+                for fh in files:
+                    fh.write(line)
 
 
 class Simulator:

@@ -1,3 +1,5 @@
+import pytest
+
 from worldutil import booted_world, simple_scenario
 from sdgateway.coap import CHANGED, Endpoint
 from sdgateway.harness import ScenarioRun, run_scenario
@@ -198,3 +200,29 @@ def test_frames_on_one_path_never_reorder():
     payload_order = [f["msg"].split("mid=")[1] for f in arrivals]
     assert payload_order == sorted(payload_order, key=lambda s: int(s.split()[0]))
     assert node.resources["s/t"] == b"19"
+
+
+@pytest.mark.parametrize("frame_to, kind, match", [
+    # To an LLN address no node has: the gateway forwards it inbound.
+    (lambda world, node, client: Frame(bytes([0x40, CHANGED, 0x12, 0x34]), client,
+                                       Endpoint("aaaa::dead", 5683)),
+     "drop", {"why": "no-route", "dst": "aaaa::dead:5683"}),
+    # From a node to an external address no client has.
+    (lambda world, node, client: Frame(bytes([0x60, CHANGED, 0x12, 0x34]), node.endpoint,
+                                       Endpoint("cccc::99", 40000)),
+     "drop", {"why": "no-client", "dst": "cccc::99:40000"}),
+    # Malformed bytes addressed to the gateway itself.
+    (lambda world, node, client: Frame(b"\x13\x37\x00", node.endpoint,
+                                       Endpoint(world.network.gateway_addr, 5683)),
+     "gw", {"ev": "drop_malformed", "src": "aaaa::c30c:0:0:2:5683"}),
+])
+def test_a_frame_with_nowhere_to_go_is_dropped_and_the_run_goes_on(frame_to, kind, match):
+    world = booted_world(simple_scenario(resources={"s/t": b"0"}))
+    node, client = world.nodes["n1"], world.clients["c1"]
+    world.network.send(frame_to(world, node, Endpoint(client.addr, 45000)))
+    world.sim.run(until=world.sim.now + 1000.0)
+    assert len(world.sim.trace.find(kind, **match)) == 1
+    client.put(node.addr, "s/t", b"7")
+    world.sim.run(until=world.sim.now + 1000.0)
+    assert node.resources["s/t"] == b"7"
+    assert [e.uri_path for e in world.gateway.directory.entries_for_server(node.addr)] == ["s/t"]

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import lossy_pins
-from sdgateway import harness
+from sdgateway import coap, harness
 from sdgateway.cli import main as cli_main
 from sdgateway.harness import (
     MetricKind,
@@ -27,7 +27,7 @@ from sdgateway.scenario import (
     load_scenario,
     parse_scenario,
 )
-from sdgateway.sim import TRACE_KINDS
+from sdgateway.sim import TRACE_KINDS, TraceRecorder
 
 MINIMAL = """
 scenario mini
@@ -238,6 +238,13 @@ def test_parse_minimal_scenario_fields():
     assert len(sc.asserts) == 1
 
 
+def test_flash_directive_preloads_the_node_flash():
+    sc = parse_scenario(NUMBERS_BASE + "flash n1 f.bin hex:0102ff\nflash n1 g.bin text:hi\n")
+    assert sc.nodes[0].flash == {"f.bin": b"\x01\x02\xff", "g.bin": b"hi"}
+    node = harness.build_world(sc).nodes["n1"]
+    assert node.flash == sc.nodes[0].flash and node.flash is not sc.nodes[0].flash
+
+
 def test_empty_scenario_runs_clean():
     result = run_scenario(parse_scenario("scenario empty\nversion 1"))
     assert result.ok
@@ -293,6 +300,30 @@ def test_run_artifacts_written(tmp_path):
     assert (tmp_path / "t.txt").read_text() == result.world.sim.trace.text()
     snapshots = list(tmp_path.glob("fig12_19.sd@*.txt"))
     assert snapshots, "SD snapshots at assertion points"
+
+
+def test_run_with_a_trace_path_renders_the_trace_once(tmp_path, monkeypatch):
+    passes = []
+    iter_lines = TraceRecorder.iter_lines
+    monkeypatch.setattr(TraceRecorder, "iter_lines",
+                        lambda self: passes.append(1) or iter_lines(self))
+    result = run_scenario(parse_scenario(MINIMAL), out_dir=tmp_path,
+                          trace_path=tmp_path / "t.txt")
+    assert len(passes) == 1
+    text = result.world.sim.trace.text().encode()
+    assert (tmp_path / "mini.trace.txt").read_bytes() == (tmp_path / "t.txt").read_bytes() == text
+
+
+def test_trace_contains_check_stops_at_the_first_matching_line(monkeypatch):
+    result = run_scenario(parse_scenario(MINIMAL + "assert final trace-contains recv at=gw\n"
+                                         "assert final trace-contains recv at=n9\n"))
+    assert [problem for _, problem in result.assertions[-2:]] == [
+        None, "no trace line contains ['recv', 'at=n9']"]
+    rendered = []
+    monkeypatch.setattr(coap, "summarize", lambda raw: rendered.append(raw) or "")
+    # The first record is a boot, which names no frame: no frame is rendered.
+    check = ScenarioAssert(None, "trace-contains", ["boot", "node=n1"], 0)
+    assert harness._evaluate(result.world, check, {}) is None and rendered == []
 
 
 def test_canonical_scenario_recovers_all_states():

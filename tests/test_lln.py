@@ -6,11 +6,14 @@ from sdgateway.coap import (
     CHANGED,
     CONTENT,
     CREATED,
+    DELETE,
+    DELETED,
     GET,
     NOT_FOUND,
     POST,
     PUT,
     COAP_PORT,
+    Block1,
     CoapMessage,
     Endpoint,
     MsgType,
@@ -148,6 +151,37 @@ def test_loader_post_reloads_from_flash():
     resp = node.handle_request(msg, CLIENT_EP)
     assert resp.code == CREATED
     assert node.loaded_modules == {"blinker"}
+
+
+def test_delete_removes_a_resource_or_answers_not_found():
+    world = booted_world(simple_scenario(resources={"s/t": b"18", "a/lb": b"0"}))
+    node = world.nodes["n1"]
+    resp = node.handle_request(make_request(DELETE, "a/lb"), CLIENT_EP)
+    assert resp.code == DELETED and resp.mid == 900 and resp.token == b"\x77"
+    assert node.resources == {"s/t": b"18"}
+    missing = node.handle_request(make_request(DELETE, "a/lb", mid=901), CLIENT_EP)
+    assert missing.code == NOT_FOUND
+    assert node.resources == {"s/t": b"18"}
+
+
+def test_post_outside_the_loader_path_is_not_found():
+    world = booted_world(simple_scenario())
+    node = world.nodes["n1"]
+    node.flash["blinker"] = b"\x01\x02"
+    resp = node.handle_request(make_request(POST, "s/t", uri_query=("file=blinker",)),
+                               CLIENT_EP)
+    assert resp.code == NOT_FOUND
+    assert node.loaded_modules == set() and node.resources == {"s/t": b"18"}
+
+
+def test_loader_block_without_a_filename_is_a_bad_request():
+    world = booted_world(simple_scenario())
+    node = world.nodes["n1"]
+    for method in (PUT, POST):
+        resp = node.handle_request(
+            make_request(method, "ldr", b"\x01" * 16, block1=Block1(0, False, 16)), CLIENT_EP)
+        assert resp.code == BAD_REQUEST
+    assert node.flash == {} and node.loaded_modules == set()
 
 
 def test_notify_without_observers_sends_nothing():

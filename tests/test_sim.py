@@ -5,11 +5,13 @@ import random
 import statistics
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import sdgateway
+from sdgateway.harness import canonical_recovery_scenario, run_scenario
 from sdgateway.lln import RDC, LinkModel
 from sdgateway.sim import Simulator
 
@@ -144,6 +146,78 @@ def test_trace_records_stay_out_of_the_cyclic_collector():
         gc.enable()
     assert tracked < 10
     assert len(sim.trace.records) == 1000
+
+
+def small_trace():
+    sim = Simulator()
+    sim.trace.emit("boot", "n1", 1)
+    sim.schedule(1.0, lambda: sim.trace.emit("client_retransmit", "c1", 7, 1))
+    sim.schedule(2.5, lambda: sim.trace.emit("crash", "n1", 1, 500.0))
+    sim.run()
+    return sim
+
+
+SMALL_RECORDS = [(0.0, "boot", {"node": "n1", "epoch": 1}),
+                 (1.0, "client_retransmit", {"client": "c1", "mid": 7, "attempt": 1}),
+                 (2.5, "crash", {"node": "n1", "epoch": 1, "downtime": 500.0})]
+
+
+def test_trace_records_view_counts_indexes_and_slices_as_a_list():
+    records = small_trace().trace.records
+    assert len(records) == 3
+    assert records == SMALL_RECORDS and SMALL_RECORDS == records
+    assert records != SMALL_RECORDS[:2] and records != SMALL_RECORDS[::-1]
+    assert records != tuple(SMALL_RECORDS) and repr(records) == repr(SMALL_RECORDS)
+    for i in range(-3, 3):
+        assert records[i] == SMALL_RECORDS[i]
+    for cut in (slice(1, None), slice(None, -1), slice(None, None, -1), slice(0, 3, 2),
+                slice(5, 9), slice(2, 1)):
+        assert records[cut] == SMALL_RECORDS[cut]
+    for bad in (3, -4):
+        with pytest.raises(IndexError):
+            records[bad]
+
+
+def test_trace_records_view_iterates_again_and_stays_live():
+    sim = small_trace()
+    records = sim.trace.records
+    assert list(records) == list(records) == SMALL_RECORDS
+    sim.schedule(1.0, lambda: sim.trace.emit("boot", "n1", 2))
+    sim.run()
+    assert len(records) == 4 and records[-1] == (3.5, "boot", {"node": "n1", "epoch": 2})
+    assert records == sim.trace.records
+
+
+def test_trace_records_view_builds_one_record_at_a_time():
+    """Counting records through the view peaks at a small fraction of the
+    memory that building all of them at once takes."""
+    trace = run_scenario(canonical_recovery_scenario(
+        hops=3, rdc=RDC.NULLRDC, state_count=400, seed=1)).world.sim.trace
+    assert len(trace.records) >= 5000
+
+    def peak(read):
+        tracemalloc.start()
+        try:
+            result = read()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    count, streamed = peak(lambda: sum(1 for _, kind, fields in trace.records
+                                       if kind == "recv" and fields["at"] == "gw"))
+    listed, built = peak(lambda: list(trace.records))
+    assert count == sum(1 for _, kind, fields in listed
+                        if kind == "recv" and fields["at"] == "gw") > 0
+    assert streamed < 0.2 * built
+
+
+@pytest.mark.parametrize("emit", [False, True])
+def test_trace_write_gives_the_text_bytes(emit, tmp_path):
+    sim = small_trace() if emit else Simulator()
+    sim.trace.write(tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "a.txt")
+    text = sim.trace.text().encode()
+    assert emit or text == b"\n"
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes() == text
 
 
 def test_link_model_defaults_follow_rdc():
