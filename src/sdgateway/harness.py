@@ -18,11 +18,11 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional, Union
 
-from .coap import BindingInfo
-from .directory import EntryType
 from .gateway import Gateway
 from .lln import RDC, LinkModel, Network, ScriptedClient, VirtualNode
 from .scenario import (
+    CHECKS,
+    VERBS,
     AssertionFailure,
     ClientDecl,
     NodeDecl,
@@ -112,90 +112,11 @@ def build_world(sc: Scenario, *, interception: bool = True,
 
 
 def _dispatch(world: World, ev: ScenarioEvent) -> None:
-    nodes, clients = world.nodes, world.clients
-    a = ev.args
-    if ev.verb == "boot":
-        nodes[a["node"]].boot()
-    elif ev.verb == "put":
-        clients[a["client"]].put(nodes[a["node"]].addr, a["path"], a["value"], cf=a["cf"])
-    elif ev.verb == "get":
-        clients[a["client"]].get(nodes[a["node"]].addr, a["path"])
-    elif ev.verb == "observe":
-        clients[a["client"]].observe(nodes[a["node"]].addr, a["path"], obs=a["obs"])
-    elif ev.verb == "deregister":
-        clients[a["client"]].deregister(nodes[a["node"]].addr, a["path"])
-    elif ev.verb == "rst":
-        clients[a["client"]].cancel_with_rst(nodes[a["node"]].addr, a["path"])
-    elif ev.verb == "bind":
-        info = BindingInfo(dest_addr=a["dest"], dest_resource=a["res"],
-                           pmin=a["pmin"], pmax=a["pmax"])
-        clients[a["client"]].bind(nodes[a["node"]].addr, a["path"], info)
-    elif ev.verb == "deploy":
-        clients[a["client"]].deploy(nodes[a["node"]].addr, a["file"], a["data"],
-                                    block_size=a["block"], loader_path=a["loader"])
-    elif ev.verb == "change":
-        nodes[a["node"]].change_resource(a["path"], a["value"])
-    elif ev.verb == "notify":
-        nodes[a["node"]].notify(a["path"], a["counter"])
-    elif ev.verb == "crash":
-        nodes[a["node"]].crash(a["down"])
-    elif ev.verb == "silence":
-        clients[a["client"]].silence(a["on"])
-    elif ev.verb == "blackhole":
-        addr = nodes[a["node"]].addr
-        if a["on"]:
-            world.network.blackholes.add(addr)
-        else:
-            world.network.blackholes.discard(addr)
-    else:  # pragma: no cover - parser rejects unknown verbs
-        raise ValueError(ev.verb)
+    VERBS[ev.verb].act(world, ev.args)
 
 
 def _evaluate(world: World, check: ScenarioAssert, snapshots: dict) -> Optional[str]:
-    a = check.args
-    directory = world.gateway.directory
-    if check.check == "trace-contains":
-        for line in world.sim.trace.iter_lines():
-            if all(tok in line for tok in a):
-                return None
-        return f"no trace line contains {a}"
-    node = world.nodes[a[0]]
-    if check.check == "sd-types":
-        want = [int(x) for x in a[1].split(",")] if a[1] != "-" else []
-        got = [int(e.entry_type) for e in directory.entries_for_server(node.addr)]
-        return None if got == want else f"sd types {got} != {want}"
-    if check.check == "sd-count":
-        got = len(directory.entries_for_server(node.addr))
-        return None if got == int(a[1]) else f"sd count {got} != {a[1]}"
-    if check.check == "sd-obs":
-        path, want = a[1].lstrip("/"), int(a[2])
-        for e in directory.entries_for_server(node.addr):
-            if e.entry_type is EntryType.OBSERVE and e.uri_path == path:
-                return None if e.observe_counter == want else \
-                    f"sd observe counter {e.observe_counter} != {want}"
-        return f"no OBSERVE entry for {path}"
-    if check.check == "resource":
-        path = a[1].lstrip("/")
-        want = a[2].encode("utf-8")
-        got = node.resources.get(path)
-        return None if got == want else f"resource {path} = {got!r}, wanted {want!r}"
-    if check.check == "observer-count":
-        path = a[1].lstrip("/")
-        got = sum(1 for (p, _) in node.observers if p == path)
-        return None if got == int(a[2]) else f"observer count {got} != {a[2]}"
-    if check.check == "observer-client":
-        path = a[1].lstrip("/")
-        addrs = sorted({ep.addr for (p, ep) in node.observers if p == path})
-        return None if addrs == [a[2]] else f"observer clients {addrs} != [{a[2]}]"
-    if check.check == "snapshot":
-        snapshots[a[0]] = node.dynamic_state()
-        return None
-    if check.check == "restored":
-        if a[0] not in snapshots:
-            return "restored without a prior snapshot"
-        return None if node.dynamic_state() == snapshots[a[0]] else \
-            "dynamic state differs from snapshot"
-    return f"unknown check {check.check}"  # pragma: no cover
+    return CHECKS[check.check].evaluate(world, check.args, snapshots)
 
 
 class ScenarioRun:
@@ -281,38 +202,30 @@ def run_scenario(source: Union[Scenario, str, Path], *, interception: bool = Tru
 
 def collect_metrics(world: World) -> list[MetricRecord]:
     sc = world.scenario
-    rdc = sc.rdc.value
-    records: list[MetricRecord] = []
     reports = world.gateway.recovery.reports
     run_states = max((r.steps_total for r in reports), default=0)
-    for name, node in sorted(world.nodes.items()):
-        for _epoch, sent, acked in node.associations:
-            records.append(MetricRecord(MetricKind.ASSOCIATION_DELAY, acked - sent,
-                                        sc.scenario_id, sc.seed, node.link.hops,
-                                        rdc, run_states))
+
+    def record(metric: MetricKind, value: float, hops: int, states: int = run_states):
+        return MetricRecord(metric, value, sc.scenario_id, sc.seed, hops, sc.rdc.value, states)
+
+    records = [record(MetricKind.ASSOCIATION_DELAY, acked - sent, node.link.hops)
+               for _, node in sorted(world.nodes.items())
+               for _epoch, sent, acked in node.associations]
     for report in reports:
-        if report.aborted:
-            continue
-        node = world.network.nodes[report.node]
-        records.append(MetricRecord(MetricKind.RECOVERY_DELAY, report.total_delay,
-                                    sc.scenario_id, sc.seed, node.link.hops, rdc,
-                                    report.steps_total))
-        records.append(MetricRecord(MetricKind.STATE_COUNT, report.steps_total,
-                                    sc.scenario_id, sc.seed, node.link.hops, rdc,
-                                    report.steps_total))
-    if world.nodes:
-        records.append(MetricRecord(MetricKind.HOP_COUNT,
-                                    max(n.link.hops for n in world.nodes.values()),
-                                    sc.scenario_id, sc.seed,
-                                    max(n.link.hops for n in world.nodes.values()),
-                                    rdc, run_states))
+        if not report.aborted:
+            hops = world.network.nodes[report.node].link.hops
+            records.append(record(MetricKind.RECOVERY_DELAY, report.total_delay, hops,
+                                  report.steps_total))
+            records.append(record(MetricKind.STATE_COUNT, report.steps_total, hops,
+                                  report.steps_total))
+    hops = max((n.link.hops for n in world.nodes.values()), default=None)
+    if hops is not None:
+        records.append(record(MetricKind.HOP_COUNT, hops, hops))
     # Wall-clock rows are opt-in, filled only under `measure_overhead`:
     # they would break the byte-identical-rerun guarantee of the metrics CSV.
     if world.gateway.overhead_us:
-        mean = statistics.fmean(world.gateway.overhead_us)
-        hops = max((n.link.hops for n in world.nodes.values()), default=1)
-        records.append(MetricRecord(MetricKind.INTERCEPTION_OVERHEAD, mean,
-                                    sc.scenario_id, sc.seed, hops, rdc, run_states))
+        records.append(record(MetricKind.INTERCEPTION_OVERHEAD,
+                              statistics.fmean(world.gateway.overhead_us), hops or 1))
     return records
 
 
@@ -359,6 +272,11 @@ def canonical_recovery_scenario(*, hops: int, rdc, state_count: int,
 
 
 SWEEP_PARAMS = ("hops", "state_count", "rdc")
+# How long a sweep run goes on after its crash: longer than a recovery takes
+# at any value swept so far (about 31 s for 32 states at contikimac over 3
+# hops), so that every run yields its recovery rows.  Nothing happens after
+# a recovery finishes, so a longer run gives the same rows.
+SWEEP_SETTLE_MS = 600_000.0
 
 
 def check_sweep(param: str, values: list, reps: int, *, hops: int = 3,
@@ -394,7 +312,11 @@ def sweep(param: str, values: list, reps: int, seed: int, *,
             derived = seed + 7919 * rep
             sc = canonical_recovery_scenario(seed=derived, loss=0.0, **cfg)
             scenario_id = sc.scenario_id
+            sc.settle = SWEEP_SETTLE_MS
             result = run_scenario(sc)
+            if result.world.gateway.recovery.active:
+                raise RuntimeError(f"{sc.scenario_id}: recovery still active "
+                                   f"{SWEEP_SETTLE_MS:g} ms after the crash")
             result.raise_for_failures()
             records.extend(result.metrics)
             for record in result.metrics:
@@ -402,13 +324,9 @@ def sweep(param: str, values: list, reps: int, seed: int, *,
                                      MetricKind.RECOVERY_DELAY):
                     per_metric.setdefault(record.metric, []).append(record.value)
         for metric, samples in sorted(per_metric.items(), key=lambda kv: kv[0].value):
-            mean = statistics.fmean(samples)
-            std = statistics.pstdev(samples)
-            hop_val = cfg["hops"]
-            records.append(MetricRecord(metric, mean, f"{scenario_id}/mean", seed,
-                                        hop_val, cfg["rdc"].value, cfg["state_count"]))
-            records.append(MetricRecord(metric, std, f"{scenario_id}/stddev", seed,
-                                        hop_val, cfg["rdc"].value, cfg["state_count"]))
+            for name, stat in (("mean", statistics.fmean), ("stddev", statistics.pstdev)):
+                records.append(MetricRecord(metric, stat(samples), f"{scenario_id}/{name}", seed,
+                                            cfg["hops"], cfg["rdc"].value, cfg["state_count"]))
     return records
 
 

@@ -19,7 +19,7 @@ from sdgateway.harness import (
     sweep,
 )
 from sdgateway.lln import RDC
-from sdgateway.scenario import ClientDecl, NodeDecl, Scenario, ScenarioEvent
+from sdgateway.scenario import ClientDecl, NodeDecl, Scenario
 
 
 def bundled(name: str) -> Path:
@@ -225,7 +225,7 @@ def _crash_free_scenario() -> Scenario:
         ("deregister", {"client": "c1", "node": "n1", "path": "s/t"}),
     ]
     for verb, args in script:
-        sc.events.append(ScenarioEvent(t, verb, args, 0))
+        sc.event(t, verb, **args)
         t += 1000.0
     return sc
 

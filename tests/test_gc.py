@@ -21,8 +21,6 @@ from sdgateway.scenario import (
     ClientDecl,
     NodeDecl,
     Scenario,
-    ScenarioAssert,
-    ScenarioEvent,
     load_scenario,
     parse_scenario,
 )
@@ -57,16 +55,16 @@ def mass_reboot_scenario(nodes: int = 20) -> Scenario:
         decl.resources["s/t"] = b"0"
         sc.nodes.append(decl)
         for k in range(5):
-            sc.events.append(ScenarioEvent(1000.0 + 97.0 * i + 13.0 * k, "put", {
-                "client": "c1", "node": decl.name, "path": f"cfg/r{k}",
-                "value": b"%d" % (i * 5 + k), "cf": 0}, 0))
-        sc.events.append(ScenarioEvent(1000.0 + 97.0 * i + 70.0, "observe", {
-            "client": "c1", "node": decl.name, "path": "s/t", "obs": 0}, 0))
-    sc.events.sort(key=lambda e: e.time)
-    sc.events += [ScenarioEvent(6000.0, "crash", {"node": d.name, "down": 500.0}, 0)
-                  for d in sc.nodes]
-    sc.asserts = [ScenarioAssert(5500.0, "snapshot", [d.name], 0) for d in sc.nodes]
-    sc.asserts += [ScenarioAssert(16_000.0, "restored", [d.name], 0) for d in sc.nodes]
+            sc.event(1000.0 + 97.0 * i + 13.0 * k, "put", client="c1", node=decl.name,
+                     path=f"cfg/r{k}", value=b"%d" % (i * 5 + k), cf=0)
+        sc.event(1000.0 + 97.0 * i + 70.0, "observe", client="c1", node=decl.name,
+                 path="s/t", obs=0)
+    for d in sc.nodes:
+        sc.event(6000.0, "crash", node=d.name, down=500.0)
+    for d in sc.nodes:
+        sc.check(5500.0, "snapshot", d.name)
+    for d in sc.nodes:
+        sc.check(16_000.0, "restored", d.name)
     return sc
 
 

@@ -23,7 +23,6 @@ from sdgateway.scenario import (
     ParseError,
     Scenario,
     ScenarioAssert,
-    ScenarioEvent,
     load_scenario,
     parse_scenario,
 )
@@ -364,6 +363,29 @@ def test_sweep_rdc_parameter():
     assert rdcs == {"nullrdc", "contikimac"}
 
 
+def test_sweep_runs_each_world_until_its_recovery_finishes(monkeypatch):
+    # A 32-state recovery at contikimac over 3 hops takes about 30 s, longer
+    # than the canonical scenario's 25 s settle.
+    records = sweep("state_count", [8, 16, 32], 3, seed=1, hops=3, rdc=RDC.CONTIKIMAC)
+    for count in (8, 16, 32):
+        sid = f"recovery[hops=3,rdc=contikimac,states={count}]"
+        rows = [r for r in records if r.scenario == sid]
+        assert {r.state_count for r in rows} == {count}
+        kinds = [r.metric for r in rows]
+        assert kinds.count(MetricKind.RECOVERY_DELAY) == kinds.count(MetricKind.STATE_COUNT) == 3
+        [mean] = [r for r in records if r.scenario == sid + "/mean"
+                  and r.metric is MetricKind.RECOVERY_DELAY]
+        if count == 32:
+            assert mean.value > 25_000.0
+    # A run that recovers within the canonical settle time gives the same rows.
+    sc = canonical_recovery_scenario(hops=3, rdc=RDC.CONTIKIMAC, state_count=16, seed=1)
+    assert [r for r in records if r.scenario == sc.scenario_id and r.seed == 1] == \
+        run_scenario(sc).metrics
+    monkeypatch.setattr(harness, "SWEEP_SETTLE_MS", 2000.0)
+    with pytest.raises(RuntimeError, match="states=32.*recovery still active 2000 ms"):
+        sweep("state_count", [32], 1, seed=1, hops=3, rdc=RDC.CONTIKIMAC)
+
+
 def test_default_out_dir_honors_environment(monkeypatch, tmp_path):
     from sdgateway.harness import default_out_dir
     monkeypatch.setenv("SDGATEWAY_OUT_DIR", str(tmp_path / "artifacts"))
@@ -633,7 +655,7 @@ def same_time_scenario(nodes: int = 12) -> Scenario:
 
     def each(t, verb, **args):
         for d in sc.nodes:
-            sc.events.append(ScenarioEvent(t, verb, dict(args, node=d.name), 0))
+            sc.event(t, verb, node=d.name, **args)
 
     each(2000.0, "put", client="c1", path="cfg/a", value=b"1", cf=0)
     each(2000.0, "put", client="c2", path="cfg/b", value=b"2", cf=0)
@@ -642,9 +664,9 @@ def same_time_scenario(nodes: int = 12) -> Scenario:
     each(4000.0, "put", client="c2", path="cfg/a", value=b"3", cf=0)
     each(6500.0, "crash", down=500.0)
     for d in sc.nodes:
-        sc.asserts.append(ScenarioAssert(6000.0, "snapshot", [d.name], 0))
+        sc.check(6000.0, "snapshot", d.name)
     for d in sc.nodes:
-        sc.asserts.append(ScenarioAssert(16_500.0, "restored", [d.name], 0))
+        sc.check(16_500.0, "restored", d.name)
     return sc
 
 

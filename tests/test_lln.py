@@ -9,10 +9,12 @@ from sdgateway.coap import (
     DELETE,
     DELETED,
     GET,
+    METHOD_NOT_ALLOWED,
     NOT_FOUND,
     POST,
     PUT,
     COAP_PORT,
+    BindingInfo,
     Block1,
     CoapMessage,
     Endpoint,
@@ -184,6 +186,25 @@ def test_loader_block_without_a_filename_is_a_bad_request():
     assert node.flash == {} and node.loaded_modules == set()
 
 
+def test_a_method_other_than_get_put_post_or_delete_is_not_allowed():
+    world = booted_world(simple_scenario())
+    node = world.nodes["n1"]
+    fetch = 0x05  # FETCH (RFC 8132), which the node does not implement
+    resp = node.handle_request(make_request(fetch, "s/t", b"7"), CLIENT_EP)
+    assert resp.code == METHOD_NOT_ALLOWED and resp.mid == 900 and resp.token == b"\x77"
+    assert node.resources == {"s/t": b"18"}
+
+
+def test_a_binding_to_a_missing_resource_is_not_found():
+    world = booted_world(simple_scenario())
+    node = world.nodes["n1"]
+    info = BindingInfo(dest_addr=NODE2_ADDR, dest_resource="a/led", pmin=5, pmax=600)
+    resp = node.handle_request(make_request(GET, "no/where", observe=0, binding=info),
+                               CLIENT_EP)
+    assert resp.code == NOT_FOUND
+    assert node.bindings == {} and not world.sim.trace.find("binding_add")
+
+
 def test_notify_without_observers_sends_nothing():
     world = booted_world(simple_scenario())
     node = world.nodes["n1"]
@@ -249,7 +270,6 @@ def test_binding_pushes_put_to_destination_respecting_pmin():
     sc = simple_scenario(resources={"s/t": b"18"}, second_node=True)
     world = booted_world(sc)
     node, node2, client = world.nodes["n1"], world.nodes["n2"], world.clients["c1"]
-    from sdgateway.coap import BindingInfo
     info = BindingInfo(dest_addr=NODE2_ADDR, dest_resource="a/led", pmin=5, pmax=600)
     t = world.sim.now
     world.sim.schedule_at(t, lambda: client.bind(node.addr, "s/t", info))
@@ -268,7 +288,6 @@ def test_binding_keepalive_fires_at_pmax():
     sc = simple_scenario(resources={"s/t": b"18"}, second_node=True, settle=40_000.0)
     world = booted_world(sc)
     node, client = world.nodes["n1"], world.clients["c1"]
-    from sdgateway.coap import BindingInfo
     info = BindingInfo(dest_addr=NODE2_ADDR, dest_resource="a/led", pmin=1, pmax=10)
     world.sim.schedule_at(world.sim.now, lambda: client.bind(node.addr, "s/t", info))
     world.sim.run(until=world.sim.now + 25_000.0)
@@ -305,7 +324,6 @@ def test_node_to_node_traffic_bypasses_gateway():
     sc = simple_scenario(resources={"s/t": b"18"}, second_node=True)
     world = booted_world(sc)
     node, node2, client = world.nodes["n1"], world.nodes["n2"], world.clients["c1"]
-    from sdgateway.coap import BindingInfo
     info = BindingInfo(dest_addr=NODE2_ADDR, dest_resource="a/led", pmin=0, pmax=600)
     world.sim.schedule_at(world.sim.now, lambda: client.bind(node.addr, "s/t", info))
     world.sim.run(until=world.sim.now + 1000.0)

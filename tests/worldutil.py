@@ -4,7 +4,7 @@ import random
 
 from sdgateway.harness import CLIENT_ADDR, NODE_ADDR, ScenarioRun
 from sdgateway.lln import RDC
-from sdgateway.scenario import ClientDecl, NodeDecl, Scenario, ScenarioAssert, ScenarioEvent
+from sdgateway.scenario import ClientDecl, NodeDecl, Scenario
 
 NODE2_ADDR = "aaaa::c30c:0:0:3"
 
@@ -54,29 +54,23 @@ def random_interaction_scenario(seed: int) -> Scenario:
                          "bind", "deploy"])
         path = rng.choice(paths)
         if op == "put":
-            sc.events.append(ScenarioEvent(t, "put", {
-                "client": "c1", "node": "n1", "path": path,
-                "value": b"%d" % rng.randint(1, 99), "cf": 0}, 0))
+            sc.event(t, "put", client="c1", node="n1", path=path,
+                     value=b"%d" % rng.randint(1, 99), cf=0)
         elif op == "observe":
-            sc.events.append(ScenarioEvent(t, "observe", {
-                "client": "c1", "node": "n1", "path": path, "obs": 0}, 0))
+            sc.event(t, "observe", client="c1", node="n1", path=path, obs=0)
             observed.add(path)
         elif op == "deregister" and observed:
             gone = sorted(observed)[rng.randrange(len(observed))]
             observed.discard(gone)
-            sc.events.append(ScenarioEvent(t, "deregister", {
-                "client": "c1", "node": "n1", "path": gone}, 0))
+            sc.event(t, "deregister", client="c1", node="n1", path=gone)
         elif op == "bind":
-            sc.events.append(ScenarioEvent(t, "bind", {
-                "client": "c1", "node": "n1", "path": path,
-                "dest": NODE2_ADDR, "res": "a/led", "pmin": 1, "pmax": 3600}, 0))
+            sc.event(t, "bind", client="c1", node="n1", path=path,
+                     dest=NODE2_ADDR, res="a/led", pmin=1, pmax=3600)
         elif op == "deploy":
-            sc.events.append(ScenarioEvent(t, "deploy", {
-                "client": "c1", "node": "n1", "file": f"mod{rng.randint(0, 1)}",
-                "data": rng.randbytes(rng.randint(20, 90)), "block": 32,
-                "loader": "ldr"}, 0))
+            sc.event(t, "deploy", client="c1", node="n1", file=f"mod{rng.randint(0, 1)}",
+                     data=rng.randbytes(rng.randint(20, 90)), block=32, loader="ldr")
         t += 700.0
-    sc.asserts.append(ScenarioAssert(t + 2500.0, "snapshot", ["n1"], 0))
-    sc.events.append(ScenarioEvent(t + 3000.0, "crash", {"node": "n1", "down": 400.0}, 0))
-    sc.asserts.append(ScenarioAssert(t + 14_000.0, "restored", ["n1"], 0))
+    sc.check(t + 2500.0, "snapshot", "n1")
+    sc.event(t + 3000.0, "crash", node="n1", down=400.0)
+    sc.check(t + 14_000.0, "restored", "n1")
     return sc
