@@ -355,8 +355,12 @@ def _option_block(o: OptionSet) -> bytes:
 
 def encode(msg: CoapMessage) -> bytes:
     """Serialize a message to RFC 7252 wire format (version 1)."""
-    _validate(msg)
     msg_type, code, mid, token, options, payload = msg
+    # `_validate` runs only when one of its rules could fail: a request or
+    # response CON/NON message with an in-range MID and token passes them all.
+    if (not 0 <= mid <= 0xFFFF or len(token) > 8 or code not in _VALID_CODES
+            or code == EMPTY or msg_type is _ACK or msg_type is _RST):
+        _validate(msg)
     head = bytes(((COAP_VERSION << 6) | (msg_type << 4) | len(token), code, mid >> 8, mid & 0xFF))
     if payload:
         return b"".join((head, token, _option_block(options), b"\xff", payload))
@@ -561,7 +565,7 @@ def registration_request(mid: int) -> CoapMessage:
 
 
 def empty_ack(mid: int) -> CoapMessage:
-    return CoapMessage(msg_type=MsgType.ACK, code=EMPTY, mid=mid)
+    return tuple.__new__(CoapMessage, (_ACK, EMPTY, mid, b"", _NO_OPTIONS, b""))
 
 
 def reset_for(mid: int) -> CoapMessage:

@@ -45,6 +45,7 @@ class Gateway:
     # -- forwarding --------------------------------------------------------
 
     def on_frame(self, frame: Frame, ingress: str) -> None:
+        self.sim.trace.emit("recv", "gw", frame.raw)
         msg = frame.parsed
         if frame.dst.addr == self.endpoint.addr:
             self._terminate(frame, msg, ingress)

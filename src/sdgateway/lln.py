@@ -150,13 +150,14 @@ class Frame:
             parsed = coap.decode_encoded(raw, msg)
         except coap.MalformedFrame:
             parsed = None
-        frame = object.__new__(cls)
-        setattr_ = object.__setattr__
-        setattr_(frame, "raw", raw)
-        setattr_(frame, "src", src)
-        setattr_(frame, "dst", dst)
-        setattr_(frame, "parsed", parsed)
+        frame = _FrameSlots()  # plain slot writes, then the frozen class
+        frame.raw, frame.src, frame.dst, frame.parsed = raw, src, dst, parsed
+        frame.__class__ = cls
         return frame
+
+
+class _FrameSlots:
+    __slots__ = ("raw", "src", "dst", "parsed")  # `Frame`'s, without its `__setattr__`
 
 
 class Confirmable:
@@ -223,6 +224,9 @@ class Confirmable:
 # global read or set lookup, not an enum member read (about 4x a global).
 _SIGNALS = frozenset((MsgType.ACK, MsgType.RST))
 _CON, _NON, _ACK, _RST = MsgType
+# `_new(CoapMessage, fields)`: all fields in order, without the NamedTuple's
+# Python-level keyword `__new__`, as `coap.decode_encoded` builds one.
+_new = tuple.__new__
 
 
 def answer(table: dict, frame: Frame) -> bool:
@@ -305,62 +309,61 @@ class Network:
         self.sim.trace.emit("send", frame.src, frame.dst, frame.raw)
         src, prefix = frame.src.addr, self.lln_prefix
         if not src.startswith(prefix):
-            self._arrive_fifo(("ext_in", src), EXTERNAL_DELAY_MS, frame, "gw",
-                              self.gateway.on_frame, ("external",))
+            self._leg(frame, None, ("ext_in", src), self.gateway.on_frame, "external")
         elif frame.dst.addr.startswith(prefix):
             self.deliver_to_node(frame, origin=src)
         else:
-            self._lln_leg(frame, self.nodes[src].link, ("up", src), "gw",
-                          self.gateway.on_frame, ("lln",), blackhole_key=src)
+            self._leg(frame, self.nodes[src], ("up", src), self.gateway.on_frame, "lln")
 
     def deliver_to_node(self, frame: Frame, origin: str = "gw") -> None:
         node = self.nodes.get(frame.dst.addr)
         if node is None:
             self.sim.trace.emit("drop_no_route", frame.dst)
             return
-        self._lln_leg(frame, node.link, ("down", origin, frame.dst.addr),
-                      frame.dst, node.on_frame, (), blackhole_key=frame.dst.addr)
+        self._leg(frame, node, ("down", origin, frame.dst.addr), node.on_frame)
 
     def deliver_to_client(self, frame: Frame) -> None:
         client = self.clients.get(frame.dst.addr)
         if client is None:
             self.sim.trace.emit("drop_no_client", frame.dst)
             return
-        self._arrive_fifo(("ext_out", frame.dst.addr), EXTERNAL_DELAY_MS, frame,
-                          frame.dst, self._to_client, (client,))
+        self._leg(frame, None, ("ext_out", frame.dst.addr), self._to_client, client)
 
     def _to_client(self, frame: Frame, client: "ScriptedClient") -> None:
+        self.sim.trace.emit("recv", frame.dst, frame.raw)
         self.external_frames.append(frame.raw)
         client.on_frame(frame)
 
-    # -- legs -------------------------------------------------------------
-
-    def _lln_leg(self, frame: Frame, link: LinkModel, path_key: tuple, at: str | Endpoint,
-                 handler: Callable[..., None], args: tuple, blackhole_key: str) -> None:
-        rng = self.sim.rng
-        delay = link.sample_delay(rng)
-        # Drawn before the blackhole test, so a blackhole moves no later draw.
-        lost = link.loss != 0.0 and link.draw_lost(rng)
-        if blackhole_key in self.blackholes or lost:
-            self.sim.trace.emit("drop_loss", frame.src, frame.dst, frame.raw)
-            return
-        self._arrive_fifo(path_key, delay, frame, at, handler, args)
-
-    def _arrive_fifo(self, path_key: tuple, delay: float, frame: Frame, at: str | Endpoint,
-                     handler: Callable[..., None], args: tuple) -> None:
-        arrival = self.sim.now + delay
+    def _leg(self, frame: Frame, node: Optional["VirtualNode"], path_key: tuple,
+             handler: Callable[..., None], *args) -> None:
+        """Carry `frame` over `node`'s link, or the external network when
+        `node` is None, to `handler(frame, *args)`, which traces its `recv`.
+        A link leg draws as `sample_delay` then `draw_lost` do, reading the
+        link live, blackholed or not; arrivals on `path_key` stay FIFO."""
+        sim = self.sim
+        if node is None:
+            arrival = sim.now + EXTERNAL_DELAY_MS
+        else:
+            link, draw = node.link, sim.rng.random
+            lo, hi = link.delay_range
+            span, hops, loss = hi - lo, range(link.hops), link.loss
+            delay = 0.0
+            for _ in hops:
+                delay += lo + span * draw()
+            lost = False
+            if loss != 0.0:
+                for _ in hops:
+                    if draw() < loss:
+                        lost = True
+            if lost or node.addr in self.blackholes:
+                sim.trace.emit("drop_loss", frame.src, frame.dst, frame.raw)
+                return
+            arrival = sim.now + delay
         floor = self._last_arrival.get(path_key)
         if floor is not None and arrival < floor + FIFO_EPS:
             arrival = floor + FIFO_EPS
         self._last_arrival[path_key] = arrival
-        self.sim.schedule_at(arrival, self._arrive, frame, at, handler, args)
-
-    def _arrive(self, frame: Frame, at: str | Endpoint, handler: Callable[..., None],
-                args: tuple) -> None:
-        """One hop's end: trace the arrival `at` the gateway ("gw") or the
-        destination endpoint, then `handler(frame, *args)`."""
-        self.sim.trace.emit("recv", at, frame.raw)
-        handler(frame, *args)
+        sim.schedule_at(arrival, handler, frame, *args)
 
 
 class NodeState(Enum):
@@ -499,6 +502,7 @@ class VirtualNode:
     # -- receive path ------------------------------------------------------
 
     def on_frame(self, frame: Frame) -> None:
+        self.sim.trace.emit("recv", frame.dst, frame.raw)
         if self.state in _POWERED_OFF:
             self.sim.trace.emit("drop_node_down", self.name, frame.raw)
             return
@@ -549,8 +553,9 @@ class VirtualNode:
 
         def reply(code: int, payload=b"", options=_NO_OPTIONS) -> CoapMessage:
             if msg.msg_type is _CON:
-                return CoapMessage(_ACK, code, msg.mid, msg.token, options, payload)
-            return CoapMessage(_NON, code, self.mid_alloc.next_mid(), msg.token, options, payload)
+                return _new(CoapMessage, (_ACK, code, msg.mid, msg.token, options, payload))
+            return _new(CoapMessage, (_NON, code, self.mid_alloc.next_mid(), msg.token,
+                                      options, payload))
 
         if msg.code == GET:
             if o.binding is not None and o.observe is not None:
@@ -692,18 +697,18 @@ class VirtualNode:
     def _send_notification(self, path: str, obs: Observer) -> None:
         # The first notification after a (re)registration is NON, later ones CON.
         if obs.sent_since_register == 0:
-            mtype, type_name = MsgType.NON, "NON"
+            mtype, type_name = _NON, "NON"
         else:
-            mtype, type_name = MsgType.CON, "CON"
+            mtype, type_name = _CON, "CON"
         mid = self.mid_alloc.next_mid()
-        msg = CoapMessage(mtype, CONTENT, mid, token=obs.token,
-                          options=OptionSet(observe=obs.counter, max_age=DEFAULT_MAX_AGE),
-                          payload=self.resources.get(path, b""))
+        options = _new(OptionSet, ((), (), obs.counter, None, DEFAULT_MAX_AGE, None, None, ()))
+        msg = _new(CoapMessage, (mtype, CONTENT, mid, obs.token, options,
+                                 self.resources.get(path, b"")))
         frame = Frame.of(msg, self.endpoint, obs.client)
         obs.last_mid = mid
         obs.sent_since_register += 1
         self.sim.trace.emit("notify", self.name, path, obs.client, obs.counter, mid, type_name)
-        if mtype is MsgType.NON:
+        if mtype is _NON:
             self.network.send(frame)
             return
         if obs.pending is not None:

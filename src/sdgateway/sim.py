@@ -29,7 +29,7 @@ MAX_EVENTS = 2_000_000  # per `Simulator.run` call; more is a runaway simulation
 # add its line here and call `emit` with one value per given field, in
 # order; `tests/test_source.py` checks each call.
 TRACE_KINDS = {
-    # lln.Network
+    # lln.Network; `recv` is traced by each receiver a leg schedules
     "send": "send src:str dst:str msg:coap",
     "recv": "recv at:str msg:coap",
     "drop_no_route": "drop why=no-route dst:str",
@@ -225,7 +225,10 @@ class TraceRecorder:
         self._flat: list = []
 
     def emit(self, kind: str, *values) -> None:
-        self._flat += (self._sim.now, kind, *values)
+        flat = self._flat
+        flat.append(self._sim.now)
+        flat.append(kind)
+        flat += values
 
     def _slices(self):
         """Each record's layout and its `t, name, *values` slice, for the

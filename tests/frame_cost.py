@@ -1,7 +1,9 @@
 """Host cost per gateway frame of the benchmark workloads, as deterministic
 counts: for each workload of `bench/workloads.py`, the frames the gateway
 receives, the simulator events that fire, and the calls cProfile records
-over `execute` (set-up excluded) per gateway frame.
+over `execute` (set-up excluded) per gateway frame: calls of Python
+functions and calls of builtin functions and methods (those cProfile files
+under `~`) in separate columns, since the two cost very different amounts.
 
 The counts depend only on the program and the seed, not on the host, so a
 change to the per-frame path can quote them where a timing would need
@@ -29,8 +31,9 @@ from sdgateway import coap  # noqa: E402
 from sdgateway.sim import Simulator  # noqa: E402
 
 
-def calls_over_execute(name: str, seed: int) -> tuple[int, int]:
-    """(calls cProfile records over `execute`, gateway frames) of one repeat."""
+def calls_over_execute(name: str, seed: int) -> tuple[int, int, int]:
+    """(Python-function calls and builtin calls cProfile records over
+    `execute`, gateway frames) of one repeat."""
     prepared = [W.prepare(sc) for sc in W.WORKLOADS[name].generate(seed)]
     # Cold codec caches, so that a count does not depend on what ran before.
     coap._option_block.cache_clear()
@@ -42,8 +45,14 @@ def calls_over_execute(name: str, seed: int) -> tuple[int, int]:
     profile.disable()
     # Summed per profiled function; `pstats` would merge functions that share
     # a label, such as dataclasses' generated `__init__`s, in no fixed way.
-    calls = sum(entry.callcount for entry in profile.getstats())
-    return calls, W.gateway_frames(prepared)
+    # A builtin's entry has a description for its code, not a code object.
+    python = builtin = 0
+    for entry in profile.getstats():
+        if isinstance(entry.code, str):
+            builtin += entry.callcount
+        else:
+            python += entry.callcount
+    return python, builtin, W.gateway_frames(prepared)
 
 
 def events_fired(name: str, seed: int) -> int:
@@ -75,11 +84,13 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=tuple(W.WORKLOADS), action="append",
                         help="a workload to count (repeatable); all when omitted")
     args = parser.parse_args(argv)
-    print("workload\tgw_frames\tsim_events\tcalls\tcalls_per_gw_frame")
+    print("workload\tgw_frames\tsim_events\tpython_calls\tbuiltin_calls"
+          "\tpython_per_gw_frame\tbuiltin_per_gw_frame\tcalls_per_gw_frame")
     for name in args.workload or W.WORKLOADS:
-        calls, frames = calls_over_execute(name, args.seed)
+        python, builtin, frames = calls_over_execute(name, args.seed)
         events = events_fired(name, args.seed)
-        print(f"{name}\t{frames}\t{events}\t{calls}\t{calls / frames:.1f}")
+        print(f"{name}\t{frames}\t{events}\t{python}\t{builtin}\t{python / frames:.1f}"
+              f"\t{builtin / frames:.1f}\t{(python + builtin) / frames:.1f}")
     return 0
 
 

@@ -161,6 +161,33 @@ def test_encode_rejects_invariant_violations(msg):
         encode(msg)
 
 
+def test_encode_raises_what_validate_raises():
+    # `encode` calls `_validate` only when a pre-test says a rule could fail;
+    # over header fields on both sides of every rule, it raises exactly
+    # what `_validate` raises, and encodes the rest.
+    rng = random.Random(0x7E57)
+    types = list(MsgType) + [0, 2, 3]  # plain ints, which `_validate`'s `is` tests pass
+    codes = [EMPTY, GET, 0x04, 0x05, 0x1F, 0x20, CONTENT, 0x5F, 0x60, 0x80, 0xA0, 0xBF, 0xC0, 0xFF]
+    checked = raised = 0
+    for _ in range(3000):
+        msg = CoapMessage(rng.choice(types), rng.choice(codes),
+                          rng.choice([-1, 0, 7, 0xFFFF, 0x10000]),
+                          rng.randbytes(rng.choice([0, 1, 8, 9])),
+                          rng.choice([coap._NO_OPTIONS, OptionSet(uri_path=("s",))]),
+                          rng.choice([b"", b"x"]))
+        try:
+            coap._validate(msg)
+        except InvariantViolation as exc:
+            with pytest.raises(InvariantViolation) as got:
+                encode(msg)
+            assert str(got.value) == str(exc)
+            raised += 1
+        else:
+            assert encode(msg)[1] == msg.code
+        checked += 1
+    assert 0 < raised < checked
+
+
 def test_classify_table():
     get = lambda **kw: CoapMessage(MsgType.CON, GET, 7, token=b"\x01", options=OptionSet(**kw))
     binding = BindingInfo("aaaa::9", "a/led", 1, 60)

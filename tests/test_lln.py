@@ -1,5 +1,9 @@
+import random
+from pathlib import Path
+
 import pytest
 
+import sdgateway
 from worldutil import NODE2_ADDR, booted_world, simple_scenario
 from sdgateway.coap import (
     BAD_REQUEST,
@@ -21,10 +25,12 @@ from sdgateway.coap import (
     MsgType,
     OptionSet,
     encode,
+    reset_for,
 )
+from sdgateway.gateway import Gateway
 from sdgateway.harness import NODE_ADDR, ScenarioRun, run_scenario
-from sdgateway.lln import Frame, Network, NodeState
-from sdgateway.scenario import parse_scenario
+from sdgateway.lln import Frame, Network, NodeState, VirtualNode
+from sdgateway.scenario import load_scenario, parse_scenario
 from sdgateway.sim import Simulator
 
 
@@ -35,6 +41,7 @@ def make_request(code, path, payload=b"", mid=900, token=b"\x77", **optkw):
 
 
 CLIENT_EP = Endpoint("cccc::3", 60001)
+BUNDLED = Path(sdgateway.__file__).parent / "scenarios"
 
 
 def test_network_rejects_a_gateway_address_inside_the_lln_prefix():
@@ -493,3 +500,128 @@ def test_a_blackholed_hop_draws_what_a_delivered_one_draws(loss):
         assert states[-1] == rng.getstate()
     assert states[0] == states[1]
 
+
+# -- one call per link leg ------------------------------------------------------
+
+def _leg_draws(world, frame):
+    """Send `frame` down to n1 and run past its leg: (the leg's arrival time
+    or None when it was dropped, the RNG state right after the leg)."""
+    sim, node = world.sim, world.nodes["n1"]
+    world.network.deliver_to_node(frame)
+    after = sim.rng.getstate()
+    sent_at = sim.now
+    sim.run(until=sent_at + 1000.0)
+    arrivals = [t for t, f in sim.trace.find("recv", at=str(node.endpoint))
+                if t >= sent_at and f["msg"] == frame.parsed.short()]
+    drops = [t for t, f in sim.trace.find("drop", why="loss")
+             if t == sent_at and f["msg"] == frame.parsed.short()]
+    assert len(arrivals) + len(drops) == 1
+    return (arrivals[0] if arrivals else None), after
+
+
+@pytest.mark.parametrize("blackholed", [False, True])
+@pytest.mark.parametrize("loss", [0.0, 0.3])
+@pytest.mark.parametrize("hops", [1, 2, 3])
+def test_a_link_leg_draws_as_sample_delay_then_draw_lost(hops, loss, blackholed):
+    # `LinkModel.sample_delay` and `draw_lost` are the reference: on a copy
+    # of the RNG they give the leg's arrival, its drop and every draw it takes.
+    for seed in range(6):
+        world = booted_world(simple_scenario(seed=seed, hops=hops, loss=loss))
+        node, sim = world.nodes["n1"], world.sim
+        if blackholed:
+            world.network.blackholes.add(node.addr)
+        reference = random.Random()
+        reference.setstate(sim.rng.getstate())
+        delay = node.link.sample_delay(reference)
+        lost = node.link.draw_lost(reference)
+        now = sim.now
+        arrival, after = _leg_draws(world, Frame.of(make_request(GET, "s/t", mid=seed),
+                                                    CLIENT_EP, node.endpoint))
+        assert arrival == (None if lost or blackholed else now + delay)
+        assert after == reference.getstate()
+
+
+def test_a_link_changed_after_construction_takes_effect_on_the_next_leg():
+    world = booted_world(simple_scenario(hops=2))
+    node = world.nodes["n1"]
+    node.link.delay_range = (10.0, 10.0)
+    now = world.sim.now
+    arrival, _ = _leg_draws(world, Frame.of(make_request(GET, "s/t"), CLIENT_EP,
+                                            node.endpoint))
+    assert arrival == now + 20.0
+    node.link.hops = 3
+    now = world.sim.now
+    arrival, _ = _leg_draws(world, Frame.of(make_request(GET, "s/t", mid=901), CLIENT_EP,
+                                            node.endpoint))
+    assert arrival == now + 30.0
+
+
+@pytest.mark.parametrize("seed, loss", [(7, 0.0), (2, 0.25)])
+def test_every_arrival_first_traces_its_recv(monkeypatch, seed, loss):
+    # The gateway, a node and the client delivery each trace their own
+    # `recv`, before anything else the arrival does; the lossy run also
+    # delivers to a node that is down and to one that is booting.
+    arrivals = []
+
+    def spy(cls, name, at):
+        original = getattr(cls, name)
+
+        def receive(self, frame, *args):
+            arrivals.append((cls, self.sim.trace._flat, len(self.sim.trace._flat),
+                             at(frame), frame.raw))
+            original(self, frame, *args)
+        monkeypatch.setattr(cls, name, receive)
+
+    spy(Gateway, "on_frame", lambda frame: "gw")
+    spy(VirtualNode, "on_frame", lambda frame: frame.dst)
+    spy(Network, "_to_client", lambda frame: frame.dst)
+    sc = load_scenario(BUNDLED / "fig12_19.scn")
+    sc.seed, sc.loss = seed, loss
+    run = ScenarioRun(sc)
+    run.advance()
+    flat = run.world.sim.trace._flat
+    assert {cls for cls, *_ in arrivals} == {Gateway, VirtualNode, Network}
+    for _, trace, start, at, raw in arrivals:
+        assert trace is flat
+        assert flat[start + 1:start + 4] == ["recv", at, raw]
+    assert len(arrivals) == len(run.world.sim.trace.find("recv"))
+
+
+# -- client paths the traffic does not take -------------------------------------
+
+def test_a_deploy_the_node_answers_not_found_is_warned():
+    world = booted_world(simple_scenario())
+    node, client = world.nodes["n1"], world.clients["c1"]
+    client.deploy(node.addr, "m.bin", b"x" * 100, loader_path="no/loader")
+    world.sim.run(until=world.sim.now + 1000.0)
+    assert [f for _, f in world.sim.trace.find("client_warn")] == [
+        {"client": "c1", "why": "deploy-failed", "file": "m.bin"}]
+    assert client.responses[-1]["msg"].code == NOT_FOUND
+    assert "m.bin" not in node.flash and not world.sim.trace.find("deploy_done")
+
+
+def test_a_reset_answering_an_open_request_rejects_it():
+    world = booted_world(simple_scenario())
+    node, client = world.nodes["n1"], world.clients["c1"]
+    world.network.blackholes.add(node.addr)  # the request gets no answer of its own
+    client.get(node.addr, "s/t")
+    (request,) = [exchange.frame for exchange in client._exchanges.values()]
+    responses = len(client.responses)
+    client.on_frame(Frame(encode(reset_for(request.parsed.mid)), request.dst, request.src))
+    assert world.sim.trace.find("client_rejected") == [
+        (world.sim.now, {"client": "c1", "mid": request.parsed.mid})]
+    assert client._exchanges == {} and len(client.responses) == responses
+    world.sim.run(until=world.sim.now + 100_000.0)
+    assert not world.sim.trace.find("client_retransmit")
+
+
+def test_malformed_bytes_delivered_to_a_client_are_dropped():
+    world = booted_world(simple_scenario())
+    client = world.clients["c1"]
+    target = Endpoint(client.addr, 49152)
+    world.network.deliver_to_client(Frame(b"\x00\x01", Endpoint(NODE_ADDR), target))
+    world.sim.run(until=world.sim.now + 100.0)
+    records = [(kind, f) for _, kind, f in world.sim.trace.records][-2:]
+    assert records == [("recv", {"at": str(target), "msg": "malformed[2B]"}),
+                       ("drop", {"why": "malformed", "client": "c1"})]
+    assert client.responses == [] and client.notifications == []

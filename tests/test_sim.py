@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import sdgateway
+import sdgateway.sim
 from sdgateway.harness import canonical_recovery_scenario, run_scenario
 from sdgateway.lln import RDC, LinkModel
 from sdgateway.sim import Simulator
@@ -47,6 +48,18 @@ def test_run_until_leaves_later_events_pending():
     assert sim.now == 5.0
     sim.run()
     assert out == ["late"]
+
+
+def test_a_run_past_the_event_budget_raises(monkeypatch):
+    # The budget is per `run` call; a small one stands for the real 2,000,000.
+    monkeypatch.setattr(sdgateway.sim, "MAX_EVENTS", 5)
+    sim = Simulator()
+    out = []
+    for i in range(6):
+        sim.schedule(float(i), out.append, i)
+    with pytest.raises(RuntimeError, match="event budget exhausted"):
+        sim.run()
+    assert out == [0, 1, 2, 3, 4] and sim.now == 4.0
 
 
 def test_schedule_into_past_rejected():
