@@ -254,20 +254,23 @@ def _uint_value(data: bytes, max_len: int, what: str) -> int:
 
 
 def _validate(msg: CoapMessage) -> None:
-    if not 0 <= msg.mid <= 0xFFFF:
-        raise InvariantViolation(f"mid out of range: {msg.mid}")
-    if len(msg.token) > 8:
-        raise InvariantViolation(f"token longer than 8 bytes: {len(msg.token)}")
-    if msg.code not in _VALID_CODES:
-        raise InvariantViolation(f"invalid code 0x{msg.code:02x}")
-    if msg.code == EMPTY:
-        if msg.token or msg.payload or msg.options != _NO_OPTIONS:
+    msg_type, code, mid, token, options, payload = msg
+    if not 0 <= mid <= 0xFFFF:
+        raise InvariantViolation(f"mid out of range: {mid}")
+    if len(token) > 8:
+        raise InvariantViolation(f"token longer than 8 bytes: {len(token)}")
+    if code not in _VALID_CODES:
+        raise InvariantViolation(f"invalid code 0x{code:02x}")
+    if code != EMPTY and msg_type is not _ACK and msg_type is not _RST:
+        return  # a CON or NON request or response: no rule below applies
+    if code == EMPTY:
+        if token or payload or options != _NO_OPTIONS:
             raise InvariantViolation("EMPTY message must carry no token, options or payload")
-        if msg.msg_type is _NON:
+        if msg_type is _NON:
             raise InvariantViolation("NON message must not be EMPTY")
-    if msg.msg_type is _RST and msg.code != EMPTY:
+    if msg_type is _RST and code != EMPTY:
         raise InvariantViolation("RST must be EMPTY")
-    if msg.msg_type is _ACK and msg.code != EMPTY and not is_response(msg.code):
+    if msg_type is _ACK and code != EMPTY and not is_response(code):
         raise InvariantViolation("ACK must be EMPTY or carry a response code")
 
 
@@ -355,12 +358,8 @@ def _option_block(o: OptionSet) -> bytes:
 
 def encode(msg: CoapMessage) -> bytes:
     """Serialize a message to RFC 7252 wire format (version 1)."""
+    _validate(msg)
     msg_type, code, mid, token, options, payload = msg
-    # `_validate` runs only when one of its rules could fail: a request or
-    # response CON/NON message with an in-range MID and token passes them all.
-    if (not 0 <= mid <= 0xFFFF or len(token) > 8 or code not in _VALID_CODES
-            or code == EMPTY or msg_type is _ACK or msg_type is _RST):
-        _validate(msg)
     head = bytes(((COAP_VERSION << 6) | (msg_type << 4) | len(token), code, mid >> 8, mid & 0xFF))
     if payload:
         return b"".join((head, token, _option_block(options), b"\xff", payload))
@@ -562,6 +561,12 @@ def registration_request(mid: int) -> CoapMessage:
         mid=mid,
         options=OptionSet(uri_path=tuple(REGISTRATION_PATH.split("/"))),
     )
+
+
+def observe_options(observe: int, max_age: int) -> OptionSet:
+    """`OptionSet(observe=observe, max_age=max_age)`, made by `tuple.__new__`
+    without the NamedTuple's Python-level keyword `__new__`."""
+    return tuple.__new__(OptionSet, ((), (), observe, None, max_age, None, None, ()))
 
 
 def empty_ack(mid: int) -> CoapMessage:

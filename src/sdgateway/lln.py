@@ -157,7 +157,7 @@ class Frame:
 
 
 class _FrameSlots:
-    __slots__ = ("raw", "src", "dst", "parsed")  # `Frame`'s, without its `__setattr__`
+    __slots__ = Frame.__slots__  # `Frame`'s layout, without its `__setattr__`
 
 
 class Confirmable:
@@ -338,23 +338,16 @@ class Network:
              handler: Callable[..., None], *args) -> None:
         """Carry `frame` over `node`'s link, or the external network when
         `node` is None, to `handler(frame, *args)`, which traces its `recv`.
-        A link leg draws as `sample_delay` then `draw_lost` do, reading the
-        link live, blackholed or not; arrivals on `path_key` stay FIFO."""
+        A link leg draws `sample_delay` then `draw_lost` from the link as it
+        is now, blackholed or not, so a blackhole moves no later draw;
+        arrivals on `path_key` stay FIFO."""
         sim = self.sim
         if node is None:
             arrival = sim.now + EXTERNAL_DELAY_MS
         else:
-            link, draw = node.link, sim.rng.random
-            lo, hi = link.delay_range
-            span, hops, loss = hi - lo, range(link.hops), link.loss
-            delay = 0.0
-            for _ in hops:
-                delay += lo + span * draw()
-            lost = False
-            if loss != 0.0:
-                for _ in hops:
-                    if draw() < loss:
-                        lost = True
+            link, rng = node.link, sim.rng
+            delay = link.sample_delay(rng)
+            lost = link.loss != 0.0 and link.draw_lost(rng)
             if lost or node.addr in self.blackholes:
                 sim.trace.emit("drop_loss", frame.src, frame.dst, frame.raw)
                 return
@@ -637,7 +630,7 @@ class VirtualNode:
         # it runs right after the response is sent, not from a timer.
         deferred.append(lambda: self._send_notification(path, obs))
         return reply(CONTENT, self.resources[path],
-                     OptionSet(observe=obs.counter, max_age=DEFAULT_MAX_AGE)), deferred
+                     coap.observe_options(obs.counter, DEFAULT_MAX_AGE)), deferred
 
     def _remove_observer(self, path, src, *, reason: str, mid=None) -> None:
         key = (path, src)
@@ -701,8 +694,8 @@ class VirtualNode:
         else:
             mtype, type_name = _CON, "CON"
         mid = self.mid_alloc.next_mid()
-        options = _new(OptionSet, ((), (), obs.counter, None, DEFAULT_MAX_AGE, None, None, ()))
-        msg = _new(CoapMessage, (mtype, CONTENT, mid, obs.token, options,
+        msg = _new(CoapMessage, (mtype, CONTENT, mid, obs.token,
+                                 coap.observe_options(obs.counter, DEFAULT_MAX_AGE),
                                  self.resources.get(path, b"")))
         frame = Frame.of(msg, self.endpoint, obs.client)
         obs.last_mid = mid
