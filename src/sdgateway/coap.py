@@ -58,7 +58,8 @@ class MsgType(IntEnum):
 _MSG_TYPES = tuple(MsgType)  # indexed by the 2-bit wire value
 # Module-level names for the members the codec tests on every frame: a
 # global read, not an enum member read (about 4x the cost).
-_NON, _ACK, _RST = MsgType.NON, MsgType.ACK, MsgType.RST
+_CON, _NON, _ACK, _RST = _MSG_TYPES
+_TYPE_OF = {t: t for t in MsgType}  # an IntEnum hashes and compares as its int
 _TYPE_NAMES = tuple(t.name for t in MsgType)
 
 # Distinct option blocks each codec cache holds.  A benchmark run sees at
@@ -261,8 +262,11 @@ def _validate(msg: CoapMessage) -> None:
         raise InvariantViolation(f"token longer than 8 bytes: {len(token)}")
     if code not in _VALID_CODES:
         raise InvariantViolation(f"invalid code 0x{code:02x}")
-    if code != EMPTY and msg_type is not _ACK and msg_type is not _RST:
+    if code != EMPTY and (msg_type is _CON or msg_type is _NON):
         return  # a CON or NON request or response: no rule below applies
+    msg_type = _TYPE_OF.get(msg_type)  # the member, for a plain int equal to one
+    if msg_type is None:
+        raise InvariantViolation(f"invalid message type {msg[0]!r}")
     if code == EMPTY:
         if token or payload or options != _NO_OPTIONS:
             raise InvariantViolation("EMPTY message must carry no token, options or payload")

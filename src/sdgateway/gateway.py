@@ -44,11 +44,11 @@ class Gateway:
 
     # -- forwarding --------------------------------------------------------
 
-    def on_frame(self, frame: Frame, ingress: str) -> None:
+    def on_frame(self, frame: Frame) -> None:
         self.sim.trace.emit("recv", "gw", frame.raw)
         msg = frame.parsed
         if frame.dst.addr == self.endpoint.addr:
-            self._terminate(frame, msg, ingress)
+            self._terminate(frame, msg)
             return
         inbound = frame.dst.addr.startswith(self.network.lln_prefix)
         direction = "in" if inbound else "out"
@@ -69,11 +69,12 @@ class Gateway:
         elif msg is None or not self.recovery.consume(frame):
             self.network.deliver_to_client(frame)
 
-    def _terminate(self, frame: Frame, msg: Optional[CoapMessage], ingress: str) -> None:
+    def _terminate(self, frame: Frame, msg: Optional[CoapMessage]) -> None:
         if msg is None:
             self.sim.trace.emit("gw_drop_malformed", frame.src)
             return
-        if (ingress == "lln" and msg.code == POST
+        # A registration comes from inside the LLN, as `Network.send` routes it.
+        if (frame.src.addr.startswith(self.network.lln_prefix) and msg.code == POST
                 and msg.options.path_str() == REGISTRATION_PATH):
             self._handle_registration(frame, msg)
             return

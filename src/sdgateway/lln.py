@@ -309,11 +309,11 @@ class Network:
         self.sim.trace.emit("send", frame.src, frame.dst, frame.raw)
         src, prefix = frame.src.addr, self.lln_prefix
         if not src.startswith(prefix):
-            self._leg(frame, None, ("ext_in", src), self.gateway.on_frame, "external")
+            self._leg(frame, None, ("ext_in", src), self.gateway.on_frame)
         elif frame.dst.addr.startswith(prefix):
             self.deliver_to_node(frame, origin=src)
         else:
-            self._leg(frame, self.nodes[src], ("up", src), self.gateway.on_frame, "lln")
+            self._leg(frame, self.nodes[src], ("up", src), self.gateway.on_frame)
 
     def deliver_to_node(self, frame: Frame, origin: str = "gw") -> None:
         node = self.nodes.get(frame.dst.addr)
@@ -680,8 +680,6 @@ class VirtualNode:
             self._send_notification(path, obs)
 
     def _resource_changed(self, path: str) -> None:
-        if self.state is not NodeState.UP:
-            return
         self.notify(path)
         for b in self.bindings.values():
             if b.source_resource == path:
@@ -819,16 +817,10 @@ class ScriptedClient:
     # -- scripted operations ---------------------------------------------
 
     def put(self, node_addr: str, path: str, value: bytes, cf: int = 0) -> None:
-        msg = CoapMessage(MsgType.CON, PUT, self.mid_alloc.next_mid(),
-                          options=OptionSet(uri_path=tuple(path.split("/")),
-                                            content_format=cf),
-                          payload=value)
-        self._send_con(msg, node_addr, self._next_port())
+        self._request(node_addr, PUT, path, payload=value, content_format=cf)
 
     def get(self, node_addr: str, path: str) -> None:
-        msg = CoapMessage(MsgType.CON, GET, self.mid_alloc.next_mid(),
-                          options=OptionSet(uri_path=tuple(path.split("/"))))
-        self._send_con(msg, node_addr, self._next_port())
+        self._request(node_addr, GET, path)
 
     def observe(self, node_addr: str, path: str, obs: int = 0) -> None:
         rel = self.relationships.get((node_addr, path))
@@ -836,24 +828,19 @@ class ScriptedClient:
             rel = Relationship(self._next_port(), self._next_token())
             self.relationships[(node_addr, path)] = rel
             self._by_token[(node_addr, rel.token)] = (path, rel)
-        msg = CoapMessage(MsgType.CON, GET, self.mid_alloc.next_mid(), token=rel.token,
-                          options=OptionSet(uri_path=tuple(path.split("/")),
-                                            observe=obs))
-        self._send_con(msg, node_addr, rel.port)
+        self._request(node_addr, GET, path, port=rel.port, token=rel.token, observe=obs)
 
     def deregister(self, node_addr: str, path: str) -> None:
         rel = self.relationships.get((node_addr, path))
         if rel is None:
             self.sim.trace.emit("client_warn_deregister", self.name, path)
             return
-        msg = CoapMessage(MsgType.CON, GET, self.mid_alloc.next_mid(), token=rel.token,
-                          options=OptionSet(uri_path=tuple(path.split("/")),
-                                            observe=coap.OBSERVE_DEREGISTER_VALUE))
 
         def done(_resp):
             self._forget(node_addr, path)
 
-        self._send_con(msg, node_addr, rel.port, on_response=done)
+        self._request(node_addr, GET, path, port=rel.port, token=rel.token, on_response=done,
+                      observe=coap.OBSERVE_DEREGISTER_VALUE)
 
     def cancel_with_rst(self, node_addr: str, path: str) -> None:
         rel = self.relationships.get((node_addr, path))
@@ -861,38 +848,31 @@ class ScriptedClient:
             rel.cancel = True
 
     def bind(self, node_addr: str, path: str, info: BindingInfo) -> None:
-        msg = CoapMessage(MsgType.CON, GET, self.mid_alloc.next_mid(),
-                          token=self._next_token(),
-                          options=OptionSet(uri_path=tuple(path.split("/")),
-                                            observe=0, binding=info))
-        self._send_con(msg, node_addr, self._next_port())
+        self._request(node_addr, GET, path, token=self._next_token(), observe=0, binding=info)
 
     def deploy(self, node_addr: str, filename: str, image: bytes,
                block_size: int = 64, loader_path: str = DEFAULT_LOADER_PATH) -> None:
         blocks = [image[i:i + block_size] for i in range(0, len(image), block_size)] or [b""]
-        self._send_block(node_addr, self._next_port(), tuple(loader_path.split("/")),
-                         filename, blocks, block_size, 0)
+        self._send_block(node_addr, self._next_port(), loader_path, filename, blocks,
+                         block_size, 0)
 
-    def _send_block(self, node_addr: str, port: int, loader: tuple[str, ...],
+    def _send_block(self, node_addr: str, port: int, loader_path: str,
                     filename: str, blocks: list[bytes], block_size: int, index: int) -> None:
         more = index < len(blocks) - 1
-        msg = CoapMessage(MsgType.CON, POST, self.mid_alloc.next_mid(),
-                          options=OptionSet(uri_path=loader,
-                                            uri_query=(f"file={filename}",),
-                                            block1=Block1(index, more, block_size)),
-                          payload=blocks[index])
 
         def done(resp):
             if resp is None or not is_response(resp.code) or resp.code >= BAD_REQUEST:
                 self.sim.trace.emit("client_warn_deploy", self.name, filename)
                 return
             if more:
-                self._send_block(node_addr, port, loader, filename, blocks, block_size,
+                self._send_block(node_addr, port, loader_path, filename, blocks, block_size,
                                  index + 1)
             else:
                 self.sim.trace.emit("deploy_done", self.name, filename)
 
-        self._send_con(msg, node_addr, port, on_response=done)
+        self._request(node_addr, POST, loader_path, port=port, payload=blocks[index],
+                      on_response=done, uri_query=(f"file={filename}",),
+                      block1=Block1(index, more, block_size))
 
     def silence(self, on: bool) -> None:
         self.silenced = on
@@ -915,13 +895,20 @@ class ScriptedClient:
         self._token_next += 1
         return token
 
-    def _send_con(self, msg: CoapMessage, node_addr: str, port: int,
-                  on_response=None) -> None:
-        frame = Frame.of(msg, self.network.endpoint(self.addr, port),
-                         self.network.endpoint(node_addr))
-        mid = msg.mid
+    def _request(self, node_addr: str, code: int, path: str, *, port: Optional[int] = None,
+                 token: bytes = b"", payload: bytes = b"", on_response=None,
+                 **options) -> None:
+        """Send a confirmable request for `path` to the node at `node_addr`
+        from `port`, a fresh one when None.  `options` are the `OptionSet`
+        fields besides the path; `on_response(msg)` gets the answer, None for
+        an empty ACK."""
+        mid = self.mid_alloc.next_mid()
+        msg = CoapMessage(_CON, code, mid, token,
+                          OptionSet(uri_path=tuple(path.split("/")), **options), payload)
+        source = self.network.endpoint(self.addr, self._next_port() if port is None else port)
         Confirmable(
-            self.sim, frame, self.network.send, table=self._exchanges,
+            self.sim, Frame.of(msg, source, self.network.endpoint(node_addr)),
+            self.network.send, table=self._exchanges,
             on_answer=lambda answer: self._answered(answer.parsed, on_response),
             on_retry=lambda attempt: self.sim.trace.emit(
                 "client_retransmit", self.name, mid, attempt),
@@ -965,7 +952,7 @@ class ScriptedClient:
         self.notifications.append({
             "time": self.sim.now, "node": node_addr, "path": path,
             "observe": msg.options.observe, "mid": msg.mid,
-            "type": msg.msg_type.name, "payload": msg.payload,
+            "type": coap._TYPE_NAMES[msg.msg_type], "payload": msg.payload,
         })
         if rel.cancel:
             reply = coap.reset_for(msg.mid)

@@ -161,8 +161,7 @@ class TraceRecords:
 
     A pass over it builds each record when it reaches it, rendering each
     distinct frame once per pass, and keeps none; `len` counts records
-    without building any.  Indexing and slicing walk the list, and the
-    view compares equal to a list of the same records."""
+    without building any."""
 
     __slots__ = ("_trace",)
 
@@ -181,29 +180,6 @@ class TraceRecords:
             i += 2 + _LAYOUTS[flat[i + 1]].arity
             count += 1
         return count
-
-    def __getitem__(self, index):
-        wanted = range(len(self))[index]  # raises as a list's index would
-        if isinstance(wanted, int):
-            return self[wanted:wanted + 1][0]
-        picked, texts = {}, _Texts()
-        last = max(wanted, default=-1)
-        for i, (layout, record) in enumerate(self._trace._slices()):
-            if i > last:
-                break
-            if i in wanted:
-                picked[i] = record[0], layout.kind, layout.fields(record, texts)
-        return [picked[i] for i in wanted]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (list, TraceRecords)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return repr(list(self))
 
 
 class TraceRecorder:
@@ -322,12 +298,13 @@ class Simulator:
         while queue:
             if queue[0][0] > limit:
                 break
+            if processed == MAX_EVENTS and queue[0][2] is not None:
+                # Raised before the pop, so the event stays queued.
+                raise RuntimeError("event budget exhausted; runaway simulation?")
             time, _, fn, args = pop(queue)
             if fn is None:
                 continue
             processed += 1
-            if processed > MAX_EVENTS:
-                raise RuntimeError("event budget exhausted; runaway simulation?")
             self.now = time
             fn(*args)
         if until is not None and until > self.now:

@@ -24,8 +24,10 @@ header runs, or any statement inside it.  The line trace cannot see a
 branch that is always taken, a field that keeps its default, or a
 parameter that always gets one value: those need reading.
 
-pytest does not collect this file; it imports `bench/workloads.py` and
-changes nothing there.  Run from the root of a source checkout:
+The report ends by naming each `never` statement, and the script exits 1
+when there is one, 0 when there is none.  pytest does not collect this
+file; it imports `bench/workloads.py` and changes nothing there.  Run from
+the root of a source checkout:
 
     PYTHONPATH=src python tests/reach.py
 """
@@ -175,9 +177,10 @@ def _runs(block: list, hits: set[int], other: set[int] | None):
 
 
 def report(block: list, hits: set[int], other: set[int] | None, lines: list[str],
-           depth: int, out: list[str]) -> None:
-    """Append to `out` the runs of `block` that `hits` never runs; below a
-    `tier-1` run, the statements in it that `other` never runs either."""
+           depth: int, out: list[tuple]) -> None:
+    """Append to `out` (lines, mark, depth, first line's text) for each run of
+    `block` that `hits` never runs; below a `tier-1` run, for the statements
+    in it that `other` never runs either."""
     for run, mark in _runs(block, hits, other):
         if mark is None:
             for node in run:
@@ -185,8 +188,7 @@ def report(block: list, hits: set[int], other: set[int] | None, lines: list[str]
             continue
         first, last = _first(run[0]), run[-1].end_lineno
         span = f"{first}" if first == last else f"{first}-{last}"
-        text = lines[first - 1].strip()
-        out.append(f"  {span:>9}  {mark:<6}  {'    ' * depth}{text[:72]}")
+        out.append((span, mark, depth, lines[first - 1].strip()))
         if mark == "tier-1":
             for node in run:
                 report([s for b in _blocks(node) for s in b], other, None, lines,
@@ -214,22 +216,28 @@ def main() -> int:
     with seen:
         summary = tier1()
     sections, totals = [f"tier-1 under the tracer: {summary}"], [0, 0, 0]
+    named: list[str] = []  # each `never` run
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         module = _body(ast.parse(source).body, True)
         hits, tier1_hits = by_traffic.get(str(path), set()), seen.lines.get(str(path), set())
-        out: list[str] = []
+        out: list[tuple] = []
         report(module, hits, tier1_hits, source.splitlines(), 0, out)
         total, missed = count(module, hits)
         _, never = count(module, tier1_hits)
         totals = [totals[0] + total, totals[1] + missed, totals[2] + never]
         sections.append(f"{path.relative_to(ROOT)}: {missed} of {total} statements "
                         f"not run by the traffic, {never} not by tier-1 either")
-        sections += out
+        for span, mark, depth, text in out:
+            sections.append(f"  {span:>9}  {mark:<6}  {'    ' * depth}{text[:72]}")
+            if mark == "never":
+                named.append(f"  {path.relative_to(ROOT)}:{span}  {text}")
     print("\n".join(sections))
     print(f"total: {totals[1]} of {totals[0]} statements not run by the traffic, "
           f"{totals[2]} not by tier-1 either")
-    return 0
+    if named:
+        print("never run, by the traffic or by tier-1:", *named, sep="\n")
+    return 1 if totals[2] else 0
 
 
 if __name__ == "__main__":

@@ -42,7 +42,7 @@ def test_observe_get_roundtrips_byte_identically():
                       options=OptionSet(uri_path=("gpio", "btn"), observe=0))
     frame = encode(msg)
     again = decode(frame)
-    assert again == msg
+    assert again == msg and decode(bytearray(frame)) == msg
     assert encode(again) == frame
 
 
@@ -155,6 +155,7 @@ def test_decoder_survives_random_bytes():
     CoapMessage(MsgType.CON, PUT, 1, options=OptionSet(block1=Block1(0, False, 24))),
     CoapMessage(MsgType.CON, GET, 1, options=OptionSet(
         observe=0, binding=BindingInfo("aaaa::2", "led", pmin=10, pmax=5))),
+    CoapMessage(MsgType.CON, PUT, 1, options=OptionSet(extra=((2048, bytes(65535 + 270)),))),
 ])
 def test_encode_rejects_invariant_violations(msg):
     with pytest.raises(InvariantViolation):
@@ -170,13 +171,15 @@ def _rfc_rule_broken(msg) -> str | None:
         return f"token longer than 8 bytes: {len(msg.token)}"
     if msg.code not in coap._VALID_CODES:
         return f"invalid code 0x{msg.code:02x}"
+    if msg.msg_type not in (0, 1, 2, 3):
+        return f"invalid message type {msg.msg_type!r}"
     if msg.code == EMPTY and (msg.token or msg.payload or msg.options != coap._NO_OPTIONS):
         return "EMPTY message must carry no token, options or payload"
-    if msg.code == EMPTY and msg.msg_type is MsgType.NON:
+    if msg.code == EMPTY and msg.msg_type == MsgType.NON:
         return "NON message must not be EMPTY"
-    if msg.msg_type is MsgType.RST and msg.code != EMPTY:
+    if msg.msg_type == MsgType.RST and msg.code != EMPTY:
         return "RST must be EMPTY"
-    if msg.msg_type is MsgType.ACK and msg.code != EMPTY and not coap.is_response(msg.code):
+    if msg.msg_type == MsgType.ACK and msg.code != EMPTY and not coap.is_response(msg.code):
         return "ACK must be EMPTY or carry a response code"
     return None
 
@@ -184,17 +187,20 @@ def _rfc_rule_broken(msg) -> str | None:
 def test_encode_raises_each_broken_rule():
     # `_validate` returns early for a CON or NON message with a request or
     # response code; over header fields on both sides of every rule, the
-    # shortcut skips none of them.
+    # shortcut skips none of them.  A plain int is held to the rules of the
+    # type it equals, and one that equals no type is rejected.
     rng = random.Random(0x7E57)
-    types = list(MsgType) + [0, 2, 3]  # plain ints, which `_validate`'s `is` tests pass
+    types = list(MsgType) + [0, 1, 2, 3, 7, -1]
     codes = [EMPTY, GET, 0x04, 0x05, 0x1F, 0x20, CONTENT, 0x5F, 0x60, 0x80, 0xA0, 0xBF, 0xC0, 0xFF]
+    msgs = [CoapMessage(7, GET, 1), CoapMessage(-1, GET, 1),
+            CoapMessage(3, CONTENT, 1), CoapMessage(2, GET, 1)]
+    msgs += [CoapMessage(rng.choice(types), rng.choice(codes),
+                         rng.choice([-1, 0, 7, 0xFFFF, 0x10000]),
+                         rng.randbytes(rng.choice([0, 1, 8, 9])),
+                         rng.choice([coap._NO_OPTIONS, OptionSet(uri_path=("s",))]),
+                         rng.choice([b"", b"x"])) for _ in range(3000)]
     checked = raised = 0
-    for _ in range(3000):
-        msg = CoapMessage(rng.choice(types), rng.choice(codes),
-                          rng.choice([-1, 0, 7, 0xFFFF, 0x10000]),
-                          rng.randbytes(rng.choice([0, 1, 8, 9])),
-                          rng.choice([coap._NO_OPTIONS, OptionSet(uri_path=("s",))]),
-                          rng.choice([b"", b"x"]))
+    for msg in msgs:
         broken = _rfc_rule_broken(msg)
         if broken is None:
             assert encode(msg)[1] == msg.code
@@ -464,14 +470,15 @@ def test_frames_with_the_same_option_bytes_share_one_option_set():
 # -- a frame built from a message ------------------------------------------------
 
 # Messages that `encode` writes but whose fields have other types than
-# `decode` gives, or whose bytes `decode` rejects.
+# `decode` gives, or whose bytes `decode` rejects, and plain-int types that
+# `encode` rejects as it rejects the member.
 ODD_MESSAGES = [
     CoapMessage(MsgType.CON, True, 5, options=OptionSet(uri_path=("a",))),  # code GET
     CoapMessage(MsgType.CON, PUT, True, payload=b"x"),  # MID 1
-    CoapMessage(1, EMPTY, 5),  # an int type passes encode's checks: EMPTY NON
+    CoapMessage(1, EMPTY, 5),  # EMPTY NON
     CoapMessage(3, GET, 5),  # RST with a request code
     CoapMessage(2, GET, 5),  # ACK with a request code
-    CoapMessage(4, GET, 5),  # too wide for the type's two bits, so its bits are dropped
+    CoapMessage(4, GET, 5),  # no type: too wide for the type's two bits
     CoapMessage(MsgType.NON, CONTENT, 6, token=bytearray(b"\x01"), payload=bytearray(b"yz")),
     CoapMessage(MsgType.NON, CONTENT, 7, payload=memoryview(b"ab")),
     CoapMessage(MsgType.CON, PUT, 8, options=OptionSet(extra=((11, b"\xff"),))),
@@ -514,4 +521,4 @@ def test_frame_of_is_the_frame_of_the_encoded_bytes():
             assert built[-1] is True
     # Every outcome is met: a parse, bytes that do not parse, and no frame.
     assert kinds.count("parsed") > 300
-    assert kinds.count("malformed") >= 8 and kinds.count("raised") >= 5
+    assert kinds.count("malformed") >= 5 and kinds.count("raised") >= 9

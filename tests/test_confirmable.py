@@ -304,7 +304,7 @@ def test_a_registration_is_a_duplicate_per_node_and_mid_for_the_lifetime(monkeyp
 
     def register(node, mid):
         frame = Frame(encode(registration_request(mid)), node.endpoint, gateway.endpoint)
-        gateway.on_frame(frame, "lln")
+        gateway.on_frame(frame)
         _, fields = world.sim.trace.find("gw", node=node.addr, mid=mid)[-1]
         return fields["ev"]
 

@@ -208,6 +208,10 @@ def test_deploy_filename_mode_stores_name_only():
     assert entry.deploy.filename == "blinker"
     assert entry.deploy.loader_path == "ldr"
     assert entry.deploy.blocks is None
+    # A last block that names no file stores nothing.
+    assert sd.intercept_from_internet(deploy_block(0, False, b"c", 3, filename=""),
+                                      CLIENT, NODE).kind is EffectKind.NO_EFFECT
+    assert sd.entries == [entry]
 
 
 def test_deploy_block_capture_mode_keeps_blocks():

@@ -181,8 +181,8 @@ def test_gateway_dedup_resends_the_same_registration_ack(monkeypatch):
     monkeypatch.setattr(world.network, "deliver_to_node",
                         lambda frame, origin="gw": delivered.append(frame))
     registration = Frame.of(registration_request(901), node.endpoint, gateway.endpoint)
-    gateway.on_frame(registration, "lln")
-    gateway.on_frame(registration, "lln")  # a retransmission
+    gateway.on_frame(registration)
+    gateway.on_frame(registration)  # a retransmission
     assert world.sim.trace.find("gw", ev="reg_dup", mid=901)
     acks = [f for f in delivered if f.parsed.code == EMPTY]
     assert len(acks) == 2 and acks[0] is acks[1]

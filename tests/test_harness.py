@@ -1,6 +1,8 @@
 import functools
 import hashlib
 import importlib.resources
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -169,6 +171,13 @@ def test_parse_errors_carry_line_numbers(text, expect_line, fragment, tmp_path, 
 def test_a_restored_check_after_a_snapshot_parses_and_holds(lines):
     result = run_scenario(parse_scenario(NUMBERS_BASE + lines))
     assert [problem for _, problem in result.assertions] == [None, None]
+
+
+def test_a_hand_built_restored_check_without_a_snapshot_fails():
+    sc = parse_scenario(NUMBERS_BASE)
+    sc.asserts.append(ScenarioAssert(None, "restored", ["n1"], 0))  # not through the builders
+    assert run_scenario(sc).assertions == [
+        ("L0[final restored n1]", "restored without a prior snapshot")]
 
 
 VERB_BASE = NUMBERS_BASE + "resource n1 s/t 1\n"
@@ -408,6 +417,19 @@ def test_cli_run_assertion_failure(tmp_path, capsys):
     rc = cli_main(["run", str(bad), "--out", str(tmp_path)])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_cli_module_runs_main_as_a_script(tmp_path, capsys, monkeypatch):
+    # `python -m sdgateway.cli` runs afresh as `__main__` and exits with
+    # `main`'s status, here a parse error's.
+    bad = tmp_path / "broken.scn"
+    bad.write_text("version 1\nwat\n")
+    monkeypatch.setattr(sys, "argv", ["sdgw", "run", str(bad), "--out", str(tmp_path)])
+    monkeypatch.delitem(sys.modules, "sdgateway.cli")
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("sdgateway.cli", run_name="__main__")
+    assert done.value.code == 2
+    assert "parse error" in capsys.readouterr().err
 
 
 def test_cli_run_parse_error(tmp_path, capsys):

@@ -227,6 +227,8 @@ def test_scripted_counter_jumps_but_never_backward():
     client = world.clients["c1"]
     world.sim.schedule_at(world.sim.now, lambda: client.observe(node.addr, "s/t"))
     world.sim.run(until=world.sim.now + 1000.0)
+    with pytest.raises(ValueError, match="cancellation sentinel"):
+        node.notify("s/t", counter=1)  # the observer is at 0, so 1 is not backward
     for value in (12, 20, 44):
         node.notify("s/t", counter=value)
         world.sim.run(until=world.sim.now + 500.0)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from worldutil import booted_world, simple_scenario
+from sdgateway.cli import main as cli_main
 from sdgateway.coap import GET, POST, PUT, Endpoint, MidAllocator
 from sdgateway.directory import DeployInfo, EntryType, SDEntry
 from sdgateway.harness import ScenarioRun, run_scenario
@@ -197,7 +198,7 @@ at 1000 bind c2 n2 s/t dest=aaaa::c30c:0:0:4 res=a/led pmin=1 pmax=600
 at 5000 crash n1 down=300
 at 5000 crash n2 down=300
 """)
-    records = run_scenario(sc).world.sim.trace.records
+    records = list(run_scenario(sc).world.sim.trace.records)
     kinds = [kind for _, kind, _ in records]
     injects = [fields for _, kind, fields in records if kind == "inject"]
     assert len(injects) == 2 and all("tok=0b28" in f["msg"] for f in injects)
@@ -212,8 +213,8 @@ at 5000 crash n2 down=300
         assert _mid(consumed["msg"]) == injected[step["node"]], step["node"]
 
 
-def test_second_registration_aborts_and_restarts_recovery():
-    sc = parse_scenario("""
+def test_second_registration_aborts_and_restarts_recovery(tmp_path, capsys):
+    text = """
 scenario abort
 version 1
 seed 13
@@ -231,13 +232,18 @@ assert 11000 snapshot n1
 at 12000 crash n1 down=500
 at 13100 crash n1 down=500
 assert final restored n1
-""")
-    result = run_scenario(sc)
+"""
+    result = run_scenario(parse_scenario(text))
     assert result.ok, result.failures
     reports = result.world.gateway.recovery.reports
     assert reports[0].aborted
     assert result.world.sim.trace.find("recover_abort", node="aaaa::c30c:0:0:2")
     assert reports[-1].all_acked
+    # `sdgw run` passes the run and warns of its aborted recovery.
+    path = tmp_path / "abort.scn"
+    path.write_text(text)
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert "warning: recovery included timed-out or aborted steps" in capsys.readouterr().out
 
 
 def test_executing_a_plan_twice_leaves_state_unchanged():

