@@ -21,6 +21,22 @@ def _parse_range(text: str, param: str):
     return [int(tok) for tok in text.split(",")]
 
 
+def _cannot_write(path: Path, *, directory: bool = False) -> bool:
+    """Make `path` ready for a run to write, before any simulation: a
+    directory, made with its parents, or a file, opened to append so that
+    one already there is left as it is.  When it cannot be, report why and
+    return True."""
+    try:
+        if directory:
+            path.mkdir(parents=True, exist_ok=True)
+        else:
+            path.open("a").close()
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_run(args) -> int:
     out_dir = Path(args.out) if args.out else default_out_dir()
     try:
@@ -32,9 +48,13 @@ def _cmd_run(args) -> int:
         reason = exc.strerror if isinstance(exc, OSError) else exc
         print(f"error: cannot read {args.scenario}: {reason}", file=sys.stderr)
         return 2
+    trace_path = Path(args.trace) if args.trace else None
+    if _cannot_write(out_dir, directory=True) or (
+            trace_path is not None and _cannot_write(trace_path)):
+        return 2
     result = run_scenario(sc, interception=not args.no_intercept,
                           measure_overhead=args.measure_overhead, out_dir=out_dir,
-                          trace_path=Path(args.trace) if args.trace else None)
+                          trace_path=trace_path)
     for name, problem in result.assertions:
         status = "ok  " if problem is None else "FAIL"
         detail = "" if problem is None else f"  ({problem})"
@@ -57,6 +77,8 @@ def _cmd_sweep(args) -> int:
         print(f"bad range: {exc}", file=sys.stderr)
         return 2
     out_path = Path(args.out) if args.out else default_out_dir() / "sweep.csv"
+    if _cannot_write(out_path.parent, directory=True) or _cannot_write(out_path):
+        return 2
     rdcs = [RDC(args.rdc)] if args.rdc != "both" else [RDC.NULLRDC, RDC.CONTIKIMAC]
     records = []
     if args.param == "rdc":

@@ -364,7 +364,11 @@ def encode(msg: CoapMessage) -> bytes:
     """Serialize a message to RFC 7252 wire format (version 1)."""
     _validate(msg)
     msg_type, code, mid, token, options, payload = msg
-    head = bytes(((COAP_VERSION << 6) | (msg_type << 4) | len(token), code, mid >> 8, mid & 0xFF))
+    try:
+        head = bytes(((COAP_VERSION << 6) | (msg_type << 4) | len(token), code, mid >> 8,
+                      mid & 0xFF))
+    except TypeError:  # a float equal to a valid value passes `_validate`
+        raise InvariantViolation(f"header field not an int: {msg[:3]}") from None
     if payload:
         return b"".join((head, token, _option_block(options), b"\xff", payload))
     return b"".join((head, token, _option_block(options)))
@@ -556,15 +560,26 @@ def classify(msg: CoapMessage) -> InteractionKind:
     return _OTHER
 
 
+def request(msg_type: MsgType, code: int, mid: int, path: str, *, token: bytes = b"",
+            payload: bytes = b"", **options) -> CoapMessage:
+    """A request for `path`, the one place a path becomes Uri-Path options:
+    one per segment, none for the empty path (RFC 7252 section 6.4)."""
+    uri_path = tuple(path.split("/")) if path else ()
+    return CoapMessage(msg_type, code, mid, token, OptionSet(uri_path, **options), payload)
+
+
 def registration_request(mid: int) -> CoapMessage:
     """Confirmable boot announcement a node sends to the gateway; the
     node address travels implicitly as the frame source."""
-    return CoapMessage(
-        msg_type=MsgType.CON,
-        code=POST,
-        mid=mid,
-        options=OptionSet(uri_path=tuple(REGISTRATION_PATH.split("/"))),
-    )
+    return request(_CON, POST, mid, REGISTRATION_PATH)
+
+
+def next_observe(value: int) -> int:
+    """The Observe value after `value`, modulo 2^24 (RFC 7641 section 4.4).
+    It skips 1, the deregister value, so that a replayed registration that
+    carries it never reads as a cancellation (gaps are legal)."""
+    value = (value + 1) & OBSERVE_MAX
+    return 2 if value == OBSERVE_DEREGISTER_VALUE else value
 
 
 def observe_options(observe: int, max_age: int) -> OptionSet:

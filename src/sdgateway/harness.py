@@ -239,7 +239,6 @@ def csv_text(records: list[MetricRecord]) -> str:
 
 
 def write_csv(path, records: list[MetricRecord]) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(csv_text(records))
 

@@ -653,13 +653,6 @@ class VirtualNode:
         self.resources[path] = value
         self._resource_changed(path)
 
-    @staticmethod
-    def _bump_counter(value: int) -> int:
-        # The value 1 is the deregister sentinel on the wire; a replayed
-        # registration carrying the stored counter must never look like a
-        # cancellation, so the sequence skips it (gaps are legal).
-        return 2 if value + 1 == 1 else value + 1
-
     def notify(self, path: str, counter: Optional[int] = None) -> None:
         """Notify all observers of `path`; the counter jumps to `counter`
         when given (node-controlled, never backward: an observer whose
@@ -676,7 +669,7 @@ class VirtualNode:
                     raise ValueError("observe counter 1 is the cancellation sentinel")
                 obs.counter = counter
             else:
-                obs.counter = self._bump_counter(obs.counter)
+                obs.counter = coap.next_observe(obs.counter)
             self._send_notification(path, obs)
 
     def _resource_changed(self, path: str) -> None:
@@ -754,10 +747,8 @@ class VirtualNode:
             self._send_binding_put(binding)
 
     def _send_binding_put(self, binding: Binding) -> None:
-        msg = CoapMessage(MsgType.NON, PUT, self.mid_alloc.next_mid(),
-                          options=OptionSet(
-                              uri_path=tuple(binding.info.dest_resource.split("/"))),
-                          payload=self.resources.get(binding.source_resource, b""))
+        msg = coap.request(_NON, PUT, self.mid_alloc.next_mid(), binding.info.dest_resource,
+                           payload=self.resources.get(binding.source_resource, b""))
         binding.last_sent = self.sim.now
         self.sim.trace.emit("binding_put", self.name, binding.source_resource, binding.info)
         self.network.send(Frame.of(msg, self.endpoint,
@@ -903,8 +894,7 @@ class ScriptedClient:
         fields besides the path; `on_response(msg)` gets the answer, None for
         an empty ACK."""
         mid = self.mid_alloc.next_mid()
-        msg = CoapMessage(_CON, code, mid, token,
-                          OptionSet(uri_path=tuple(path.split("/")), **options), payload)
+        msg = coap.request(_CON, code, mid, path, token=token, payload=payload, **options)
         source = self.network.endpoint(self.addr, self._next_port() if port is None else port)
         Confirmable(
             self.sim, Frame.of(msg, source, self.network.endpoint(node_addr)),

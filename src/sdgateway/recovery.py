@@ -23,7 +23,7 @@ from .coap import (
     Endpoint,
     MidAllocator,
     MsgType,
-    OptionSet,
+    request,
 )
 from .directory import EntryType, SDEntry, StateDirectory, RegistrationStatus
 from .lln import Confirmable, Frame, answer
@@ -95,29 +95,26 @@ def build_replay(step: tuple, gateway: Endpoint) -> tuple[CoapMessage, Endpoint]
     the source it spoofs: the stored client for PUT and OBSERVE, `gateway`,
     the gateway's own endpoint, for BIND and DEPLOY."""
     entry, transfer, block, mid = step
-    path = tuple(entry.uri_path.split("/")) if entry.uri_path else ()
     if entry.entry_type is EntryType.PUT:
-        options = OptionSet(uri_path=path, content_format=entry.content_format)
-        return CoapMessage(MsgType.CON, PUT, mid, token=entry.token, options=options,
-                           payload=entry.value), entry.client
+        return request(MsgType.CON, PUT, mid, entry.uri_path, token=entry.token,
+                       payload=entry.value, content_format=entry.content_format), entry.client
     if entry.entry_type is EntryType.OBSERVE:
         # Fresh MID, stored token: tokens, not MIDs, bind notifications to
         # the relationship.  The stored counter continues the numbering; 1
         # would read as a cancellation on the wire, so it is bumped past it.
         counter = 2 if entry.observe_counter == 1 else entry.observe_counter
-        return CoapMessage(MsgType.CON, GET, mid, token=entry.token,
-                           options=OptionSet(uri_path=path, observe=counter)), entry.client
+        return request(MsgType.CON, GET, mid, entry.uri_path, token=entry.token,
+                       observe=counter), entry.client
     if entry.entry_type is EntryType.BIND:
-        options = OptionSet(uri_path=path, observe=0, binding=entry.binding)
-        return CoapMessage(MsgType.CON, GET, mid, token=entry.token, options=options), gateway
+        return request(MsgType.CON, GET, mid, entry.uri_path, token=entry.token, observe=0,
+                       binding=entry.binding), gateway
     # DEPLOY: the filename alone, or one block of the captured transfer
-    target = dict(uri_path=tuple(entry.deploy.loader_path.split("/")),
-                  uri_query=(f"file={entry.deploy.filename}",))
+    loader, query = entry.deploy.loader_path, (f"file={entry.deploy.filename}",)
     if transfer is None:
-        return CoapMessage(MsgType.CON, POST, mid, options=OptionSet(**target)), gateway
+        return request(MsgType.CON, POST, mid, loader, uri_query=query), gateway
     block1 = Block1(block, block < len(transfer.blocks) - 1, transfer.block_size)
-    return CoapMessage(MsgType.CON, POST, mid, payload=transfer.blocks[block],
-                       options=OptionSet(**target, block1=block1)), gateway
+    return request(MsgType.CON, POST, mid, loader, payload=transfer.blocks[block],
+                   uri_query=query, block1=block1), gateway
 
 
 class RecoveryRun:

@@ -25,7 +25,9 @@ from sdgateway.coap import (
     classify,
     decode,
     encode,
+    next_observe,
     registration_request,
+    request,
     summarize,
 )
 from sdgateway.lln import Frame
@@ -181,6 +183,8 @@ def _rfc_rule_broken(msg) -> str | None:
         return "RST must be EMPTY"
     if msg.msg_type == MsgType.ACK and msg.code != EMPTY and not coap.is_response(msg.code):
         return "ACK must be EMPTY or carry a response code"
+    if not all(isinstance(field, int) for field in msg[:3]):
+        return f"header field not an int: {msg[:3]}"
     return None
 
 
@@ -188,12 +192,16 @@ def test_encode_raises_each_broken_rule():
     # `_validate` returns early for a CON or NON message with a request or
     # response code; over header fields on both sides of every rule, the
     # shortcut skips none of them.  A plain int is held to the rules of the
-    # type it equals, and one that equals no type is rejected.
+    # type it equals, and one that equals no type is rejected.  A header
+    # field must be an int: a float equal to a valid value is rejected, and
+    # a bool encodes as the int it is.
     rng = random.Random(0x7E57)
     types = list(MsgType) + [0, 1, 2, 3, 7, -1]
     codes = [EMPTY, GET, 0x04, 0x05, 0x1F, 0x20, CONTENT, 0x5F, 0x60, 0x80, 0xA0, 0xBF, 0xC0, 0xFF]
     msgs = [CoapMessage(7, GET, 1), CoapMessage(-1, GET, 1),
-            CoapMessage(3, CONTENT, 1), CoapMessage(2, GET, 1)]
+            CoapMessage(3, CONTENT, 1), CoapMessage(2, GET, 1),
+            CoapMessage(1.0, GET, 1), CoapMessage(MsgType.NON, 1.0, 1),
+            CoapMessage(MsgType.NON, GET, 1.0), CoapMessage(True, GET, 1)]
     msgs += [CoapMessage(rng.choice(types), rng.choice(codes),
                          rng.choice([-1, 0, 7, 0xFFFF, 0x10000]),
                          rng.randbytes(rng.choice([0, 1, 8, 9])),
@@ -211,6 +219,7 @@ def test_encode_raises_each_broken_rule():
             raised += 1
         checked += 1
     assert 0 < raised < checked
+    assert encode(CoapMessage(True, GET, 1)).hex() == "50010001"
 
 
 def test_classify_table():
@@ -262,6 +271,25 @@ def test_registration_request_shape():
     assert msg.options.uri_path == ("sd", "register")
     assert msg.mid == 4711
     assert decode(encode(msg)) == msg
+
+
+@pytest.mark.parametrize("msg_type,code,path,fields,wire", [
+    (MsgType.CON, PUT, "", {}, "40030001"),
+    (MsgType.CON, PUT, "a/b", dict(payload=b"5", content_format=50), "40030001b16101621132ff35"),
+    (MsgType.NON, GET, "a//b", {}, "50010001b161000162"),
+], ids=["empty", "two-segments", "empty-segment"])
+def test_request_makes_one_uri_path_option_per_segment(msg_type, code, path, fields, wire):
+    # RFC 7252 section 6.4: the empty path is sent with no Uri-Path option.
+    msg = request(msg_type, code, 1, path, **fields)
+    assert encode(msg).hex() == wire
+    assert msg.options.path_str() == path
+
+
+@pytest.mark.parametrize("value,after", [
+    (0, 2), (1, 2), (2, 3), (0xFFFFFE, 0xFFFFFF), (0xFFFFFF, 0),
+])
+def test_next_observe_wraps_at_2_24_and_skips_the_deregister_value(value, after):
+    assert next_observe(value) == after
 
 
 def test_mid_allocator_monotonic_and_wrapping():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import lossy_pins
-from sdgateway import coap, harness
+from sdgateway import cli, coap, harness
 from sdgateway.cli import main as cli_main
 from sdgateway.harness import (
     MetricKind,
@@ -451,6 +451,48 @@ def test_cli_run_reports_a_scenario_path_it_cannot_read(make, reason, tmp_path, 
     assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {path}: ") and reason in err
+
+
+def _no_run(*_args, **_kwargs):
+    raise AssertionError("a run started with an output it cannot write")
+
+
+@pytest.mark.parametrize("argv,path,reason", [
+    (["run", "mini.scn", "--out", "out", "--trace", "missing/t.txt"], "missing/t.txt",
+     "No such file or directory"),
+    (["run", "mini.scn", "--out", "file"], "file", "File exists"),
+    (["sweep", "--param", "hops", "--range", "1", "--reps", "1", "--out", "file/s.csv"], "file",
+     "File exists"),
+], ids=["run-trace-in-missing-dir", "run-out-is-a-file", "sweep-out-under-a-file"])
+def test_cli_reports_an_output_it_cannot_write_before_any_run(argv, path, reason, tmp_path,
+                                                              capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_scenario", _no_run)
+    monkeypatch.setattr(harness, "run_scenario", _no_run)
+    Path("mini.scn").write_text(MINIMAL)
+    Path("file").write_text("")
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {path}: {reason}\n" and captured.out == ""
+
+
+def test_cli_run_wraps_the_observe_counter_past_2_24(tmp_path, capsys):
+    # RFC 7641 section 4.4: the value after 16777215 is 0, and 1, the
+    # deregister value, is skipped.
+    text = MINIMAL + ("at 1000 observe c1 n1 s/t\n"
+                      "at 2000 notify n1 s/t counter=16777215\n"
+                      "at 3000 notify n1 s/t\n"
+                      "at 4000 notify n1 s/t\n")
+    path = tmp_path / "wrap.scn"
+    path.write_text(text)
+    assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    result = run_scenario(parse_scenario(text))
+    assert result.ok, result.failures
+    notified = [(time, f["obs"]) for time, f in result.world.sim.trace.find("notify", node="n1")]
+    assert notified[1:] == [(2000.0, 16777215), (3000.0, 0), (4000.0, 2)]
+    observed = [n["observe"] for n in result.world.clients["c1"].notifications]
+    assert observed[-3:] == [16777215, 0, 2]
 
 
 def test_cli_run_survives_a_decreasing_notify_counter(tmp_path, capsys):

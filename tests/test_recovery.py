@@ -4,9 +4,12 @@ import pytest
 
 from worldutil import booted_world, simple_scenario
 from sdgateway.cli import main as cli_main
-from sdgateway.coap import GET, POST, PUT, Endpoint, MidAllocator
+from sdgateway.coap import (
+    GET, POST, PUT, Endpoint, InteractionKind, MidAllocator, classify, decode, encode, is_request,
+)
 from sdgateway.directory import DeployInfo, EntryType, SDEntry
-from sdgateway.harness import ScenarioRun, run_scenario
+from sdgateway.harness import CLIENT_ADDR, ScenarioRun, run_scenario
+from sdgateway.lln import Network
 from sdgateway.recovery import StepOutcome, build_plan, build_replay
 from sdgateway.scenario import parse_scenario
 
@@ -297,6 +300,71 @@ at 1000 deploy c1 n1 file=img block=16 data=hex:000102030405060708090a0b0c0d0e0f
     assert report.all_acked and report.steps_total == 5
     assert node.flash["img"] == image  # byte-for-byte reassembly
     assert node.loaded_modules == {"img"}
+
+
+def test_a_replay_is_the_last_client_request_for_its_entry(monkeypatch):
+    """Each injected frame equals, byte for byte, the client's last request
+    for its entry, but for the MID, an observe replay's Observe value and
+    the gateway's source on a bind or deploy replay: requests and replays
+    turn a path into Uri-Path options by one rule, the empty path too."""
+    sc = parse_scenario("""
+scenario replay_is_request
+version 1
+seed 5
+deploy-mode blocks
+settle 30000
+node n1 aaaa::c30c:0:0:2
+node n2 aaaa::c30c:0:0:3
+resource n1 s/t 18
+resource n2 a/led 0
+client c1 cccc::3
+at 1000 put c1 n1 / 5 cf=50
+at 2000 put c1 n1 a/b 7
+at 3000 observe c1 n1 s/t
+at 3500 notify n1 s/t counter=9
+at 4000 bind c1 n1 s/t dest=aaaa::c30c:0:0:3 res=a/led
+at 5000 deploy c1 n1 file=img block=16 data=hex:""" + bytes(range(40)).hex() + """
+at 10000 crash n1 down=500
+""")
+    crash_at = 10_000.0
+    requests, injected = {}, []
+
+    def key(msg):
+        o = msg.options
+        return (msg.code, o.path_str(), o.binding is not None, o.block1 and o.block1.num)
+
+    def send(network, frame):
+        if frame.src.addr == CLIENT_ADDR and is_request(frame.parsed.code):
+            requests[key(frame.parsed)] = frame
+        real_send(network, frame)
+
+    def deliver_to_node(network, frame, *args, **kwargs):
+        if network.sim.now > crash_at and is_request(frame.parsed.code):
+            injected.append(frame)
+        real_deliver(network, frame, *args, **kwargs)
+
+    real_send, real_deliver = Network.send, Network.deliver_to_node
+    monkeypatch.setattr(Network, "send", send)
+    monkeypatch.setattr(Network, "deliver_to_node", deliver_to_node)
+    result = run_scenario(sc)
+    assert result.ok, result.failures
+    gateway = result.world.gateway.endpoint
+    kinds = []
+    for frame in injected:
+        replay = decode(frame.raw)
+        request = requests[key(replay)]
+        kind = classify(replay)
+        kinds.append(kind)
+        if kind is InteractionKind.OBSERVE_REGISTER:
+            assert replay.options.observe == 9
+            replay = replay._replace(options=replay.options._replace(
+                observe=request.parsed.options.observe))
+        assert encode(replay._replace(mid=request.parsed.mid)) == request.raw
+        spoofed = kind in (InteractionKind.PUT_REQUEST, InteractionKind.OBSERVE_REGISTER)
+        assert frame.src == (request.src if spoofed else gateway)
+        assert frame.dst == request.dst
+    assert kinds == ([InteractionKind.PUT_REQUEST] * 2 + [InteractionKind.BINDING_REQUEST]
+                     + [InteractionKind.DEPLOY_BLOCK] * 3 + [InteractionKind.OBSERVE_REGISTER])
 
 
 @pytest.mark.parametrize("size,block", [(20, 32), (50, 64)])

@@ -271,3 +271,38 @@ def test_only_schedule_at_puts_events_on_the_heap():
 ])
 def test_heap_push_check_flags_what_it_should(source, sites):
     assert heap_push_sites(source) == sites
+
+
+def path_option_sets(source: str) -> list[int]:
+    """Lines that build an `OptionSet` that may carry a Uri-Path: a call
+    with a `uri_path` keyword, with a positional argument (the first field
+    is the path) or with `**` keywords.  `coap.request` is the one place a
+    path becomes Uri-Path options."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _called(node.func) == "OptionSet" and (
+                node.args or any(k.arg in ("uri_path", None) for k in node.keywords)):
+            found.append(node.lineno)
+    return found
+
+
+def test_only_coap_builds_a_uri_path():
+    # `scenario` checks a path by building its options; it sends nothing.
+    found = {path.name: path_option_sets(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert found.pop("coap.py") and found.pop("scenario.py")
+    assert not any(found.values()), found
+
+
+@pytest.mark.parametrize("source,ok", [
+    ("OptionSet(observe=0, binding=info)", True),
+    ("coap.OptionSet(block1=block)", True),
+    ("request(CON, GET, mid, path, observe=0)", True),
+    ("SDEntry(uri_path=path)", True),
+    ("OptionSet(uri_path=tuple(path.split('/')), **options)", False),
+    ("OptionSet(uri_path=path, observe=counter)", False),
+    ("coap.OptionSet(uri_path=('sd', 'register'))", False),
+    ("OptionSet(('a',), ())", False),
+    ("target = dict(uri_path=p)\nOptionSet(**target, block1=b)", False),
+])
+def test_uri_path_check_flags_what_it_should(source, ok):
+    assert (path_option_sets(source) == []) is ok
