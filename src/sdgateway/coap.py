@@ -256,12 +256,16 @@ def _uint_value(data: bytes, max_len: int, what: str) -> int:
 
 def _validate(msg: CoapMessage) -> None:
     msg_type, code, mid, token, options, payload = msg
-    if not 0 <= mid <= 0xFFFF:
-        raise InvariantViolation(f"mid out of range: {mid}")
+    try:
+        if not 0 <= mid <= 0xFFFF:
+            raise InvariantViolation(f"mid out of range: {mid}")
+    except TypeError:  # a MID that is not a number
+        raise InvariantViolation(f"mid not an int: {mid!r}") from None
     if len(token) > 8:
         raise InvariantViolation(f"token longer than 8 bytes: {len(token)}")
     if code not in _VALID_CODES:
-        raise InvariantViolation(f"invalid code 0x{code:02x}")
+        shown = f"0x{code:02x}" if isinstance(code, int) else repr(code)
+        raise InvariantViolation(f"invalid code {shown}")
     if code != EMPTY and (msg_type is _CON or msg_type is _NON):
         return  # a CON or NON request or response: no rule below applies
     msg_type = _TYPE_OF.get(msg_type)  # the member, for a plain int equal to one
@@ -369,9 +373,15 @@ def encode(msg: CoapMessage) -> bytes:
                       mid & 0xFF))
     except TypeError:  # a float equal to a valid value passes `_validate`
         raise InvariantViolation(f"header field not an int: {msg[:3]}") from None
-    if payload:
-        return b"".join((head, token, _option_block(options), b"\xff", payload))
-    return b"".join((head, token, _option_block(options)))
+    block = _option_block(options)
+    try:
+        if payload:
+            return b"".join((head, token, block, b"\xff", payload))
+        return b"".join((head, token, block))
+    except TypeError:  # the token or the payload is not bytes
+        name, value = (("payload", payload) if isinstance(token, (bytes, bytearray, memoryview))
+                       else ("token", token))
+        raise InvariantViolation(f"{name} not bytes: {value!r}") from None
 
 
 def _ext(nibble: int, data: bytes, i: int) -> tuple[int, int]:

@@ -100,10 +100,9 @@ class Gateway:
 
     def send_replay(self, frame: Frame, table: dict, *, on_answer: Callable[[Frame], None],
                     on_timeout: Callable[[], None]) -> Confirmable:
-        """Build the confirmable exchange that injects `frame`, a replay
-        addressed to the node and spoofing its source, into `table`, the
-        recovery coordinator's open replays.  The caller stores it, then
-        calls `start()`."""
+        """Start the confirmable exchange that injects `frame`, a replay
+        addressed to the node and spoofing its source, in `table`, the
+        recovery coordinator's open replays, and return it."""
         return Confirmable(
             self.sim, frame, self.network.deliver_to_node, table=table, on_answer=on_answer,
             on_retry=lambda attempt: self.sim.trace.emit(

@@ -25,7 +25,6 @@ from .coap import (
     CONTENT,
     CONTINUE,
     CREATED,
-    DELETE,
     DELETED,
     EMPTY,
     EXCHANGE_LIFETIME_MS,
@@ -163,12 +162,13 @@ class _FrameSlots:
 class Confirmable:
     """One confirmable exchange (RFC 7252 section 4.2) of a single `Frame`.
 
-    `start()` enters it in `table`, its owner's open exchanges, and sends
-    the frame through `transmit(frame)`.  While it is open, the n-th
-    transmission times out after ACK_TIMEOUT_MS * 2**(n-1) and the same
-    frame goes out again, after `on_retry(attempt)` with attempt = n, as
-    long as n <= MAX_RETRANSMIT; the timeout after the last one calls
-    `on_give_up()`.  `answer(table, frame)` closes it and calls
+    Building it enters it in `table`, its owner's open exchanges, and sends
+    the frame through `transmit(frame)`, which only schedules the delivery,
+    so the owner holds the exchange before any answer can arrive.  While it
+    is open, the n-th transmission times out after ACK_TIMEOUT_MS *
+    2**(n-1) and the same frame goes out again, after `on_retry(attempt)`
+    with attempt = n, as long as n <= MAX_RETRANSMIT; the timeout after the
+    last one calls `on_give_up()`.  `answer(table, frame)` closes it and calls
     `on_answer(frame)`, and the owner closes it with `cancel()`.  A closed
     exchange has left the table and holds no callbacks, which usually reach
     the owner, so the two are freed by reference counting alone.
@@ -189,11 +189,8 @@ class Confirmable:
         self._on_answer = on_answer
         self._on_retry = on_retry
         self._on_give_up = on_give_up
-        self._timer: Optional[list] = None  # the pending timeout's event
-
-    def start(self) -> None:
-        self._key = (self.frame.dst, self.frame.src, self.frame.parsed.mid)
-        self._table[self._key] = self
+        self._key = (frame.dst, frame.src, frame.parsed.mid)
+        table[self._key] = self
         self._send()
 
     def _send(self) -> None:
@@ -213,7 +210,7 @@ class Confirmable:
         self._send()
 
     def cancel(self) -> None:
-        if self._timer is not None:  # started, and not yet closed
+        if self._timer is not None:  # not yet closed
             self._sim.cancel(self._timer)
             self._table.pop(self._key, None)
         self._timer = self._transmit = self._table = self._key = self._on_answer = None
@@ -290,7 +287,6 @@ class Network:
         self.clients: dict[str, "ScriptedClient"] = {}
         self.gateway = None
         self.blackholes: set[str] = set()
-        self.external_frames: list[bytes] = []
         self._last_arrival: dict[tuple, float] = {}
         self._endpoints: dict[tuple[str, int], Endpoint] = {}
 
@@ -327,17 +323,12 @@ class Network:
         if client is None:
             self.sim.trace.emit("drop_no_client", frame.dst)
             return
-        self._leg(frame, None, ("ext_out", frame.dst.addr), self._to_client, client)
-
-    def _to_client(self, frame: Frame, client: "ScriptedClient") -> None:
-        self.sim.trace.emit("recv", frame.dst, frame.raw)
-        self.external_frames.append(frame.raw)
-        client.on_frame(frame)
+        self._leg(frame, None, ("ext_out", frame.dst.addr), client.on_frame)
 
     def _leg(self, frame: Frame, node: Optional["VirtualNode"], path_key: tuple,
-             handler: Callable[..., None], *args) -> None:
+             handler: Callable[[Frame], None]) -> None:
         """Carry `frame` over `node`'s link, or the external network when
-        `node` is None, to `handler(frame, *args)`, which traces its `recv`.
+        `node` is None, to `handler(frame)`, which traces its `recv`.
         A link leg draws `sample_delay` then `draw_lost` from the link as it
         is now, blackholed or not, so a blackhole moves no later draw;
         arrivals on `path_key` stay FIFO."""
@@ -356,7 +347,7 @@ class Network:
         if floor is not None and arrival < floor + FIFO_EPS:
             arrival = floor + FIFO_EPS
         self._last_arrival[path_key] = arrival
-        sim.schedule_at(arrival, handler, frame, *args)
+        sim.schedule_at(arrival, handler, frame)
 
 
 class NodeState(Enum):
@@ -446,7 +437,6 @@ class VirtualNode:
         self._registration = Confirmable(self.sim, frame, self.network.send,
                                          table=self._exchanges, on_answer=self._registered,
                                          on_give_up=self._registration_failed)
-        self._registration.start()
 
     def _registered(self, _answer: Frame) -> None:
         self.state = NodeState.UP
@@ -516,101 +506,88 @@ class VirtualNode:
             answer(self._exchanges, frame)
 
     def _serve(self, frame: Frame, msg: CoapMessage) -> None:
-        confirmable = msg.msg_type is _CON
-        if confirmable:
-            reply = self._replies.reply(frame.src, msg.mid)
-            if reply is not None:
-                self.network.send(reply)
+        """Answer a request, then send what the change it made causes: the
+        response goes out before its notifications and binding pushes."""
+        if msg.msg_type is _CON:
+            kept = self._replies.reply(frame.src, msg.mid)
+            if kept is not None:
+                self.network.send(kept)
                 return
-        response, deferred = self._handle_request(msg, frame.src)
-        reply = Frame.of(response, self.endpoint, frame.src)
-        if confirmable:
-            self._replies.keep(frame.src, msg.mid, reply)
-        self.network.send(reply)
-        for action in deferred:
-            action()
-
-    def handle_request(self, msg: CoapMessage, src: Endpoint) -> CoapMessage:
-        """Process a request as if it arrived from `src`; returns the
-        response.  Deferred side effects (notifications, binding pushes)
-        run immediately."""
-        response, deferred = self._handle_request(msg, src)
-        for action in deferred:
-            action()
-        return response
-
-    def _handle_request(self, msg: CoapMessage, src: Endpoint):
         o = msg.options
         path = o.path_str()
-        deferred: list[Callable[[], None]] = []
-
-        def reply(code: int, payload=b"", options=_NO_OPTIONS) -> CoapMessage:
-            if msg.msg_type is _CON:
-                return _new(CoapMessage, (_ACK, code, msg.mid, msg.token, options, payload))
-            return _new(CoapMessage, (_NON, code, self.mid_alloc.next_mid(), msg.token,
-                                      options, payload))
-
+        reply = self._reply
         if msg.code == GET:
             if o.binding is not None and o.observe is not None:
-                return self._install_binding(msg, src, path, reply, deferred)
-            if path not in self.resources:
-                return reply(NOT_FOUND), deferred
-            if o.observe == coap.OBSERVE_DEREGISTER_VALUE:
-                self._remove_observer(path, src, reason="deregister")
-                return reply(CONTENT, self.resources[path]), deferred
-            if o.observe is not None:
-                return self._register_observer(msg, src, path, reply, deferred)
-            return reply(CONTENT, self.resources[path]), deferred
-
-        if msg.code in (PUT, POST) and o.block1 is not None and path == self.loader_path:
-            return self._deploy_block(msg, src, reply), deferred
-
-        if msg.code == PUT:
+                self._install_binding(frame, msg, path)
+            elif path not in self.resources:
+                reply(frame, msg, NOT_FOUND)
+            elif o.observe == coap.OBSERVE_DEREGISTER_VALUE:
+                self._remove_observer(path, frame.src, reason="deregister")
+                reply(frame, msg, CONTENT, self.resources[path])
+            elif o.observe is not None:
+                self._register_observer(frame, msg, path)
+            else:
+                reply(frame, msg, CONTENT, self.resources[path])
+        elif msg.code in (PUT, POST) and o.block1 is not None and path == self.loader_path:
+            self._deploy_block(frame, msg)
+        elif msg.code == PUT:
             self.resources[path] = msg.payload
-            deferred.append(lambda: self._resource_changed(path))
-            return reply(CHANGED), deferred
-
-        if msg.code == POST:
-            if path != self.loader_path:
-                return reply(NOT_FOUND), deferred
+            reply(frame, msg, CHANGED)
+            self._resource_changed(path)
+        elif msg.code == POST:
             filename = o.query_value("file")
-            if not filename or filename not in self.flash:
-                return reply(BAD_REQUEST), deferred
-            self.loaded_modules.add(filename)
-            self.sim.trace.emit("load", self.name, filename, "flash")
-            return reply(CREATED), deferred
-
-        if msg.code == DELETE:
-            if path not in self.resources:
-                return reply(NOT_FOUND), deferred
+            if path != self.loader_path:
+                reply(frame, msg, NOT_FOUND)
+            elif not filename or filename not in self.flash:
+                reply(frame, msg, BAD_REQUEST)
+            else:
+                self.loaded_modules.add(filename)
+                self.sim.trace.emit("load", self.name, filename, "flash")
+                reply(frame, msg, CREATED)
+        elif path in self.resources:  # DELETE, the last method `is_request` lets in
             del self.resources[path]
-            return reply(DELETED), deferred
+            reply(frame, msg, DELETED)
+        else:
+            reply(frame, msg, NOT_FOUND)
 
-        return reply(coap.METHOD_NOT_ALLOWED), deferred
+    def _reply(self, frame: Frame, msg: CoapMessage, code: int, payload: bytes = b"",
+               options: OptionSet = _NO_OPTIONS) -> None:
+        """Send the response to the request `msg` in `frame`: to a CON the
+        piggy-backed ACK, kept for the request's duplicates, else a NON."""
+        con = msg.msg_type is _CON
+        mid = msg.mid if con else self.mid_alloc.next_mid()
+        reply = Frame.of(_new(CoapMessage, (_ACK if con else _NON, code, mid, msg.token,
+                                            options, payload)), self.endpoint, frame.src)
+        if con:
+            self._replies.keep(frame.src, mid, reply)
+        self.network.send(reply)
 
-    def _deploy_block(self, msg: CoapMessage, src: Endpoint, reply) -> CoapMessage:
+    def _deploy_block(self, frame: Frame, msg: CoapMessage) -> None:
         block = msg.options.block1
         filename = msg.options.query_value("file")
         if not filename:
-            return reply(BAD_REQUEST)
-        key = (src, filename)
+            self._reply(frame, msg, BAD_REQUEST)
+            return
+        key = (frame.src, filename)
         if block.num == 0:
             self._incoming_blocks[key] = []
         buf = self._incoming_blocks.setdefault(key, [])
         buf.append(msg.payload)
         if block.more:
-            return reply(CONTINUE, b"", OptionSet(block1=block))
+            self._reply(frame, msg, CONTINUE, b"", OptionSet(block1=block))
+            return
         del self._incoming_blocks[key]
         # Raw image lands in permanent storage first, then is relocated
         # into main memory.
         self.flash[filename] = b"".join(buf)
         self.loaded_modules.add(filename)
         self.sim.trace.emit("load", self.name, filename, "transfer")
-        return reply(CREATED, b"", OptionSet(block1=block))
+        self._reply(frame, msg, CREATED, b"", OptionSet(block1=block))
 
     # -- observe ----------------------------------------------------------
 
-    def _register_observer(self, msg, src, path, reply, deferred):
+    def _register_observer(self, frame: Frame, msg: CoapMessage, path: str) -> None:
+        src = frame.src
         key = (path, src)
         value = msg.options.observe
         obs = self.observers.get(key)
@@ -626,11 +603,11 @@ class VirtualNode:
                 obs.counter = value
         obs.sent_since_register = 0
         self.sim.trace.emit("observer_add", self.name, path, src, obs.counter)
+        self._reply(frame, msg, CONTENT, self.resources[path],
+                    coap.observe_options(obs.counter, DEFAULT_MAX_AGE))
         # Immediate state push after (re)registration, counter unchanged;
         # it runs right after the response is sent, not from a timer.
-        deferred.append(lambda: self._send_notification(path, obs))
-        return reply(CONTENT, self.resources[path],
-                     coap.observe_options(obs.counter, DEFAULT_MAX_AGE)), deferred
+        self._send_notification(path, obs)
 
     def _remove_observer(self, path, src, *, reason: str, mid=None) -> None:
         key = (path, src)
@@ -707,7 +684,6 @@ class VirtualNode:
                 "retransmit", self.name, path, mid, attempt),
             on_give_up=lambda: self._remove_observer(path, obs.client,
                                                      reason="retransmit-limit", mid=mid))
-        obs.pending.start()
 
     def _on_rst(self, src: Endpoint, mid: int) -> None:
         for (path, client), obs in list(self.observers.items()):
@@ -717,9 +693,10 @@ class VirtualNode:
 
     # -- bindings -----------------------------------------------------------
 
-    def _install_binding(self, msg, src, path, reply, deferred):
+    def _install_binding(self, frame: Frame, msg: CoapMessage, path: str) -> None:
         if path not in self.resources:
-            return reply(NOT_FOUND), deferred
+            self._reply(frame, msg, NOT_FOUND)
+            return
         info = msg.options.binding
         key = (path, info.dest_addr, info.dest_resource)
         binding = self.bindings.get(key)
@@ -731,7 +708,7 @@ class VirtualNode:
             binding.last_sent = self.sim.now
         self.sim.trace.emit("binding_add", self.name, path, info)
         self._schedule_keepalive(binding)
-        return reply(CONTENT, self.resources[path], OptionSet(observe=0)), deferred
+        self._reply(frame, msg, CONTENT, self.resources[path], OptionSet(observe=0))
 
     def _binding_due(self, binding: Binding) -> None:
         pmin_ms = binding.info.pmin * 1000.0
@@ -902,7 +879,7 @@ class ScriptedClient:
             on_answer=lambda answer: self._answered(answer.parsed, on_response),
             on_retry=lambda attempt: self.sim.trace.emit(
                 "client_retransmit", self.name, mid, attempt),
-            on_give_up=lambda: self.sim.trace.emit("client_timeout", self.name, mid)).start()
+            on_give_up=lambda: self.sim.trace.emit("client_timeout", self.name, mid))
 
     def _answered(self, msg: CoapMessage, on_response) -> None:
         if msg.msg_type is _RST:
@@ -915,6 +892,7 @@ class ScriptedClient:
             on_response(response)
 
     def on_frame(self, frame: Frame) -> None:
+        self.sim.trace.emit("recv", frame.dst, frame.raw)
         if self.silenced:
             self.sim.trace.emit("drop_client_silent", self.name)
             return

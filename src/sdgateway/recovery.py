@@ -134,11 +134,10 @@ class RecoveryCoordinator:
     """Drives recovery executions; one per node at a time.
 
     Each run owns the replay it has in flight: the gateway's `send_replay`
-    builds the `Confirmable` exchange into `replays`, the open replays of
-    every run, and the run stores it and starts it; `consume` matches the
-    node's response to it.  A second registration from the same node
-    aborts the in-flight run and starts over with the current directory
-    contents.
+    starts the `Confirmable` exchange in `replays`, the open replays of
+    every run, and the run stores it; `consume` matches the node's response
+    to it.  A second registration from the same node aborts the in-flight
+    run and starts over with the current directory contents.
     """
 
     def __init__(self, directory: StateDirectory, gateway, *, sim: Simulator,
@@ -204,7 +203,6 @@ class RecoveryCoordinator:
         run.exchange = self.gateway.send_replay(
             frame, self.replays, on_answer=lambda reply: self._consumed(run, reply),
             on_timeout=lambda: self._resolved(run, StepOutcome.TIMED_OUT))
-        run.exchange.start()
 
     def consume(self, frame: Frame) -> bool:
         """Claim `frame` if it answers the replay in flight to the node that

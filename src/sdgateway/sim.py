@@ -234,14 +234,9 @@ class TraceRecorder:
         return "\n".join(self.lines()) + "\n"
 
     def find(self, kind: str, **match) -> list[tuple[float, dict]]:
-        hits, texts = [], _Texts()
-        for layout, record in self._slices():
-            if layout.kind != kind:
-                continue
-            fields = layout.fields(record, texts)
-            if all(fields.get(key) == value for key, value in match.items()):
-                hits.append((record[0], fields))
-        return hits
+        """The (time, fields) of each `kind` record whose fields equal `match`."""
+        return [(t, fields) for t, k, fields in self.records
+                if k == kind and all(fields.get(key) == value for key, value in match.items())]
 
     def write(self, *paths) -> None:
         """Write `text()` to each of `paths`, rendering it once, a line at a

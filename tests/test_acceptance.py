@@ -8,7 +8,7 @@ import importlib.resources
 from pathlib import Path
 
 from msggen import random_message
-from worldutil import booted_world, random_interaction_scenario, simple_scenario
+from worldutil import booted_world, client_frames, random_interaction_scenario, simple_scenario
 from sdgateway.coap import CoapMessage, MalformedFrame, decode, encode
 from sdgateway.harness import (
     CLIENT_ADDR,
@@ -231,10 +231,11 @@ def _crash_free_scenario() -> Scenario:
 
 
 def test_criterion_7_transparency_and_overhead():
-    on = run_scenario(_crash_free_scenario())
-    off = run_scenario(_crash_free_scenario(), interception=False)
-    frames_on = on.world.network.external_frames
-    frames_off = off.world.network.external_frames
+    on = ScenarioRun(_crash_free_scenario())
+    off = ScenarioRun(_crash_free_scenario(), interception=False)
+    frames_on, frames_off = client_frames(on.world), client_frames(off.world)
+    on.advance()
+    off.advance()
     assert len(frames_on) >= 10
     assert frames_on == frames_off  # byte-identical external sequence
 

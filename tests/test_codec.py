@@ -167,11 +167,15 @@ def test_encode_rejects_invariant_violations(msg):
 def _rfc_rule_broken(msg) -> str | None:
     # Every header rule `_validate` enforces, each tested in turn with no
     # shortcut, and the message of the first one broken.
+    if isinstance(msg.mid, str):
+        return f"mid not an int: {msg.mid!r}"
     if not 0 <= msg.mid <= 0xFFFF:
         return f"mid out of range: {msg.mid}"
     if len(msg.token) > 8:
         return f"token longer than 8 bytes: {len(msg.token)}"
     if msg.code not in coap._VALID_CODES:
+        if not isinstance(msg.code, int):
+            return f"invalid code {msg.code!r}"
         return f"invalid code 0x{msg.code:02x}"
     if msg.msg_type not in (0, 1, 2, 3):
         return f"invalid message type {msg.msg_type!r}"
@@ -185,6 +189,9 @@ def _rfc_rule_broken(msg) -> str | None:
         return "ACK must be EMPTY or carry a response code"
     if not all(isinstance(field, int) for field in msg[:3]):
         return f"header field not an int: {msg[:3]}"
+    for name in ("token", "payload"):
+        if isinstance(getattr(msg, name), str):
+            return f"{name} not bytes: {getattr(msg, name)!r}"
     return None
 
 
@@ -194,14 +201,18 @@ def test_encode_raises_each_broken_rule():
     # shortcut skips none of them.  A plain int is held to the rules of the
     # type it equals, and one that equals no type is rejected.  A header
     # field must be an int: a float equal to a valid value is rejected, and
-    # a bool encodes as the int it is.
+    # a bool encodes as the int it is.  A MID, code, token or payload of a
+    # type that cannot be one is named in the error.
     rng = random.Random(0x7E57)
     types = list(MsgType) + [0, 1, 2, 3, 7, -1]
     codes = [EMPTY, GET, 0x04, 0x05, 0x1F, 0x20, CONTENT, 0x5F, 0x60, 0x80, 0xA0, 0xBF, 0xC0, 0xFF]
     msgs = [CoapMessage(7, GET, 1), CoapMessage(-1, GET, 1),
             CoapMessage(3, CONTENT, 1), CoapMessage(2, GET, 1),
             CoapMessage(1.0, GET, 1), CoapMessage(MsgType.NON, 1.0, 1),
-            CoapMessage(MsgType.NON, GET, 1.0), CoapMessage(True, GET, 1)]
+            CoapMessage(MsgType.NON, GET, 1.0), CoapMessage(True, GET, 1),
+            CoapMessage(MsgType.NON, 1.5, 1), CoapMessage(MsgType.NON, GET, "1"),
+            CoapMessage(MsgType.NON, GET, 1, token="ab"),
+            CoapMessage(MsgType.NON, GET, 1, payload="ab")]
     msgs += [CoapMessage(rng.choice(types), rng.choice(codes),
                          rng.choice([-1, 0, 7, 0xFFFF, 0x10000]),
                          rng.randbytes(rng.choice([0, 1, 8, 9])),

@@ -37,7 +37,6 @@ def exchange(sim):
     ex = Confirmable(sim, FRAME, lambda frame: sent.append((sim.now, frame)), table={},
                      on_answer=sent.append, on_retry=retries.append,
                      on_give_up=lambda: give_ups.append(sim.now))
-    ex.start()
     return ex, sent, retries, give_ups
 
 
@@ -52,13 +51,13 @@ def test_backoff_doubles_and_gives_up_once():
     assert ex.transmissions == 5
 
 
-def test_nothing_is_sent_before_start():
+def test_a_built_exchange_is_in_its_table_and_has_sent_its_first_copy():
     sim = Simulator()
-    sent = []
-    Confirmable(sim, FRAME, sent.append, table={}, on_answer=sent.append,
-                on_give_up=lambda: sent.append("give-up"))
-    sim.run()
-    assert sent == []
+    sent, table = [], {}
+    ex = Confirmable(sim, FRAME, sent.append, table=table, on_answer=sent.append,
+                     on_give_up=lambda: sent.append("give-up"))
+    assert table == {(FRAME.dst, FRAME.src, 42): ex}
+    assert sent == [FRAME] and ex.transmissions == 1
 
 
 @pytest.mark.parametrize("cancel_at", [0.0, 1.0, 9000.5, 93000.0])
@@ -100,7 +99,6 @@ def test_a_finished_exchange_lets_its_owner_go(ending):
     gc.disable()
     try:
         owner = Owner(sim, gave_up)
-        owner.exchange.start()
         sim.run(until=1.0)
         ref = weakref.ref(owner)
         exchange = owner.exchange
@@ -142,7 +140,6 @@ def open_exchange(sim):
     table, answers, give_ups = {}, [], []
     ex = Confirmable(sim, FRAME, lambda frame: None, table=table, on_answer=answers.append,
                      on_give_up=lambda: give_ups.append(sim.now))
-    ex.start()
     return ex, table, answers, give_ups
 
 

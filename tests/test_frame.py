@@ -10,9 +10,10 @@ from collections import Counter
 
 import pytest
 
-from worldutil import booted_world, simple_scenario
+from worldutil import _sends, booted_world, simple_scenario
 from sdgateway import coap
 from sdgateway.coap import (
+    CHANGED,
     CONTENT,
     EMPTY,
     GET,
@@ -136,18 +137,6 @@ def test_malformed_frame_is_forwarded_by_gateway_and_dropped_by_node(spies):
     assert world.sim.trace.find("drop", why="malformed", node="n1")
 
 
-def _sends(world, monkeypatch) -> list[Frame]:
-    sent: list[Frame] = []
-    original = world.network.send
-
-    def send(frame):
-        sent.append(frame)
-        original(frame)
-
-    monkeypatch.setattr(world.network, "send", send)
-    return sent
-
-
 def test_client_retransmission_resends_the_same_frame(monkeypatch):
     world = booted_world(simple_scenario())
     node, client = world.nodes["n1"], world.clients["c1"]
@@ -172,6 +161,23 @@ def test_node_dedup_resends_the_same_response_frame(monkeypatch):
     node.on_frame(Frame(raw, CLIENT_EP, node.endpoint))
     node.on_frame(Frame(raw, CLIENT_EP, node.endpoint))  # a retransmission
     assert len(sent) == 2 and sent[0] is sent[1]
+
+
+def test_a_duplicate_put_gets_the_kept_response_and_notifies_once(monkeypatch):
+    world = booted_world(simple_scenario())
+    node, client = world.nodes["n1"], world.clients["c1"]
+    client.observe(node.addr, "s/t")
+    world.sim.run(until=world.sim.now + 1000.0)
+    notified = len(world.sim.trace.find("notify", node="n1"))
+    sent = _sends(world, monkeypatch)
+    raw = encode(CoapMessage(MsgType.CON, PUT, 903, options=OptionSet(uri_path=("s", "t")),
+                             payload=b"5"))
+    node.on_frame(Frame(raw, CLIENT_EP, node.endpoint))
+    node.on_frame(Frame(raw, CLIENT_EP, node.endpoint))  # a retransmission
+    response, notification, again = sent
+    assert again is response and response.parsed.code == CHANGED
+    assert notification.parsed.code == CONTENT and notification.dst != CLIENT_EP
+    assert len(world.sim.trace.find("notify", node="n1")) == notified + 1
 
 
 def test_gateway_dedup_resends_the_same_registration_ack(monkeypatch):

@@ -1,6 +1,6 @@
 import pytest
 
-from worldutil import booted_world, simple_scenario
+from worldutil import booted_world, client_frames, simple_scenario
 from sdgateway.coap import CHANGED, Endpoint
 from sdgateway.harness import ScenarioRun, run_scenario
 from sdgateway.lln import Frame
@@ -26,12 +26,13 @@ at 6000 deregister c1 n1 s/t
 
 
 def test_interception_on_off_is_byte_transparent_externally():
-    sc_on = parse_scenario(CRASH_FREE)
-    sc_off = parse_scenario(CRASH_FREE)
-    on = run_scenario(sc_on, interception=True)
-    off = run_scenario(sc_off, interception=False)
-    assert on.world.network.external_frames == off.world.network.external_frames
-    assert len(on.world.network.external_frames) > 5
+    on = ScenarioRun(parse_scenario(CRASH_FREE), interception=True)
+    off = ScenarioRun(parse_scenario(CRASH_FREE), interception=False)
+    frames_on, frames_off = client_frames(on.world), client_frames(off.world)
+    on.advance()
+    off.advance()
+    assert frames_on == frames_off
+    assert len(frames_on) > 5
     assert len(on.world.gateway.directory.entries) > 0
     assert len(off.world.gateway.directory.entries) == 0
 
@@ -49,9 +50,12 @@ def test_forwarded_frames_are_byte_identical_to_what_arrived():
 
 
 def test_registration_terminates_at_gateway_and_is_never_forwarded():
-    world = booted_world(simple_scenario())
+    run = ScenarioRun(simple_scenario())
+    received = client_frames(run.world)
+    run.advance(until=10_000.0)
+    world = run.world
     assert world.sim.trace.find("gw", ev="reg")
-    for raw in world.network.external_frames:
+    for raw in received:
         assert b"register" not in raw
     assert world.gateway.directory.known_nodes == {world.nodes["n1"].addr}
 

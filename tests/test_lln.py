@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import sdgateway
-from worldutil import NODE2_ADDR, booted_world, simple_scenario
+from worldutil import NODE2_ADDR, _sends, booted_world, client_frames, simple_scenario
 from sdgateway.coap import (
     BAD_REQUEST,
     CHANGED,
@@ -13,7 +13,6 @@ from sdgateway.coap import (
     DELETE,
     DELETED,
     GET,
-    METHOD_NOT_ALLOWED,
     NOT_FOUND,
     POST,
     PUT,
@@ -29,7 +28,7 @@ from sdgateway.coap import (
 )
 from sdgateway.gateway import Gateway
 from sdgateway.harness import NODE_ADDR, ScenarioRun, run_scenario
-from sdgateway.lln import Frame, Network, NodeState, VirtualNode
+from sdgateway.lln import Frame, Network, NodeState, ScriptedClient, VirtualNode
 from sdgateway.scenario import load_scenario, parse_scenario
 from sdgateway.sim import Simulator
 
@@ -42,6 +41,14 @@ def make_request(code, path, payload=b"", mid=900, token=b"\x77", **optkw):
 
 CLIENT_EP = Endpoint("cccc::3", 60001)
 BUNDLED = Path(sdgateway.__file__).parent / "scenarios"
+
+
+def _ask(node, sent, msg, src=CLIENT_EP):
+    """Deliver the request `msg` from `src` to `node` and return the message
+    the node sends first in answer, its response; `sent` is `_sends`'s list."""
+    before = len(sent)
+    node.on_frame(Frame.of(msg, src, node.endpoint))
+    return sent[before].parsed
 
 
 def test_network_rejects_a_gateway_address_inside_the_lln_prefix():
@@ -98,37 +105,36 @@ def test_booting_node_blocks_other_traffic():
     assert world.sim.trace.find("drop", why="blocked-booting", node="n1")
 
 
-def test_put_stores_value_and_returns_changed():
+def test_put_stores_value_and_returns_changed(monkeypatch):
     world = booted_world(simple_scenario(resources={"a/lb": b"0"}))
-    node = world.nodes["n1"]
-    resp = node.handle_request(make_request(PUT, "a/lb", b"10"), CLIENT_EP)
+    node, sent = world.nodes["n1"], _sends(world, monkeypatch)
+    resp = _ask(node, sent, make_request(PUT, "a/lb", b"10"))
     assert resp.code == CHANGED
     assert resp.mid == 900 and resp.token == b"\x77"
     assert node.resources["a/lb"] == b"10"
 
 
-def test_get_returns_value_or_not_found():
+def test_get_returns_value_or_not_found(monkeypatch):
     world = booted_world(simple_scenario(resources={"s/t": b"18"}))
-    node = world.nodes["n1"]
-    ok = node.handle_request(make_request(GET, "s/t"), CLIENT_EP)
+    node, sent = world.nodes["n1"], _sends(world, monkeypatch)
+    ok = _ask(node, sent, make_request(GET, "s/t"))
     assert ok.code == CONTENT and ok.payload == b"18"
-    missing = node.handle_request(make_request(GET, "no/where"), CLIENT_EP)
+    missing = _ask(node, sent, make_request(GET, "no/where", mid=901))
     assert missing.code == NOT_FOUND
 
 
-def test_recovery_observe_seeds_counter_and_next_changes_continue():
+def test_recovery_observe_seeds_counter_and_next_changes_continue(monkeypatch):
     sc = simple_scenario(resources={"gpio/btn": b"0"})
     world = booted_world(sc)
-    node = world.nodes["n1"]
+    node, sent = world.nodes["n1"], _sends(world, monkeypatch)
     client = world.clients["c1"]
     client.observe(node.addr, "gpio/btn")
     world.sim.run(until=world.sim.now + 1000.0)
     rel = client.relationships[(node.addr, "gpio/btn")]
     # The registration a recovery replays: the client's port and token,
     # with the pre-crash observe value.
-    resp = node.handle_request(
-        make_request(GET, "gpio/btn", token=rel.token, observe=10),
-        Endpoint(client.addr, rel.port))
+    resp = _ask(node, sent, make_request(GET, "gpio/btn", token=rel.token, observe=10),
+                Endpoint(client.addr, rel.port))
     assert resp.code == CONTENT and resp.options.observe == 10
     obs = node.observers[("gpio/btn", Endpoint(client.addr, rel.port))]
     assert obs.counter == 10
@@ -140,76 +146,104 @@ def test_recovery_observe_seeds_counter_and_next_changes_continue():
     assert values[-3:] == [10, 11, 12]  # push at 10, then the two changes
 
 
-def test_loader_post_for_unknown_file_is_rejected():
+def test_loader_post_for_unknown_file_is_rejected(monkeypatch):
     world = booted_world(simple_scenario())
-    node = world.nodes["n1"]
+    node, sent = world.nodes["n1"], _sends(world, monkeypatch)
     msg = make_request(POST, "ldr")
     msg = CoapMessage(MsgType.CON, POST, 901, token=b"\x01",
                       options=OptionSet(uri_path=("ldr",), uri_query=("file=ghost",)))
-    resp = node.handle_request(msg, CLIENT_EP)
+    resp = _ask(node, sent, msg)
     assert resp.code == BAD_REQUEST
     assert node.loaded_modules == set()
 
 
-def test_loader_post_reloads_from_flash():
+def test_loader_post_reloads_from_flash(monkeypatch):
     world = booted_world(simple_scenario())
-    node = world.nodes["n1"]
+    node, sent = world.nodes["n1"], _sends(world, monkeypatch)
     node.flash["blinker"] = b"\x01\x02"
     msg = CoapMessage(MsgType.CON, POST, 902, token=b"\x01",
                       options=OptionSet(uri_path=("ldr",), uri_query=("file=blinker",)))
-    resp = node.handle_request(msg, CLIENT_EP)
+    resp = _ask(node, sent, msg)
     assert resp.code == CREATED
     assert node.loaded_modules == {"blinker"}
 
 
-def test_delete_removes_a_resource_or_answers_not_found():
+def test_delete_removes_a_resource_or_answers_not_found(monkeypatch):
     world = booted_world(simple_scenario(resources={"s/t": b"18", "a/lb": b"0"}))
-    node = world.nodes["n1"]
-    resp = node.handle_request(make_request(DELETE, "a/lb"), CLIENT_EP)
+    node, sent = world.nodes["n1"], _sends(world, monkeypatch)
+    resp = _ask(node, sent, make_request(DELETE, "a/lb"))
     assert resp.code == DELETED and resp.mid == 900 and resp.token == b"\x77"
     assert node.resources == {"s/t": b"18"}
-    missing = node.handle_request(make_request(DELETE, "a/lb", mid=901), CLIENT_EP)
+    missing = _ask(node, sent, make_request(DELETE, "a/lb", mid=901))
     assert missing.code == NOT_FOUND
     assert node.resources == {"s/t": b"18"}
 
 
-def test_post_outside_the_loader_path_is_not_found():
+def test_post_outside_the_loader_path_is_not_found(monkeypatch):
     world = booted_world(simple_scenario())
-    node = world.nodes["n1"]
+    node, sent = world.nodes["n1"], _sends(world, monkeypatch)
     node.flash["blinker"] = b"\x01\x02"
-    resp = node.handle_request(make_request(POST, "s/t", uri_query=("file=blinker",)),
-                               CLIENT_EP)
+    resp = _ask(node, sent, make_request(POST, "s/t", uri_query=("file=blinker",)))
     assert resp.code == NOT_FOUND
     assert node.loaded_modules == set() and node.resources == {"s/t": b"18"}
 
 
-def test_loader_block_without_a_filename_is_a_bad_request():
+def test_loader_block_without_a_filename_is_a_bad_request(monkeypatch):
     world = booted_world(simple_scenario())
-    node = world.nodes["n1"]
-    for method in (PUT, POST):
-        resp = node.handle_request(
-            make_request(method, "ldr", b"\x01" * 16, block1=Block1(0, False, 16)), CLIENT_EP)
+    node, sent = world.nodes["n1"], _sends(world, monkeypatch)
+    for mid, method in enumerate((PUT, POST), start=900):
+        resp = _ask(node, sent, make_request(method, "ldr", b"\x01" * 16, mid=mid,
+                                             block1=Block1(0, False, 16)))
         assert resp.code == BAD_REQUEST
     assert node.flash == {} and node.loaded_modules == set()
 
 
-def test_a_method_other_than_get_put_post_or_delete_is_not_allowed():
+def test_a_method_other_than_get_put_post_or_delete_is_dropped_as_malformed(monkeypatch):
     world = booted_world(simple_scenario())
-    node = world.nodes["n1"]
-    fetch = 0x05  # FETCH (RFC 8132), which the node does not implement
-    resp = node.handle_request(make_request(fetch, "s/t", b"7"), CLIENT_EP)
-    assert resp.code == METHOD_NOT_ALLOWED and resp.mid == 900 and resp.token == b"\x77"
-    assert node.resources == {"s/t": b"18"}
+    node, sent = world.nodes["n1"], _sends(world, monkeypatch)
+    fetch = 0x05  # FETCH (RFC 8132), a method code the codec does not know
+    # CON FETCH, MID 900, token 0x77, Uri-Path "s", payload "7".
+    node.on_frame(Frame(bytes([0x41, fetch, 0x03, 0x84, 0x77, 0xB1, 0x73, 0xFF, 0x37]),
+                        CLIENT_EP, node.endpoint))
+    assert world.sim.trace.find("drop", why="malformed", node="n1")
+    assert sent == [] and node.resources == {"s/t": b"18"}
 
 
-def test_a_binding_to_a_missing_resource_is_not_found():
+def test_a_binding_to_a_missing_resource_is_not_found(monkeypatch):
     world = booted_world(simple_scenario())
-    node = world.nodes["n1"]
+    node, sent = world.nodes["n1"], _sends(world, monkeypatch)
     info = BindingInfo(dest_addr=NODE2_ADDR, dest_resource="a/led", pmin=5, pmax=600)
-    resp = node.handle_request(make_request(GET, "no/where", observe=0, binding=info),
-                               CLIENT_EP)
+    resp = _ask(node, sent, make_request(GET, "no/where", observe=0, binding=info))
     assert resp.code == NOT_FOUND
     assert node.bindings == {} and not world.sim.trace.find("binding_add")
+
+
+def _node_sends(world, node) -> list[str]:
+    """The frame of each `send` record from `node` in the trace, in order."""
+    return [f["msg"] for _, f in world.sim.trace.find("send", src=str(node.endpoint))]
+
+
+def test_the_response_goes_out_before_the_push_a_registration_causes():
+    world = booted_world(simple_scenario())  # no loss
+    node, client = world.nodes["n1"], world.clients["c1"]
+    before = len(_node_sends(world, node))
+    client.observe(node.addr, "s/t")
+    world.sim.run(until=world.sim.now + 1000.0)
+    response, push = _node_sends(world, node)[before:]
+    assert response.startswith("ACK-2.05 ") and push.startswith("NON-2.05 ")
+
+
+def test_the_response_goes_out_before_the_notification_a_put_causes():
+    world = booted_world(simple_scenario())  # no loss
+    node, client = world.nodes["n1"], world.clients["c1"]
+    client.observe(node.addr, "s/t")
+    world.sim.run(until=world.sim.now + 1000.0)
+    before = len(_node_sends(world, node))
+    client.put(node.addr, "s/t", b"5")
+    world.sim.run(until=world.sim.now + 1000.0)
+    response, notification = _node_sends(world, node)[before:]
+    assert response.startswith("ACK-2.04 ")
+    assert notification.startswith("CON-2.05 ") and notification.endswith("len=1")
 
 
 def test_notify_without_observers_sends_nothing():
@@ -243,12 +277,12 @@ def test_scripted_counter_jumps_but_never_backward():
         {"node": "n1", "uri": "s/t", "client": str(obs.client), "counter": 5, "current": 44}]
 
 
-def test_crash_clears_volatile_state_but_keeps_flash():
+def test_crash_clears_volatile_state_but_keeps_flash(monkeypatch):
     world = booted_world(simple_scenario(resources={"s/t": b"18"}))
-    node = world.nodes["n1"]
+    node, sent = world.nodes["n1"], _sends(world, monkeypatch)
     node.flash["img"] = b"\xaa"
-    node.handle_request(make_request(PUT, "s/t", b"25"), CLIENT_EP)
-    node.handle_request(make_request(GET, "s/t", observe=0), CLIENT_EP)
+    _ask(node, sent, make_request(PUT, "s/t", b"25"))
+    _ask(node, sent, make_request(GET, "s/t", observe=0, mid=901))
     epoch = node.boot_epoch
     node.crash(500.0)
     assert node.state is NodeState.DOWN
@@ -334,6 +368,7 @@ def test_node_to_node_traffic_bypasses_gateway():
     world = booted_world(sc)
     node, node2, client = world.nodes["n1"], world.nodes["n2"], world.clients["c1"]
     info = BindingInfo(dest_addr=NODE2_ADDR, dest_resource="a/led", pmin=0, pmax=600)
+    received = client_frames(world)
     world.sim.schedule_at(world.sim.now, lambda: client.bind(node.addr, "s/t", info))
     world.sim.run(until=world.sim.now + 1000.0)
     entries_before = len(world.gateway.directory.entries)
@@ -342,7 +377,7 @@ def test_node_to_node_traffic_bypasses_gateway():
     assert node2.resources["a/led"] == b"33"
     # The binding push created no directory traffic and never reached a client.
     assert len(world.gateway.directory.entries) == entries_before
-    assert not [f for f in world.network.external_frames if b"33" in f]
+    assert not [f for f in received if b"33" in f]
 
 
 def test_deterministic_trace_for_same_seed():
@@ -560,7 +595,7 @@ def test_a_link_changed_after_construction_takes_effect_on_the_next_leg():
 
 @pytest.mark.parametrize("seed, loss", [(7, 0.0), (2, 0.25)])
 def test_every_arrival_first_traces_its_recv(monkeypatch, seed, loss):
-    # The gateway, a node and the client delivery each trace their own
+    # The gateway, a node and a client each trace their own
     # `recv`, before anything else the arrival does; the lossy run also
     # delivers to a node that is down and to one that is booting.
     arrivals = []
@@ -576,13 +611,13 @@ def test_every_arrival_first_traces_its_recv(monkeypatch, seed, loss):
 
     spy(Gateway, "on_frame", lambda frame: "gw")
     spy(VirtualNode, "on_frame", lambda frame: frame.dst)
-    spy(Network, "_to_client", lambda frame: frame.dst)
+    spy(ScriptedClient, "on_frame", lambda frame: frame.dst)
     sc = load_scenario(BUNDLED / "fig12_19.scn")
     sc.seed, sc.loss = seed, loss
     run = ScenarioRun(sc)
     run.advance()
     flat = run.world.sim.trace._flat
-    assert {cls for cls, *_ in arrivals} == {Gateway, VirtualNode, Network}
+    assert {cls for cls, *_ in arrivals} == {Gateway, VirtualNode, ScriptedClient}
     for _, trace, start, at, raw in arrivals:
         assert trace is flat
         assert flat[start + 1:start + 4] == ["recv", at, raw]

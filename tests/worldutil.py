@@ -3,7 +3,7 @@
 import random
 
 from sdgateway.harness import CLIENT_ADDR, NODE_ADDR, ScenarioRun
-from sdgateway.lln import RDC
+from sdgateway.lln import RDC, Frame
 from sdgateway.scenario import ClientDecl, NodeDecl, Scenario
 
 NODE2_ADDR = "aaaa::c30c:0:0:3"
@@ -30,6 +30,32 @@ def booted_world(sc: Scenario):
     run = ScenarioRun(sc)
     run.advance(until=10_000.0)
     return run.world
+
+
+def _sends(world, monkeypatch) -> list[Frame]:
+    """Every frame `world.network.send` is given from now on, in order."""
+    sent: list[Frame] = []
+    original = world.network.send
+
+    def send(frame):
+        sent.append(frame)
+        original(frame)
+
+    monkeypatch.setattr(world.network, "send", send)
+    return sent
+
+
+def client_frames(world) -> list[bytes]:
+    """The raw bytes of every frame a client of `world` receives from now
+    on, in arrival order: each client's `on_frame` is wrapped on the
+    instance, which is what the network schedules."""
+    received: list[bytes] = []
+    for client in world.clients.values():
+        def on_frame(frame, original=client.on_frame):
+            received.append(frame.raw)
+            original(frame)
+        client.on_frame = on_frame
+    return received
 
 
 def random_interaction_scenario(seed: int) -> Scenario:
