@@ -82,20 +82,18 @@ BAD_REQUEST = 0x80        # 4.00
 NOT_FOUND = 0x84          # 4.04
 METHOD_NOT_ALLOWED = 0x85 # 4.05
 
-_REQUEST_CODES = (GET, POST, PUT, DELETE)
-
 
 def is_request(code: int) -> bool:
-    return code in _REQUEST_CODES
+    return 0 < code < 32
 
 
 def is_response(code: int) -> bool:
     return (code >> 5) in (2, 4, 5)
 
 
-# EMPTY and the methods (class 0, detail 0-4), and the responses (classes
+# EMPTY and the methods (class 0, detail 1-31), and the responses (classes
 # 2, 4 and 5): a set, so that `encode` tests a code without a call.
-_VALID_CODES = frozenset(range(5)) | {cls << 5 | detail
+_VALID_CODES = frozenset(range(32)) | {cls << 5 | detail
                                       for cls in (2, 4, 5) for detail in range(32)}
 
 
@@ -261,8 +259,11 @@ def _validate(msg: CoapMessage) -> None:
             raise InvariantViolation(f"mid out of range: {mid}")
     except TypeError:  # a MID that is not a number
         raise InvariantViolation(f"mid not an int: {mid!r}") from None
-    if len(token) > 8:
-        raise InvariantViolation(f"token longer than 8 bytes: {len(token)}")
+    try:
+        if len(token) > 8:
+            raise InvariantViolation(f"token longer than 8 bytes: {len(token)}")
+    except TypeError:  # a token with no length
+        raise InvariantViolation(f"token not bytes: {token!r}") from None
     if code not in _VALID_CODES:
         shown = f"0x{code:02x}" if isinstance(code, int) else repr(code)
         raise InvariantViolation(f"invalid code {shown}")
@@ -375,7 +376,7 @@ def encode(msg: CoapMessage) -> bytes:
         raise InvariantViolation(f"header field not an int: {msg[:3]}") from None
     block = _option_block(options)
     try:
-        if payload:
+        if payload != b"":  # a falsy payload that is not bytes fails the join
             return b"".join((head, token, block, b"\xff", payload))
         return b"".join((head, token, block))
     except TypeError:  # the token or the payload is not bytes

@@ -19,7 +19,7 @@ from .coap import (
 )
 from .directory import DeployMode, StateDirectory
 from .lln import Confirmable, Deduplicator, Frame, Network
-from .recovery import DEFAULT_PACING_GAP_MS, RecoveryCoordinator
+from .recovery import RecoveryCoordinator
 from .sim import Simulator
 
 
@@ -28,7 +28,6 @@ class Gateway:
 
     def __init__(self, sim: Simulator, network: Network, *, interception: bool = True,
                  deploy_mode: DeployMode = DeployMode.FILENAME_ONLY,
-                 pacing_gap: float = DEFAULT_PACING_GAP_MS,
                  measure_overhead: bool = False) -> None:
         self.sim = sim
         self.network = network
@@ -37,7 +36,7 @@ class Gateway:
         self.measure_overhead = measure_overhead
         self.directory = StateDirectory(clock=lambda: sim.now, deploy_mode=deploy_mode,
                                         trace=sim.trace)
-        self.recovery = RecoveryCoordinator(self.directory, self, sim=sim, pacing_gap=pacing_gap)
+        self.recovery = RecoveryCoordinator(self.directory, self, sim=sim)
         self.overhead_us: list[float] = []
         self._registrations = Deduplicator(sim)  # each kept with its ACK frame
         network.gateway = self

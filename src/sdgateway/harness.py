@@ -94,7 +94,7 @@ def build_world(sc: Scenario, *, interception: bool = True,
     sim = Simulator(seed=sc.seed)
     network = Network(sim, lln_prefix=LLN_PREFIX, gateway_addr=GATEWAY_ADDR)
     gateway = Gateway(sim, network, interception=interception, deploy_mode=sc.deploy_mode,
-                      pacing_gap=sc.pacing_gap, measure_overhead=measure_overhead)
+                      measure_overhead=measure_overhead)
     nodes: dict[str, VirtualNode] = {}
     for decl in sc.nodes:
         link = LinkModel(hops=decl.hops if decl.hops is not None else sc.hops,

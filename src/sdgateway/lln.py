@@ -10,10 +10,10 @@ forward radio behaviour and keeps CoAP exchanges well ordered.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from math import inf
 from typing import Callable, Optional
 
 from . import coap
@@ -75,19 +75,15 @@ class LinkModel:
 
     hops: int = 1
     rdc: RDC = RDC.NULLRDC
-    delay_range: Optional[tuple[float, float]] = None
+    delay_range: tuple[float, float] = field(init=False)
     loss: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.delay_range is None:
-            self.delay_range = _RDC_DELAY[self.rdc]
+        self.delay_range = _RDC_DELAY[self.rdc]
         if type(self.hops) is not int or self.hops < 1:  # a bool is not a hop count
             raise ValueError(f"hops must be >= 1 and an int, not {self.hops!r}")
         if not 0.0 <= self.loss < 1.0:
             raise ValueError(f"loss probability must be in [0, 1), not {self.loss!r}")
-        lo, hi = self.delay_range
-        if not 0.0 <= lo <= hi < inf:
-            raise ValueError(f"delay_range must be finite, 0 <= lo <= hi: {self.delay_range!r}")
 
     def sample_delay(self, rng) -> float:
         # `lo + (hi - lo) * rng.random()` is `rng.uniform(lo, hi)`, draw for
@@ -544,7 +540,9 @@ class VirtualNode:
                 self.loaded_modules.add(filename)
                 self.sim.trace.emit("load", self.name, filename, "flash")
                 reply(frame, msg, CREATED)
-        elif path in self.resources:  # DELETE, the last method `is_request` lets in
+        elif msg.code != coap.DELETE:  # a method this node does not implement
+            reply(frame, msg, coap.METHOD_NOT_ALLOWED)
+        elif path in self.resources:
             del self.resources[path]
             reply(frame, msg, DELETED)
         else:
@@ -657,10 +655,7 @@ class VirtualNode:
 
     def _send_notification(self, path: str, obs: Observer) -> None:
         # The first notification after a (re)registration is NON, later ones CON.
-        if obs.sent_since_register == 0:
-            mtype, type_name = _NON, "NON"
-        else:
-            mtype, type_name = _CON, "CON"
+        mtype = _NON if obs.sent_since_register == 0 else _CON
         mid = self.mid_alloc.next_mid()
         msg = _new(CoapMessage, (mtype, CONTENT, mid, obs.token,
                                  coap.observe_options(obs.counter, DEFAULT_MAX_AGE),
@@ -668,7 +663,8 @@ class VirtualNode:
         frame = Frame.of(msg, self.endpoint, obs.client)
         obs.last_mid = mid
         obs.sent_since_register += 1
-        self.sim.trace.emit("notify", self.name, path, obs.client, obs.counter, mid, type_name)
+        self.sim.trace.emit("notify", self.name, path, obs.client, obs.counter, mid,
+                            coap._TYPE_NAMES[mtype])
         if mtype is _NON:
             self.network.send(frame)
             return
@@ -724,6 +720,9 @@ class VirtualNode:
             self._send_binding_put(binding)
 
     def _send_binding_put(self, binding: Binding) -> None:
+        if binding.pending_event is not None:  # this push carries the current value
+            self.sim.cancel(binding.pending_event)
+            binding.pending_event = None
         msg = coap.request(_NON, PUT, self.mid_alloc.next_mid(), binding.info.dest_resource,
                            payload=self.resources.get(binding.source_resource, b""))
         binding.last_sent = self.sim.now
@@ -779,8 +778,8 @@ class ScriptedClient:
         # Open requests; ACKs sent to CON notifications.
         self._exchanges: dict[tuple[Endpoint, Endpoint, int], Confirmable] = {}
         self._replies = Deduplicator(sim)
-        self._port_next = 49152
-        self._token_next = 0x0B28
+        self._ports = itertools.count(49152)
+        self._tokens = itertools.count(0x0B28)
 
     # -- scripted operations ---------------------------------------------
 
@@ -793,7 +792,7 @@ class ScriptedClient:
     def observe(self, node_addr: str, path: str, obs: int = 0) -> None:
         rel = self.relationships.get((node_addr, path))
         if rel is None:
-            rel = Relationship(self._next_port(), self._next_token())
+            rel = Relationship(next(self._ports), next(self._tokens).to_bytes(2, "big"))
             self.relationships[(node_addr, path)] = rel
             self._by_token[(node_addr, rel.token)] = (path, rel)
         self._request(node_addr, GET, path, port=rel.port, token=rel.token, observe=obs)
@@ -816,12 +815,13 @@ class ScriptedClient:
             rel.cancel = True
 
     def bind(self, node_addr: str, path: str, info: BindingInfo) -> None:
-        self._request(node_addr, GET, path, token=self._next_token(), observe=0, binding=info)
+        self._request(node_addr, GET, path, token=next(self._tokens).to_bytes(2, "big"),
+                      observe=0, binding=info)
 
     def deploy(self, node_addr: str, filename: str, image: bytes,
                block_size: int = 64, loader_path: str = DEFAULT_LOADER_PATH) -> None:
         blocks = [image[i:i + block_size] for i in range(0, len(image), block_size)] or [b""]
-        self._send_block(node_addr, self._next_port(), loader_path, filename, blocks,
+        self._send_block(node_addr, next(self._ports), loader_path, filename, blocks,
                          block_size, 0)
 
     def _send_block(self, node_addr: str, port: int, loader_path: str,
@@ -853,16 +853,6 @@ class ScriptedClient:
         if rel is not None:
             del self._by_token[(node_addr, rel.token)]
 
-    def _next_port(self) -> int:
-        port = self._port_next
-        self._port_next += 1
-        return port
-
-    def _next_token(self) -> bytes:
-        token = self._token_next.to_bytes(2, "big")
-        self._token_next += 1
-        return token
-
     def _request(self, node_addr: str, code: int, path: str, *, port: Optional[int] = None,
                  token: bytes = b"", payload: bytes = b"", on_response=None,
                  **options) -> None:
@@ -872,7 +862,7 @@ class ScriptedClient:
         an empty ACK."""
         mid = self.mid_alloc.next_mid()
         msg = coap.request(_CON, code, mid, path, token=token, payload=payload, **options)
-        source = self.network.endpoint(self.addr, self._next_port() if port is None else port)
+        source = self.network.endpoint(self.addr, next(self._ports) if port is None else port)
         Confirmable(
             self.sim, Frame.of(msg, source, self.network.endpoint(node_addr)),
             self.network.send, table=self._exchanges,

@@ -29,7 +29,7 @@ from .directory import EntryType, SDEntry, StateDirectory, RegistrationStatus
 from .lln import Confirmable, Frame, answer
 from .sim import Simulator
 
-DEFAULT_PACING_GAP_MS = 50.0
+PACING_GAP_MS = 50.0  # between one replay's answer and the next replay
 
 class StepOutcome(Enum):
     ACKED = "acked"
@@ -140,13 +140,11 @@ class RecoveryCoordinator:
     run and starts over with the current directory contents.
     """
 
-    def __init__(self, directory: StateDirectory, gateway, *, sim: Simulator,
-                 pacing_gap: float) -> None:
+    def __init__(self, directory: StateDirectory, gateway, *, sim: Simulator) -> None:
         self.directory = directory
         self.gateway = gateway
         self.sim = sim
         self.mids = MidAllocator(sim.rng)
-        self.pacing_gap = pacing_gap
         self.active: dict[str, RecoveryRun] = {}
         self.replays: dict[tuple[Endpoint, Endpoint, int], Confirmable] = {}
         self.reports: list[RecoveryReport] = []
@@ -232,7 +230,7 @@ class RecoveryCoordinator:
         run.exchange = None
         self._record(run, outcome)
         if run.index < len(run.steps):
-            run.gap_event = self.sim.schedule(self.pacing_gap, self._fire, run)
+            run.gap_event = self.sim.schedule(PACING_GAP_MS, self._fire, run)
         else:
             self._finish(run)
 

@@ -23,7 +23,6 @@ from typing import Callable, NamedTuple, Optional
 from .coap import OBSERVE_DEREGISTER_VALUE, BindingInfo, Block1, OptionSet, validate_options
 from .directory import DeployMode, EntryType
 from .lln import DEFAULT_LOADER_PATH, RDC, LinkModel
-from .recovery import DEFAULT_PACING_GAP_MS
 
 SCENARIO_VERSION = 1
 
@@ -365,7 +364,6 @@ class Scenario:
     rdc: RDC = RDC.NULLRDC
     hops: int = 1
     loss: float = 0.0
-    pacing_gap: float = DEFAULT_PACING_GAP_MS
     deploy_mode: DeployMode = DeployMode.FILENAME_ONLY
     settle: float = 30_000.0
     nodes: list[NodeDecl] = field(default_factory=list)
@@ -462,7 +460,6 @@ _HEADERS = {
     "rdc": ("rdc", lambda v: _enum(RDC, v, "rdc")),
     "hops": ("hops", lambda v: LinkModel(hops=_int(v)).hops),
     "loss": ("loss", lambda v: LinkModel(loss=_float(v)).loss),
-    "pacing-gap": ("pacing_gap", lambda v: _nonnegative(_float(v), "pacing-gap")),
     "deploy-mode": ("deploy_mode", lambda v: _enum(DeployMode, v, "deploy mode")),
     "settle": ("settle", lambda v: _nonnegative(_float(v), "settle")),
 }

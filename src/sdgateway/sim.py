@@ -92,16 +92,13 @@ _SHOWN = {"str": "{0}", "ms": "{0:.3f}", "addr": "<{0.addr}>",
           "dest": "{0.dest_addr}/{0.dest_resource}", "value": "{0.value}", "coap": "{0}"}
 
 
-def _summarize(raw: bytes) -> str:
-    return coap.summarize(raw)  # looked up per call, so a wrapper of it sees every render
-
-
 class _Texts(dict):
     """Frames' text by their bytes, for one read of the trace: each distinct
-    frame is rendered once, as `coap.summarize` describes it."""
+    frame is rendered once, by `coap.summarize` as it is at that call, so a
+    wrapper of it sees every render."""
 
     def __missing__(self, raw: bytes) -> str:
-        text = self[raw] = _summarize(raw)
+        text = self[raw] = coap.summarize(raw)
         return text
 
 

@@ -171,6 +171,8 @@ def _rfc_rule_broken(msg) -> str | None:
         return f"mid not an int: {msg.mid!r}"
     if not 0 <= msg.mid <= 0xFFFF:
         return f"mid out of range: {msg.mid}"
+    if not hasattr(msg.token, "__len__"):
+        return f"token not bytes: {msg.token!r}"
     if len(msg.token) > 8:
         return f"token longer than 8 bytes: {len(msg.token)}"
     if msg.code not in coap._VALID_CODES:
@@ -190,7 +192,7 @@ def _rfc_rule_broken(msg) -> str | None:
     if not all(isinstance(field, int) for field in msg[:3]):
         return f"header field not an int: {msg[:3]}"
     for name in ("token", "payload"):
-        if isinstance(getattr(msg, name), str):
+        if not isinstance(getattr(msg, name), bytes):
             return f"{name} not bytes: {getattr(msg, name)!r}"
     return None
 
@@ -202,7 +204,7 @@ def test_encode_raises_each_broken_rule():
     # type it equals, and one that equals no type is rejected.  A header
     # field must be an int: a float equal to a valid value is rejected, and
     # a bool encodes as the int it is.  A MID, code, token or payload of a
-    # type that cannot be one is named in the error.
+    # type that cannot be one is named in the error, a falsy one too.
     rng = random.Random(0x7E57)
     types = list(MsgType) + [0, 1, 2, 3, 7, -1]
     codes = [EMPTY, GET, 0x04, 0x05, 0x1F, 0x20, CONTENT, 0x5F, 0x60, 0x80, 0xA0, 0xBF, 0xC0, 0xFF]
@@ -212,7 +214,11 @@ def test_encode_raises_each_broken_rule():
             CoapMessage(MsgType.NON, GET, 1.0), CoapMessage(True, GET, 1),
             CoapMessage(MsgType.NON, 1.5, 1), CoapMessage(MsgType.NON, GET, "1"),
             CoapMessage(MsgType.NON, GET, 1, token="ab"),
-            CoapMessage(MsgType.NON, GET, 1, payload="ab")]
+            CoapMessage(MsgType.NON, GET, 1, payload="ab"),
+            CoapMessage(MsgType.NON, GET, 1, token=5),
+            CoapMessage(MsgType.NON, GET, 1, token=None),
+            CoapMessage(MsgType.NON, GET, 1, payload=0),
+            CoapMessage(MsgType.NON, GET, 1, payload="")]
     msgs += [CoapMessage(rng.choice(types), rng.choice(codes),
                          rng.choice([-1, 0, 7, 0xFFFF, 0x10000]),
                          rng.randbytes(rng.choice([0, 1, 8, 9])),

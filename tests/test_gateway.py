@@ -1,7 +1,7 @@
 import pytest
 
 from worldutil import booted_world, client_frames, simple_scenario
-from sdgateway.coap import CHANGED, Endpoint
+from sdgateway.coap import CHANGED, METHOD_NOT_ALLOWED, Endpoint, decode
 from sdgateway.harness import ScenarioRun, run_scenario
 from sdgateway.lln import Frame
 from sdgateway.scenario import parse_scenario
@@ -70,6 +70,22 @@ def test_malformed_frame_forwarded_untouched_with_no_sd_effect():
     assert world.sim.trace.find("gw", ev="fwd_malformed")
     assert world.sim.trace.find("drop", why="malformed", node="n1")
     assert world.gateway.directory.entries == []
+
+
+def test_a_method_the_node_does_not_implement_is_forwarded_with_no_sd_effect():
+    world = booted_world(simple_scenario())
+    node, client = world.nodes["n1"], world.clients["c1"]
+    received = client_frames(world)
+    # CON FETCH (RFC 8132), MID 0x1234, token 0x77, Uri-Path "s/t".
+    fetch = bytes([0x41, 0x05, 0x12, 0x34, 0x77, 0xB1, 0x73, 0x01, 0x74])
+    world.network.send(Frame(fetch, Endpoint(client.addr, 45000), node.endpoint))
+    world.sim.run(until=world.sim.now + 1000.0)
+    assert world.sim.trace.find("intercept", dir="in")
+    assert not world.sim.trace.find("gw", ev="fwd_malformed")
+    assert [f for _, f in world.sim.trace.find("recv") if f["msg"].startswith("CON-0.05 ")]
+    assert world.gateway.directory.entries == []
+    (resp,) = [msg for msg in map(decode, received) if msg.mid == 0x1234]
+    assert resp.code == METHOD_NOT_ALLOWED
 
 
 def test_overlong_uri_segment_is_malformed_and_never_replayed():

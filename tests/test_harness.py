@@ -83,7 +83,7 @@ NUMBERS_BASE = "version 1\nnode n1 aaaa::1\nclient c1 cccc::3\n"
     ("node n2 aaaa::2 hops=0", "hops must be >= 1"),
     ("node n2 aaaa::2 loss=1.5", "loss probability"),
     ("settle -1", "settle must be nonnegative"),
-    ("pacing-gap -50", "pacing-gap must be nonnegative"),
+    ("pacing-gap -50", "unknown directive 'pacing-gap'"),
     ("assert -5 resource n1 s/t 1", "assertion time must be nonnegative"),
     ("at 10 crash n1 down=-5", "down must be nonnegative"),
     ("at 10 put c1 n1 s/t 1 cf=70000", "content-format out of range"),

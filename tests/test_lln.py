@@ -13,6 +13,7 @@ from sdgateway.coap import (
     DELETE,
     DELETED,
     GET,
+    METHOD_NOT_ALLOWED,
     NOT_FOUND,
     POST,
     PUT,
@@ -198,15 +199,18 @@ def test_loader_block_without_a_filename_is_a_bad_request(monkeypatch):
     assert node.flash == {} and node.loaded_modules == set()
 
 
-def test_a_method_other_than_get_put_post_or_delete_is_dropped_as_malformed(monkeypatch):
+def test_a_method_other_than_get_put_post_or_delete_is_answered_method_not_allowed(monkeypatch):
     world = booted_world(simple_scenario())
     node, sent = world.nodes["n1"], _sends(world, monkeypatch)
-    fetch = 0x05  # FETCH (RFC 8132), a method code the codec does not know
+    fetch = 0x05  # FETCH (RFC 8132), a method the node does not implement
     # CON FETCH, MID 900, token 0x77, Uri-Path "s", payload "7".
     node.on_frame(Frame(bytes([0x41, fetch, 0x03, 0x84, 0x77, 0xB1, 0x73, 0xFF, 0x37]),
                         CLIENT_EP, node.endpoint))
-    assert world.sim.trace.find("drop", why="malformed", node="n1")
-    assert sent == [] and node.resources == {"s/t": b"18"}
+    assert not world.sim.trace.find("drop", node="n1")
+    (resp,) = [f.parsed for f in sent]
+    assert (resp.msg_type, resp.code, resp.mid, resp.token) == (
+        MsgType.ACK, METHOD_NOT_ALLOWED, 900, b"\x77")
+    assert node.resources == {"s/t": b"18"}
 
 
 def test_a_binding_to_a_missing_resource_is_not_found(monkeypatch):
@@ -336,6 +340,29 @@ def test_binding_keepalive_fires_at_pmax():
     world.sim.run(until=world.sim.now + 25_000.0)
     # No changes at all: the pmax timer alone must have pushed at least twice.
     assert len(world.sim.trace.find("binding_put", node="n1")) >= 2
+
+
+def test_a_binding_pushes_at_most_once_per_instant():
+    # The change at 2000 ms is held back until pmin after the bind, the
+    # instant the pmax refresh is due too.  The one push there carries the
+    # changed value.
+    result = run_scenario(parse_scenario("""
+scenario one_push
+version 1
+seed 3
+settle 5000
+node n1 aaaa::c30c:0:0:2
+resource n1 s/t 18
+node n2 aaaa::c30c:0:0:3
+resource n2 a/led 0
+client c1 cccc::3
+at 1000 bind c1 n1 s/t dest=aaaa::c30c:0:0:3 res=a/led pmin=5 pmax=5
+at 2000 change n1 s/t 21
+"""))
+    world = result.world
+    puts = [t for t, _ in world.sim.trace.find("binding_put", node="n1")]
+    assert puts and len(set(puts)) == len(puts)
+    assert world.nodes["n2"].resources["a/led"] == b"21"
 
 
 def test_boot_of_a_running_node_cancels_its_binding_timers():

@@ -10,7 +10,7 @@ from sdgateway.coap import (
 from sdgateway.directory import DeployInfo, EntryType, SDEntry
 from sdgateway.harness import CLIENT_ADDR, ScenarioRun, run_scenario
 from sdgateway.lln import Network
-from sdgateway.recovery import StepOutcome, build_plan, build_replay
+from sdgateway.recovery import PACING_GAP_MS, StepOutcome, build_plan, build_replay
 from sdgateway.scenario import parse_scenario
 
 GW = Endpoint("cccc::1")  # the gateway's own endpoint
@@ -121,7 +121,6 @@ scenario formula
 version 1
 seed 3
 settle 20000
-pacing-gap 50
 node n1 aaaa::c30c:0:0:2
 resource n1 r/0 0
 resource n1 r/1 0
@@ -137,8 +136,8 @@ at 5000 crash n1 down=200
     run.advance()
     report = run.world.gateway.recovery.reports[0]
     assert report.all_acked
-    # Stop-and-wait: three 20 ms round trips plus two 50 ms pacing gaps.
-    assert abs(report.total_delay - (3 * 20.0 + 2 * 50.0)) < 1.0
+    # Stop-and-wait: three 20 ms round trips plus two pacing gaps.
+    assert abs(report.total_delay - (3 * 20.0 + 2 * PACING_GAP_MS)) < 1.0
 
 
 def test_double_crash_times_out_steps_but_keeps_entries():
