@@ -239,6 +239,18 @@ def test_encode_raises_each_broken_rule():
     assert encode(CoapMessage(True, GET, 1)).hex() == "50010001"
 
 
+def test_every_method_code_is_a_request_that_roundtrips():
+    # RFC 7252 section 5.8: every class-0 code past EMPTY is a method, the
+    # four this codec names and those it does not.
+    for code in range(1, 32):
+        msg = CoapMessage(MsgType.CON, code, 7, token=b"\x01",
+                          options=OptionSet(uri_path=("s",)))
+        assert coap.is_request(code) and decode(encode(msg)) == msg
+    assert not any(coap.is_request(code) for code in (EMPTY, 0x20, CONTENT))
+    with pytest.raises(InvariantViolation):  # class 1 is reserved
+        encode(CoapMessage(MsgType.CON, 0x20, 7))
+
+
 def test_classify_table():
     get = lambda **kw: CoapMessage(MsgType.CON, GET, 7, token=b"\x01", options=OptionSet(**kw))
     binding = BindingInfo("aaaa::9", "a/led", 1, 60)

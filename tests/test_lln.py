@@ -30,7 +30,7 @@ from sdgateway.coap import (
 from sdgateway.gateway import Gateway
 from sdgateway.harness import NODE_ADDR, ScenarioRun, run_scenario
 from sdgateway.lln import Frame, Network, NodeState, ScriptedClient, VirtualNode
-from sdgateway.scenario import load_scenario, parse_scenario
+from sdgateway.scenario import ClientDecl, load_scenario, parse_scenario
 from sdgateway.sim import Simulator
 
 
@@ -365,6 +365,28 @@ at 2000 change n1 s/t 21
     assert world.nodes["n2"].resources["a/led"] == b"21"
 
 
+def test_a_change_at_the_instant_a_held_back_push_is_due_pushes_once():
+    # A change within pmin holds its push back until pmin after the last
+    # push; a second change lands at that very instant, ahead of the
+    # held-back push.  It pushes the current value, and nothing follows it.
+    sc = simple_scenario(resources={"s/t": b"18"}, second_node=True)
+    world = booted_world(sc)
+    node, node2, client = world.nodes["n1"], world.nodes["n2"], world.clients["c1"]
+    info = BindingInfo(dest_addr=NODE2_ADDR, dest_resource="a/led", pmin=5, pmax=600)
+    world.sim.schedule_at(world.sim.now, lambda: client.bind(node.addr, "s/t", info))
+    world.sim.run(until=world.sim.now + 1000.0)
+    binding = node.bindings[("s/t", NODE2_ADDR, "a/led")]
+    now = world.sim.now
+    due = now + (binding.last_sent + 5000.0 - now)  # as `_binding_due` reckons it
+    world.sim.schedule_at(due, lambda: node.change_resource("s/t", b"21"))
+    node.change_resource("s/t", b"20")
+    assert binding.pending_event[0] == due
+    world.sim.run(until=world.sim.now + 20_000.0)
+    assert [t for t, _ in world.sim.trace.find("binding_put", node="n1")] == [due]
+    assert binding.pending_event is None
+    assert node2.resources["a/led"] == b"21"
+
+
 def test_boot_of_a_running_node_cancels_its_binding_timers():
     # At 3000 ms a push is deferred to pmin (about 6000 ms), and the
     # keepalive is due at about 9000 ms.  The boot at 3500 ms wipes the
@@ -677,6 +699,27 @@ def test_a_reset_answering_an_open_request_rejects_it():
     assert client._exchanges == {} and len(client.responses) == responses
     world.sim.run(until=world.sim.now + 100_000.0)
     assert not world.sim.trace.find("client_retransmit")
+
+
+def test_each_client_numbers_its_ports_and_tokens_from_its_own_start(monkeypatch):
+    # An observe relationship takes the next port and the next token, and
+    # keeps them when it is renewed; a plain request takes the next port.
+    sc = simple_scenario(resources={"s/t": b"18", "s/u": b"1"})
+    sc.clients.append(ClientDecl("c2", "cccc::4"))
+    world = booted_world(sc)
+    node, c1, c2 = world.nodes["n1"], world.clients["c1"], world.clients["c2"]
+    sent = _sends(world, monkeypatch)
+    c1.observe(node.addr, "s/t")
+    c2.observe(node.addr, "s/t")
+    c1.observe(node.addr, "s/u")
+    c1.observe(node.addr, "s/t")
+    c1.get(node.addr, "s/t")
+    world.sim.run(until=world.sim.now + 1000.0)
+    assert [(r.port, r.token) for r in c1.relationships.values()] == [
+        (49152, b"\x0b\x28"), (49153, b"\x0b\x29")]
+    assert [(r.port, r.token) for r in c2.relationships.values()] == [(49152, b"\x0b\x28")]
+    ports = {(f.src.addr, f.src.port) for f in sent if f.src.addr in (c1.addr, c2.addr)}
+    assert ports == {(c1.addr, 49152), (c1.addr, 49153), (c1.addr, 49154), (c2.addr, 49152)}
 
 
 def test_malformed_bytes_delivered_to_a_client_are_dropped():
