@@ -9,13 +9,15 @@ once, in the checks `encode` runs, and `decode` ends in the same checks:
 it accepts exactly the frames whose message `encode` can send again.
 
 A run sees few distinct option blocks, so each distinct one is encoded
-and parsed once, through two bounded `functools.lru_cache`s
-(`_option_block`, `_option_set`).  The miss path is the only encoder and
-parser, and no cache changes an output: a value equal to a cached key
-gives the same bytes or message as a cold call.  So the miss paths read
-numbers as the ints they equal (`True` as 1) and option sets and Block1
-descriptors by position, since a `NamedTuple` equals a plain tuple of the
-same fields.  Failures are never cached.
+and parsed once, through two bounded `functools.lru_cache`s:
+`_option_entry` by the option set's value, `_option_set` by its bytes.
+The miss paths are the only encoder and parser, and no cache changes an
+output: a value equal to a cached key gives the same bytes or message as
+a cold call.  So the miss paths read numbers as the ints they equal
+(`True` as 1) and option sets and Block1 descriptors by position, since a
+`NamedTuple` equals a plain tuple of the same fields.  Failures are never
+cached.  Every parse takes its `OptionSet` from `_option_entry`, so the
+parses of equal option sets hold one object, whichever cache evicted what.
 """
 
 from __future__ import annotations
@@ -91,10 +93,10 @@ def is_response(code: int) -> bool:
     return (code >> 5) in (2, 4, 5)
 
 
-# EMPTY and the methods (class 0, detail 1-31), and the responses (classes
-# 2, 4 and 5): a set, so that `encode` tests a code without a call.
-_VALID_CODES = frozenset(range(32)) | {cls << 5 | detail
-                                      for cls in (2, 4, 5) for detail in range(32)}
+# The responses (classes 2, 4 and 5), and with them EMPTY and the methods
+# (class 0, detail 1-31): sets, so that `encode` tests a code without a call.
+_RESPONSE_CODES = frozenset(cls << 5 | detail for cls in (2, 4, 5) for detail in range(32))
+_VALID_CODES = frozenset(range(32)) | _RESPONSE_CODES
 
 
 _METHOD_NAMES = {EMPTY: "EMPTY", GET: "GET", POST: "POST", PUT: "PUT", DELETE: "DELETE"}
@@ -273,13 +275,13 @@ def _validate(msg: CoapMessage) -> None:
     if msg_type is None:
         raise InvariantViolation(f"invalid message type {msg[0]!r}")
     if code == EMPTY:
-        if token or payload or options != _NO_OPTIONS:
+        if token or payload or (options is not _NO_OPTIONS and options != _NO_OPTIONS):
             raise InvariantViolation("EMPTY message must carry no token, options or payload")
         if msg_type is _NON:
             raise InvariantViolation("NON message must not be EMPTY")
     if msg_type is _RST and code != EMPTY:
         raise InvariantViolation("RST must be EMPTY")
-    if msg_type is _ACK and code != EMPTY and not is_response(code):
+    if msg_type is _ACK and code != EMPTY and code not in _RESPONSE_CODES:
         raise InvariantViolation("ACK must be EMPTY or carry a response code")
 
 
@@ -349,8 +351,11 @@ def _nibble(value: int) -> tuple[int, bytes]:
 
 
 @functools.lru_cache(maxsize=OPTION_CACHE_SIZE)
-def _option_block(o: OptionSet) -> bytes:
-    """The options of `o` in wire format, checked by validate_options."""
+def _option_entry(o: OptionSet) -> tuple[bytes, Optional[OptionSet]]:
+    """The options of `o` in wire format, checked by validate_options, and
+    the `OptionSet` that every parse of options equal to `o` holds: the
+    parse of those bytes, or None when `decode` rejects them or parses them
+    to other values (an `extra` option that decodes as a known one)."""
     validate_options(o)
     buf = bytearray()
     prev = 0
@@ -362,7 +367,12 @@ def _option_block(o: OptionSet) -> bytes:
         buf.append((dn << 4) | ln)
         buf += dx + lx + value
         prev = number
-    return bytes(buf)
+    block = bytes(buf)
+    try:
+        parsed = _option_set(block) if block else _NO_OPTIONS
+    except (MalformedFrame, InvariantViolation):
+        return block, None
+    return block, parsed if parsed == o else None
 
 
 def encode(msg: CoapMessage) -> bytes:
@@ -374,7 +384,7 @@ def encode(msg: CoapMessage) -> bytes:
                       mid & 0xFF))
     except TypeError:  # a float equal to a valid value passes `_validate`
         raise InvariantViolation(f"header field not an int: {msg[:3]}") from None
-    block = _option_block(options)
+    block = _option_entry(options)[0]
     try:
         if payload != b"":  # a falsy payload that is not bytes fails the join
             return b"".join((head, token, block, b"\xff", payload))
@@ -433,12 +443,17 @@ def _text(data: bytes, what: str) -> str:
 @functools.lru_cache(maxsize=OPTION_CACHE_SIZE)
 def _option_set(block: bytes) -> OptionSet:
     """The options in a block of option bytes that `_walk_options` passed,
-    checked by validate_options."""
+    checked by validate_options.  A parse holds not this set but the
+    `_option_entry` of its value."""
     raw: list[tuple[int, bytes]] = []
     _walk_options(block, 0, raw)
     options = _fold_options(raw)
     validate_options(options)
     return options
+
+
+# Every cache of the codec, for a reader that needs them cold.
+OPTION_CACHES = (_option_entry, _option_set)
 
 
 def _fold_options(raw: list[tuple[int, bytes]]) -> OptionSet:
@@ -508,7 +523,8 @@ def decode(data: bytes) -> CoapMessage:
             raise MalformedFrame("payload marker with empty payload")
         payload = data[end + 1:]
     try:
-        options = _option_set(data[start:end]) if end > start else _NO_OPTIONS
+        options = (_option_entry(_option_set(data[start:end]))[1] if end > start
+                   else _NO_OPTIONS)
         msg = CoapMessage(_MSG_TYPES[(b0 >> 4) & 0x3], data[1], (data[2] << 8) | data[3],
                           data[4:start], options, payload)
         _validate(msg)
@@ -517,27 +533,42 @@ def decode(data: bytes) -> CoapMessage:
     return msg
 
 
-def decode_encoded(raw: bytes, msg: CoapMessage) -> CoapMessage:
-    """What `decode(raw)` returns or raises, for `raw = encode(msg)`, without
-    walking the bytes when `msg`'s fields have the types `decode` gives:
-    then `encode` has checked each field as `decode` would, and wrote the
-    option block that ends where the payload's length places it.  The
-    options are that block's cached `OptionSet`, so the result equals
-    `decode`'s in value and in the type of every field.  It is `msg` itself
-    when `msg` holds that very set (`_NO_OPTIONS`, or a parse's options),
-    else a new one made by `tuple.__new__`, without the NamedTuple's
-    Python-level `__new__`.  A message with a field of another type (`True`
-    as a code, a `bytearray` payload) is decoded."""
+def parse_encoded(msg: CoapMessage) -> tuple[Optional[CoapMessage], Optional[bytes]]:
+    """The parse of `encode(msg)`, without making those bytes if it can.
+
+    Returns `(parsed, raw)`: `parsed` is what `decode(encode(msg))`
+    returns, or None where it raises MalformedFrame, and `raw` is
+    `encode(msg)`, or None where `encode(parsed)` gives the same bytes.
+    It raises what `encode(msg)` raises.
+
+    When `msg`'s fields have the types `decode` gives (a `MsgType`, an int
+    code and MID, `bytes` token and payload), it runs `encode`'s checks,
+    `_validate` and, through `_option_entry`, `validate_options`, and
+    takes the `OptionSet` that `decode` would, so `parsed` equals
+    `decode`'s in value and in the type of every field, and holds the same
+    option set.  It is `msg` itself when `msg` holds that very set
+    (`_NO_OPTIONS`, or a parse's options), else a new one made by
+    `tuple.__new__`, without the NamedTuple's Python-level `__new__`, and
+    no bytes are made.  A message with a field of another type (`True` as
+    a code, a `bytearray` payload), or whose options `decode` rejects or
+    parses to other values, is encoded and decoded."""
     msg_type, code, mid, token, options, payload = msg
-    if (type(msg_type) is not MsgType or type(code) is not int or type(mid) is not int
-            or type(token) is not bytes or type(payload) is not bytes):
-        return decode(raw)
-    start = 4 + len(token)
-    end = len(raw) - len(payload) - 1 if payload else len(raw)
-    canonical = _option_set(raw[start:end]) if end > start else _NO_OPTIONS
-    if options is canonical:
-        return msg
-    return tuple.__new__(CoapMessage, (msg_type, code, mid, token, canonical, payload))
+    if (type(msg_type) is MsgType and type(code) is int and type(mid) is int
+            and type(token) is bytes and type(payload) is bytes):
+        _validate(msg)
+        if options is _NO_OPTIONS:
+            return msg, None
+        canonical = _option_entry(options)[1]
+        if canonical is options:
+            return msg, None
+        if canonical is not None:
+            return tuple.__new__(CoapMessage, (msg_type, code, mid, token, canonical,
+                                               payload)), None
+    raw = encode(msg)
+    try:
+        return decode(raw), raw
+    except MalformedFrame:
+        return None, raw
 
 
 def classify(msg: CoapMessage) -> InteractionKind:

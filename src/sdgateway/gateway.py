@@ -44,7 +44,7 @@ class Gateway:
     # -- forwarding --------------------------------------------------------
 
     def on_frame(self, frame: Frame) -> None:
-        self.sim.trace.emit("recv", "gw", frame.raw)
+        self.sim.trace.emit("recv", "gw", frame.traced)
         msg = frame.parsed
         if frame.dst.addr == self.endpoint.addr:
             self._terminate(frame, msg)
@@ -79,7 +79,7 @@ class Gateway:
             return
         if self.recovery.consume(frame):
             return
-        self.sim.trace.emit("gw_unclaimed", frame.src, frame.raw)
+        self.sim.trace.emit("gw_unclaimed", frame.src, frame.traced)
 
     def _handle_registration(self, frame: Frame, msg: CoapMessage) -> None:
         node_addr = frame.src.addr

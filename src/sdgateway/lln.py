@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
@@ -105,48 +105,65 @@ class LinkModel:
         return lost
 
 
-@dataclass(frozen=True, slots=True)
 class Frame:
-    """A UDP datagram in flight: raw CoAP bytes plus addressing metadata.
+    """A UDP datagram in flight: a CoAP message plus addressing metadata.
 
-    `raw` is authoritative: it is what every hop forwards and what the
-    trace keeps, to be rendered only when the trace is read.  `parsed` (the
-    parse of `raw`: the message `coap.decode(raw)` returns, or None when
-    `raw` is malformed) is set once, when the frame is built, so a frame
-    retransmitted or relayed as the same object is parsed once.  The frame
-    is frozen so the parse cannot go stale.
+    `parsed` is the parse of the frame's bytes: the message `coap.decode`
+    returns for them, or None when they are malformed.  It is set once,
+    when the frame is built, so a frame retransmitted or relayed as the
+    same object is parsed once, and the frame is frozen so the parse
+    cannot go stale.  `traced` is what a trace record keeps of the frame:
+    `parsed`, or the bytes when they do not parse, rendered only when the
+    trace is read.  A frame compares by identity.
 
     `Frame(raw, src, dst)` decodes `raw`; it is only for bytes from outside
     the program, such as injected or malformed frames.  Every frame the
-    program builds from a message is `Frame.of(msg, src, dst)`, which
-    encodes `msg` and takes the parse from `coap.decode_encoded`: the
-    message `decode` would return, without walking the bytes again.  Either
-    way equal bytes give an equal frame and parse.
+    program builds from a message is `Frame.of(msg, src, dst)`, whose parse
+    is `coap.parse_encoded`'s: the message `decode(encode(msg))` returns,
+    made without the bytes.  `raw`, the bytes every hop would forward, are
+    then encoded from the parse the first time they are read, and kept;
+    nothing in a simulated run reads them.
     """
 
-    raw: bytes
-    src: Endpoint
-    dst: Endpoint
-    parsed: Optional[CoapMessage] = field(init=False, compare=False, repr=False)
+    # `_raw` is None until `raw` is first read.
+    __slots__ = ("src", "dst", "parsed", "traced", "_raw")
 
-    def __post_init__(self) -> None:
+    def __init__(self, raw: bytes, src: Endpoint, dst: Endpoint) -> None:
         try:
-            parsed = coap.decode(self.raw)
+            parsed = coap.decode(raw)
         except coap.MalformedFrame:
             parsed = None
-        object.__setattr__(self, "parsed", parsed)
+        for name, value in (("src", src), ("dst", dst), ("parsed", parsed),
+                            ("traced", raw if parsed is None else parsed), ("_raw", raw)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"Frame(src={self.src!r}, dst={self.dst!r}, parsed={self.parsed!r})"
+
+    @property
+    def raw(self) -> bytes:
+        """The frame's bytes, `encode(msg)` for a frame built from `msg`."""
+        raw = self._raw
+        if raw is None:
+            raw = encode(self.parsed)
+            object.__setattr__(self, "_raw", raw)
+        return raw
 
     @classmethod
     def of(cls, msg: CoapMessage, src: Endpoint, dst: Endpoint) -> Frame:
-        """The frame `Frame(encode(msg), src, dst)`, whose parse is
-        `coap.decode_encoded`'s, often `msg` itself: no byte is read again."""
-        raw = encode(msg)
-        try:
-            parsed = coap.decode_encoded(raw, msg)
-        except coap.MalformedFrame:
-            parsed = None
+        """The frame of the bytes `encode(msg)`, with the parse
+        `decode(encode(msg))`, often `msg` itself: the bytes are made now
+        only when encoding the parse would not give them again."""
+        parsed, raw = coap.parse_encoded(msg)
         frame = _FrameSlots()  # plain slot writes, then the frozen class
-        frame.raw, frame.src, frame.dst, frame.parsed = raw, src, dst, parsed
+        frame.src, frame.dst, frame.parsed, frame._raw = src, dst, parsed, raw
+        frame.traced = raw if parsed is None else parsed
         frame.__class__ = cls
         return frame
 
@@ -218,7 +235,7 @@ class Confirmable:
 _SIGNALS = frozenset((MsgType.ACK, MsgType.RST))
 _CON, _NON, _ACK, _RST = MsgType
 # `_new(CoapMessage, fields)`: all fields in order, without the NamedTuple's
-# Python-level keyword `__new__`, as `coap.decode_encoded` builds one.
+# Python-level keyword `__new__`, as `coap.parse_encoded` builds one.
 _new = tuple.__new__
 
 
@@ -298,7 +315,7 @@ class Network:
     # -- routing --------------------------------------------------------
 
     def send(self, frame: Frame) -> None:
-        self.sim.trace.emit("send", frame.src, frame.dst, frame.raw)
+        self.sim.trace.emit("send", frame.src, frame.dst, frame.traced)
         src, prefix = frame.src.addr, self.lln_prefix
         if not src.startswith(prefix):
             self._leg(frame, None, ("ext_in", src), self.gateway.on_frame)
@@ -336,7 +353,7 @@ class Network:
             delay = link.sample_delay(rng)
             lost = link.loss != 0.0 and link.draw_lost(rng)
             if lost or node.addr in self.blackholes:
-                sim.trace.emit("drop_loss", frame.src, frame.dst, frame.raw)
+                sim.trace.emit("drop_loss", frame.src, frame.dst, frame.traced)
                 return
             arrival = sim.now + delay
         floor = self._last_arrival.get(path_key)
@@ -481,9 +498,9 @@ class VirtualNode:
     # -- receive path ------------------------------------------------------
 
     def on_frame(self, frame: Frame) -> None:
-        self.sim.trace.emit("recv", frame.dst, frame.raw)
+        self.sim.trace.emit("recv", frame.dst, frame.traced)
         if self.state in _POWERED_OFF:
-            self.sim.trace.emit("drop_node_down", self.name, frame.raw)
+            self.sim.trace.emit("drop_node_down", self.name, frame.traced)
             return
         msg = frame.parsed
         if msg is None:
@@ -492,7 +509,7 @@ class VirtualNode:
         if self.state is _BOOTING:
             # Only the registration's answer gets through.
             if not answer(self._exchanges, frame):
-                self.sim.trace.emit("drop_blocked_booting", self.name, frame.raw)
+                self.sim.trace.emit("drop_blocked_booting", self.name, frame.traced)
             return
         if msg.msg_type is _RST:
             self._on_rst(frame.src, msg.mid)
@@ -882,7 +899,7 @@ class ScriptedClient:
             on_response(response)
 
     def on_frame(self, frame: Frame) -> None:
-        self.sim.trace.emit("recv", frame.dst, frame.raw)
+        self.sim.trace.emit("recv", frame.dst, frame.traced)
         if self.silenced:
             self.sim.trace.emit("drop_client_silent", self.name)
             return

@@ -197,7 +197,7 @@ class RecoveryCoordinator:
         message, source = build_replay(step, self.gateway.endpoint)
         frame = Frame.of(message, source, self.gateway.network.endpoint(run.node))
         self.sim.trace.emit("inject", run.node, run.index, int(entry.entry_type),
-                            entry.uri_path, source, frame.raw)
+                            entry.uri_path, source, frame.traced)
         run.exchange = self.gateway.send_replay(
             frame, self.replays, on_answer=lambda reply: self._consumed(run, reply),
             on_timeout=lambda: self._resolved(run, StepOutcome.TIMED_OUT))
@@ -223,7 +223,7 @@ class RecoveryCoordinator:
         return True
 
     def _consumed(self, run: RecoveryRun, frame: Frame) -> None:
-        self.sim.trace.emit("consume", frame.dst, frame.raw)
+        self.sim.trace.emit("consume", frame.dst, frame.traced)
         self._resolved(run, StepOutcome.ACKED)
 
     def _resolved(self, run: RecoveryRun, outcome: StepOutcome) -> None:

@@ -370,6 +370,8 @@ class Scenario:
     clients: list[ClientDecl] = field(default_factory=list)
     events: list[ScenarioEvent] = field(default_factory=list)
     asserts: list[ScenarioAssert] = field(default_factory=list)
+    # What `_names` has read: [nodes, clients, how many of each, names].
+    _declared: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
     def end_time(self) -> float:
         times = [e.time for e in self.events]
@@ -396,13 +398,25 @@ class Scenario:
         return self._add_check(at, check, list(args), 0, self._names())
 
     def _names(self) -> dict:
-        names = {"node": {d.name for d in self.nodes}, "client": {d.name for d in self.clients}}
-        if len(names["node"] | names["client"]) < len(self.nodes) + len(self.clients):
-            seen: dict = {"node": set(), "client": set()}  # name the first repeat
-            for kind, decls in (("node", self.nodes), ("client", self.clients)):
+        """The declared names by kind.  They are kept between calls and
+        grow as declarations are appended to `nodes` and `clients`, each
+        new name checked against those before it; a list that is replaced
+        or shortened is read again."""
+        declared = self._declared
+        if (declared is None or declared[0] is not self.nodes or declared[1] is not self.clients
+                or len(self.nodes) < declared[2] or len(self.clients) < declared[3]):
+            declared = self._declared = [self.nodes, self.clients, 0, 0,
+                                         {"node": set(), "client": set()}]
+        nodes, clients, known_nodes, known_clients, names = declared
+        try:
+            for kind, decls in (("node", nodes[known_nodes:]), ("client", clients[known_clients:])):
                 for decl in decls:
-                    _fresh(decl.name, seen)
-                    seen[kind].add(decl.name)
+                    _fresh(decl.name, names)  # names the first repeat
+                    names[kind].add(decl.name)
+        except ValueError:
+            self._declared = None  # the next call reads every declaration again
+            raise
+        declared[2], declared[3] = len(nodes), len(clients)
         return names
 
     def _event_time(self, at: float) -> float:

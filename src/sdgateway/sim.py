@@ -23,7 +23,7 @@ MAX_EVENTS = 2_000_000  # per `Simulator.run` call; more is a runaway simulation
 # Every kind of trace record, by the name `emit` takes, and its layout:
 # the record's kind, then its fields in order.  A field written `name` is a
 # value `emit` is given, kept as it is; `name:how` is one shown through
-# `_SHOWN[how]`, or a frame's bytes when `how` is `coap`; `name=text` is
+# `_SHOWN[how]`, or a frame's `traced` when `how` is `coap`; `name=text` is
 # the same on every record of the kind, so it is not given.  A kind whose
 # records differ in their fields is one name per variant.  To add a kind,
 # add its line here and call `emit` with one value per given field, in
@@ -86,19 +86,22 @@ TRACE_KINDS = {
 # How a `name:how` field is shown: an endpoint or any other value as `str`
 # shows it, a duration in ms to three places, an intercepted frame's
 # address without its port, a binding's destination, an enum member by its
-# value.  A `coap` field is a frame's bytes, shown as the text `_Texts`
-# puts in their place.
+# value.  A `coap` field is a frame's `traced` (its parse, or its bytes
+# when they do not parse), shown as the text `_Texts` puts in its place.
 _SHOWN = {"str": "{0}", "ms": "{0:.3f}", "addr": "<{0.addr}>",
           "dest": "{0.dest_addr}/{0.dest_resource}", "value": "{0.value}", "coap": "{0}"}
 
 
 class _Texts(dict):
-    """Frames' text by their bytes, for one read of the trace: each distinct
-    frame is rendered once, by `coap.summarize` as it is at that call, so a
-    wrapper of it sees every render."""
+    """Frames' text by their `Frame.traced`, for one read of the trace: each
+    distinct message is rendered once, as the text `coap.summarize` gives
+    its bytes, `coap.encode(msg)`, and bytes that do not parse as theirs.
+    Both are called as they are at that call, so a wrapper of either sees
+    every render."""
 
-    def __missing__(self, raw: bytes) -> str:
-        text = self[raw] = coap.summarize(raw)
+    def __missing__(self, traced) -> str:
+        raw = traced if isinstance(traced, bytes) else coap.encode(traced)
+        text = self[traced] = coap.summarize(raw)
         return text
 
 
@@ -184,13 +187,15 @@ class TraceRecorder:
 
     `emit(name, *values)` appends `t, name, *values` to one flat list: the
     values by reference, in the order `TRACE_KINDS[name]` gives, with no
-    dict, tuple or text per record; a frame is its `raw` bytes.  Text is
-    made only when it is read: `iter_lines()` renders each record through
-    its kind's layout, `records` and `find` build `(t, kind, fields)` from
-    it, and each read renders each distinct frame once.  `lines()` and
-    `text()` hold the whole text; a pass over `iter_lines()` or `records`,
-    and `write`, hold one line or record at a time.  The flat list is the
-    one container that the cyclic garbage collector tracks.
+    dict, tuple or text per record; a frame is its `traced`, the parse the
+    frame already holds, so no bytes are made while a run simulates.  Text
+    is made only when it is read: `iter_lines()` renders each record
+    through its kind's layout, `records` and `find` build
+    `(t, kind, fields)` from it, and each read renders each distinct
+    message once.  `lines()` and `text()` hold the whole text; a pass over
+    `iter_lines()` or `records`, and `write`, hold one line or record at a
+    time.  The flat list is the one container the trace makes that the
+    cyclic garbage collector tracks; the parses it keeps are the frames'.
     """
 
     def __init__(self, sim: Simulator) -> None:

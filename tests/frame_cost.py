@@ -36,8 +36,8 @@ def calls_over_execute(name: str, seed: int) -> tuple[int, int, int]:
     `execute`, gateway frames) of one repeat."""
     prepared = [W.prepare(sc) for sc in W.WORKLOADS[name].generate(seed)]
     # Cold codec caches, so that a count does not depend on what ran before.
-    coap._option_block.cache_clear()
-    coap._option_set.cache_clear()
+    for cache in coap.OPTION_CACHES:
+        cache.cache_clear()
     profile = cProfile.Profile()
     profile.enable()
     for p in prepared:

@@ -1,7 +1,7 @@
 """While a simulation runs, only bytes from outside the program are parsed,
-each frame of them once; a frame built from a message is not parsed at all,
-and retransmissions and duplicate replies resend the frame they first sent
-instead of building (and parsing) a new one."""
+each frame of them once; a frame built from a message is neither encoded
+nor parsed, and retransmissions and duplicate replies resend the frame they
+first sent instead of building (and parsing) a new one."""
 
 import dataclasses
 import importlib.resources
@@ -25,7 +25,7 @@ from sdgateway.coap import (
     encode,
     registration_request,
 )
-from sdgateway.harness import ScenarioRun
+from sdgateway.harness import ScenarioRun, sweep
 from sdgateway.lln import Frame
 from sdgateway.scenario import load_scenario
 
@@ -84,7 +84,7 @@ def spies(monkeypatch):
 def test_no_frame_is_decoded_more_than_once(spies, make):
     frames, from_messages, decoded = spies
     # The simulation only: reading the trace, as the final checks do,
-    # renders each traced frame from its bytes, and so decodes it.  The
+    # renders each traced message from its bytes, and so decodes them.  The
     # bundled scenarios inject no bytes from outside, so nothing is parsed.
     ScenarioRun(make()).advance()
     # `frames` keeps every raw alive, so no id is reused during the run.
@@ -99,6 +99,44 @@ def test_no_frame_is_decoded_more_than_once(spies, make):
     assert not parsed_again, f"{len(parsed_again)} frames built from a message were decoded"
 
 
+@pytest.fixture
+def codec_calls(monkeypatch):
+    """Count the calls of `coap.encode` and `coap.decode`, by the value each
+    is given, on each sdgateway module that binds them."""
+    calls = {"encode": Counter(), "decode": Counter()}
+    for name, seen in calls.items():
+        original = getattr(coap, name)
+
+        def spy(value, original=original, seen=seen):
+            seen[value] += 1
+            return original(value)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("sdgateway") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_a_run_makes_no_bytes_and_a_read_renders_each_message_once(codec_calls):
+    encoded, decoded = codec_calls["encode"], codec_calls["decode"]
+    # A sweep, the paper's figure path, never reads its trace.
+    assert sweep("state_count", [1, 8], 2, seed=3)
+    runs = [ScenarioRun(bundled("fig12_19.scn")), ScenarioRun(bundled("bind_deploy.scn"))]
+    for run in runs:
+        run.advance()
+    assert not encoded and not decoded, "bytes made while simulating"
+    for run in runs:
+        trace = run.world.sim.trace
+        kept = [record[index] for layout, record in trace._slices() for index in layout.frames]
+        assert kept and all(type(msg) is CoapMessage for msg in kept)
+        trace.text()
+        # Each distinct message is encoded once, and its bytes decoded once.
+        assert encoded == Counter(set(kept)) and len(encoded) < len(kept)
+        assert decoded == Counter({encode(msg) for msg in kept})
+        encoded.clear()
+        decoded.clear()
+
+
 def test_frame_parse_is_cached(spies):
     _, _, decoded = spies
     msg = CoapMessage(MsgType.CON, PUT, 7, token=b"\x01",
@@ -110,6 +148,25 @@ def test_frame_parse_is_cached(spies):
     assert decoded[id(frame.raw)] == 2  # the frame once, the direct summarize once
     with pytest.raises(dataclasses.FrozenInstanceError):
         frame.raw = b""  # the parse would no longer describe the bytes
+
+
+def test_a_built_frame_makes_its_bytes_once_when_they_are_read(codec_calls):
+    msg = CoapMessage(MsgType.CON, PUT, 7, token=b"\x01",
+                      options=OptionSet(uri_path=("a", "lb")), payload=b"10")
+    frame = Frame.of(msg, CLIENT_EP, Endpoint("aaaa::2"))
+    assert frame.traced is frame.parsed and not codec_calls["encode"]
+    assert frame.raw is frame.raw and frame.raw == encode(msg)
+    assert list(codec_calls["encode"].values()) == [1] and not codec_calls["decode"]
+    for attr in ("raw", "src", "parsed", "traced"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(frame, attr, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(frame, attr)
+    assert repr(frame) == (f"Frame(src={CLIENT_EP!r}, dst={Endpoint('aaaa::2')!r}, "
+                           f"parsed={frame.parsed!r})")
+    # A malformed frame's record keeps its bytes.
+    garbage = Frame(b"\x13\x37\x00", CLIENT_EP, Endpoint("aaaa::2"))
+    assert garbage.parsed is None and garbage.traced is garbage.raw
 
 
 def test_a_message_holding_the_cached_options_is_its_own_parse():

@@ -180,7 +180,7 @@ def test_a_run_keeps_one_option_set_per_distinct_block():
     """Decoded frames with the same option bytes share one parsed
     `OptionSet`, so what a finished run keeps alive is one per distinct
     option block, however many nodes it has."""
-    caches = (coap._option_block, coap._option_set)
+    caches = coap.OPTION_CACHES
     held = []
     for nodes in (10, 20):
         for cache in caches:
@@ -214,21 +214,21 @@ def test_trace_records_hold_shared_endpoints_and_no_container_per_record(monkeyp
     dict, tuple or `addr:port` text is made for it.  Its endpoints are the
     network's, one `Endpoint` per (addr, port): the gateway's, each node's,
     and the client's source port of each of a node's six requests.  A
-    frame's `msg` is the frame's own `raw` bytes, so no text is made per
-    frame either."""
-    raws = []  # every frame's bytes, kept alive so that no id is reused
-    original_post_init, original_of = Frame.__post_init__, Frame.of
+    frame's `msg` is the frame's own parse, or its `raw` bytes when it has
+    none, so no text or bytes are made per frame either."""
+    frames = []  # every frame, kept alive so that no id is reused
+    original_init, original_of = Frame.__init__, Frame.of
 
-    def post_init(self):
-        raws.append(self.raw)
-        original_post_init(self)
+    def init(self, *args):
+        original_init(self, *args)
+        frames.append(self)
 
     def of(cls, *args):
         frame = original_of(*args)
-        raws.append(frame.raw)
+        frames.append(frame)
         return frame
 
-    monkeypatch.setattr(Frame, "__post_init__", post_init)
+    monkeypatch.setattr(Frame, "__init__", init)
     monkeypatch.setattr(Frame, "of", classmethod(of))
     held = []
     for nodes in (10, 20):
@@ -252,8 +252,10 @@ def test_trace_records_hold_shared_endpoints_and_no_container_per_record(monkeyp
         msgs = [record[MSG_AT[record[1]]] for _, record in trace._slices()
                 if record[1] in MSG_AT]
         assert len(msgs) > 10 * nodes and len(MSG_AT) == 8
-        frame_raws = {id(raw) for raw in raws}
-        assert all(type(v) is bytes and id(v) in frame_raws for v in msgs)
-        summaries = {coap.summarize(raw) for raw in raws}
+        own = {id(f.raw if f.parsed is None else f.parsed) for f in frames}
+        assert all(id(v) in own for v in msgs)
+        assert not [v for v in flat if type(v) is bytes]  # every frame parses
+        summaries = {f.parsed.short() for f in frames}
         assert not [v for v in flat if type(v) is str and v in summaries]
+        frames.clear()
     assert held == [1 + 7 * 10, 1 + 7 * 20]

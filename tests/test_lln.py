@@ -653,8 +653,10 @@ def test_every_arrival_first_traces_its_recv(monkeypatch, seed, loss):
         original = getattr(cls, name)
 
         def receive(self, frame, *args):
+            # A record keeps the frame's own parse, or its bytes when malformed.
+            msg = frame.raw if frame.parsed is None else frame.parsed
             arrivals.append((cls, self.sim.trace._flat, len(self.sim.trace._flat),
-                             at(frame), frame.raw))
+                             at(frame), msg))
             original(self, frame, *args)
         monkeypatch.setattr(cls, name, receive)
 
@@ -667,9 +669,9 @@ def test_every_arrival_first_traces_its_recv(monkeypatch, seed, loss):
     run.advance()
     flat = run.world.sim.trace._flat
     assert {cls for cls, *_ in arrivals} == {Gateway, VirtualNode, ScriptedClient}
-    for _, trace, start, at, raw in arrivals:
+    for _, trace, start, at, msg in arrivals:
         assert trace is flat
-        assert flat[start + 1:start + 4] == ["recv", at, raw]
+        assert flat[start + 1:start + 3] == ["recv", at] and flat[start + 3] is msg
     assert len(arrivals) == len(run.world.sim.trace.find("recv"))
 
 

@@ -316,6 +316,31 @@ def test_builder_rejects_a_name_declared_twice():
         sc.event(1, "boot", node="n1")
 
 
+def test_builder_names_follow_declarations_added_between_calls():
+    sc = Scenario(nodes=[NodeDecl("n1", "aaaa::1")], clients=[ClientDecl("c1", "cccc::3")])
+    sc.event(1, "boot", node="n1")
+    with pytest.raises(ValueError, match="undeclared name 'n2'"):
+        sc.event(2, "boot", node="n2")
+    sc.nodes.append(NodeDecl("n2", "aaaa::2"))  # declared after an event call
+    sc.event(2, "boot", node="n2")
+    sc.check(3, "snapshot", "n2")
+    # The names kept are neither compared nor shown.
+    by_hand = Scenario(nodes=[NodeDecl("n1", "aaaa::1"), NodeDecl("n2", "aaaa::2")],
+                       clients=[ClientDecl("c1", "cccc::3")],
+                       events=list(sc.events), asserts=list(sc.asserts))
+    assert sc == by_hand and repr(sc) == repr(by_hand)
+    sc.clients.append(ClientDecl("n2", "cccc::4"))  # a duplicate added later
+    for _ in range(2):  # and it keeps being named
+        with pytest.raises(ValueError, match="duplicate name 'n2'"):
+            sc.event(4, "boot", node="n1")
+    sc.clients.pop()
+    sc.event(4, "boot", node="n1")
+    sc.nodes = [NodeDecl("n3", "aaaa::3")]  # a list replaced is read again
+    with pytest.raises(ValueError, match="undeclared name 'n1'"):
+        sc.event(5, "boot", node="n1")
+    assert [e.args["node"] for e in sc.events] == ["n1", "n2", "n1"]
+
+
 def rebuild(sc: Scenario) -> None:
     """Add every event and check of `sc` again through the builders, which
     raise on anything a scenario file could not say, and compare."""
