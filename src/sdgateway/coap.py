@@ -5,16 +5,17 @@ delta-encoded options, payload marker) plus Observe (RFC 7641), Block1
 (RFC 7959) and four experimental-range options carrying binding
 descriptors.  Messages are immutable values; encode/decode are pure
 functions, safe to call from any thread.  Each message rule is stated
-once, in the checks `encode` runs, and `decode` ends in the same checks:
-it accepts exactly the frames whose message `encode` can send again.
+once, in the checks `encode` runs, so that it accepts a message exactly
+when `decode(encode(m)) == m`.  `decode` ends in the same checks: it
+accepts exactly the frames whose message `encode` can send again.
 
 A run sees few distinct option blocks, so each distinct one is encoded
 and parsed once, through two bounded `functools.lru_cache`s:
 `_option_entry` by the option set's value, `_option_set` by its bytes.
 The miss paths are the only encoder and parser, and no cache changes an
 output: a value equal to a cached key gives the same bytes or message as
-a cold call.  So the miss paths read numbers as the ints they equal
-(`True` as 1) and option sets and Block1 descriptors by position, since a
+a cold call.  So the miss paths read option numbers as the ints they
+equal (`True` as 1) and Block1 descriptors by position, since a
 `NamedTuple` equals a plain tuple of the same fields.  Failures are never
 cached.  Every parse takes its `OptionSet` from `_option_entry`, so the
 parses of equal option sets hold one object, whichever cache evicted what.
@@ -23,6 +24,7 @@ parses of equal option sets hold one object, whichever cache evicted what.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import NamedTuple, Optional, Tuple
@@ -61,7 +63,6 @@ _MSG_TYPES = tuple(MsgType)  # indexed by the 2-bit wire value
 # Module-level names for the members the codec tests on every frame: a
 # global read, not an enum member read (about 4x the cost).
 _CON, _NON, _ACK, _RST = _MSG_TYPES
-_TYPE_OF = {t: t for t in MsgType}  # an IntEnum hashes and compares as its int
 _TYPE_NAMES = tuple(t.name for t in MsgType)
 
 # Distinct option blocks each codec cache holds.  A benchmark run sees at
@@ -85,18 +86,19 @@ NOT_FOUND = 0x84          # 4.04
 METHOD_NOT_ALLOWED = 0x85 # 4.05
 
 
+# The methods (class 0, detail 1-31), the responses (classes 2, 4 and 5)
+# and with them EMPTY: sets, so that `encode` tests a code without a call.
+_REQUEST_CODES = frozenset(range(1, 32))
+_RESPONSE_CODES = frozenset(cls << 5 | detail for cls in (2, 4, 5) for detail in range(32))
+_VALID_CODES = _REQUEST_CODES | _RESPONSE_CODES | {EMPTY}
+
+
 def is_request(code: int) -> bool:
-    return 0 < code < 32
+    return code in _REQUEST_CODES
 
 
 def is_response(code: int) -> bool:
-    return (code >> 5) in (2, 4, 5)
-
-
-# The responses (classes 2, 4 and 5), and with them EMPTY and the methods
-# (class 0, detail 1-31): sets, so that `encode` tests a code without a call.
-_RESPONSE_CODES = frozenset(cls << 5 | detail for cls in (2, 4, 5) for detail in range(32))
-_VALID_CODES = frozenset(range(32)) | _RESPONSE_CODES
+    return code in _RESPONSE_CODES
 
 
 _METHOD_NAMES = {EMPTY: "EMPTY", GET: "GET", POST: "POST", PUT: "PUT", DELETE: "DELETE"}
@@ -254,26 +256,30 @@ def _uint_value(data: bytes, max_len: int, what: str) -> int:
     return int.from_bytes(data, "big")
 
 
+# Each field's exact type, as `decode` gives it, in the order `_validate`
+# names a wrong one; an option set of other sequences is no cache key.
+_FIELD_TYPES = tuple((name, operator.attrgetter(name), kind) for name, kind in (
+    ("msg_type", MsgType), ("code", int), ("mid", int), ("token", bytes),
+    ("options", OptionSet), ("options.uri_path", tuple), ("options.uri_query", tuple),
+    ("options.extra", tuple), ("payload", bytes)))
+
+
 def _validate(msg: CoapMessage) -> None:
     msg_type, code, mid, token, options, payload = msg
-    try:
-        if not 0 <= mid <= 0xFFFF:
-            raise InvariantViolation(f"mid out of range: {mid}")
-    except TypeError:  # a MID that is not a number
-        raise InvariantViolation(f"mid not an int: {mid!r}") from None
-    try:
-        if len(token) > 8:
-            raise InvariantViolation(f"token longer than 8 bytes: {len(token)}")
-    except TypeError:  # a token with no length
-        raise InvariantViolation(f"token not bytes: {token!r}") from None
+    if not (type(msg_type) is MsgType and type(code) is type(mid) is int
+            and type(token) is type(payload) is bytes and type(options) is OptionSet
+            and type(options[0]) is type(options[1]) is type(options[7]) is tuple):
+        for name, field, kind in _FIELD_TYPES:
+            if type(field(msg)) is not kind:
+                raise InvariantViolation(f"{name} not {kind.__name__}: {field(msg)!r}")
+    if not 0 <= mid <= 0xFFFF:
+        raise InvariantViolation(f"mid out of range: {mid}")
+    if len(token) > 8:
+        raise InvariantViolation(f"token longer than 8 bytes: {len(token)}")
     if code not in _VALID_CODES:
-        shown = f"0x{code:02x}" if isinstance(code, int) else repr(code)
-        raise InvariantViolation(f"invalid code {shown}")
+        raise InvariantViolation(f"invalid code 0x{code:02x}")
     if code != EMPTY and (msg_type is _CON or msg_type is _NON):
         return  # a CON or NON request or response: no rule below applies
-    msg_type = _TYPE_OF.get(msg_type)  # the member, for a plain int equal to one
-    if msg_type is None:
-        raise InvariantViolation(f"invalid message type {msg[0]!r}")
     if code == EMPTY:
         if token or payload or (options is not _NO_OPTIONS and options != _NO_OPTIONS):
             raise InvariantViolation("EMPTY message must carry no token, options or payload")
@@ -283,6 +289,16 @@ def _validate(msg: CoapMessage) -> None:
         raise InvariantViolation("RST must be EMPTY")
     if msg_type is _ACK and code != EMPTY and code not in _RESPONSE_CODES:
         raise InvariantViolation("ACK must be EMPTY or carry a response code")
+
+
+def _utf8(text, what: str) -> bytes:
+    """`text`, a `str` without a lone surrogate, in UTF-8."""
+    if isinstance(text, str):
+        try:
+            return text.encode("utf-8")
+        except UnicodeEncodeError:
+            pass
+    raise InvariantViolation(f"{what} not UTF-8 text: {text!r}")
 
 
 def validate_options(o: OptionSet) -> None:
@@ -295,7 +311,7 @@ def validate_options(o: OptionSet) -> None:
     if max_age is not None:
         _uint(max_age, "max-age", 0xFFFFFFFF)
     for seg in uri_path + uri_query:
-        if len(seg.encode("utf-8")) > 255:
+        if len(_utf8(seg, "uri segment")) > 255:
             raise InvariantViolation("uri segment longer than 255 bytes")
     if block1 is not None:
         num, more, size = block1
@@ -304,14 +320,18 @@ def validate_options(o: OptionSet) -> None:
         _uint(num, "block1 number", 0xFFFFF)
         _uint(more, "block1 more flag", 1)
     if binding is not None:
-        if not binding.dest_resource:
+        _utf8(binding.dest_addr, "binding dest_addr")
+        if not _utf8(binding.dest_resource, "binding dest_resource"):
             raise InvariantViolation("binding dest_resource empty")
-        if binding.pmin > binding.pmax:
+        if (_uint(binding.pmin, "binding interval", 0xFFFFFFFF)
+                > _uint(binding.pmax, "binding interval", 0xFFFFFFFF)):
             raise InvariantViolation("binding pmin > pmax")
-        _uint(binding.pmin, "binding interval", 0xFFFFFFFF)
-        _uint(binding.pmax, "binding interval", 0xFFFFFFFF)
-    for number, _ in extra:
-        _uint(number, "option number")
+    for entry in extra:
+        # A value equal to bytes, such as a `memoryview` of them, shares their cache entry.
+        if not (isinstance(entry, tuple) and len(entry) == 2
+                and isinstance(entry[1], (bytes, memoryview))):
+            raise InvariantViolation(f"extra option not a (number, bytes) pair: {entry!r}")
+        _uint(entry[0], "option number")
 
 
 def _wire_options(o: OptionSet) -> list[tuple[int, bytes]]:
@@ -351,11 +371,12 @@ def _nibble(value: int) -> tuple[int, bytes]:
 
 
 @functools.lru_cache(maxsize=OPTION_CACHE_SIZE)
-def _option_entry(o: OptionSet) -> tuple[bytes, Optional[OptionSet]]:
-    """The options of `o` in wire format, checked by validate_options, and
-    the `OptionSet` that every parse of options equal to `o` holds: the
-    parse of those bytes, or None when `decode` rejects them or parses them
-    to other values (an `extra` option that decodes as a known one)."""
+def _option_entry(o: OptionSet) -> tuple[bytes, OptionSet]:
+    """The options of `o` in wire format and the `OptionSet` that every
+    parse of options equal to `o` holds: the parse of those bytes, equal to
+    `o`.  It raises InvariantViolation for options that validate_options
+    rejects or whose bytes do not parse back to `o`, such as an `extra`
+    option with a known number or `extra` options out of ascending order."""
     validate_options(o)
     buf = bytearray()
     prev = 0
@@ -370,29 +391,23 @@ def _option_entry(o: OptionSet) -> tuple[bytes, Optional[OptionSet]]:
     block = bytes(buf)
     try:
         parsed = _option_set(block) if block else _NO_OPTIONS
-    except (MalformedFrame, InvariantViolation):
-        return block, None
-    return block, parsed if parsed == o else None
+    except (MalformedFrame, InvariantViolation) as exc:
+        raise InvariantViolation(f"options do not decode: {exc}") from None
+    if parsed != o:
+        raise InvariantViolation(f"options decode as other values: {parsed}")
+    return block, parsed
 
 
 def encode(msg: CoapMessage) -> bytes:
-    """Serialize a message to RFC 7252 wire format (version 1)."""
+    """Serialize a message to RFC 7252 wire format (version 1), if and only
+    if `decode(encode(msg)) == msg`; raise InvariantViolation otherwise."""
     _validate(msg)
     msg_type, code, mid, token, options, payload = msg
-    try:
-        head = bytes(((COAP_VERSION << 6) | (msg_type << 4) | len(token), code, mid >> 8,
-                      mid & 0xFF))
-    except TypeError:  # a float equal to a valid value passes `_validate`
-        raise InvariantViolation(f"header field not an int: {msg[:3]}") from None
+    head = bytes(((COAP_VERSION << 6) | (msg_type << 4) | len(token), code, mid >> 8, mid & 0xFF))
     block = _option_entry(options)[0]
-    try:
-        if payload != b"":  # a falsy payload that is not bytes fails the join
-            return b"".join((head, token, block, b"\xff", payload))
-        return b"".join((head, token, block))
-    except TypeError:  # the token or the payload is not bytes
-        name, value = (("payload", payload) if isinstance(token, (bytes, bytearray, memoryview))
-                       else ("token", token))
-        raise InvariantViolation(f"{name} not bytes: {value!r}") from None
+    if payload:
+        return b"".join((head, token, block, b"\xff", payload))
+    return b"".join((head, token, block))
 
 
 def _ext(nibble: int, data: bytes, i: int) -> tuple[int, int]:
@@ -503,8 +518,8 @@ def _fold_options(raw: list[tuple[int, bytes]]) -> OptionSet:
 def decode(data: bytes) -> CoapMessage:
     """Parse wire bytes into a message, raising MalformedFrame on any
     framing violation and on a message that breaks a rule `encode` checks,
-    so encode(decode(b)) never raises.  decode(encode(m)) == m for every
-    valid m."""
+    so encode(decode(b)) never raises, and decode(encode(m)) == m for every
+    m that `encode` accepts."""
     if type(data) is not bytes:
         data = bytes(data)  # so that the option block is hashable
     if len(data) < 4:
@@ -533,42 +548,20 @@ def decode(data: bytes) -> CoapMessage:
     return msg
 
 
-def parse_encoded(msg: CoapMessage) -> tuple[Optional[CoapMessage], Optional[bytes]]:
-    """The parse of `encode(msg)`, without making those bytes if it can.
-
-    Returns `(parsed, raw)`: `parsed` is what `decode(encode(msg))`
-    returns, or None where it raises MalformedFrame, and `raw` is
-    `encode(msg)`, or None where `encode(parsed)` gives the same bytes.
-    It raises what `encode(msg)` raises.
-
-    When `msg`'s fields have the types `decode` gives (a `MsgType`, an int
-    code and MID, `bytes` token and payload), it runs `encode`'s checks,
-    `_validate` and, through `_option_entry`, `validate_options`, and
-    takes the `OptionSet` that `decode` would, so `parsed` equals
-    `decode`'s in value and in the type of every field, and holds the same
-    option set.  It is `msg` itself when `msg` holds that very set
-    (`_NO_OPTIONS`, or a parse's options), else a new one made by
-    `tuple.__new__`, without the NamedTuple's Python-level `__new__`, and
-    no bytes are made.  A message with a field of another type (`True` as
-    a code, a `bytearray` payload), or whose options `decode` rejects or
-    parses to other values, is encoded and decoded."""
+def parse_encoded(msg: CoapMessage) -> CoapMessage:
+    """`decode(encode(msg))`, made without the bytes; it raises what
+    `encode(msg)` raises.  The parse holds the `OptionSet` `decode` would:
+    it is `msg` itself when `msg` holds that very set (`_NO_OPTIONS`, or the
+    set `_option_entry` caches, as `request` gives), else `msg` with that
+    set, made without the NamedTuple's Python-level `__new__`."""
+    _validate(msg)
     msg_type, code, mid, token, options, payload = msg
-    if (type(msg_type) is MsgType and type(code) is int and type(mid) is int
-            and type(token) is bytes and type(payload) is bytes):
-        _validate(msg)
-        if options is _NO_OPTIONS:
-            return msg, None
-        canonical = _option_entry(options)[1]
-        if canonical is options:
-            return msg, None
-        if canonical is not None:
-            return tuple.__new__(CoapMessage, (msg_type, code, mid, token, canonical,
-                                               payload)), None
-    raw = encode(msg)
-    try:
-        return decode(raw), raw
-    except MalformedFrame:
-        return None, raw
+    if options is _NO_OPTIONS:
+        return msg
+    canonical = _option_entry(options)[1]
+    if canonical is options:
+        return msg
+    return tuple.__new__(CoapMessage, (msg_type, code, mid, token, canonical, payload))
 
 
 def classify(msg: CoapMessage) -> InteractionKind:
@@ -603,11 +596,16 @@ def classify(msg: CoapMessage) -> InteractionKind:
 
 
 def request(msg_type: MsgType, code: int, mid: int, path: str, *, token: bytes = b"",
-            payload: bytes = b"", **options) -> CoapMessage:
+            payload: bytes = b"", uri_query=(), observe=None, block1=None, max_age=None,
+            content_format=None, binding=None, extra=()) -> CoapMessage:
     """A request for `path`, the one place a path becomes Uri-Path options:
-    one per segment, none for the empty path (RFC 7252 section 6.4)."""
+    one per segment, none for the empty path (RFC 7252 section 6.4).  It
+    holds the option set `_option_entry` caches, so it is its own parse,
+    and options `encode` cannot carry raise InvariantViolation here."""
     uri_path = tuple(path.split("/")) if path else ()
-    return CoapMessage(msg_type, code, mid, token, OptionSet(uri_path, **options), payload)
+    options = _option_entry(tuple.__new__(OptionSet, (
+        uri_path, uri_query, observe, block1, max_age, content_format, binding, extra)))[1]
+    return tuple.__new__(CoapMessage, (msg_type, code, mid, token, options, payload))
 
 
 def registration_request(mid: int) -> CoapMessage:
@@ -624,10 +622,11 @@ def next_observe(value: int) -> int:
     return 2 if value == OBSERVE_DEREGISTER_VALUE else value
 
 
-def observe_options(observe: int, max_age: int) -> OptionSet:
-    """`OptionSet(observe=observe, max_age=max_age)`, made by `tuple.__new__`
-    without the NamedTuple's Python-level keyword `__new__`."""
-    return tuple.__new__(OptionSet, ((), (), observe, None, max_age, None, None, ()))
+def response_options(observe=None, max_age=None, block1=None) -> OptionSet:
+    """The options of a response, as the set `_option_entry` caches, looked
+    up without the NamedTuple's Python-level keyword `__new__`."""
+    fields = ((), (), observe, block1, max_age, None, None, ())
+    return _option_entry(tuple.__new__(OptionSet, fields))[1]
 
 
 def empty_ack(mid: int) -> CoapMessage:

@@ -118,11 +118,11 @@ class Frame:
 
     `Frame(raw, src, dst)` decodes `raw`; it is only for bytes from outside
     the program, such as injected or malformed frames.  Every frame the
-    program builds from a message is `Frame.of(msg, src, dst)`, whose parse
-    is `coap.parse_encoded`'s: the message `decode(encode(msg))` returns,
-    made without the bytes.  `raw`, the bytes every hop would forward, are
-    then encoded from the parse the first time they are read, and kept;
-    nothing in a simulated run reads them.
+    program builds from a message is `Frame.of(msg, src, dst)`, which
+    `encode` accepts exactly when `decode(encode(msg)) == msg`: its parse is
+    `coap.parse_encoded(msg)`, that message made without the bytes.  `raw`,
+    the bytes every hop would forward, are encoded from the parse the first
+    time they are read, and kept; nothing in a simulated run reads them.
     """
 
     # `_raw` is None until `raw` is first read.
@@ -157,13 +157,13 @@ class Frame:
 
     @classmethod
     def of(cls, msg: CoapMessage, src: Endpoint, dst: Endpoint) -> Frame:
-        """The frame of the bytes `encode(msg)`, with the parse
-        `decode(encode(msg))`, often `msg` itself: the bytes are made now
-        only when encoding the parse would not give them again."""
-        parsed, raw = coap.parse_encoded(msg)
+        """The frame of the bytes `encode(msg)`, made without them: its
+        parse is `decode(encode(msg))`, `msg` itself when `msg` holds the
+        option set a parse holds.  It raises what `encode(msg)` raises."""
+        parsed = coap.parse_encoded(msg)
         frame = _FrameSlots()  # plain slot writes, then the frozen class
-        frame.src, frame.dst, frame.parsed, frame._raw = src, dst, parsed, raw
-        frame.traced = raw if parsed is None else parsed
+        frame.src, frame.dst, frame._raw = src, dst, None
+        frame.parsed = frame.traced = parsed
         frame.__class__ = cls
         return frame
 
@@ -589,7 +589,7 @@ class VirtualNode:
         buf = self._incoming_blocks.setdefault(key, [])
         buf.append(msg.payload)
         if block.more:
-            self._reply(frame, msg, CONTINUE, b"", OptionSet(block1=block))
+            self._reply(frame, msg, CONTINUE, b"", coap.response_options(block1=block))
             return
         del self._incoming_blocks[key]
         # Raw image lands in permanent storage first, then is relocated
@@ -597,7 +597,7 @@ class VirtualNode:
         self.flash[filename] = b"".join(buf)
         self.loaded_modules.add(filename)
         self.sim.trace.emit("load", self.name, filename, "transfer")
-        self._reply(frame, msg, CREATED, b"", OptionSet(block1=block))
+        self._reply(frame, msg, CREATED, b"", coap.response_options(block1=block))
 
     # -- observe ----------------------------------------------------------
 
@@ -619,7 +619,7 @@ class VirtualNode:
         obs.sent_since_register = 0
         self.sim.trace.emit("observer_add", self.name, path, src, obs.counter)
         self._reply(frame, msg, CONTENT, self.resources[path],
-                    coap.observe_options(obs.counter, DEFAULT_MAX_AGE))
+                    coap.response_options(obs.counter, DEFAULT_MAX_AGE))
         # Immediate state push after (re)registration, counter unchanged;
         # it runs right after the response is sent, not from a timer.
         self._send_notification(path, obs)
@@ -675,7 +675,7 @@ class VirtualNode:
         mtype = _NON if obs.sent_since_register == 0 else _CON
         mid = self.mid_alloc.next_mid()
         msg = _new(CoapMessage, (mtype, CONTENT, mid, obs.token,
-                                 coap.observe_options(obs.counter, DEFAULT_MAX_AGE),
+                                 coap.response_options(obs.counter, DEFAULT_MAX_AGE),
                                  self.resources.get(path, b"")))
         frame = Frame.of(msg, self.endpoint, obs.client)
         obs.last_mid = mid
@@ -721,7 +721,7 @@ class VirtualNode:
             binding.last_sent = self.sim.now
         self.sim.trace.emit("binding_add", self.name, path, info)
         self._schedule_keepalive(binding)
-        self._reply(frame, msg, CONTENT, self.resources[path], OptionSet(observe=0))
+        self._reply(frame, msg, CONTENT, self.resources[path], coap.response_options(0))
 
     def _binding_due(self, binding: Binding) -> None:
         pmin_ms = binding.info.pmin * 1000.0

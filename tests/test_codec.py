@@ -147,6 +147,22 @@ def test_decoder_survives_random_bytes():
         assert decode(encode(msg)) == msg
 
 
+# Option values that equal no value `encode` can carry, of types it does not
+# expect.  Each raises InvariantViolation, and the cache tests meet them.
+BAD_OPTIONS = [
+    OptionSet(observe=0, binding=BindingInfo("aaaa::2", "led", pmin=None)),
+    OptionSet(observe=0, binding=BindingInfo("aaaa::2", "led", pmin="x")),
+    OptionSet(observe=0, binding=BindingInfo(None, "led")),
+    OptionSet(observe=0, binding=BindingInfo("\ud800", "led")),
+    OptionSet(uri_path=(5,)),
+    OptionSet(uri_path=("a", "\ud800")),
+    OptionSet(uri_query=("k=\udfff",)),
+    OptionSet(uri_path=["a"]),
+    OptionSet(extra=((60, b"x", b"y"),)),
+    OptionSet(extra=((60, "x"),)),
+]
+
+
 @pytest.mark.parametrize("msg", [
     CoapMessage(MsgType.CON, GET, 1, token=b"123456789"),
     CoapMessage(MsgType.CON, GET, 1, options=OptionSet(observe=0x1000000)),
@@ -158,29 +174,34 @@ def test_decoder_survives_random_bytes():
     CoapMessage(MsgType.CON, GET, 1, options=OptionSet(
         observe=0, binding=BindingInfo("aaaa::2", "led", pmin=10, pmax=5))),
     CoapMessage(MsgType.CON, PUT, 1, options=OptionSet(extra=((2048, bytes(65535 + 270)),))),
-])
+] + [CoapMessage(MsgType.CON, PUT, 1, options=o) for o in BAD_OPTIONS])
 def test_encode_rejects_invariant_violations(msg):
     with pytest.raises(InvariantViolation):
         encode(msg)
 
 
+# Each field's exact type, in the order the type rule is checked.
+FIELD_TYPES = [("msg_type", MsgType), ("code", int), ("mid", int), ("token", bytes),
+               ("options", OptionSet), ("options.uri_path", tuple),
+               ("options.uri_query", tuple), ("options.extra", tuple), ("payload", bytes)]
+
+
 def _rfc_rule_broken(msg) -> str | None:
-    # Every header rule `_validate` enforces, each tested in turn with no
-    # shortcut, and the message of the first one broken.
-    if isinstance(msg.mid, str):
-        return f"mid not an int: {msg.mid!r}"
+    # The type rule, then every header rule `_validate` enforces, each
+    # tested in turn with no shortcut, and the message of the first one
+    # broken.
+    for name, kind in FIELD_TYPES:
+        value = msg
+        for part in name.split("."):
+            value = getattr(value, part)
+        if type(value) is not kind:
+            return f"{name} not {kind.__name__}: {value!r}"
     if not 0 <= msg.mid <= 0xFFFF:
         return f"mid out of range: {msg.mid}"
-    if not hasattr(msg.token, "__len__"):
-        return f"token not bytes: {msg.token!r}"
     if len(msg.token) > 8:
         return f"token longer than 8 bytes: {len(msg.token)}"
-    if msg.code not in coap._VALID_CODES:
-        if not isinstance(msg.code, int):
-            return f"invalid code {msg.code!r}"
+    if msg.code >> 5 not in (0, 2, 4, 5):  # RFC 7252 section 12.1: the other classes are reserved
         return f"invalid code 0x{msg.code:02x}"
-    if msg.msg_type not in (0, 1, 2, 3):
-        return f"invalid message type {msg.msg_type!r}"
     if msg.code == EMPTY and (msg.token or msg.payload or msg.options != coap._NO_OPTIONS):
         return "EMPTY message must carry no token, options or payload"
     if msg.code == EMPTY and msg.msg_type == MsgType.NON:
@@ -189,22 +210,17 @@ def _rfc_rule_broken(msg) -> str | None:
         return "RST must be EMPTY"
     if msg.msg_type == MsgType.ACK and msg.code != EMPTY and not coap.is_response(msg.code):
         return "ACK must be EMPTY or carry a response code"
-    if not all(isinstance(field, int) for field in msg[:3]):
-        return f"header field not an int: {msg[:3]}"
-    for name in ("token", "payload"):
-        if not isinstance(getattr(msg, name), bytes):
-            return f"{name} not bytes: {getattr(msg, name)!r}"
     return None
 
 
 def test_encode_raises_each_broken_rule():
-    # `_validate` returns early for a CON or NON message with a request or
-    # response code; over header fields on both sides of every rule, the
-    # shortcut skips none of them.  A plain int is held to the rules of the
-    # type it equals, and one that equals no type is rejected.  A header
-    # field must be an int: a float equal to a valid value is rejected, and
-    # a bool encodes as the int it is.  A MID, code, token or payload of a
-    # type that cannot be one is named in the error, a falsy one too.
+    # Every field must have the exact type `decode` gives it, checked
+    # first: a plain int as a type, a bool or a float equal to a valid
+    # value as a code or MID, a `str`, `bytearray` or `memoryview` token or
+    # payload, a plain tuple as the options or a list as their path, query
+    # or unknown options is named in the error, a falsy one too.  Then `_validate` returns early
+    # for a CON or NON message with a request or response code; over header
+    # fields on both sides of every rule, the shortcut skips none of them.
     rng = random.Random(0x7E57)
     types = list(MsgType) + [0, 1, 2, 3, 7, -1]
     codes = [EMPTY, GET, 0x04, 0x05, 0x1F, 0x20, CONTENT, 0x5F, 0x60, 0x80, 0xA0, 0xBF, 0xC0, 0xFF]
@@ -212,13 +228,22 @@ def test_encode_raises_each_broken_rule():
             CoapMessage(3, CONTENT, 1), CoapMessage(2, GET, 1),
             CoapMessage(1.0, GET, 1), CoapMessage(MsgType.NON, 1.0, 1),
             CoapMessage(MsgType.NON, GET, 1.0), CoapMessage(True, GET, 1),
+            CoapMessage(MsgType.NON, True, 1), CoapMessage(MsgType.NON, GET, True),
             CoapMessage(MsgType.NON, 1.5, 1), CoapMessage(MsgType.NON, GET, "1"),
             CoapMessage(MsgType.NON, GET, 1, token="ab"),
             CoapMessage(MsgType.NON, GET, 1, payload="ab"),
+            CoapMessage(MsgType.NON, GET, 1, token=bytearray(b"ab")),
+            CoapMessage(MsgType.NON, GET, 1, payload=bytearray(b"ab")),
+            CoapMessage(MsgType.NON, GET, 1, token=memoryview(b"ab")),
+            CoapMessage(MsgType.NON, GET, 1, payload=memoryview(b"ab")),
             CoapMessage(MsgType.NON, GET, 1, token=5),
             CoapMessage(MsgType.NON, GET, 1, token=None),
             CoapMessage(MsgType.NON, GET, 1, payload=0),
-            CoapMessage(MsgType.NON, GET, 1, payload="")]
+            CoapMessage(MsgType.NON, GET, 1, payload=""),
+            CoapMessage(MsgType.NON, GET, 1, options=tuple(OptionSet(uri_path=("s",)))),
+            CoapMessage(MsgType.NON, GET, 1, options=OptionSet(uri_path=["s"])),
+            CoapMessage(MsgType.NON, GET, 1, options=OptionSet(uri_query=["k=v"])),
+            CoapMessage(MsgType.NON, GET, 1, options=OptionSet(extra=[(60, b"x")]))]
     msgs += [CoapMessage(rng.choice(types), rng.choice(codes),
                          rng.choice([-1, 0, 7, 0xFFFF, 0x10000]),
                          rng.randbytes(rng.choice([0, 1, 8, 9])),
@@ -236,17 +261,23 @@ def test_encode_raises_each_broken_rule():
             raised += 1
         checked += 1
     assert 0 < raised < checked
-    assert encode(CoapMessage(True, GET, 1)).hex() == "50010001"
+    assert encode(CoapMessage(MsgType.NON, GET, 1)).hex() == "50010001"
 
 
 def test_every_method_code_is_a_request_that_roundtrips():
-    # RFC 7252 section 5.8: every class-0 code past EMPTY is a method, the
-    # four this codec names and those it does not.
-    for code in range(1, 32):
+    # RFC 7252 sections 5.8, 5.9 and 12.1: every class-0 code past EMPTY is
+    # a method, the four this codec names and those it does not; classes
+    # 2, 4 and 5 are responses, and classes 1, 3, 6 and 7 are reserved.
+    for code in range(256):
+        method, response = code >> 5 == 0 and code != EMPTY, code >> 5 in (2, 4, 5)
+        assert (coap.is_request(code), coap.is_response(code)) == (method, response), code
         msg = CoapMessage(MsgType.CON, code, 7, token=b"\x01",
                           options=OptionSet(uri_path=("s",)))
-        assert coap.is_request(code) and decode(encode(msg)) == msg
-    assert not any(coap.is_request(code) for code in (EMPTY, 0x20, CONTENT))
+        if method or response:
+            assert decode(encode(msg)) == msg
+        else:  # EMPTY with a token and options, or a reserved class
+            with pytest.raises(InvariantViolation):
+                encode(msg)
     with pytest.raises(InvariantViolation):  # class 1 is reserved
         encode(CoapMessage(MsgType.CON, 0x20, 7))
 
@@ -343,9 +374,14 @@ def test_summarize_never_raises():
     assert "GET" in summarize(frame)
 
 
-# Unknown options numbered below and between the known ones, given out of
+# Unknown options numbered below and between the known ones, in ascending
 # order, with a repeated number whose two values must keep their order.
-EXTRAS = ((60, b"size"), (2049, b"x"), (1, b"\x01"), (8, b"e1"), (13, b"m"), (8, b"e2"))
+EXTRAS = ((1, b"\x01"), (8, b"e1"), (8, b"e2"), (13, b"m"), (60, b"size"), (2049, b"x"))
+# The same options out of order, which would decode in another order.
+EXTRAS_OUT_OF_ORDER = [
+    ((60, b"size"), (2049, b"x"), (1, b"\x01"), (8, b"e1"), (13, b"m"), (8, b"e2")),
+    ((1, b"\x01"), (8, b"e1"), (8, b"e2"), (13, b"m"), (2049, b"x"), (60, b"size")),
+]
 ALL_KNOWN = OptionSet(uri_path=("a", "lb"), uri_query=("k=v",), observe=5, content_format=0,
                       max_age=60, block1=Block1(2, True, 64))
 WITH_BINDING = OptionSet(uri_path=("s",), observe=0, binding=BindingInfo("aaaa::2", "led", 1, 60))
@@ -369,10 +405,12 @@ def test_options_encode_in_ascending_order(code, mid, token, options, payload, w
     assert frame.hex() == wire
     numbers = [number for number, _ in _naive_option_walk(frame)]
     assert numbers == sorted(numbers)
+    assert decode(frame) == msg and encode(decode(frame)) == frame
     # Extras decode in wire order: sorted by number, repeats in given order.
-    in_order = tuple(sorted(options.extra, key=lambda pair: pair[0]))
-    assert decode(frame) == msg._replace(options=options._replace(extra=in_order))
-    assert encode(decode(frame)) == frame
+    # Given in another order they would not decode as given, so they raise.
+    for extra in EXTRAS_OUT_OF_ORDER if options.extra else ():
+        with pytest.raises(InvariantViolation):
+            encode(msg._replace(options=options._replace(extra=extra)))
 
 
 def test_messages_and_frames_reject_attribute_assignment():
@@ -452,6 +490,7 @@ def codec_inputs():
                  for pair in EQUAL_BUT_TYPED for o in pair]
     messages += [CoapMessage(MsgType.CON, GET, 8, options=OptionSet(observe=observe))
                  for observe in (1.5, -1, "1", float("nan"), 0x1000000)]
+    messages += [CoapMessage(MsgType.CON, PUT, 9, options=o) for o in BAD_OPTIONS]
     frames = []
     for msg in messages:
         try:
@@ -493,9 +532,16 @@ def test_equal_keys_of_other_types_give_the_cold_output(pair, first_second):
     clear_caches()
     warm = [(outcome(encode, msg), outcome(short, msg)) for msg in msgs]
     assert warm == cold
-    # Equal option sets encode and render alike, whatever their types.
-    assert cold[0] == cold[1]
-    assert decode(cold[0][0][0]).options == first
+    # Equal option sets encode and render alike, whatever the types of
+    # their values.  A plain tuple is no `OptionSet`: it renders alike, but
+    # `encode` rejects it, cold and warm.
+    assert cold[0][1] == cold[1][1]
+    sets = [encoded for o, (encoded, _) in zip((first, second), cold) if type(o) is OptionSet]
+    assert all(encoded == sets[0] for encoded in sets)
+    assert decode(sets[0][0]).options == first
+    for o, (encoded, _) in zip((first, second), cold):
+        if type(o) is not OptionSet:
+            assert encoded[0] is InvariantViolation
 
 
 def test_caches_stay_bounded_and_outputs_right():
@@ -526,10 +572,9 @@ def test_frames_with_the_same_option_bytes_share_one_option_set():
 
 # -- a frame built from a message ------------------------------------------------
 
-# Messages that `encode` writes but whose fields have other types than
-# `decode` gives, whose bytes `decode` rejects, or whose options `decode`
-# gives other values, and plain-int types that `encode` rejects as it
-# rejects the member.
+# Messages whose fields have other types than `decode` gives, or whose
+# options would not decode as given: `decode` would reject their bytes or
+# parse them to other values.  `encode` rejects each of them.
 ODD_MESSAGES = [
     CoapMessage(MsgType.CON, True, 5, options=OptionSet(uri_path=("a",))),  # code GET
     CoapMessage(MsgType.CON, PUT, True, payload=b"x"),  # MID 1
@@ -545,7 +590,7 @@ ODD_MESSAGES = [
     CoapMessage(MsgType.CON, PUT, 11, options=OptionSet(extra=((2048, b"a"),))),
     CoapMessage(MsgType.CON, PUT, 12, options=OptionSet(extra=((14, bytes(5)),))),
     CoapMessage(MsgType.CON, PUT, 0x10000),
-    # Options that parse to other values, whose parse encodes to other bytes.
+    # Options that would parse to other values.
     CoapMessage(MsgType.CON, PUT, 13, options=OptionSet(extra=((12, b"\x00\x01"),))),
     CoapMessage(MsgType.CON, GET, 14, options=OptionSet(extra=((2050, b"r"), (2048, b"a")))),
 ]
@@ -575,8 +620,9 @@ def test_frame_of_is_the_frame_of_the_encoded_bytes():
         assert frame_outcome(lambda m: Frame.of(m, src, dst), msg) == built, msg
         kinds.append("raised" if len(built) == 2 else "malformed" if built[-1] is None
                      else "parsed")
-        if kinds[-1] == "parsed":
-            assert built[-1] is True
-    # Every outcome is met: a parse, bytes that do not parse, and no frame.
-    assert kinds.count("parsed") > 300
-    assert kinds.count("malformed") >= 5 and kinds.count("raised") >= 9
+        if kinds[-1] == "parsed":  # every message `encode` accepts round-trips
+            assert built[-1] is True and decode(built[0]) == msg
+    # A parse, or no frame: no built frame is malformed.
+    assert kinds.count("parsed") > 300 and kinds.count("malformed") == 0
+    assert kinds[-len(ODD_MESSAGES):] == ["raised"] * len(ODD_MESSAGES)
+    assert kinds.count("raised") >= 9 + len(ODD_MESSAGES)
