@@ -17,8 +17,12 @@ output: a value equal to a cached key gives the same bytes or message as
 a cold call.  So the miss paths read option numbers as the ints they
 equal (`True` as 1) and Block1 descriptors by position, since a
 `NamedTuple` equals a plain tuple of the same fields.  Failures are never
-cached.  Every parse takes its `OptionSet` from `_option_entry`, so the
-parses of equal option sets hold one object, whichever cache evicted what.
+cached, and an option set holding an unhashable value is no cache key:
+where `encode`, `parse_encoded`, `request` and `response_options` look a
+set up, such a set goes through the miss path alone, whose checks reject
+every value of the wrong shape with InvariantViolation.  Every parse takes
+its `OptionSet` from `_option_entry`, so the parses of equal option sets
+hold one object, whichever cache evicted what.
 """
 
 from __future__ import annotations
@@ -302,8 +306,12 @@ def _utf8(text, what: str) -> bytes:
 
 
 def validate_options(o: OptionSet) -> None:
-    """Raise InvariantViolation for an option value `encode` cannot carry."""
+    """Raise InvariantViolation for an option value `encode` cannot carry,
+    of any shape or type: it raises nothing else."""
     uri_path, uri_query, observe, block1, max_age, content_format, binding, extra = o
+    if not (isinstance(uri_path, tuple) and isinstance(uri_query, tuple)
+            and isinstance(extra, tuple)):
+        raise InvariantViolation(f"uri path, uri query or extra options not a tuple: {o}")
     if observe is not None:
         _uint(observe, "observe value", OBSERVE_MAX)
     if content_format is not None:
@@ -314,12 +322,16 @@ def validate_options(o: OptionSet) -> None:
         if len(_utf8(seg, "uri segment")) > 255:
             raise InvariantViolation("uri segment longer than 255 bytes")
     if block1 is not None:
+        if not (isinstance(block1, tuple) and len(block1) == 3):
+            raise InvariantViolation(f"block1 not a (num, more, size) tuple: {block1!r}")
         num, more, size = block1
         if size not in (16, 32, 64, 128, 256, 512, 1024):
             raise InvariantViolation(f"block1 size not a power of two in 16..1024: {size}")
         _uint(num, "block1 number", 0xFFFFF)
         _uint(more, "block1 more flag", 1)
     if binding is not None:
+        if not isinstance(binding, BindingInfo):
+            raise InvariantViolation(f"binding not a BindingInfo: {binding!r}")
         _utf8(binding.dest_addr, "binding dest_addr")
         if not _utf8(binding.dest_resource, "binding dest_resource"):
             raise InvariantViolation("binding dest_resource empty")
@@ -404,7 +416,10 @@ def encode(msg: CoapMessage) -> bytes:
     _validate(msg)
     msg_type, code, mid, token, options, payload = msg
     head = bytes(((COAP_VERSION << 6) | (msg_type << 4) | len(token), code, mid >> 8, mid & 0xFF))
-    block = _option_entry(options)[0]
+    try:
+        block = _option_entry(options)[0]
+    except TypeError:  # an unhashable value: the miss path raises InvariantViolation
+        block = _option_entry.__wrapped__(options)[0]
     if payload:
         return b"".join((head, token, block, b"\xff", payload))
     return b"".join((head, token, block))
@@ -558,7 +573,10 @@ def parse_encoded(msg: CoapMessage) -> CoapMessage:
     msg_type, code, mid, token, options, payload = msg
     if options is _NO_OPTIONS:
         return msg
-    canonical = _option_entry(options)[1]
+    try:
+        canonical = _option_entry(options)[1]
+    except TypeError:  # as in `encode`
+        canonical = _option_entry.__wrapped__(options)[1]
     if canonical is options:
         return msg
     return tuple.__new__(CoapMessage, (msg_type, code, mid, token, canonical, payload))
@@ -603,8 +621,12 @@ def request(msg_type: MsgType, code: int, mid: int, path: str, *, token: bytes =
     holds the option set `_option_entry` caches, so it is its own parse,
     and options `encode` cannot carry raise InvariantViolation here."""
     uri_path = tuple(path.split("/")) if path else ()
-    options = _option_entry(tuple.__new__(OptionSet, (
-        uri_path, uri_query, observe, block1, max_age, content_format, binding, extra)))[1]
+    options = tuple.__new__(OptionSet, (
+        uri_path, uri_query, observe, block1, max_age, content_format, binding, extra))
+    try:
+        options = _option_entry(options)[1]
+    except TypeError:  # as in `encode`
+        options = _option_entry.__wrapped__(options)[1]
     return tuple.__new__(CoapMessage, (msg_type, code, mid, token, options, payload))
 
 
@@ -625,8 +647,11 @@ def next_observe(value: int) -> int:
 def response_options(observe=None, max_age=None, block1=None) -> OptionSet:
     """The options of a response, as the set `_option_entry` caches, looked
     up without the NamedTuple's Python-level keyword `__new__`."""
-    fields = ((), (), observe, block1, max_age, None, None, ())
-    return _option_entry(tuple.__new__(OptionSet, fields))[1]
+    options = tuple.__new__(OptionSet, ((), (), observe, block1, max_age, None, None, ()))
+    try:
+        return _option_entry(options)[1]
+    except TypeError:  # as in `encode`
+        return _option_entry.__wrapped__(options)[1]
 
 
 def empty_ack(mid: int) -> CoapMessage:

@@ -14,6 +14,7 @@ from enum import Enum, IntEnum
 from typing import Callable, Optional, Tuple
 
 from .coap import (
+    EXCHANGE_LIFETIME_MS,
     MAX_RETRANSMIT,
     BindingInfo,
     CoapMessage,
@@ -115,8 +116,10 @@ class StateDirectory:
         self.deploy_mode = deploy_mode
         self._clock = clock
         self._trace = trace
-        # Partial block transfers, keyed (client, server, loader path).
-        self._pending_blocks: dict[tuple[Endpoint, Endpoint, str], list[bytes]] = {}
+        # Partial block transfers, keyed (client, server, loader path): when
+        # a block last continued each, and its blocks so far.
+        self._pending_blocks: dict[tuple[Endpoint, Endpoint, str],
+                                   tuple[float, list[bytes]]] = {}
 
     @property
     def entries(self) -> list[SDEntry]:
@@ -260,20 +263,26 @@ class StateDirectory:
 
     def _deploy_block(self, msg, src, dst, uri) -> SDEffect:
         block = msg.options.block1
-        key = (src, dst, uri)
+        key, now = (src, dst, uri), self._clock()
         if block.num == 0:
-            self._pending_blocks[key] = [msg.payload]
-            buf = self._pending_blocks[key]
+            # A new transfer drops those no block has continued for the
+            # exchange lifetime: their client gave up long before.
+            stale = now - EXCHANGE_LIFETIME_MS
+            self._pending_blocks = {k: p for k, p in self._pending_blocks.items()
+                                    if p[0] > stale}
+            buf = [msg.payload]
         else:
-            buf = self._pending_blocks.get(key)
-            if buf is None or block.num != len(buf):
+            pending = self._pending_blocks.get(key)
+            if pending is None or block.num != len(pending[1]):
                 # Retransmitted or orphaned fragment; stop-and-wait transfers
                 # only ever append the next expected block.
                 return NO_EFFECT
+            buf = pending[1]
             buf.append(msg.payload)
         if block.more:
+            self._pending_blocks[key] = (now, buf)
             return NO_EFFECT  # entry materializes only when the last block passes
-        del self._pending_blocks[key]
+        self._pending_blocks.pop(key, None)
         filename = msg.options.query_value("file")
         if not filename:
             return NO_EFFECT

@@ -38,7 +38,7 @@ class Gateway:
                                         trace=sim.trace)
         self.recovery = RecoveryCoordinator(self.directory, self, sim=sim)
         self.overhead_us: list[float] = []
-        self._registrations = Deduplicator(sim)  # each kept with its ACK frame
+        self._registrations = Deduplicator(sim)  # each kept with its ACK's parse
         network.gateway = self
 
     # -- forwarding --------------------------------------------------------
@@ -84,8 +84,9 @@ class Gateway:
     def _handle_registration(self, frame: Frame, msg: CoapMessage) -> None:
         node_addr = frame.src.addr
         kept = self._registrations.reply(frame.src, msg.mid)
-        ack = kept or self._registrations.keep(
-            frame.src, msg.mid, Frame.of(empty_ack(msg.mid), self.endpoint, frame.src))
+        ack = Frame.of(kept or empty_ack(msg.mid), self.endpoint, frame.src)
+        if kept is None:
+            self._registrations.keep(frame.src, msg.mid, ack.parsed)
         # The node blocks on this acknowledgement; it always goes out
         # before any replay packet.
         self.network.deliver_to_node(ack)

@@ -14,7 +14,7 @@ import itertools
 from collections import deque
 from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import coap
 from .coap import (
@@ -234,8 +234,8 @@ class Confirmable:
 # global read or set lookup, not an enum member read (about 4x a global).
 _SIGNALS = frozenset((MsgType.ACK, MsgType.RST))
 _CON, _NON, _ACK, _RST = MsgType
-# `_new(CoapMessage, fields)`: all fields in order, without the NamedTuple's
-# Python-level keyword `__new__`, as `coap.parse_encoded` builds one.
+# `_new(cls, fields)`: a NamedTuple of `cls` from all its fields in order,
+# without its Python-level keyword `__new__`, as `coap.parse_encoded` builds one.
 _new = tuple.__new__
 
 
@@ -258,17 +258,20 @@ class Deduplicator:
     """The replies to the confirmable messages received in the last
     EXCHANGE_LIFETIME_MS, by (peer endpoint, MID) as in RFC 7252 section
     4.5: a duplicate gets the same reply and is not processed again.
-    Entries expire in keep order; flat (address, port, MID) keys and float
-    keep times in a deque leave the garbage collector nothing per entry."""
+    A reply is kept as the parse of the frame that carried it, the object
+    the trace holds for that frame, and a duplicate is answered with
+    `Frame.of(kept, ...)`, whose parse is the kept one.  Entries expire in
+    keep order; flat (address, port, MID) keys and float keep times in a
+    deque leave the garbage collector nothing more per entry."""
 
     __slots__ = ("_sim", "_replies", "_times")
 
     def __init__(self, sim: Simulator) -> None:
         self._sim = sim
-        self._replies: dict[tuple[str, int, int], object] = {}  # in keep order
+        self._replies: dict[tuple[str, int, int], CoapMessage] = {}  # in keep order
         self._times: deque[float] = deque()
 
-    def reply(self, peer: Endpoint, mid: int):
+    def reply(self, peer: Endpoint, mid: int) -> Optional[CoapMessage]:
         """The reply kept for a message from `peer` with `mid`, or None."""
         times, replies = self._times, self._replies
         while times and times[0] <= self._sim.now - EXCHANGE_LIFETIME_MS:
@@ -276,11 +279,10 @@ class Deduplicator:
             del replies[next(iter(replies))]
         return replies.get((peer.addr, peer.port, mid))
 
-    def keep(self, peer: Endpoint, mid: int, reply):
-        """Keep and return `reply`, not None, for a message `reply()` found new."""
+    def keep(self, peer: Endpoint, mid: int, reply: CoapMessage) -> None:
+        """Keep `reply`, a frame's parse, for a message `reply()` found new."""
         self._replies[peer.addr, peer.port, mid] = reply
         self._times.append(self._sim.now)
-        return reply
 
 
 class Network:
@@ -426,7 +428,8 @@ class VirtualNode:
         # Open registration and CON notifications; replies to requests.
         self._exchanges: dict[tuple[Endpoint, Endpoint, int], Confirmable] = {}
         self._replies: Optional[Deduplicator] = None
-        self._incoming_blocks: dict[tuple[Endpoint, str], list[bytes]] = {}
+        # Partial block transfers: (when last continued, blocks so far).
+        self._incoming_blocks: dict[tuple[Endpoint, str], tuple[float, list[bytes]]] = {}
         self._registration: Optional[Confirmable] = None
         self._reg_sent_at = 0.0
 
@@ -524,7 +527,7 @@ class VirtualNode:
         if msg.msg_type is _CON:
             kept = self._replies.reply(frame.src, msg.mid)
             if kept is not None:
-                self.network.send(kept)
+                self.network.send(Frame.of(kept, self.endpoint, frame.src))
                 return
         o = msg.options
         path = o.path_str()
@@ -574,7 +577,7 @@ class VirtualNode:
         reply = Frame.of(_new(CoapMessage, (_ACK if con else _NON, code, mid, msg.token,
                                             options, payload)), self.endpoint, frame.src)
         if con:
-            self._replies.keep(frame.src, mid, reply)
+            self._replies.keep(frame.src, mid, reply.parsed)
         self.network.send(reply)
 
     def _deploy_block(self, frame: Frame, msg: CoapMessage) -> None:
@@ -583,15 +586,22 @@ class VirtualNode:
         if not filename:
             self._reply(frame, msg, BAD_REQUEST)
             return
-        key = (frame.src, filename)
+        key, now = (frame.src, filename), self.sim.now
         if block.num == 0:
-            self._incoming_blocks[key] = []
-        buf = self._incoming_blocks.setdefault(key, [])
+            # A new transfer drops those no block has continued for the
+            # exchange lifetime: their client gave up long before.
+            stale = now - EXCHANGE_LIFETIME_MS
+            self._incoming_blocks = {k: p for k, p in self._incoming_blocks.items()
+                                     if p[0] > stale}
+            buf = []
+        else:
+            buf = self._incoming_blocks.get(key, (now, []))[1]
         buf.append(msg.payload)
         if block.more:
+            self._incoming_blocks[key] = (now, buf)
             self._reply(frame, msg, CONTINUE, b"", coap.response_options(block1=block))
             return
-        del self._incoming_blocks[key]
+        self._incoming_blocks.pop(key, None)
         # Raw image lands in permanent storage first, then is relocated
         # into main memory.
         self.flash[filename] = b"".join(buf)
@@ -759,6 +769,27 @@ class VirtualNode:
             self._send_binding_put(binding)
 
 
+class Notification(NamedTuple):
+    """A notification the client accepted.  Each field but `time`, `node`,
+    `path` and `type` is the parse's own object, so a record holds nothing
+    the trace does not already hold."""
+
+    time: float
+    node: str  # the node's address
+    path: str
+    observe: int
+    mid: int
+    type: str  # the message type's name: "CON", "NON" or "ACK"
+    payload: bytes
+
+
+class Response(NamedTuple):
+    """A response that answered one of the client's requests: its parse."""
+
+    time: float
+    msg: CoapMessage
+
+
 @dataclass
 class Relationship:
     """A client's observe relationship: the port and token it keeps for its
@@ -777,7 +808,9 @@ class ScriptedClient:
     stay correlated.  A notification finds its relationship by (node
     address, token); a duplicate CON notification is acknowledged again
     and recorded once.  While silenced it neither acknowledges nor resets
-    incoming notifications.
+    incoming notifications.  `notifications` logs each notification it
+    accepts as a `Notification`, `responses` each response to its requests
+    as a `Response`, in arrival order.
     """
 
     def __init__(self, sim: Simulator, network: Network, *, name: str, addr: str) -> None:
@@ -790,8 +823,8 @@ class ScriptedClient:
         self.relationships: dict[tuple[str, str], Relationship] = {}
         # (node address, token) -> (path, relationship), for notifications.
         self._by_token: dict[tuple[str, bytes], tuple[str, Relationship]] = {}
-        self.notifications: list[dict] = []
-        self.responses: list[dict] = []
+        self.notifications: list[Notification] = []
+        self.responses: list[Response] = []
         # Open requests; ACKs sent to CON notifications.
         self._exchanges: dict[tuple[Endpoint, Endpoint, int], Confirmable] = {}
         self._replies = Deduplicator(sim)
@@ -894,7 +927,7 @@ class ScriptedClient:
             return
         response = None if msg.code == EMPTY else msg
         if response is not None:
-            self.responses.append({"time": self.sim.now, "msg": response})
+            self.responses.append(_new(Response, (self.sim.now, response)))
         if on_response is not None:
             on_response(response)
 
@@ -920,15 +953,13 @@ class ScriptedClient:
         path, rel = found
         source = self.network.endpoint(self.addr, rel.port)
         if msg.msg_type is _CON:
-            ack = self._replies.reply(frame.src, msg.mid)
-            if ack is not None:
-                self.network.send(ack)
+            kept = self._replies.reply(frame.src, msg.mid)
+            if kept is not None:
+                self.network.send(Frame.of(kept, source, frame.src))
                 return
-        self.notifications.append({
-            "time": self.sim.now, "node": node_addr, "path": path,
-            "observe": msg.options.observe, "mid": msg.mid,
-            "type": coap._TYPE_NAMES[msg.msg_type], "payload": msg.payload,
-        })
+        self.notifications.append(_new(Notification, (
+            self.sim.now, node_addr, path, msg.options.observe, msg.mid,
+            coap._TYPE_NAMES[msg.msg_type], msg.payload)))
         if rel.cancel:
             reply = coap.reset_for(msg.mid)
             self.network.send(Frame.of(reply, source, frame.src))
@@ -936,4 +967,5 @@ class ScriptedClient:
             return
         if msg.msg_type is _CON:
             ack = Frame.of(coap.empty_ack(msg.mid), source, frame.src)
-            self.network.send(self._replies.keep(frame.src, msg.mid, ack))
+            self._replies.keep(frame.src, msg.mid, ack.parsed)
+            self.network.send(ack)

@@ -50,16 +50,16 @@ def test_criterion_1_functional_recovery_replication():
     (path, endpoint), = node.observers.keys()
     assert path == "gpio/btn" and endpoint.addr == CLIENT_ADDR
 
-    post = [n for n in client.notifications if n["time"] > crash_time]
-    assert [n["observe"] for n in post] == [10, 11, 12]
-    assert [n["type"] for n in post] == ["NON", "CON", "CON"]
+    post = [n for n in client.notifications if n.time > crash_time]
+    assert [n.observe for n in post] == [10, 11, 12]
+    assert [n.type for n in post] == ["NON", "CON", "CON"]
     # Fresh MID space: consecutive after the reboot, not a continuation of
     # the pre-crash sequence.
-    pre = [n for n in client.notifications if n["time"] < crash_time]
-    post_mids = [n["mid"] for n in post]
+    pre = [n for n in client.notifications if n.time < crash_time]
+    post_mids = [n.mid for n in post]
     assert post_mids[1] == (post_mids[0] + 1) & 0xFFFF
     assert post_mids[2] == (post_mids[0] + 2) & 0xFFFF
-    assert post_mids[0] != (pre[-1]["mid"] + 1) & 0xFFFF
+    assert post_mids[0] != (pre[-1].mid + 1) & 0xFFFF
 
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0

@@ -162,6 +162,20 @@ BAD_OPTIONS = [
     OptionSet(extra=((60, "x"),)),
 ]
 
+# Option values of the wrong shape: unhashable, so no cache key, or
+# hashable but not read by position as `encode` reads them.  Each raises
+# InvariantViolation, from the cache lookup as from the miss path.
+WRONG_SHAPES = [
+    {"uri_path": (["a"],)},
+    {"observe": [1]},
+    {"block1": [0, False, 64]},
+    {"extra": ((60, bytearray(b"x")),)},
+    {"block1": (0, False)},
+    {"observe": 0, "binding": "aaaa::2 led"},
+    {"uri_query": ["a"]},
+]
+BAD_OPTIONS += [OptionSet(**fields) for fields in WRONG_SHAPES]
+
 
 @pytest.mark.parametrize("msg", [
     CoapMessage(MsgType.CON, GET, 1, token=b"123456789"),
@@ -178,6 +192,23 @@ BAD_OPTIONS = [
 def test_encode_rejects_invariant_violations(msg):
     with pytest.raises(InvariantViolation):
         encode(msg)
+
+
+@pytest.mark.parametrize("fields", WRONG_SHAPES, ids=repr)
+def test_every_entry_point_rejects_an_option_value_of_the_wrong_shape(fields):
+    msg = CoapMessage(MsgType.CON, PUT, 1, options=OptionSet(**fields))
+    with pytest.raises(InvariantViolation):
+        encode(msg)
+    with pytest.raises(InvariantViolation):
+        Frame.of(msg, Endpoint("cccc::3"), Endpoint("aaaa::2"))
+    with pytest.raises(InvariantViolation):
+        coap.validate_options(msg.options)
+    if "uri_path" not in fields:  # `request` makes the path itself
+        with pytest.raises(InvariantViolation):
+            request(MsgType.CON, PUT, 1, "a", **fields)
+    if fields.keys() <= {"observe", "block1"}:  # options `response_options` takes
+        with pytest.raises(InvariantViolation):
+            coap.response_options(**fields)
 
 
 # Each field's exact type, in the order the type rule is checked.

@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from worldutil import NODE2_ADDR, booted_world, simple_scenario
+from worldutil import NODE2_ADDR, booted_world, resent_as_kept, simple_scenario
 from sdgateway.coap import (
     CHANGED,
     CONTENT,
@@ -210,7 +210,7 @@ def test_an_ack_from_another_endpoint_completes_no_client_request(monkeypatch):
     assert client.responses == []
     assert world.sim.trace.find("client_retransmit", client="c1", mid=mid)
     client.on_frame(Frame(ack, request.dst, request.src))
-    assert [r["msg"].code for r in client.responses] == [CHANGED]
+    assert [r.msg.code for r in client.responses] == [CHANGED]
 
 
 def test_an_ack_from_another_endpoint_leaves_a_notification_unacknowledged():
@@ -267,11 +267,11 @@ def test_a_node_keeps_each_reply_for_the_exchange_lifetime(monkeypatch):
         put(1000 + i, b"%d" % i)
     assert node.resources["s/t"] == b"69"
     world.sim.run(until=kept_at + EXCHANGE_LIFETIME_MS - 1.0)
-    assert put(1000, b"first") is first  # the kept reply; the PUT does not run again
+    assert resent_as_kept(put(1000, b"first"), first)  # the PUT does not run again
     assert node.resources["s/t"] == b"69"
     world.sim.run(until=kept_at + EXCHANGE_LIFETIME_MS)
     again = put(1000, b"first")
-    assert again is not first and again.raw == first.raw
+    assert again.parsed is not first.parsed and again.raw == first.raw
     assert node.resources["s/t"] == b"first"
 
 

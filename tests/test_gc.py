@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 
 from sdgateway import coap
-from sdgateway.coap import Endpoint, OptionSet
+from sdgateway.coap import CoapMessage, Endpoint, OptionSet
 from sdgateway.harness import CLIENT_ADDR, ScenarioRun
-from sdgateway.lln import Frame
+from sdgateway.lln import Frame, Notification
 from sdgateway.scenario import (
     ClientDecl,
     NodeDecl,
@@ -259,3 +259,32 @@ def test_trace_records_hold_shared_endpoints_and_no_container_per_record(monkeyp
         assert not [v for v in flat if type(v) is str and v in summaries]
         frames.clear()
     assert held == [1 + 7 * 10, 1 + 7 * 20]
+
+
+@pytest.mark.parametrize("loss_seed", [None, (0.25, 5)], ids=["loss-free", "loss 0.25 seed 5"])
+def test_a_run_keeps_each_message_once(loss_seed):
+    """What the duplicate filters and the client's logs keep of a message is
+    the parse the trace already holds: no kept reply is a `Frame`, and a
+    notification's record holds the parse's own payload and MID."""
+    sc = load_scenario(bundled("fig12_19.scn"))
+    if loss_seed is not None:
+        sc.loss, sc.seed = loss_seed
+    run = ScenarioRun(sc)
+    run.advance()
+    run.finish()
+    world = run.world
+    flat = world.sim.trace._flat
+    parses = [v for v in flat if type(v) is CoapMessage]
+    in_trace = {id(v) for v in parses}
+    filters = [world.gateway._registrations]
+    filters += [node._replies for node in world.nodes.values()]
+    filters += [client._replies for client in world.clients.values()]
+    assert all(dedup._replies for dedup in filters)  # each side keeps replies
+    kept = [reply for dedup in filters for reply in dedup._replies.values()]
+    assert all(type(reply) is CoapMessage and id(reply) in in_trace for reply in kept)
+    own = {(id(m.payload), id(m.mid)) for m in parses}
+    notifications = [n for client in world.clients.values() for n in client.notifications]
+    assert notifications and all(type(n) is Notification for n in notifications)
+    assert all((id(n.payload), id(n.mid)) in own for n in notifications)
+    if loss_seed is not None:  # a lost ACK made a duplicate registration
+        assert world.sim.trace.find("gw", ev="reg_dup")

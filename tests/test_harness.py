@@ -210,7 +210,7 @@ def test_silence_verb_drops_frames_to_the_client_only_while_on():
     # The notification's retransmission, after `off`, is received and ACKed.
     assert trace.find("retransmit", node="n1")
     last = result.world.clients["c1"].notifications[-1]
-    assert last["payload"] == b"2" and last["time"] > 4000.0
+    assert last.payload == b"2" and last.time > 4000.0
     [observer] = result.world.nodes["n1"].observers.values()
     assert observer.pending is None
 
@@ -491,7 +491,7 @@ def test_cli_run_wraps_the_observe_counter_past_2_24(tmp_path, capsys):
     assert result.ok, result.failures
     notified = [(time, f["obs"]) for time, f in result.world.sim.trace.find("notify", node="n1")]
     assert notified[1:] == [(2000.0, 16777215), (3000.0, 0), (4000.0, 2)]
-    observed = [n["observe"] for n in result.world.clients["c1"].notifications]
+    observed = [n.observe for n in result.world.clients["c1"].notifications]
     assert observed[-3:] == [16777215, 0, 2]
 
 

@@ -143,7 +143,7 @@ def test_recovery_observe_seeds_counter_and_next_changes_continue(monkeypatch):
     node.change_resource("gpio/btn", b"1")
     node.change_resource("gpio/btn", b"2")
     world.sim.run(until=world.sim.now + 1000.0)
-    values = [n["observe"] for n in client.notifications]
+    values = [n.observe for n in client.notifications]
     assert values[-3:] == [10, 11, 12]  # push at 10, then the two changes
 
 
@@ -270,11 +270,11 @@ def test_scripted_counter_jumps_but_never_backward():
     for value in (12, 20, 44):
         node.notify("s/t", counter=value)
         world.sim.run(until=world.sim.now + 500.0)
-    values = [n["observe"] for n in client.notifications]
+    values = [n.observe for n in client.notifications]
     assert values == [0, 0, 12, 20, 44]  # registration echo, push, then jumps
     node.notify("s/t", counter=5)  # backward: skipped and traced, not raised
     world.sim.run(until=world.sim.now + 500.0)
-    assert [n["observe"] for n in client.notifications] == values
+    assert [n.observe for n in client.notifications] == values
     [obs] = node.observers.values()
     assert obs.counter == 44
     assert [f for _, f in world.sim.trace.find("notify_ignored")] == [
@@ -524,8 +524,8 @@ def test_notification_from_another_node_with_the_same_token_is_ignored():
     assert len(client.notifications) == seen
     assert len(_client_sends(world)) == sent  # neither ACK nor RST
     client.on_frame(_notification(world, NODE_ADDR, rel.token, rel.port))
-    assert client.notifications[-1]["node"] == NODE_ADDR
-    assert client.notifications[-1]["path"] == "s/t"
+    assert client.notifications[-1].node == NODE_ADDR
+    assert client.notifications[-1].path == "s/t"
     assert len(_client_sends(world)) == sent + 1  # the ACK
 
 
@@ -557,13 +557,13 @@ def test_reobserve_after_deregister_is_matched_under_its_new_token():
     assert new.token != old.token and new.port != old.port
     node.change_resource("s/t", b"21")
     world.sim.run(until=world.sim.now + 1000.0)
-    assert client.notifications[-1]["path"] == "s/t"
-    assert client.notifications[-1]["payload"] == b"21"
+    assert client.notifications[-1].path == "s/t"
+    assert client.notifications[-1].payload == b"21"
     seen = len(client.notifications)
     client.on_frame(_notification(world, node.addr, old.token, new.port))
     assert len(client.notifications) == seen
     client.on_frame(_notification(world, node.addr, new.token, new.port, counter=90))
-    assert client.notifications[-1]["observe"] == 90
+    assert client.notifications[-1].observe == 90
 
 
 @pytest.mark.parametrize("loss", [0.0, 0.3])
@@ -684,7 +684,7 @@ def test_a_deploy_the_node_answers_not_found_is_warned():
     world.sim.run(until=world.sim.now + 1000.0)
     assert [f for _, f in world.sim.trace.find("client_warn")] == [
         {"client": "c1", "why": "deploy-failed", "file": "m.bin"}]
-    assert client.responses[-1]["msg"].code == NOT_FOUND
+    assert client.responses[-1].msg.code == NOT_FOUND
     assert "m.bin" not in node.flash and not world.sim.trace.find("deploy_done")
 
 
@@ -734,3 +734,40 @@ def test_malformed_bytes_delivered_to_a_client_are_dropped():
     assert records == [("recv", {"at": str(target), "msg": "malformed[2B]"}),
                        ("drop", {"why": "malformed", "client": "c1"})]
     assert client.responses == [] and client.notifications == []
+
+
+# -- partial block transfers -------------------------------------------------------
+
+def test_a_new_block_transfer_drops_those_abandoned_for_the_exchange_lifetime():
+    """The node is blackholed after a deploy's first block until the client
+    gives up.  A deploy soon after keeps the abandoned transfer on both the
+    node and the gateway's directory; one 250 s later drops it."""
+    world = booted_world(simple_scenario())
+    node, client, sim = world.nodes["n1"], world.clients["c1"], world.sim
+    directory = world.gateway.directory
+
+    def deploy_first_block(filename: str) -> None:
+        client.deploy(node.addr, filename, filename.encode() * 16, block_size=16)
+        while filename not in {name for _, name in node._incoming_blocks}:
+            sim.run(until=sim.now + 1.0)
+
+    deploy_first_block("old")
+    world.network.blackholes.add(node.addr)
+    sim.run(until=sim.now + 100_000.0)
+    assert sim.trace.find("client_timeout", client="c1")
+    world.network.blackholes.clear()
+    (old_node,), (old_sd,) = node._incoming_blocks, directory._pending_blocks
+    deploy_first_block("mid")  # within the lifetime: both transfers are held
+    assert len(node._incoming_blocks) == len(directory._pending_blocks) == 2
+    sim.run(until=sim.now + 1000.0)
+    assert set(node._incoming_blocks) == {old_node} and node.flash["mid"] == b"mid" * 16
+    assert set(directory._pending_blocks) == {old_sd}
+    sim.run(until=sim.now + 250_000.0)
+    deploy_first_block("new")
+    ((new_node, (_, blocks)),) = node._incoming_blocks.items()
+    assert new_node != old_node and blocks == [b"new" * 5 + b"n"]
+    ((new_sd, (_, blocks)),) = directory._pending_blocks.items()
+    assert new_sd != old_sd and blocks == [b"new" * 5 + b"n"]
+    sim.run(until=sim.now + 1000.0)
+    assert node.flash["new"] == b"new" * 16
+    assert node._incoming_blocks == directory._pending_blocks == {}

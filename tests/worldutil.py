@@ -45,6 +45,14 @@ def _sends(world, monkeypatch) -> list[Frame]:
     return sent
 
 
+def resent_as_kept(resent: Frame, first: Frame) -> bool:
+    """Whether `resent`, a reply rebuilt for a duplicate, is `first` again:
+    it holds the parse kept of `first` and goes out with the same source,
+    destination and bytes."""
+    return (resent.parsed is first.parsed
+            and (resent.src, resent.dst, resent.raw) == (first.src, first.dst, first.raw))
+
+
 def client_frames(world) -> list[bytes]:
     """The raw bytes of every frame a client of `world` receives from now
     on, in arrival order: each client's `on_frame` is wrapped on the
