@@ -22,6 +22,6 @@ from .coap import (
     decode,
     encode,
 )
-from .directory import DeployInfo, DeployMode, EffectKind, EntryType, SDEffect, SDEntry, StateDirectory
+from .directory import DeployMode, EffectKind, EntryType, SDEffect, SDEntry, StateDirectory
 
 __version__ = "0.1.0"

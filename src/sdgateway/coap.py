@@ -17,10 +17,11 @@ output: a value equal to a cached key gives the same bytes or message as
 a cold call.  So the miss paths read option numbers as the ints they
 equal (`True` as 1) and Block1 descriptors by position, since a
 `NamedTuple` equals a plain tuple of the same fields.  Failures are never
-cached, and an option set holding an unhashable value is no cache key:
-where `encode`, `parse_encoded`, `request` and `response_options` look a
-set up, such a set goes through the miss path alone, whose checks reject
-every value of the wrong shape with InvariantViolation.  Every parse takes
+cached, and an option set whose hash raises (an unhashable value, or a
+writable `memoryview`) is no cache key: `_option_lookup`, where `encode`,
+`parse_encoded`, `request` and `response_options` look a set up, sends
+such a set through the miss path alone, whose checks reject every value
+of the wrong shape with InvariantViolation.  Every parse takes
 its `OptionSet` from `_option_entry`, so the parses of equal option sets
 hold one object, whichever cache evicted what.
 """
@@ -410,16 +411,23 @@ def _option_entry(o: OptionSet) -> tuple[bytes, OptionSet]:
     return block, parsed
 
 
+def _option_lookup(o: OptionSet) -> tuple[bytes, OptionSet]:
+    """`_option_entry(o)`, through the miss path alone when `o` is no cache
+    key: its hash raises TypeError for an unhashable value and ValueError
+    for a writable `memoryview`."""
+    try:
+        return _option_entry(o)
+    except (TypeError, ValueError):
+        return _option_entry.__wrapped__(o)
+
+
 def encode(msg: CoapMessage) -> bytes:
     """Serialize a message to RFC 7252 wire format (version 1), if and only
     if `decode(encode(msg)) == msg`; raise InvariantViolation otherwise."""
     _validate(msg)
     msg_type, code, mid, token, options, payload = msg
     head = bytes(((COAP_VERSION << 6) | (msg_type << 4) | len(token), code, mid >> 8, mid & 0xFF))
-    try:
-        block = _option_entry(options)[0]
-    except TypeError:  # an unhashable value: the miss path raises InvariantViolation
-        block = _option_entry.__wrapped__(options)[0]
+    block = _option_lookup(options)[0]
     if payload:
         return b"".join((head, token, block, b"\xff", payload))
     return b"".join((head, token, block))
@@ -573,10 +581,7 @@ def parse_encoded(msg: CoapMessage) -> CoapMessage:
     msg_type, code, mid, token, options, payload = msg
     if options is _NO_OPTIONS:
         return msg
-    try:
-        canonical = _option_entry(options)[1]
-    except TypeError:  # as in `encode`
-        canonical = _option_entry.__wrapped__(options)[1]
+    canonical = _option_lookup(options)[1]
     if canonical is options:
         return msg
     return tuple.__new__(CoapMessage, (msg_type, code, mid, token, canonical, payload))
@@ -623,10 +628,7 @@ def request(msg_type: MsgType, code: int, mid: int, path: str, *, token: bytes =
     uri_path = tuple(path.split("/")) if path else ()
     options = tuple.__new__(OptionSet, (
         uri_path, uri_query, observe, block1, max_age, content_format, binding, extra))
-    try:
-        options = _option_entry(options)[1]
-    except TypeError:  # as in `encode`
-        options = _option_entry.__wrapped__(options)[1]
+    options = _option_lookup(options)[1]
     return tuple.__new__(CoapMessage, (msg_type, code, mid, token, options, payload))
 
 
@@ -648,10 +650,7 @@ def response_options(observe=None, max_age=None, block1=None) -> OptionSet:
     """The options of a response, as the set `_option_entry` caches, looked
     up without the NamedTuple's Python-level keyword `__new__`."""
     options = tuple.__new__(OptionSet, ((), (), observe, block1, max_age, None, None, ()))
-    try:
-        return _option_entry(options)[1]
-    except TypeError:  # as in `encode`
-        return _option_entry.__wrapped__(options)[1]
+    return _option_lookup(options)[1]
 
 
 def empty_ack(mid: int) -> CoapMessage:

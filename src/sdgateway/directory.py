@@ -3,12 +3,16 @@ from intercepted packets and their direction of travel.
 
 Entries mirror what the destination node will hold in volatile memory:
 PUT values, observe relationships (with live observe/retransmit
-counters), binding descriptors and deployed-module records.  All
+counters), binding descriptors and deployed-module records.  Each entry
+keeps the latest request that made its state, the intercepted message
+itself, and in block-capture mode a deploy keeps its transfer's block
+requests too; a replay is that request again with a fresh MID.  All
 mutation goes through the two intercept operations; reads are snapshots.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Callable, Optional, Tuple
@@ -16,7 +20,6 @@ from typing import Callable, Optional, Tuple
 from .coap import (
     EXCHANGE_LIFETIME_MS,
     MAX_RETRANSMIT,
-    BindingInfo,
     CoapMessage,
     Endpoint,
     InteractionKind,
@@ -50,27 +53,17 @@ class RegistrationStatus(Enum):
 
 
 @dataclass(slots=True)
-class DeployInfo:
-    filename: str
-    loader_path: str
-    blocks: Optional[Tuple[bytes, ...]] = None  # present only in block-capture mode
-    block_size: int = 0  # the transfer's Block1 size, which a block replay reuses
-
-
-@dataclass(slots=True)
 class SDEntry:
     entry_type: EntryType
     client: Endpoint
     server: Endpoint
-    uri_path: str
-    token: bytes = b""
-    mid: int = 0
+    uri_path: str  # the path of the request that created the entry
+    request: CoapMessage  # the latest request for the entry's key, as intercepted
+    mid: int = 0  # the request's MID, then an OBSERVE entry's latest notification's
     observe_counter: int = 0
     retransmit_counter: int = 0
-    value: bytes = b""
-    content_format: Optional[int] = None
-    binding: Optional[BindingInfo] = None
-    deploy: Optional[DeployInfo] = None
+    # A block-capture deploy's block requests, the last one `request`.
+    blocks: Optional[Tuple[CoapMessage, ...]] = None
     created_at: float = 0.0
     updated_at: float = 0.0
     key: tuple = field(default=(), repr=False, compare=False)  # its key, for `holds`
@@ -117,9 +110,9 @@ class StateDirectory:
         self._clock = clock
         self._trace = trace
         # Partial block transfers, keyed (client, server, loader path): when
-        # a block last continued each, and its blocks so far.
+        # a block last continued each, and its block requests so far.
         self._pending_blocks: dict[tuple[Endpoint, Endpoint, str],
-                                   tuple[float, list[bytes]]] = {}
+                                   tuple[float, list[CoapMessage]]] = {}
 
     @property
     def entries(self) -> list[SDEntry]:
@@ -141,7 +134,7 @@ class StateDirectory:
         (and their retransmissions) have an effect."""
         if classify(msg) is not _NOTIFICATION:
             return self._done("lln", NO_EFFECT)
-        key = self._find_observe(dst, src, "token", msg.token)
+        key = self._find_observe(dst, src, _TOKEN, msg.token)
         if key is None:
             # Collection is driven by requests; a stray notification
             # never creates state.
@@ -185,19 +178,20 @@ class StateDirectory:
         in canonical text form.  Used by the harness for assertions."""
         lines = []
         for e in self._entries.values():
-            binding = "-"
-            if e.binding is not None:
-                b = e.binding
+            r, o = e.request, e.request.options
+            value = cf = binding = deploy = "-"
+            if e.entry_type is EntryType.PUT:
+                value = r.payload.hex() or "-"
+                cf = "-" if o.content_format is None else str(o.content_format)
+            elif e.entry_type is EntryType.BIND:
+                b = o.binding
                 binding = f"{b.dest_addr},{b.dest_resource},{b.pmin},{b.pmax}"
-            deploy = "-"
-            if e.deploy is not None:
-                nblocks = len(e.deploy.blocks) if e.deploy.blocks is not None else 0
-                deploy = f"{e.deploy.filename},{e.deploy.loader_path},{nblocks}"
-            cf = "-" if e.content_format is None else str(e.content_format)
+            elif e.entry_type is EntryType.DEPLOY:
+                deploy = f"{o.query_value('file')},{o.path_str()},{len(e.blocks or ())}"
             lines.append("\t".join([
                 str(int(e.entry_type)), str(e.client), str(e.server), e.uri_path,
-                e.token.hex() or "-", str(e.mid), str(e.observe_counter),
-                str(e.retransmit_counter), e.value.hex() or "-", cf,
+                r.token.hex() or "-", str(e.mid), str(e.observe_counter),
+                str(e.retransmit_counter), value, cf,
                 binding, deploy, f"{e.created_at:.3f}", f"{e.updated_at:.3f}",
             ]))
         return lines
@@ -210,24 +204,24 @@ class StateDirectory:
     # -- internals -----------------------------------------------------
 
     def _upsert(self, key: tuple, msg: CoapMessage, src: Endpoint, dst: Endpoint,
-                uri: str, **fields) -> SDEffect:
-        """Create the entry for `key`, or update it in place.  `fields` are
-        the type's own data.  An update keeps the original `uri_path` and
-        takes the latest client endpoint, which wins the replay spoof (an
-        OBSERVE key holds its client, so there it stays the same)."""
+                uri: str, blocks: Optional[tuple] = None) -> SDEffect:
+        """Create the entry for `key` from the request `msg`, or update it
+        in place.  An update keeps the original `uri_path` and takes the
+        request, its MID, and the latest client endpoint, which wins the
+        replay spoof (an OBSERVE key holds its client, so there it stays the
+        same)."""
         now = self._clock()
         entry = self._entries.get(key)
         if entry is None:
-            entry = SDEntry(key[0], src, dst, uri, token=msg.token, mid=msg.mid,
-                            created_at=now, updated_at=now, key=key, **fields)
+            entry = SDEntry(key[0], src, dst, uri, msg, msg.mid, blocks=blocks,
+                            created_at=now, updated_at=now, key=key)
             self._entries[key] = entry
             self._by_server.setdefault(dst.addr, {})[key] = entry
             return SDEffect(_CREATED, entry)
-        for name, value in fields.items():
-            setattr(entry, name, value)
         entry.client = src
-        entry.token = msg.token
+        entry.request = msg
         entry.mid = msg.mid
+        entry.blocks = blocks
         entry.updated_at = now
         return SDEffect(_UPDATED, entry)
 
@@ -235,8 +229,7 @@ class StateDirectory:
     # (msg, src, dst, uri): see `_COLLECT`.
 
     def _put(self, msg, src, dst, uri) -> SDEffect:
-        return self._upsert((EntryType.PUT, dst, uri), msg, src, dst, uri,
-                            value=msg.payload, content_format=msg.options.content_format)
+        return self._upsert((EntryType.PUT, dst, uri), msg, src, dst, uri)
 
     def _observe(self, msg, src, dst, uri) -> SDEffect:
         return self._upsert((EntryType.OBSERVE, src, dst, uri), msg, src, dst, uri)
@@ -247,17 +240,17 @@ class StateDirectory:
     def _bind(self, msg, src, dst, uri) -> SDEffect:
         info = msg.options.binding
         return self._upsert((EntryType.BIND, dst, uri, info.dest_addr, info.dest_resource),
-                            msg, src, dst, uri, binding=info)
+                            msg, src, dst, uri)
 
     def _reset(self, msg, src, dst, uri) -> SDEffect:
-        return self._remove(self._find_observe(src, dst, "mid", msg.mid), "rst")
+        return self._remove(self._find_observe(src, dst, _MID, msg.mid), "rst")
 
-    def _find_observe(self, client: Endpoint, server: Endpoint, field: str, value) -> Optional[tuple]:
+    def _find_observe(self, client: Endpoint, server: Endpoint, field, value) -> Optional[tuple]:
         """Key of the first OBSERVE entry, in creation order, of `client`
-        at `server` whose `field` equals `value`."""
+        at `server` whose `field(entry)` equals `value`."""
         for key, e in self._by_server.get(server.addr, {}).items():
             if (e.entry_type is EntryType.OBSERVE and e.client == client
-                    and e.server == server and getattr(e, field) == value):
+                    and e.server == server and field(e) == value):
                 return key
         return None
 
@@ -270,7 +263,7 @@ class StateDirectory:
             stale = now - EXCHANGE_LIFETIME_MS
             self._pending_blocks = {k: p for k, p in self._pending_blocks.items()
                                     if p[0] > stale}
-            buf = [msg.payload]
+            buf = [msg]
         else:
             pending = self._pending_blocks.get(key)
             if pending is None or block.num != len(pending[1]):
@@ -278,7 +271,7 @@ class StateDirectory:
                 # only ever append the next expected block.
                 return NO_EFFECT
             buf = pending[1]
-            buf.append(msg.payload)
+            buf.append(msg)
         if block.more:
             self._pending_blocks[key] = (now, buf)
             return NO_EFFECT  # entry materializes only when the last block passes
@@ -287,11 +280,10 @@ class StateDirectory:
         if not filename:
             return NO_EFFECT
         blocks = tuple(buf) if self.deploy_mode is DeployMode.BLOCK_CAPTURE else None
-        return self._upsert((EntryType.DEPLOY, dst, filename), msg, src, dst, uri,
-                            deploy=DeployInfo(filename, uri, blocks, block.size))
+        return self._upsert((EntryType.DEPLOY, dst, filename), msg, src, dst, uri, blocks)
 
     def _client_ack(self, msg, src, dst, uri) -> SDEffect:
-        key = self._find_observe(src, dst, "mid", msg.mid)
+        key = self._find_observe(src, dst, _MID, msg.mid)
         if key is None or self._entries[key].retransmit_counter == 0:
             return NO_EFFECT
         entry = self._entries[key]
@@ -326,9 +318,9 @@ class StateDirectory:
         elif e.entry_type is EntryType.PUT:
             ok = e.observe_counter == 0
         elif e.entry_type is EntryType.BIND:
-            ok = e.binding is not None
+            ok = e.request.options.binding is not None
         else:
-            ok = e.deploy is not None
+            ok = bool(e.request.options.query_value("file"))
         if not ok:
             raise DirectoryInvariantError(f"corrupt {e.entry_type.name} entry: {e!r}")
         return effect
@@ -347,5 +339,7 @@ _COLLECT = {
     InteractionKind.ACK_SIGNAL: StateDirectory._client_ack,
 }
 _NOTIFICATION = InteractionKind.NOTIFICATION  # the one kind an outbound packet acts on
+# What `_find_observe` matches a notification and a client's RST or ACK on.
+_TOKEN, _MID = operator.attrgetter("request.token"), operator.attrgetter("mid")
 _CREATED, _UPDATED, _REMOVED, _NONE = EffectKind  # global reads, not enum member reads
 NO_EFFECT = SDEffect(_NONE)  # the one effect without an entry, shared

@@ -1,11 +1,12 @@
 """Replay stored dynamic states onto a rebooted node, from the live directory.
 
 `build_plan` orders the node's entries into steps when it registers.  The
-executor fires one step at a time, building its replay from the entry as
-the directory holds it then, so a client request made during recovery is
-never undone; a step whose entry is gone is skipped.  It waits for the
-(suppressed) response or a retransmission timeout, and paces consecutive
-injections so recovery traffic cannot congest the LLN.
+executor fires one step at a time.  Its replay is the request the entry
+keeps at that moment, or one of its captured block requests, sent again
+as a CON with the step's fresh MID; so a client request made during
+recovery is never undone, and a step whose entry is gone is skipped.  It
+waits for the (suppressed) response or a retransmission timeout, and
+paces consecutive injections so recovery traffic cannot congest the LLN.
 """
 
 from __future__ import annotations
@@ -14,17 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .coap import (
-    GET,
-    POST,
-    PUT,
-    Block1,
-    CoapMessage,
-    Endpoint,
-    MidAllocator,
-    MsgType,
-    request,
-)
+from .coap import POST, CoapMessage, Endpoint, MidAllocator, MsgType, request
 from .directory import EntryType, SDEntry, StateDirectory, RegistrationStatus
 from .lln import Confirmable, Frame, answer
 from .sim import Simulator
@@ -68,10 +59,10 @@ class RecoveryReport:
 
 
 def build_plan(entries: list[SDEntry], mids: MidAllocator) -> list[tuple]:
-    """Order one node's entries into replay steps `(entry, transfer, block,
-    mid)`: one per block of a block-capture deploy's `transfer`, the
-    `DeployInfo` it holds now, and one with `transfer` None for any other
-    entry.  Each MID is reserved now, so concurrent recoveries keep theirs.
+    """Order one node's entries into replay steps `(entry, blocks, block,
+    mid)`: one per block request of a block-capture deploy's `blocks`, the
+    tuple it holds now, and one with `blocks` None for any other entry.
+    Each MID is reserved now, so concurrent recoveries keep theirs.
 
     State-modifying entries go first (each in creation order); observe
     registrations land last so the counter they seed is final — a PUT
@@ -82,39 +73,38 @@ def build_plan(entries: list[SDEntry], mids: MidAllocator) -> list[tuple]:
               [e for e in entries if e.entry_type is EntryType.OBSERVE]
     steps = []
     for entry in ordered:
-        transfer = entry.deploy
-        if transfer is not None and transfer.blocks is not None:
-            steps += [(entry, transfer, i, mids.next_mid()) for i in range(len(transfer.blocks))]
-        else:
+        blocks = entry.blocks
+        if blocks is None:
             steps.append((entry, None, 0, mids.next_mid()))
+        else:
+            steps += [(entry, blocks, i, mids.next_mid()) for i in range(len(blocks))]
     return steps
 
 
+_SPOOFED = (EntryType.PUT, EntryType.OBSERVE)  # replayed from the stored client
+
+
 def build_replay(step: tuple, gateway: Endpoint) -> tuple[CoapMessage, Endpoint]:
-    """The message that replays `step`, from its entry as it is now, and
-    the source it spoofs: the stored client for PUT and OBSERVE, `gateway`,
-    the gateway's own endpoint, for BIND and DEPLOY."""
-    entry, transfer, block, mid = step
-    if entry.entry_type is EntryType.PUT:
-        return request(MsgType.CON, PUT, mid, entry.uri_path, token=entry.token,
-                       payload=entry.value, content_format=entry.content_format), entry.client
+    """The message that replays `step`, and the source it spoofs: the
+    stored client for PUT and OBSERVE, `gateway`, the gateway's own
+    endpoint, for BIND and DEPLOY.  The message is the request the entry
+    keeps now, or the step's block request, as a CON with the step's MID:
+    every option of the intercepted request goes with it."""
+    entry, blocks, block, mid = step
+    kept = entry.request if blocks is None else blocks[block]
+    options = kept.options
     if entry.entry_type is EntryType.OBSERVE:
         # Fresh MID, stored token: tokens, not MIDs, bind notifications to
         # the relationship.  The stored counter continues the numbering; 1
         # would read as a cancellation on the wire, so it is bumped past it.
         counter = 2 if entry.observe_counter == 1 else entry.observe_counter
-        return request(MsgType.CON, GET, mid, entry.uri_path, token=entry.token,
-                       observe=counter), entry.client
-    if entry.entry_type is EntryType.BIND:
-        return request(MsgType.CON, GET, mid, entry.uri_path, token=entry.token, observe=0,
-                       binding=entry.binding), gateway
-    # DEPLOY: the filename alone, or one block of the captured transfer
-    loader, query = entry.deploy.loader_path, (f"file={entry.deploy.filename}",)
-    if transfer is None:
-        return request(MsgType.CON, POST, mid, loader, uri_query=query), gateway
-    block1 = Block1(block, block < len(transfer.blocks) - 1, transfer.block_size)
-    return request(MsgType.CON, POST, mid, loader, payload=transfer.blocks[block],
-                   uri_query=query, block1=block1), gateway
+        options = options._replace(observe=counter)
+    elif entry.entry_type is EntryType.DEPLOY and blocks is None:
+        # The filename alone: the node reloads the module from its flash.
+        return request(MsgType.CON, POST, mid, options.path_str(),
+                       uri_query=(f"file={options.query_value('file')}",)), gateway
+    source = entry.client if entry.entry_type in _SPOOFED else gateway
+    return kept._replace(msg_type=MsgType.CON, mid=mid, options=options), source
 
 
 class RecoveryRun:
@@ -187,8 +177,8 @@ class RecoveryCoordinator:
         sends nothing, so it takes no pacing gap."""
         run.gap_event = None
         while run.index < len(run.steps):
-            step = entry, transfer, _, _ = run.steps[run.index]
-            if self.directory.holds(entry) and (transfer is None or entry.deploy is transfer):
+            step = entry, blocks, _, _ = run.steps[run.index]
+            if self.directory.holds(entry) and (blocks is None or entry.blocks is blocks):
                 break
             self._record(run, StepOutcome.SKIPPED)
         else:

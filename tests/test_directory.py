@@ -26,7 +26,6 @@ from sdgateway.coap import (
 )
 import sdgateway
 from sdgateway.directory import (
-    DeployInfo,
     DeployMode,
     DirectoryInvariantError,
     EffectKind,
@@ -64,7 +63,7 @@ def test_put_creates_entry_type_2():
     assert effect.kind is EffectKind.CREATED
     entry = effect.entry
     assert entry.entry_type is EntryType.PUT and int(entry.entry_type) == 2
-    assert entry.value == b"10"
+    assert entry.request.payload == b"10"
     assert entry.uri_path == "a/lb"
     assert entry.client == CLIENT and entry.server == NODE
 
@@ -75,7 +74,7 @@ def test_second_put_updates_single_entry():
     effect = sd.intercept_from_internet(put_msg("s/t", b"20", mid=2), Endpoint("cccc::3", 33513), NODE)
     assert effect.kind is EffectKind.UPDATED
     assert len(sd.entries) == 1
-    assert sd.entries[0].value == b"20"
+    assert sd.entries[0].request.payload == b"20"
     assert sd.entries[0].client.port == 33513  # latest client endpoint kept for spoofing
 
 
@@ -86,7 +85,7 @@ def test_observe_register_creates_with_zero_counters():
     assert effect.entry.entry_type is EntryType.OBSERVE
     assert effect.entry.observe_counter == 0
     assert effect.entry.retransmit_counter == 0
-    assert effect.entry.token == b"\x0b\x2a"
+    assert effect.entry.request.token == b"\x0b\x2a"
 
 
 def test_observe_reregister_updates_token_and_mid():
@@ -95,7 +94,7 @@ def test_observe_reregister_updates_token_and_mid():
     effect = sd.intercept_from_internet(observe_msg("gpio/btn", 0, mid=2, token=b"\x02"), CLIENT, NODE)
     assert effect.kind is EffectKind.UPDATED
     assert len(sd.entries) == 1
-    assert sd.entries[0].token == b"\x02" and sd.entries[0].mid == 2
+    assert sd.entries[0].request.token == b"\x02" and sd.entries[0].mid == 2
 
 
 def test_deregister_without_entry_is_no_effect_and_leaves_sd_identical():
@@ -183,7 +182,7 @@ def test_binding_request_creates_bind_entry():
     effect = sd.intercept_from_internet(msg, CLIENT, NODE)
     assert effect.kind is EffectKind.CREATED
     assert effect.entry.entry_type is EntryType.BIND and int(effect.entry.entry_type) == 6
-    assert effect.entry.binding == info
+    assert effect.entry.request.options.binding == info
     # Same binding again updates in place.
     assert sd.intercept_from_internet(msg, CLIENT, NODE).kind is EffectKind.UPDATED
     assert len(sd.entries) == 1
@@ -205,9 +204,9 @@ def test_deploy_filename_mode_stores_name_only():
     assert effect.kind is EffectKind.CREATED
     entry = effect.entry
     assert entry.entry_type is EntryType.DEPLOY and int(entry.entry_type) == 7
-    assert entry.deploy.filename == "blinker"
-    assert entry.deploy.loader_path == "ldr"
-    assert entry.deploy.blocks is None
+    assert entry.request.options.query_value("file") == "blinker"
+    assert entry.request.options.path_str() == "ldr"
+    assert entry.blocks is None
     # A last block that names no file stores nothing.
     assert sd.intercept_from_internet(deploy_block(0, False, b"c", 3, filename=""),
                                       CLIENT, NODE).kind is EffectKind.NO_EFFECT
@@ -219,11 +218,12 @@ def test_deploy_block_capture_mode_keeps_blocks():
     sd.intercept_from_internet(deploy_block(0, True, b"a" * 64, 1), CLIENT, NODE)
     sd.intercept_from_internet(deploy_block(1, True, b"b" * 64, 2), CLIENT, NODE)
     effect = sd.intercept_from_internet(deploy_block(2, False, b"c" * 8, 3), CLIENT, NODE)
-    assert effect.entry.deploy.blocks == (b"a" * 64, b"b" * 64, b"c" * 8)
+    assert [m.payload for m in effect.entry.blocks] == [b"a" * 64, b"b" * 64, b"c" * 8]
+    assert effect.entry.request is effect.entry.blocks[-1]
     # Redeploying the same filename replaces the entry.
     sd.intercept_from_internet(deploy_block(0, False, b"z" * 5, 4), CLIENT, NODE)
     assert len(sd.entries) == 1
-    assert sd.entries[0].deploy.blocks == (b"z" * 5,)
+    assert [m.payload for m in sd.entries[0].blocks] == [b"z" * 5]
 
 
 def test_retransmitted_blocks_never_corrupt_the_captured_image():
@@ -235,7 +235,7 @@ def test_retransmitted_blocks_never_corrupt_the_captured_image():
     sd.intercept_from_internet(deploy_block(1, True, b"b" * 64, 2), CLIENT, NODE)
     effect = sd.intercept_from_internet(deploy_block(2, False, b"c" * 4, 3), CLIENT, NODE)
     assert effect.kind is EffectKind.CREATED
-    assert b"".join(effect.entry.deploy.blocks) == b"a" * 64 + b"b" * 64 + b"c" * 4
+    assert b"".join(m.payload for m in effect.entry.blocks) == b"a" * 64 + b"b" * 64 + b"c" * 4
 
 
 def test_lossy_block_transfer_still_captures_exact_image():
@@ -257,7 +257,7 @@ at 1000 deploy c1 n1 file=img block=16 data=hex:{image.hex()}
     result = run_scenario(sc)
     assert len(result.world.sim.trace.find("client_retransmit")) >= 2
     entry, = result.world.gateway.directory.entries_for_server(NODE.addr)
-    assert b"".join(entry.deploy.blocks) == image
+    assert b"".join(m.payload for m in entry.blocks) == image
     assert result.world.nodes["n1"].flash["img"] == image
 
 
@@ -276,24 +276,30 @@ def test_entries_for_server_ordered_by_creation():
 class ListDirectory:
     """Reference model of the directory's semantics, by brute force over a
     flat list: an update keeps the entry's position, remove-then-recreate
-    appends, and every lookup takes the first match in creation order."""
+    appends, and every lookup takes the first match in creation order.  It
+    renders each entry's value, content-format, binding and deploy columns
+    from what the caller says the request holds, not from the request."""
 
     def __init__(self):
         self.entries = []
+        self.columns = {}  # id of an entry -> those four columns
 
     def first(self, et, **match):
         return next((e for e in self.entries if e.entry_type is et
                      and all(getattr(e, k) == v for k, v in match.items())), None)
 
-    def upsert(self, found, et, now, client, server, uri, token, mid, **fields):
+    def upsert(self, found, et, now, client, server, uri, request, columns=("-",) * 4):
         if found is None:
-            self.entries.append(SDEntry(et, client, server, uri, token=token, mid=mid,
-                                        created_at=now, updated_at=now, **fields))
-            return EffectKind.CREATED
-        for name, value in dict(fields, client=client, token=token, mid=mid,
-                                updated_at=now).items():
-            setattr(found, name, value)
-        return EffectKind.UPDATED
+            found = SDEntry(et, client, server, uri, request, request.mid,
+                            created_at=now, updated_at=now)
+            self.entries.append(found)
+            effect = EffectKind.CREATED
+        else:
+            found.client, found.request, found.mid, found.updated_at = (
+                client, request, request.mid, now)
+            effect = EffectKind.UPDATED
+        self.columns[id(found)] = columns
+        return effect
 
     def remove(self, found):
         if found is None:
@@ -302,7 +308,9 @@ class ListDirectory:
         return EffectKind.REMOVED
 
     def notify(self, now, server, client, token, obs, mid):
-        e = self.first(EntryType.OBSERVE, server=server, client=client, token=token)
+        e = next((e for e in self.entries if e.entry_type is EntryType.OBSERVE
+                  and e.server == server and e.client == client
+                  and e.request.token == token), None)
         if e is None:
             return EffectKind.NO_EFFECT
         if e.mid == mid:
@@ -322,15 +330,12 @@ class ListDirectory:
         return EffectKind.UPDATED
 
 
-def render(e):
-    b, d = e.binding, e.deploy
-    return "\t".join([
-        str(int(e.entry_type)), str(e.client), str(e.server), e.uri_path,
-        e.token.hex() or "-", str(e.mid), str(e.observe_counter), str(e.retransmit_counter),
-        e.value.hex() or "-", "-" if e.content_format is None else str(e.content_format),
-        f"{b.dest_addr},{b.dest_resource},{b.pmin},{b.pmax}" if b else "-",
-        f"{d.filename},{d.loader_path},{len(d.blocks or ())}" if d else "-",
-        f"{e.created_at:.3f}", f"{e.updated_at:.3f}"])
+    def render(self, e):
+        return "\t".join([
+            str(int(e.entry_type)), str(e.client), str(e.server), e.uri_path,
+            e.request.token.hex() or "-", str(e.mid), str(e.observe_counter),
+            str(e.retransmit_counter), *self.columns[id(e)],
+            f"{e.created_at:.3f}", f"{e.updated_at:.3f}"])
 
 
 def test_interleaved_servers_query_independently():
@@ -358,14 +363,16 @@ def check_against_reference(seed):
                          "ack", "bind", "deploy"])
         if op == "put":
             value = b"%d" % rng.randrange(3)
-            got = sd.intercept_from_internet(put_msg(path, value, mid), client, server)
+            msg = put_msg(path, value, mid)
+            got = sd.intercept_from_internet(msg, client, server)
             want = ref.upsert(ref.first(EntryType.PUT, server=server, uri_path=path),
-                              EntryType.PUT, now[0], client, server, path, b"", mid,
-                              value=value, content_format=0)
+                              EntryType.PUT, now[0], client, server, path, msg,
+                              (value.hex(), "0", "-", "-"))
         elif op == "observe":
-            got = sd.intercept_from_internet(observe_msg(path, 0, mid, token), client, server)
+            msg = observe_msg(path, 0, mid, token)
+            got = sd.intercept_from_internet(msg, client, server)
             found = ref.first(EntryType.OBSERVE, client=client, server=server, uri_path=path)
-            want = ref.upsert(found, EntryType.OBSERVE, now[0], client, server, path, token, mid)
+            want = ref.upsert(found, EntryType.OBSERVE, now[0], client, server, path, msg)
         elif op == "deregister":
             got = sd.intercept_from_internet(observe_msg(path, 1, mid, token), client, server)
             want = ref.remove(ref.first(EntryType.OBSERVE, client=client, server=server,
@@ -376,7 +383,7 @@ def check_against_reference(seed):
                 server, client, token, mid = notified[-1]
             elif observes and rng.random() < 0.7:
                 e = rng.choice(observes)
-                server, client, token = e.server, e.client, e.token
+                server, client, token = e.server, e.client, e.request.token
             obs = rng.randrange(2, 50)
             notified.append((server, client, token, mid))
             for _ in range(rng.choice([1, 1, MAX_RETRANSMIT])):  # then its retransmissions
@@ -402,27 +409,30 @@ def check_against_reference(seed):
             got = sd.intercept_from_internet(msg, client, server)
             found = next((e for e in ref.entries if e.entry_type is EntryType.BIND
                           and e.server == server and e.uri_path == path
-                          and (e.binding.dest_addr, e.binding.dest_resource)
+                          and (e.request.options.binding.dest_addr,
+                               e.request.options.binding.dest_resource)
                           == (info.dest_addr, info.dest_resource)), None)
-            want = ref.upsert(found, EntryType.BIND, now[0], client, server, path, token, mid,
-                              binding=info)
+            want = ref.upsert(found, EntryType.BIND, now[0], client, server, path, msg,
+                              ("-", "-", f"{info.dest_addr},{info.dest_resource},"
+                                         f"{info.pmin},{info.pmax}", "-"))
         else:
             filename, loader = rng.choice(["blinker", "meter"]), rng.choice(["ldr", "ldr2"])
             nblocks = rng.randrange(1, 4)
             for num in range(nblocks):
                 more, mid = num + 1 < nblocks, next(mids)
+                msg = deploy_block(num, more, b"x" * 16, mid, filename, loader)
                 for _ in range(rng.choice([1, 2]) if more else 1):  # maybe retransmitted
-                    got = sd.intercept_from_internet(
-                        deploy_block(num, more, b"x" * 16, mid, filename, loader), client, server)
+                    got = sd.intercept_from_internet(msg, client, server)
                     if more:
                         assert got.kind is EffectKind.NO_EFFECT
             found = next((e for e in ref.entries if e.entry_type is EntryType.DEPLOY
-                          and e.server == server and e.deploy.filename == filename), None)
-            want = ref.upsert(found, EntryType.DEPLOY, now[0], client, server, loader, b"", mid,
-                              deploy=DeployInfo(filename, loader, None, 64))
+                          and e.server == server
+                          and e.request.options.uri_query == (f"file={filename}",)), None)
+            want = ref.upsert(found, EntryType.DEPLOY, now[0], client, server, loader, msg,
+                              ("-", "-", "-", f"{filename},{loader},0"))
         assert got.kind is want, (step, op)
         assert sd.entries == ref.entries, (step, op)
-        assert sd.snapshot_lines() == [render(e) for e in ref.entries], (step, op)
+        assert sd.snapshot_lines() == [ref.render(e) for e in ref.entries], (step, op)
         for addr in (NODE.addr, NODE_B.addr):
             assert sd.entries_for_server(addr) == [e for e in ref.entries
                                                    if e.server.addr == addr]
@@ -480,16 +490,49 @@ except DirectoryInvariantError:
 """
 
 
-def test_corrupt_entry_raises_on_next_intercept_touching_it():
+def bind_msg(mid, info=BindingInfo("aaaa::c30c:0:0:3", "a/led", pmin=1, pmax=60)):
+    return CoapMessage(MsgType.CON, GET, mid, token=b"\x05",
+                       options=OptionSet(uri_path=("s", "t"), observe=0, binding=info))
+
+
+def unbound(entry):
+    entry.request = entry.request._replace(
+        options=entry.request.options._replace(binding=None))
+
+
+# Per entry type: the request that makes the entry, a corruption of it, and
+# the next request that touches it.  An intercept that reaches a BIND or
+# DEPLOY entry replaces its request before the check, so for those (None)
+# the test runs the check itself on the corrupt entry.
+CORRUPTIONS = {
+    # Only OBSERVE entries carry a counter.
+    "put": (put_msg("a/lb", b"10"), lambda e: setattr(e, "observe_counter", 3),
+            put_msg("a/lb", b"11")),
+    "observe": (observe_msg("a/lb", 0),
+                lambda e: setattr(e, "retransmit_counter", MAX_RETRANSMIT + 1),
+                observe_msg("a/lb", 0, mid=202)),
+    "bind": (bind_msg(7), unbound, None),
+    "deploy": (deploy_block(0, False, b"z", 1),
+               lambda e: setattr(e, "request", deploy_block(0, False, b"z", 1, filename="")),
+               None),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+def test_corrupt_entry_raises_on_next_intercept_touching_it(kind):
+    made, corrupt, touch = CORRUPTIONS[kind]
     sd = StateDirectory()
-    sd.intercept_from_internet(put_msg("a/lb", b"10"), CLIENT, NODE)
+    sd.intercept_from_internet(made, CLIENT, NODE)
     sd.intercept_from_internet(observe_msg("s/t", 0), CLIENT, NODE)
-    sd.entries[0].observe_counter = 3  # only OBSERVE entries carry a counter
+    corrupt(sd.entries[0])
     # An intercept that touches another entry does not look at it ...
     sd.intercept_from_internet(observe_msg("s/t", 0, mid=201), CLIENT, NODE)
     # ... the next one that touches it does.
-    with pytest.raises(DirectoryInvariantError, match="PUT"):
-        sd.intercept_from_internet(put_msg("a/lb", b"11"), CLIENT, NODE)
+    with pytest.raises(DirectoryInvariantError, match=f"corrupt {kind.upper()} entry"):
+        if touch is None:
+            sd._done("in", SDEffect(EffectKind.UPDATED, sd.entries[0]))
+        else:
+            sd.intercept_from_internet(touch, CLIENT, NODE)
 
 
 def test_entry_check_survives_python_O():
@@ -502,7 +545,7 @@ def test_entry_check_survives_python_O():
 
 
 def test_effect_and_entry_must_agree():
-    entry = SDEntry(EntryType.PUT, CLIENT, NODE, "a/lb")
+    entry = SDEntry(EntryType.PUT, CLIENT, NODE, "a/lb", put_msg("a/lb", b"10"))
     with pytest.raises(DirectoryInvariantError):
         SDEffect(EffectKind.CREATED)
     with pytest.raises(DirectoryInvariantError):
@@ -513,10 +556,7 @@ def test_effect_and_entry_must_agree():
 HELD_KINDS = {
     "put": lambda mid: put_msg("a/lb", b"%d" % mid, mid=mid),
     "observe": lambda mid: observe_msg("s/t", 0, mid=mid),
-    "bind": lambda mid: CoapMessage(
-        MsgType.CON, GET, mid, token=b"\x05",
-        options=OptionSet(uri_path=("s", "t"), observe=0,
-                          binding=BindingInfo("aaaa::c30c:0:0:3", "a/led", pmin=1, pmax=60))),
+    "bind": bind_msg,
     "deploy": lambda mid: deploy_block(0, False, b"z" * mid, mid),
 }
 

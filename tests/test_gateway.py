@@ -127,7 +127,7 @@ def test_put_intercepted_and_forwarded_in_one_pass():
     assert node.resources["a/lb"] == b"10"
     entries = world.gateway.directory.entries_for_server(node.addr)
     assert [int(e.entry_type) for e in entries] == [2]
-    assert entries[0].value == b"10"
+    assert entries[0].request.payload == b"10"
 
 
 RECOVERY = """
@@ -174,7 +174,7 @@ def test_sd_observer_set_mirrors_node_observer_list_at_quiescence():
         node = world.nodes["n1"]
         mine = {(ep.addr, ep.port, path, obs.token, obs.counter)
                 for (path, ep), obs in node.observers.items()}
-        sd = {(e.client.addr, e.client.port, e.uri_path, e.token, e.observe_counter)
+        sd = {(e.client.addr, e.client.port, e.uri_path, e.request.token, e.observe_counter)
               for e in world.gateway.directory.entries_for_server(node.addr)
               if int(e.entry_type) == 5}
         return mine, sd

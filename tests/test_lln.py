@@ -767,7 +767,7 @@ def test_a_new_block_transfer_drops_those_abandoned_for_the_exchange_lifetime():
     ((new_node, (_, blocks)),) = node._incoming_blocks.items()
     assert new_node != old_node and blocks == [b"new" * 5 + b"n"]
     ((new_sd, (_, blocks)),) = directory._pending_blocks.items()
-    assert new_sd != old_sd and blocks == [b"new" * 5 + b"n"]
+    assert new_sd != old_sd and [m.payload for m in blocks] == [b"new" * 5 + b"n"]
     sim.run(until=sim.now + 1000.0)
     assert node.flash["new"] == b"new" * 16
     assert node._incoming_blocks == directory._pending_blocks == {}

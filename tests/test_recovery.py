@@ -1,3 +1,4 @@
+import importlib.resources
 import random
 
 import pytest
@@ -5,9 +6,10 @@ import pytest
 from worldutil import booted_world, simple_scenario
 from sdgateway.cli import main as cli_main
 from sdgateway.coap import (
-    GET, POST, PUT, Endpoint, InteractionKind, MidAllocator, classify, decode, encode, is_request,
+    GET, POST, PUT, BindingInfo, Block1, Endpoint, InteractionKind, MidAllocator, MsgType,
+    classify, decode, encode, is_request, request,
 )
-from sdgateway.directory import DeployInfo, EntryType, SDEntry
+from sdgateway.directory import EntryType, SDEntry, StateDirectory
 from sdgateway.harness import CLIENT_ADDR, ScenarioRun, run_scenario
 from sdgateway.lln import Network
 from sdgateway.recovery import PACING_GAP_MS, StepOutcome, build_plan, build_replay
@@ -20,11 +22,14 @@ NODE = Endpoint("aaaa::c30c:0:0:2", 5683)
 def fig17_entries():
     c = lambda port: Endpoint("cccc::3", port)
     return [
-        SDEntry(EntryType.PUT, c(50824), NODE, "a/lb", value=b"10",
-                content_format=0, created_at=1.0),
-        SDEntry(EntryType.PUT, c(33513), NODE, "a/m", value=b"7",
-                content_format=0, created_at=2.0),
-        SDEntry(EntryType.OBSERVE, c(52808), NODE, "gpi/btn", token=b"\x0b\x2a",
+        SDEntry(EntryType.PUT, c(50824), NODE, "a/lb",
+                request(MsgType.CON, PUT, 1, "a/lb", payload=b"10", content_format=0),
+                created_at=1.0),
+        SDEntry(EntryType.PUT, c(33513), NODE, "a/m",
+                request(MsgType.CON, PUT, 2, "a/m", payload=b"7", content_format=0),
+                created_at=2.0),
+        SDEntry(EntryType.OBSERVE, c(52808), NODE, "gpi/btn",
+                request(MsgType.CON, GET, 3, "gpi/btn", token=b"\x0b\x2a", observe=0),
                 observe_counter=10, created_at=3.0),
     ]
 
@@ -58,33 +63,38 @@ def test_put_and_observe_steps_spoof_the_stored_client():
 
 
 def test_bind_and_deploy_steps_originate_from_the_gateway():
+    binding = BindingInfo("aaaa::9", "a/led", 1, 60)
     entries = [
         SDEntry(EntryType.BIND, Endpoint("cccc::3", 40000), NODE, "s/t",
-                token=b"\x09", created_at=1.0),
+                request(MsgType.CON, GET, 4, "s/t", token=b"\x09", observe=0, binding=binding),
+                created_at=1.0),
         SDEntry(EntryType.DEPLOY, Endpoint("cccc::3", 40001), NODE, "ldr",
-                deploy=DeployInfo("blinker", "ldr"), created_at=2.0),
+                request(MsgType.CON, POST, 5, "ldr", payload=b"x", uri_query=("file=blinker",),
+                        block1=Block1(0, False, 64)),
+                created_at=2.0),
     ]
-    from sdgateway.coap import BindingInfo
-    entries[0].binding = BindingInfo("aaaa::9", "a/led", 1, 60)
     (bind, bind_src), (deploy, deploy_src) = replays(entries)
     assert [bind.code, deploy.code] == [GET, POST]
     assert bind.options.observe == 0
-    assert bind.options.binding == entries[0].binding
+    assert bind.options.binding == binding
     assert deploy.options.uri_query == ("file=blinker",)
     assert bind_src == deploy_src == GW
 
 
 def test_deploy_block_capture_expands_into_block_steps():
-    blocks = (b"a" * 64, b"b" * 64, b"c" * 9)
-    entries = [SDEntry(EntryType.DEPLOY, Endpoint("cccc::3", 40001), NODE, "ldr",
-                       deploy=DeployInfo("img", "ldr", blocks, 64), created_at=1.0)]
+    payloads = (b"a" * 64, b"b" * 64, b"c" * 9)
+    blocks = tuple(request(MsgType.CON, POST, 10 + i, "ldr", payload=payload,
+                           uri_query=("file=img",), block1=Block1(i, i < 2, 64))
+                   for i, payload in enumerate(payloads))
+    entries = [SDEntry(EntryType.DEPLOY, Endpoint("cccc::3", 40001), NODE, "ldr", blocks[-1],
+                       blocks=blocks, created_at=1.0)]
     msgs = [msg for msg, _ in replays(entries)]
     assert len(msgs) == 3
     b1 = [m.options.block1 for m in msgs]
     assert [b.num for b in b1] == [0, 1, 2]
     assert [b.more for b in b1] == [True, True, False]
     assert [b.size for b in b1] == [64, 64, 64]
-    assert b"".join(m.payload for m in msgs) == b"".join(blocks)
+    assert b"".join(m.payload for m in msgs) == b"".join(payloads)
 
 
 def test_replay_fidelity_against_stored_originals():
@@ -92,14 +102,46 @@ def test_replay_fidelity_against_stored_originals():
     for entry, (msg, _) in zip(entries[:2], replays(entries)[:2]):
         assert msg.code == PUT
         assert msg.options.path_str() == entry.uri_path
-        assert msg.payload == entry.value
-        assert msg.options.content_format == entry.content_format
+        assert msg.payload == entry.request.payload
+        assert msg.options.content_format == entry.request.options.content_format
+
+
+def test_a_replay_carries_every_option_of_the_intercepted_request():
+    put = request(MsgType.CON, PUT, 100, "a/lb", payload=b"10", uri_query=("x=1",),
+                  content_format=0)
+    sd = StateDirectory()
+    sd.intercept_from_internet(put, Endpoint("cccc::3", 50824), NODE)
+    (step,) = build_plan(sd.entries, MidAllocator(random.Random(0)))
+    msg, source = build_replay(step, GW)
+    assert msg.options.uri_query == ("x=1",)
+    assert msg == put._replace(mid=step[-1]) and source == Endpoint("cccc::3", 50824)
+
+
+def test_each_block_capture_replay_is_the_client_request_with_a_fresh_mid():
+    """In a live run, each injected message is the client's own request,
+    with type CON and the step's MID: the bind, each deploy block, the PUT."""
+    text = (importlib.resources.files("sdgateway") / "scenarios" / "bind_deploy.scn").read_text()
+    result = run_scenario(parse_scenario(text.replace("\nsettle ", "\ndeploy-mode blocks\nsettle ")))
+    assert result.ok, result.failures
+    client_addr = result.world.clients["c1"].addr
+    sent, injected = {}, []
+    for layout, record in result.world.sim.trace._slices():
+        if layout.kind == "send" and record[2].addr == client_addr and is_request(record[4].code):
+            sent.setdefault(record[4].mid, record[4])  # a retransmission sends it again
+        elif layout.kind == "inject":
+            injected.append(record[7])
+    assert [int(f["et"]) for _, f in result.world.sim.trace.find("inject")] == [6, 7, 7, 7, 2]
+    assert len(injected) == len(sent)
+    for replay, original in zip(injected, sent.values()):
+        assert replay.mid != original.mid
+        assert replay == original._replace(msg_type=MsgType.CON, mid=replay.mid)
 
 
 def test_a_step_replays_its_entry_as_it_is_when_the_step_fires():
     entries = fig17_entries()
     steps = build_plan(entries, MidAllocator(random.Random(0)))
-    entries[0].value, entries[0].client = b"99", Endpoint("cccc::3", 40404)
+    entries[0].request = entries[0].request._replace(payload=b"99")
+    entries[0].client = Endpoint("cccc::3", 40404)
     msg, source = build_replay(steps[0], GW)
     assert msg.payload == b"99" and source == Endpoint("cccc::3", 40404)
 
@@ -386,7 +428,8 @@ assert 12000 restored n1
     assert run.ok, run.failures
     world = run.world
     (entry,) = world.gateway.directory.entries
-    assert entry.deploy.blocks == (image,) and entry.deploy.block_size == block
+    (kept,) = entry.blocks
+    assert kept.payload == image and kept.options.block1.size == block
     (_, inject), = world.sim.trace.find("inject")
     assert f"blk1=0/0/{block} " in inject["msg"]
     assert world.nodes["n1"].flash["img"] == image
@@ -594,4 +637,4 @@ at 12500 deploy c1 n1 file=img block=16 data=hex:ffff
     assert outcomes == ["acked", "skipped", "skipped", "skipped"]
     assert result.world.nodes["n1"].flash["img"] == b"\xff\xff"
     (entry,) = result.world.gateway.directory.entries
-    assert entry.deploy.blocks == (b"\xff\xff",)
+    assert [m.payload for m in entry.blocks] == [b"\xff\xff"]
