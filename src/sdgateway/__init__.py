@@ -12,13 +12,11 @@ from .coap import (
     Block1,
     CoapMessage,
     Endpoint,
-    InteractionKind,
     InvariantViolation,
     MalformedFrame,
     MidAllocator,
     MsgType,
     OptionSet,
-    classify,
     decode,
     encode,
 )

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 from typing import NamedTuple, Optional, Tuple
 
 COAP_VERSION = 1
@@ -215,24 +215,6 @@ class CoapMessage(NamedTuple):
         if self.payload:
             text += f" len={len(self.payload)}"
         return text
-
-
-class InteractionKind(Enum):
-    PUT_REQUEST = "PutRequest"
-    OBSERVE_REGISTER = "ObserveRegister"
-    OBSERVE_DEREGISTER = "ObserveDeregister"
-    BINDING_REQUEST = "BindingRequest"
-    DEPLOY_BLOCK = "DeployBlock"
-    NOTIFICATION = "Notification"
-    RESET_SIGNAL = "ResetSignal"
-    ACK_SIGNAL = "AckSignal"
-    OTHER = "Other"
-    __hash__ = object.__hash__  # by identity, as members compare: no Python-level call
-
-
-# The kinds `classify` returns, as module-level names (see `_NON`).
-(_PUT_REQUEST, _OBSERVE_REGISTER, _OBSERVE_DEREGISTER, _BINDING_REQUEST, _DEPLOY_BLOCK,
- _NOTIFICATION, _RESET_SIGNAL, _ACK_SIGNAL, _OTHER) = InteractionKind
 
 
 def _uint(value, what: str, top: Optional[int] = None) -> int:
@@ -585,37 +567,6 @@ def parse_encoded(msg: CoapMessage) -> CoapMessage:
     if canonical is options:
         return msg
     return tuple.__new__(CoapMessage, (msg_type, code, mid, token, canonical, payload))
-
-
-def classify(msg: CoapMessage) -> InteractionKind:
-    """Map a decoded message to the interaction kind the gateway acts on.
-
-    Total and deterministic; anything without dynamic-state relevance
-    falls through to OTHER.  A GET carrying both observe and binding
-    options is always a BindingRequest, never an ObserveRegister.
-    """
-    if msg.msg_type is _RST:
-        return _RESET_SIGNAL
-    if msg.code == EMPTY:
-        if msg.msg_type is _ACK:
-            return _ACK_SIGNAL
-        return _OTHER
-    o = msg.options
-    if msg.code == GET:
-        if o.observe is not None and o.binding is not None:
-            return _BINDING_REQUEST
-        if o.observe == OBSERVE_DEREGISTER_VALUE:
-            return _OBSERVE_DEREGISTER
-        if o.observe is not None:
-            return _OBSERVE_REGISTER
-        return _OTHER
-    if msg.code in (PUT, POST) and o.block1 is not None:
-        return _DEPLOY_BLOCK
-    if msg.code == PUT:
-        return _PUT_REQUEST
-    if is_response(msg.code) and o.observe is not None:
-        return _NOTIFICATION
-    return _OTHER
 
 
 def request(msg_type: MsgType, code: int, mid: int, path: str, *, token: bytes = b"",

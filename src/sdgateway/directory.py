@@ -18,13 +18,15 @@ from enum import Enum, IntEnum
 from typing import Callable, Optional, Tuple
 
 from .coap import (
+    EMPTY,
     EXCHANGE_LIFETIME_MS,
     MAX_RETRANSMIT,
     CoapMessage,
     Endpoint,
-    InteractionKind,
-    classify,
+    MsgType,
+    is_response,
 )
+from .lln import RequestKind, request_kind
 
 
 class EntryType(IntEnum):
@@ -123,16 +125,26 @@ class StateDirectory:
 
     def intercept_from_internet(self, msg: CoapMessage, src: Endpoint, dst: Endpoint) -> SDEffect:
         """Inspect a packet heading into the LLN.  Never blocks or
-        mutates the packet; only the directory may change."""
-        collect = _COLLECT.get(classify(msg))
-        effect = NO_EFFECT if collect is None else collect(self, msg, src, dst,
-                                                           msg.options.path_str())
+        mutates the packet; only the directory may change.  A request acts
+        by its `lln.request_kind`, the kind the node serves it by; a
+        client's RST or empty ACK acts on the OBSERVE entry whose latest
+        notification had its MID."""
+        msg_type = msg.msg_type
+        if msg_type is _RST:
+            effect = self._remove(self._find_observe(src, dst, _MID, msg.mid), "rst")
+        elif msg_type is _ACK and msg.code == EMPTY:
+            effect = self._client_ack(msg, src, dst)
+        else:
+            collect = _COLLECT.get(request_kind(msg))
+            effect = NO_EFFECT if collect is None else collect(self, msg, src, dst,
+                                                               msg.options.path_str())
         return self._done("in", effect)
 
     def intercept_from_lln(self, msg: CoapMessage, src: Endpoint, dst: Endpoint) -> SDEffect:
         """Inspect a packet leaving the LLN.  Only observe notifications
-        (and their retransmissions) have an effect."""
-        if classify(msg) is not _NOTIFICATION:
+        (and their retransmissions), the responses that carry Observe, have
+        an effect."""
+        if msg.options.observe is None or not is_response(msg.code):
             return self._done("lln", NO_EFFECT)
         key = self._find_observe(dst, src, _TOKEN, msg.token)
         if key is None:
@@ -242,9 +254,6 @@ class StateDirectory:
         return self._upsert((EntryType.BIND, dst, uri, info.dest_addr, info.dest_resource),
                             msg, src, dst, uri)
 
-    def _reset(self, msg, src, dst, uri) -> SDEffect:
-        return self._remove(self._find_observe(src, dst, _MID, msg.mid), "rst")
-
     def _find_observe(self, client: Endpoint, server: Endpoint, field, value) -> Optional[tuple]:
         """Key of the first OBSERVE entry, in creation order, of `client`
         at `server` whose `field(entry)` equals `value`."""
@@ -282,7 +291,7 @@ class StateDirectory:
         blocks = tuple(buf) if self.deploy_mode is DeployMode.BLOCK_CAPTURE else None
         return self._upsert((EntryType.DEPLOY, dst, filename), msg, src, dst, uri, blocks)
 
-    def _client_ack(self, msg, src, dst, uri) -> SDEffect:
+    def _client_ack(self, msg, src, dst) -> SDEffect:
         key = self._find_observe(src, dst, _MID, msg.mid)
         if key is None or self._entries[key].retransmit_counter == 0:
             return NO_EFFECT
@@ -326,19 +335,17 @@ class StateDirectory:
         return effect
 
 
-# The directory's action on an inbound packet, by its interaction kind: one
-# dict lookup per packet, not a test against each kind (an enum member read
+# The directory's action on an inbound request, by its kind: one dict
+# lookup per packet, not a test against each kind (an enum member read
 # costs about 4x a global read).  Other kinds have no effect.
 _COLLECT = {
-    InteractionKind.PUT_REQUEST: StateDirectory._put,
-    InteractionKind.OBSERVE_REGISTER: StateDirectory._observe,
-    InteractionKind.OBSERVE_DEREGISTER: StateDirectory._deregister,
-    InteractionKind.BINDING_REQUEST: StateDirectory._bind,
-    InteractionKind.DEPLOY_BLOCK: StateDirectory._deploy_block,
-    InteractionKind.RESET_SIGNAL: StateDirectory._reset,
-    InteractionKind.ACK_SIGNAL: StateDirectory._client_ack,
+    RequestKind.WRITE: StateDirectory._put,
+    RequestKind.OBSERVE: StateDirectory._observe,
+    RequestKind.DEREGISTER: StateDirectory._deregister,
+    RequestKind.BIND: StateDirectory._bind,
+    RequestKind.BLOCK: StateDirectory._deploy_block,
 }
-_NOTIFICATION = InteractionKind.NOTIFICATION  # the one kind an outbound packet acts on
+_RST, _ACK = MsgType.RST, MsgType.ACK
 # What `_find_observe` matches a notification and a client's RST or ACK on.
 _TOKEN, _MID = operator.attrgetter("request.token"), operator.attrgetter("mid")
 _CREATED, _UPDATED, _REMOVED, _NONE = EffectKind  # global reads, not enum member reads

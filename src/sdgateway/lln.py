@@ -25,12 +25,14 @@ from .coap import (
     CONTENT,
     CONTINUE,
     CREATED,
+    DELETE,
     DELETED,
     EMPTY,
     EXCHANGE_LIFETIME_MS,
     GET,
     MAX_RETRANSMIT,
     NOT_FOUND,
+    OBSERVE_DEREGISTER_VALUE,
     POST,
     PUT,
     BindingInfo,
@@ -365,12 +367,53 @@ class Network:
         sim.schedule_at(arrival, handler, frame)
 
 
+class RequestKind(Enum):
+    """What a request asks of a node, read from its method and options
+    alone.  The node serves a request by its kind and the State Directory
+    collects it by the same kind, so the two cannot read it differently;
+    what only the node knows (whether the path exists, which path is its
+    loader) is not part of it."""
+
+    READ = "read"
+    OBSERVE = "observe"
+    DEREGISTER = "deregister"
+    BIND = "bind"
+    BLOCK = "block"  # a block of a module's transfer (RFC 7959 Block1)
+    WRITE = "write"
+    LOAD = "load"  # a module from the node's flash
+    DELETE = "delete"
+    UNKNOWN = "unknown"  # another method, or not a request
+    __hash__ = object.__hash__  # by identity, as members compare: no Python-level call
+
+
+# Module-level names for the kinds: a global read, not an enum member read.
+_READ, _OBSERVE, _DEREGISTER, _BIND, _BLOCK, _WRITE, _LOAD, _DELETE, _UNKNOWN = RequestKind
+# The kind of a request of each method whose options change nothing.
+_BY_METHOD = {GET: _READ, PUT: _WRITE, POST: _LOAD, DELETE: _DELETE}
+
+
+def request_kind(msg: CoapMessage) -> RequestKind:
+    """The kind of the request `msg`, the one place its method and options
+    are read; UNKNOWN for any other message.  A GET with Observe is a BIND
+    when it carries a binding, else a DEREGISTER when Observe equals 1
+    (RFC 7641 section 3.6), else an OBSERVE.  A PUT or POST with Block1 is
+    a BLOCK."""
+    code, o = msg.code, msg.options
+    if code == GET and o.observe is not None:
+        if o.binding is not None:
+            return _BIND
+        return _DEREGISTER if o.observe == OBSERVE_DEREGISTER_VALUE else _OBSERVE
+    if o.block1 is not None and (code == PUT or code == POST):
+        return _BLOCK
+    return _BY_METHOD.get(code, _UNKNOWN)
+
+
 class NodeState(Enum):
     DOWN = "down"
     BOOTING = "booting"
     UP = "up"
     STALLED = "stalled"
-    __hash__ = object.__hash__  # as `coap.InteractionKind`: no Python-level call per lookup
+    __hash__ = object.__hash__  # as `RequestKind`: no Python-level call per lookup
 
 
 _POWERED_OFF = frozenset((NodeState.DOWN, NodeState.STALLED))
@@ -522,36 +565,27 @@ class VirtualNode:
             answer(self._exchanges, frame)
 
     def _serve(self, frame: Frame, msg: CoapMessage) -> None:
-        """Answer a request, then send what the change it made causes: the
-        response goes out before its notifications and binding pushes."""
+        """Answer a request by its `request_kind`, then send what the change
+        it made causes: the response goes out before its notifications and
+        binding pushes."""
         if msg.msg_type is _CON:
             kept = self._replies.reply(frame.src, msg.mid)
             if kept is not None:
                 self.network.send(Frame.of(kept, self.endpoint, frame.src))
                 return
-        o = msg.options
-        path = o.path_str()
+        kind = request_kind(msg)
+        path = msg.options.path_str()
+        if kind is _BLOCK and path != self.loader_path:
+            kind = _BY_METHOD[msg.code]  # only the loader takes a module's blocks
         reply = self._reply
-        if msg.code == GET:
-            if o.binding is not None and o.observe is not None:
-                self._install_binding(frame, msg, path)
-            elif path not in self.resources:
-                reply(frame, msg, NOT_FOUND)
-            elif o.observe == coap.OBSERVE_DEREGISTER_VALUE:
-                self._remove_observer(path, frame.src, reason="deregister")
-                reply(frame, msg, CONTENT, self.resources[path])
-            elif o.observe is not None:
-                self._register_observer(frame, msg, path)
-            else:
-                reply(frame, msg, CONTENT, self.resources[path])
-        elif msg.code in (PUT, POST) and o.block1 is not None and path == self.loader_path:
-            self._deploy_block(frame, msg)
-        elif msg.code == PUT:
+        if kind is _WRITE:
             self.resources[path] = msg.payload
             reply(frame, msg, CHANGED)
             self._resource_changed(path)
-        elif msg.code == POST:
-            filename = o.query_value("file")
+        elif kind is _BLOCK:
+            self._deploy_block(frame, msg)
+        elif kind is _LOAD:
+            filename = msg.options.query_value("file")
             if path != self.loader_path:
                 reply(frame, msg, NOT_FOUND)
             elif not filename or filename not in self.flash:
@@ -560,13 +594,22 @@ class VirtualNode:
                 self.loaded_modules.add(filename)
                 self.sim.trace.emit("load", self.name, filename, "flash")
                 reply(frame, msg, CREATED)
-        elif msg.code != coap.DELETE:  # a method this node does not implement
+        elif kind is _UNKNOWN:  # a method this node does not implement
             reply(frame, msg, coap.METHOD_NOT_ALLOWED)
-        elif path in self.resources:
+        elif path not in self.resources:
+            reply(frame, msg, NOT_FOUND)
+        elif kind is _READ:
+            reply(frame, msg, CONTENT, self.resources[path])
+        elif kind is _OBSERVE:
+            self._register_observer(frame, msg, path)
+        elif kind is _DEREGISTER:
+            self._remove_observer(path, frame.src, reason="deregister")
+            reply(frame, msg, CONTENT, self.resources[path])
+        elif kind is _BIND:
+            self._install_binding(frame, msg, path)
+        else:  # DELETE
             del self.resources[path]
             reply(frame, msg, DELETED)
-        else:
-            reply(frame, msg, NOT_FOUND)
 
     def _reply(self, frame: Frame, msg: CoapMessage, code: int, payload: bytes = b"",
                options: OptionSet = _NO_OPTIONS) -> None:
@@ -717,9 +760,6 @@ class VirtualNode:
     # -- bindings -----------------------------------------------------------
 
     def _install_binding(self, frame: Frame, msg: CoapMessage, path: str) -> None:
-        if path not in self.resources:
-            self._reply(frame, msg, NOT_FOUND)
-            return
         info = msg.options.binding
         key = (path, info.dest_addr, info.dest_resource)
         binding = self.bindings.get(key)
@@ -857,7 +897,7 @@ class ScriptedClient:
             self._forget(node_addr, path)
 
         self._request(node_addr, GET, path, port=rel.port, token=rel.token, on_response=done,
-                      observe=coap.OBSERVE_DEREGISTER_VALUE)
+                      observe=OBSERVE_DEREGISTER_VALUE)
 
     def cancel_with_rst(self, node_addr: str, path: str) -> None:
         rel = self.relationships.get((node_addr, path))

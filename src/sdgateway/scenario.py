@@ -477,8 +477,9 @@ _HEADERS = {
     "deploy-mode": ("deploy_mode", lambda v: _enum(DeployMode, v, "deploy mode")),
     "settle": ("settle", lambda v: _nonnegative(_float(v), "settle")),
 }
-# The keys of a `node` line, checked as the header lines of the same name.
-_NODE_KEYS = {"hops": _HEADERS["hops"][1], "loss": _HEADERS["loss"][1], "loader": str}
+# The keys of a `node` line, checked as the header lines of the same name
+# and the loader as a verb's path.
+_NODE_KEYS = {"hops": _HEADERS["hops"][1], "loss": _HEADERS["loss"][1], "loader": _uri_path}
 
 
 def _need(rest: list[str], n: int, usage: str) -> None:
@@ -536,7 +537,7 @@ def parse_scenario(text: str) -> Scenario:
             elif head == "resource":
                 _need(rest, 3, "resource <node> <path> <value>")
                 _declared(rest[0], node_names)
-                node_names[rest[0]].resources[rest[1].lstrip("/")] = _payload(rest[2])
+                node_names[rest[0]].resources[_uri_path(rest[1])] = _payload(rest[2])
             elif head == "flash":
                 _need(rest, 3, "flash <node> <filename> <data>")
                 _declared(rest[0], node_names)

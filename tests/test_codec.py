@@ -7,7 +7,6 @@ import pytest
 from msggen import random_message
 from sdgateway import coap
 from sdgateway.coap import (
-    CHANGED,
     CONTENT,
     EMPTY,
     GET,
@@ -17,13 +16,11 @@ from sdgateway.coap import (
     Block1,
     CoapMessage,
     Endpoint,
-    InteractionKind,
     InvariantViolation,
     MalformedFrame,
     MidAllocator,
     MsgType,
     OptionSet,
-    classify,
     decode,
     encode,
     next_observe,
@@ -312,48 +309,6 @@ def test_every_method_code_is_a_request_that_roundtrips():
                 encode(msg)
     with pytest.raises(InvariantViolation):  # class 1 is reserved
         encode(CoapMessage(MsgType.CON, 0x20, 7))
-
-
-def test_classify_table():
-    get = lambda **kw: CoapMessage(MsgType.CON, GET, 7, token=b"\x01", options=OptionSet(**kw))
-    binding = BindingInfo("aaaa::9", "a/led", 1, 60)
-    cases = [
-        (get(uri_path=("gpio", "btn"), observe=0), InteractionKind.OBSERVE_REGISTER),
-        (get(uri_path=("s", "t"), observe=1), InteractionKind.OBSERVE_DEREGISTER),
-        (get(uri_path=("s", "t"), observe=12), InteractionKind.OBSERVE_REGISTER),
-        (get(uri_path=("s", "t")), InteractionKind.OTHER),
-        (get(uri_path=("s", "t"), observe=0, binding=binding), InteractionKind.BINDING_REQUEST),
-        (CoapMessage(MsgType.CON, PUT, 7, options=OptionSet(uri_path=("a", "lb"))),
-         InteractionKind.PUT_REQUEST),
-        (CoapMessage(MsgType.CON, PUT, 7,
-                     options=OptionSet(uri_path=("ldr",), block1=Block1(0, True, 64))),
-         InteractionKind.DEPLOY_BLOCK),
-        (CoapMessage(MsgType.CON, POST, 7,
-                     options=OptionSet(uri_path=("ldr",), block1=Block1(1, False, 64))),
-         InteractionKind.DEPLOY_BLOCK),
-        (CoapMessage(MsgType.CON, POST, 7), InteractionKind.OTHER),
-        (CoapMessage(MsgType.CON, CONTENT, 7, options=OptionSet(observe=12)),
-         InteractionKind.NOTIFICATION),
-        (CoapMessage(MsgType.ACK, CONTENT, 7, options=OptionSet(observe=0)),
-         InteractionKind.NOTIFICATION),
-        (CoapMessage(MsgType.ACK, CHANGED, 7), InteractionKind.OTHER),
-        (CoapMessage(MsgType.ACK, EMPTY, 7), InteractionKind.ACK_SIGNAL),
-        (CoapMessage(MsgType.RST, EMPTY, 7), InteractionKind.RESET_SIGNAL),
-        (CoapMessage(MsgType.CON, EMPTY, 7), InteractionKind.OTHER),
-    ]
-    for msg, expected in cases:
-        assert classify(msg) is expected, msg.short()
-
-
-def test_classify_is_deterministic_and_prefers_binding():
-    rng = random.Random(5)
-    for _ in range(500):
-        msg = random_message(rng)
-        kind = classify(msg)
-        assert kind is classify(msg)
-        if (msg.code == GET and msg.options.observe is not None
-                and msg.options.binding is not None):
-            assert kind is InteractionKind.BINDING_REQUEST
 
 
 def test_registration_request_shape():

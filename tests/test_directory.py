@@ -11,6 +11,7 @@ import pytest
 from sdgateway.coap import (
     CHANGED,
     CONTENT,
+    EMPTY,
     GET,
     MAX_RETRANSMIT,
     POST,
@@ -166,6 +167,25 @@ def test_plain_response_from_lln_is_no_effect():
     msg = CoapMessage(MsgType.ACK, CHANGED, 99)
     assert sd.intercept_from_lln(msg, NODE, CLIENT).kind is EffectKind.NO_EFFECT
     assert sd.entries == before
+
+
+def test_a_response_with_observe_is_a_notification_and_no_other_message_acks_one():
+    sd = StateDirectory()
+    sd.intercept_from_internet(observe_msg("s/t", 0), CLIENT, NODE)
+    sd.intercept_from_lln(notif_msg(5, 400), NODE, CLIENT)
+    sd.intercept_from_lln(notif_msg(5, 400), NODE, CLIENT)
+    before = copy.deepcopy(sd.entries)
+    # A client's piggy-backed response or CON ping with the notification's
+    # MID neither acknowledges nor resets it.
+    for msg in (CoapMessage(MsgType.ACK, CHANGED, 400), CoapMessage(MsgType.CON, EMPTY, 400)):
+        assert sd.intercept_from_internet(msg, CLIENT, NODE).kind is EffectKind.NO_EFFECT
+    assert sd.entries == before and sd.entries[0].retransmit_counter == 1
+    # A piggy-backed response that carries Observe is a notification.
+    piggy = CoapMessage(MsgType.ACK, CONTENT, 401, token=b"\x0b\x2a",
+                        options=OptionSet(observe=9, max_age=60), payload=b"1")
+    assert sd.intercept_from_lln(piggy, NODE, CLIENT).kind is EffectKind.UPDATED
+    e = sd.entries[0]
+    assert (e.observe_counter, e.mid, e.retransmit_counter) == (9, 401, 0)
 
 
 def test_notification_without_entry_is_no_effect():

@@ -140,6 +140,8 @@ NUMBERS_BASE = "version 1\nnode n1 aaaa::1\nclient c1 cccc::3\n"
     "at 10 notify n1 LONG",
     "at 10 deploy c1 n1 file=f data=d loader=LONG",
     "at 10 deploy c1 n1 file=LONG data=d",
+    "node n2 aaaa::2 loader=LONG",
+    "resource n1 LONG 1",
 ]]] + [(NUMBERS_BASE + lines, line, "restored: no snapshot of 'n1' runs before it")
        for lines, line in [
     ("assert final restored n1", 4),
@@ -159,6 +161,19 @@ def test_parse_errors_carry_line_numbers(text, expect_line, fragment, tmp_path, 
     path.write_text(text)
     assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 2
     assert f"parse error: line {expect_line}:" in capsys.readouterr().err
+
+
+def test_a_node_loader_and_a_resource_path_are_read_as_verb_paths_are():
+    sc = parse_scenario("""version 1
+node n1 aaaa::c30c:0:0:2 loader=/ldr
+client c1 cccc::3
+resource n1 //s/t 5
+at 1000 deploy c1 n1 file=m data=abc loader=/ldr
+""")
+    assert (sc.nodes[0].loader, list(sc.nodes[0].resources)) == ("ldr", ["s/t"])
+    world = run_scenario(sc).world
+    assert world.nodes["n1"].loaded_modules == {"m"}
+    assert not world.sim.trace.find("client_warn")
 
 
 @pytest.mark.parametrize("lines", [

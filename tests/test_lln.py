@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import sdgateway
+from msggen import random_message
 from worldutil import NODE2_ADDR, _sends, booted_world, client_frames, simple_scenario
 from sdgateway.coap import (
     BAD_REQUEST,
@@ -12,6 +13,7 @@ from sdgateway.coap import (
     CREATED,
     DELETE,
     DELETED,
+    EMPTY,
     GET,
     METHOD_NOT_ALLOWED,
     NOT_FOUND,
@@ -24,12 +26,16 @@ from sdgateway.coap import (
     Endpoint,
     MsgType,
     OptionSet,
+    decode,
     encode,
+    is_request,
     reset_for,
 )
 from sdgateway.gateway import Gateway
 from sdgateway.harness import NODE_ADDR, ScenarioRun, run_scenario
-from sdgateway.lln import Frame, Network, NodeState, ScriptedClient, VirtualNode
+from sdgateway.lln import (
+    Frame, Network, NodeState, RequestKind, ScriptedClient, VirtualNode, request_kind,
+)
 from sdgateway.scenario import ClientDecl, load_scenario, parse_scenario
 from sdgateway.sim import Simulator
 
@@ -220,6 +226,58 @@ def test_a_binding_to_a_missing_resource_is_not_found(monkeypatch):
     resp = _ask(node, sent, make_request(GET, "no/where", observe=0, binding=info))
     assert resp.code == NOT_FOUND
     assert node.bindings == {} and not world.sim.trace.find("binding_add")
+
+
+def test_request_kind_reads_each_kind_from_the_method_and_options_alone():
+    binding = BindingInfo("aaaa::9", "a/led", 1, 60)
+    K = RequestKind
+    cases = [
+        (make_request(GET, "s/t"), K.READ),
+        (make_request(GET, "s/t", binding=binding), K.READ),
+        (make_request(GET, "s/t", block1=Block1(0, False, 16)), K.READ),
+        (make_request(GET, "s/t", observe=0), K.OBSERVE),
+        (make_request(GET, "s/t", observe=12), K.OBSERVE),
+        (make_request(GET, "s/t", observe=1), K.DEREGISTER),
+        (make_request(GET, "s/t", observe=True), K.DEREGISTER),
+        (make_request(GET, "s/t", observe=0, binding=binding), K.BIND),
+        (make_request(GET, "s/t", observe=1, binding=binding), K.BIND),
+        (make_request(PUT, "ldr", block1=Block1(0, True, 64)), K.BLOCK),
+        (make_request(POST, "ldr", block1=Block1(1, False, 64)), K.BLOCK),
+        (make_request(PUT, "s/t", b"1", block1=Block1(0, False, 16),
+                      uri_query=("file=m",)), K.BLOCK),  # the path is the node's to judge
+        (make_request(PUT, "a/lb", b"1"), K.WRITE),
+        (make_request(PUT, "a/lb", b"1", observe=0), K.WRITE),
+        (make_request(POST, "ldr", uri_query=("file=m",)), K.LOAD),
+        (CoapMessage(MsgType.CON, POST, 7), K.LOAD),
+        (make_request(DELETE, "a/lb"), K.DELETE),
+        (make_request(DELETE, "a/lb", block1=Block1(0, False, 16)), K.DELETE),
+        (make_request(0x05, "s"), K.UNKNOWN),  # FETCH (RFC 8132)
+        (CoapMessage(MsgType.CON, CONTENT, 7, options=OptionSet(observe=12)), K.UNKNOWN),
+        (CoapMessage(MsgType.ACK, EMPTY, 7), K.UNKNOWN),
+        (CoapMessage(MsgType.RST, EMPTY, 7), K.UNKNOWN),
+        (CoapMessage(MsgType.CON, EMPTY, 7), K.UNKNOWN),
+    ]
+    for msg, expected in cases:
+        assert request_kind(msg) is expected, msg.short()
+    assert {kind for _, kind in cases} == set(RequestKind)
+
+
+def test_request_kind_is_deterministic_prefers_a_binding_and_survives_the_codec():
+    rng, seen = random.Random(5), 0
+    while seen < 600:
+        msg = random_message(rng)
+        if not is_request(msg.code):
+            continue
+        seen += 1
+        kind, o = request_kind(msg), msg.options
+        assert kind is request_kind(msg)
+        if msg.code == GET and o.observe is not None and o.binding is not None:
+            assert kind is RequestKind.BIND
+        assert request_kind(decode(encode(msg))) is kind, msg.short()
+        if o.observe == 1:  # `True` is sent as 1, and reads as 1 before it is sent
+            as_true = msg._replace(options=o._replace(observe=True))
+            assert request_kind(as_true) is kind
+            assert request_kind(decode(encode(as_true))) is kind
 
 
 def _node_sends(world, node) -> list[str]:

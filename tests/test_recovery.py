@@ -6,12 +6,12 @@ import pytest
 from worldutil import booted_world, simple_scenario
 from sdgateway.cli import main as cli_main
 from sdgateway.coap import (
-    GET, POST, PUT, BindingInfo, Block1, Endpoint, InteractionKind, MidAllocator, MsgType,
-    classify, decode, encode, is_request, request,
+    GET, POST, PUT, BindingInfo, Block1, Endpoint, MidAllocator, MsgType,
+    decode, encode, is_request, request,
 )
 from sdgateway.directory import EntryType, SDEntry, StateDirectory
 from sdgateway.harness import CLIENT_ADDR, ScenarioRun, run_scenario
-from sdgateway.lln import Network
+from sdgateway.lln import Network, RequestKind, request_kind
 from sdgateway.recovery import PACING_GAP_MS, StepOutcome, build_plan, build_replay
 from sdgateway.scenario import parse_scenario
 
@@ -394,18 +394,18 @@ at 10000 crash n1 down=500
     for frame in injected:
         replay = decode(frame.raw)
         request = requests[key(replay)]
-        kind = classify(replay)
+        kind = request_kind(replay)
         kinds.append(kind)
-        if kind is InteractionKind.OBSERVE_REGISTER:
+        if kind is RequestKind.OBSERVE:
             assert replay.options.observe == 9
             replay = replay._replace(options=replay.options._replace(
                 observe=request.parsed.options.observe))
         assert encode(replay._replace(mid=request.parsed.mid)) == request.raw
-        spoofed = kind in (InteractionKind.PUT_REQUEST, InteractionKind.OBSERVE_REGISTER)
+        spoofed = kind in (RequestKind.WRITE, RequestKind.OBSERVE)
         assert frame.src == (request.src if spoofed else gateway)
         assert frame.dst == request.dst
-    assert kinds == ([InteractionKind.PUT_REQUEST] * 2 + [InteractionKind.BINDING_REQUEST]
-                     + [InteractionKind.DEPLOY_BLOCK] * 3 + [InteractionKind.OBSERVE_REGISTER])
+    assert kinds == ([RequestKind.WRITE] * 2 + [RequestKind.BIND]
+                     + [RequestKind.BLOCK] * 3 + [RequestKind.OBSERVE])
 
 
 @pytest.mark.parametrize("size,block", [(20, 32), (50, 64)])
