@@ -5,9 +5,9 @@ Entries mirror what the destination node will hold in volatile memory:
 PUT values, observe relationships (with live observe/retransmit
 counters), binding descriptors and deployed-module records.  Each entry
 keeps the latest request that made its state, the intercepted message
-itself, and in block-capture mode a deploy keeps its transfer's block
-requests too; a replay is that request again with a fresh MID.  All
-mutation goes through the two intercept operations; reads are snapshots.
+itself (a deploy's is its transfer's last block); a replay is that
+request again with a fresh MID.  All mutation goes through the two
+intercept operations; reads are snapshots.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 from .coap import (
     EMPTY,
@@ -34,11 +34,6 @@ class EntryType(IntEnum):
     OBSERVE = 5
     BIND = 6
     DEPLOY = 7
-
-
-class DeployMode(Enum):
-    FILENAME_ONLY = "filename"   # node reloads the module from its own flash
-    BLOCK_CAPTURE = "blocks"     # gateway replays the whole block transfer
 
 
 class EffectKind(Enum):
@@ -64,8 +59,6 @@ class SDEntry:
     mid: int = 0  # the request's MID, then an OBSERVE entry's latest notification's
     observe_counter: int = 0
     retransmit_counter: int = 0
-    # A block-capture deploy's block requests, the last one `request`.
-    blocks: Optional[Tuple[CoapMessage, ...]] = None
     created_at: float = 0.0
     updated_at: float = 0.0
     key: tuple = field(default=(), repr=False, compare=False)  # its key, for `holds`
@@ -101,20 +94,16 @@ class StateDirectory:
     moves it to the end.
     """
 
-    def __init__(self, clock: Callable[[], float] = lambda: 0.0, *,
-                 deploy_mode: DeployMode = DeployMode.FILENAME_ONLY,
-                 trace=None) -> None:
+    def __init__(self, clock: Callable[[], float] = lambda: 0.0, *, trace=None) -> None:
         # Creation-ordered, and the same entries again per server address.
         self._entries: dict[tuple, SDEntry] = {}
         self._by_server: dict[str, dict[tuple, SDEntry]] = {}
         self.known_nodes: set[str] = set()
-        self.deploy_mode = deploy_mode
         self._clock = clock
         self._trace = trace
         # Partial block transfers, keyed (client, server, loader path): when
-        # a block last continued each, and its block requests so far.
-        self._pending_blocks: dict[tuple[Endpoint, Endpoint, str],
-                                   tuple[float, list[CoapMessage]]] = {}
+        # a block last continued each, and the block number it expects next.
+        self._pending_blocks: dict[tuple[Endpoint, Endpoint, str], tuple[float, int]] = {}
 
     @property
     def entries(self) -> list[SDEntry]:
@@ -199,7 +188,8 @@ class StateDirectory:
                 b = o.binding
                 binding = f"{b.dest_addr},{b.dest_resource},{b.pmin},{b.pmax}"
             elif e.entry_type is EntryType.DEPLOY:
-                deploy = f"{o.query_value('file')},{o.path_str()},{len(e.blocks or ())}"
+                # file,loader,nblocks: no entry keeps blocks, so nblocks is 0.
+                deploy = f"{o.query_value('file')},{o.path_str()},0"
             lines.append("\t".join([
                 str(int(e.entry_type)), str(e.client), str(e.server), e.uri_path,
                 r.token.hex() or "-", str(e.mid), str(e.observe_counter),
@@ -216,7 +206,7 @@ class StateDirectory:
     # -- internals -----------------------------------------------------
 
     def _upsert(self, key: tuple, msg: CoapMessage, src: Endpoint, dst: Endpoint,
-                uri: str, blocks: Optional[tuple] = None) -> SDEffect:
+                uri: str) -> SDEffect:
         """Create the entry for `key` from the request `msg`, or update it
         in place.  An update keeps the original `uri_path` and takes the
         request, its MID, and the latest client endpoint, which wins the
@@ -225,7 +215,7 @@ class StateDirectory:
         now = self._clock()
         entry = self._entries.get(key)
         if entry is None:
-            entry = SDEntry(key[0], src, dst, uri, msg, msg.mid, blocks=blocks,
+            entry = SDEntry(key[0], src, dst, uri, msg, msg.mid,
                             created_at=now, updated_at=now, key=key)
             self._entries[key] = entry
             self._by_server.setdefault(dst.addr, {})[key] = entry
@@ -233,7 +223,6 @@ class StateDirectory:
         entry.client = src
         entry.request = msg
         entry.mid = msg.mid
-        entry.blocks = blocks
         entry.updated_at = now
         return SDEffect(_UPDATED, entry)
 
@@ -272,24 +261,20 @@ class StateDirectory:
             stale = now - EXCHANGE_LIFETIME_MS
             self._pending_blocks = {k: p for k, p in self._pending_blocks.items()
                                     if p[0] > stale}
-            buf = [msg]
         else:
             pending = self._pending_blocks.get(key)
-            if pending is None or block.num != len(pending[1]):
+            if pending is None or block.num != pending[1]:
                 # Retransmitted or orphaned fragment; stop-and-wait transfers
-                # only ever append the next expected block.
+                # only ever continue with the next expected block.
                 return NO_EFFECT
-            buf = pending[1]
-            buf.append(msg)
         if block.more:
-            self._pending_blocks[key] = (now, buf)
+            self._pending_blocks[key] = (now, block.num + 1)
             return NO_EFFECT  # entry materializes only when the last block passes
         self._pending_blocks.pop(key, None)
         filename = msg.options.query_value("file")
         if not filename:
             return NO_EFFECT
-        blocks = tuple(buf) if self.deploy_mode is DeployMode.BLOCK_CAPTURE else None
-        return self._upsert((EntryType.DEPLOY, dst, filename), msg, src, dst, uri, blocks)
+        return self._upsert((EntryType.DEPLOY, dst, filename), msg, src, dst, uri)
 
     def _client_ack(self, msg, src, dst) -> SDEffect:
         key = self._find_observe(src, dst, _MID, msg.mid)

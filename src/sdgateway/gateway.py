@@ -17,7 +17,7 @@ from .coap import (
     CoapMessage,
     empty_ack,
 )
-from .directory import DeployMode, StateDirectory
+from .directory import StateDirectory
 from .lln import Confirmable, Deduplicator, Frame, Network
 from .recovery import RecoveryCoordinator
 from .sim import Simulator
@@ -27,15 +27,13 @@ class Gateway:
     """Event handler sitting between the two network sides."""
 
     def __init__(self, sim: Simulator, network: Network, *, interception: bool = True,
-                 deploy_mode: DeployMode = DeployMode.FILENAME_ONLY,
                  measure_overhead: bool = False) -> None:
         self.sim = sim
         self.network = network
         self.endpoint = network.endpoint(network.gateway_addr)
         self.interception = interception
         self.measure_overhead = measure_overhead
-        self.directory = StateDirectory(clock=lambda: sim.now, deploy_mode=deploy_mode,
-                                        trace=sim.trace)
+        self.directory = StateDirectory(clock=lambda: sim.now, trace=sim.trace)
         self.recovery = RecoveryCoordinator(self.directory, self, sim=sim)
         self.overhead_us: list[float] = []
         self._registrations = Deduplicator(sim)  # each kept with its ACK's parse

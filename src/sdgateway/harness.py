@@ -93,7 +93,7 @@ def build_world(sc: Scenario, *, interception: bool = True,
                 measure_overhead: bool = False) -> World:
     sim = Simulator(seed=sc.seed)
     network = Network(sim, lln_prefix=LLN_PREFIX, gateway_addr=GATEWAY_ADDR)
-    gateway = Gateway(sim, network, interception=interception, deploy_mode=sc.deploy_mode,
+    gateway = Gateway(sim, network, interception=interception,
                       measure_overhead=measure_overhead)
     nodes: dict[str, VirtualNode] = {}
     for decl in sc.nodes:

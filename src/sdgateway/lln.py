@@ -347,8 +347,9 @@ class Network:
         """Carry `frame` over `node`'s link, or the external network when
         `node` is None, to `handler(frame)`, which traces its `recv`.
         A link leg draws `sample_delay` then `draw_lost` from the link as it
-        is now, blackholed or not, so a blackhole moves no later draw;
-        arrivals on `path_key` stay FIFO."""
+        is now, blackholed or not, so a blackhole moves no later draw; a
+        blackholed node's frame is traced as that, whatever the loss draw.
+        Arrivals on `path_key` stay FIFO."""
         sim = self.sim
         if node is None:
             arrival = sim.now + EXTERNAL_DELAY_MS
@@ -356,7 +357,10 @@ class Network:
             link, rng = node.link, sim.rng
             delay = link.sample_delay(rng)
             lost = link.loss != 0.0 and link.draw_lost(rng)
-            if lost or node.addr in self.blackholes:
+            if node.addr in self.blackholes:
+                sim.trace.emit("drop_blackhole", frame.src, frame.dst, frame.traced)
+                return
+            if lost:
                 sim.trace.emit("drop_loss", frame.src, frame.dst, frame.traced)
                 return
             arrival = sim.now + delay

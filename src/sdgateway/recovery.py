@@ -2,11 +2,11 @@
 
 `build_plan` orders the node's entries into steps when it registers.  The
 executor fires one step at a time.  Its replay is the request the entry
-keeps at that moment, or one of its captured block requests, sent again
-as a CON with the step's fresh MID; so a client request made during
-recovery is never undone, and a step whose entry is gone is skipped.  It
-waits for the (suppressed) response or a retransmission timeout, and
-paces consecutive injections so recovery traffic cannot congest the LLN.
+keeps at that moment, sent again as a CON with the step's fresh MID; so a
+client request made during recovery is never undone, and a step whose
+entry is gone is skipped.  It waits for the (suppressed) response or a
+retransmission timeout, and paces consecutive injections so recovery
+traffic cannot congest the LLN.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class StepOutcome(Enum):
     ACKED = "acked"
     TIMED_OUT = "timed_out"
     ABORTED = "aborted"
-    SKIPPED = "skipped"  # its entry, or its block transfer, was gone when it fired
+    SKIPPED = "skipped"  # its entry was gone when it fired
 
 
 @dataclass(slots=True)
@@ -59,10 +59,8 @@ class RecoveryReport:
 
 
 def build_plan(entries: list[SDEntry], mids: MidAllocator) -> list[tuple]:
-    """Order one node's entries into replay steps `(entry, blocks, block,
-    mid)`: one per block request of a block-capture deploy's `blocks`, the
-    tuple it holds now, and one with `blocks` None for any other entry.
-    Each MID is reserved now, so concurrent recoveries keep theirs.
+    """Order one node's entries into replay steps `(entry, mid)`, one per
+    entry.  Each MID is reserved now, so concurrent recoveries keep theirs.
 
     State-modifying entries go first (each in creation order); observe
     registrations land last so the counter they seed is final — a PUT
@@ -71,14 +69,7 @@ def build_plan(entries: list[SDEntry], mids: MidAllocator) -> list[tuple]:
     """
     ordered = [e for e in entries if e.entry_type is not EntryType.OBSERVE] + \
               [e for e in entries if e.entry_type is EntryType.OBSERVE]
-    steps = []
-    for entry in ordered:
-        blocks = entry.blocks
-        if blocks is None:
-            steps.append((entry, None, 0, mids.next_mid()))
-        else:
-            steps += [(entry, blocks, i, mids.next_mid()) for i in range(len(blocks))]
-    return steps
+    return [(entry, mids.next_mid()) for entry in ordered]
 
 
 _SPOOFED = (EntryType.PUT, EntryType.OBSERVE)  # replayed from the stored client
@@ -88,23 +79,22 @@ def build_replay(step: tuple, gateway: Endpoint) -> tuple[CoapMessage, Endpoint]
     """The message that replays `step`, and the source it spoofs: the
     stored client for PUT and OBSERVE, `gateway`, the gateway's own
     endpoint, for BIND and DEPLOY.  The message is the request the entry
-    keeps now, or the step's block request, as a CON with the step's MID:
-    every option of the intercepted request goes with it."""
-    entry, blocks, block, mid = step
-    kept = entry.request if blocks is None else blocks[block]
-    options = kept.options
+    keeps now as a CON with the step's MID, every option of the intercepted
+    request with it; a DEPLOY's is the loader POST of its filename alone."""
+    entry, mid = step
+    options = entry.request.options
     if entry.entry_type is EntryType.OBSERVE:
         # Fresh MID, stored token: tokens, not MIDs, bind notifications to
         # the relationship.  The stored counter continues the numbering; 1
         # would read as a cancellation on the wire, so it is bumped past it.
         counter = 2 if entry.observe_counter == 1 else entry.observe_counter
         options = options._replace(observe=counter)
-    elif entry.entry_type is EntryType.DEPLOY and blocks is None:
+    elif entry.entry_type is EntryType.DEPLOY:
         # The filename alone: the node reloads the module from its flash.
         return request(MsgType.CON, POST, mid, options.path_str(),
                        uri_query=(f"file={options.query_value('file')}",)), gateway
     source = entry.client if entry.entry_type in _SPOOFED else gateway
-    return kept._replace(msg_type=MsgType.CON, mid=mid, options=options), source
+    return entry.request._replace(msg_type=MsgType.CON, mid=mid, options=options), source
 
 
 class RecoveryRun:
@@ -172,13 +162,12 @@ class RecoveryCoordinator:
 
     def _fire(self, run: RecoveryRun) -> None:
         """Inject the next step whose entry the directory still holds,
-        built from that entry as it is now.  A step whose entry is gone, or
-        whose block transfer a newer one replaced, is skipped at once: it
-        sends nothing, so it takes no pacing gap."""
+        built from that entry as it is now.  A step whose entry is gone is
+        skipped at once: it sends nothing, so it takes no pacing gap."""
         run.gap_event = None
         while run.index < len(run.steps):
-            step = entry, blocks, _, _ = run.steps[run.index]
-            if self.directory.holds(entry) and (blocks is None or entry.blocks is blocks):
+            step = entry, _ = run.steps[run.index]
+            if self.directory.holds(entry):
                 break
             self._record(run, StepOutcome.SKIPPED)
         else:

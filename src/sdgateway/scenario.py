@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .coap import OBSERVE_DEREGISTER_VALUE, BindingInfo, Block1, OptionSet, validate_options
-from .directory import DeployMode, EntryType
+from .directory import EntryType
 from .lln import DEFAULT_LOADER_PATH, RDC, LinkModel
 
 SCENARIO_VERSION = 1
@@ -364,7 +364,6 @@ class Scenario:
     rdc: RDC = RDC.NULLRDC
     hops: int = 1
     loss: float = 0.0
-    deploy_mode: DeployMode = DeployMode.FILENAME_ONLY
     settle: float = 30_000.0
     nodes: list[NodeDecl] = field(default_factory=list)
     clients: list[ClientDecl] = field(default_factory=list)
@@ -474,7 +473,6 @@ _HEADERS = {
     "rdc": ("rdc", lambda v: _enum(RDC, v, "rdc")),
     "hops": ("hops", lambda v: LinkModel(hops=_int(v)).hops),
     "loss": ("loss", lambda v: LinkModel(loss=_float(v)).loss),
-    "deploy-mode": ("deploy_mode", lambda v: _enum(DeployMode, v, "deploy mode")),
     "settle": ("settle", lambda v: _nonnegative(_float(v), "settle")),
 }
 # The keys of a `node` line, checked as the header lines of the same name
@@ -525,6 +523,8 @@ def parse_scenario(text: str) -> Scenario:
                         raise ValueError(f"expected key=value, got {tok!r}")
                     if key not in _NODE_KEYS:
                         raise ValueError(f"node: unknown key {key!r}")
+                    if key in keys:
+                        raise ValueError(f"node: repeated key {key!r}")
                     keys[key] = _NODE_KEYS[key](value)
                 decl = NodeDecl(rest[0], rest[1], **keys)
                 sc.nodes.append(decl)
@@ -552,6 +552,8 @@ def parse_scenario(text: str) -> Scenario:
                 for tok in rest[2:]:
                     key, sep, value = tok.partition("=")
                     if sep and key in keys:
+                        if key in keyed:
+                            raise ValueError(f"{rest[1]}: repeated key {key!r}")
                         keyed[key] = value
                     else:
                         positional.append(tok)

@@ -35,6 +35,7 @@ TRACE_KINDS = {
     "drop_no_route": "drop why=no-route dst:str",
     "drop_no_client": "drop why=no-client dst:str",
     "drop_loss": "drop why=loss src:str dst:str msg:coap",
+    "drop_blackhole": "drop why=blackhole src:str dst:str msg:coap",
     # lln.VirtualNode
     "boot": "boot node epoch",
     "assoc": "assoc node epoch delay:ms transmissions",

@@ -27,7 +27,6 @@ from sdgateway.coap import (
 )
 import sdgateway
 from sdgateway.directory import (
-    DeployMode,
     DirectoryInvariantError,
     EffectKind,
     EntryType,
@@ -226,39 +225,40 @@ def test_deploy_filename_mode_stores_name_only():
     assert entry.entry_type is EntryType.DEPLOY and int(entry.entry_type) == 7
     assert entry.request.options.query_value("file") == "blinker"
     assert entry.request.options.path_str() == "ldr"
-    assert entry.blocks is None
     # A last block that names no file stores nothing.
     assert sd.intercept_from_internet(deploy_block(0, False, b"c", 3, filename=""),
                                       CLIENT, NODE).kind is EffectKind.NO_EFFECT
     assert sd.entries == [entry]
 
 
-def test_deploy_block_capture_mode_keeps_blocks():
-    sd = StateDirectory(deploy_mode=DeployMode.BLOCK_CAPTURE)
+def test_redeploying_a_filename_updates_its_one_entry():
+    sd = StateDirectory()
     sd.intercept_from_internet(deploy_block(0, True, b"a" * 64, 1), CLIENT, NODE)
     sd.intercept_from_internet(deploy_block(1, True, b"b" * 64, 2), CLIENT, NODE)
-    effect = sd.intercept_from_internet(deploy_block(2, False, b"c" * 8, 3), CLIENT, NODE)
-    assert [m.payload for m in effect.entry.blocks] == [b"a" * 64, b"b" * 64, b"c" * 8]
-    assert effect.entry.request is effect.entry.blocks[-1]
-    # Redeploying the same filename replaces the entry.
-    sd.intercept_from_internet(deploy_block(0, False, b"z" * 5, 4), CLIENT, NODE)
-    assert len(sd.entries) == 1
-    assert [m.payload for m in sd.entries[0].blocks] == [b"z" * 5]
+    created = sd.intercept_from_internet(deploy_block(2, False, b"c" * 8, 3), CLIENT, NODE)
+    assert created.kind is EffectKind.CREATED
+    redeploy = deploy_block(0, False, b"z" * 5, 4)
+    updated = sd.intercept_from_internet(redeploy, CLIENT, NODE)
+    assert updated.kind is EffectKind.UPDATED and updated.entry is created.entry
+    assert sd.entries == [created.entry] and created.entry.request is redeploy
 
 
-def test_retransmitted_blocks_never_corrupt_the_captured_image():
-    sd = StateDirectory(deploy_mode=DeployMode.BLOCK_CAPTURE)
-    sd.intercept_from_internet(deploy_block(0, True, b"a" * 64, 1), CLIENT, NODE)
+def test_retransmitted_blocks_create_nothing_and_the_last_block_creates_the_entry_once():
+    sd = StateDirectory()
     # The ACK was lost and block 0 is retransmitted, then block 1 twice.
-    sd.intercept_from_internet(deploy_block(0, True, b"a" * 64, 1), CLIENT, NODE)
-    sd.intercept_from_internet(deploy_block(1, True, b"b" * 64, 2), CLIENT, NODE)
-    sd.intercept_from_internet(deploy_block(1, True, b"b" * 64, 2), CLIENT, NODE)
-    effect = sd.intercept_from_internet(deploy_block(2, False, b"c" * 4, 3), CLIENT, NODE)
-    assert effect.kind is EffectKind.CREATED
-    assert b"".join(m.payload for m in effect.entry.blocks) == b"a" * 64 + b"b" * 64 + b"c" * 4
+    for num, payload, mid in ((0, b"a", 1), (0, b"a", 1), (1, b"b", 2), (1, b"b", 2)):
+        effect = sd.intercept_from_internet(deploy_block(num, True, payload * 64, mid),
+                                            CLIENT, NODE)
+        assert effect.kind is EffectKind.NO_EFFECT and not sd.entries
+    last = deploy_block(2, False, b"c" * 4, 3)
+    effect = sd.intercept_from_internet(last, CLIENT, NODE)
+    assert effect.kind is EffectKind.CREATED and effect.entry.request is last
+    # The last block retransmitted continues no transfer.
+    assert sd.intercept_from_internet(last, CLIENT, NODE).kind is EffectKind.NO_EFFECT
+    assert sd.entries == [effect.entry]
 
 
-def test_lossy_block_transfer_still_captures_exact_image():
+def test_lossy_block_transfer_still_deploys_the_exact_image():
     from sdgateway.scenario import parse_scenario
     from sdgateway.harness import run_scenario
 
@@ -268,7 +268,6 @@ scenario lossydeploy
 version 1
 seed 3
 loss 0.15
-deploy-mode blocks
 settle 60000
 node n1 aaaa::c30c:0:0:2
 client c1 cccc::3
@@ -277,7 +276,8 @@ at 1000 deploy c1 n1 file=img block=16 data=hex:{image.hex()}
     result = run_scenario(sc)
     assert len(result.world.sim.trace.find("client_retransmit")) >= 2
     entry, = result.world.gateway.directory.entries_for_server(NODE.addr)
-    assert b"".join(m.payload for m in entry.blocks) == image
+    assert entry.entry_type is EntryType.DEPLOY
+    assert entry.request.options.query_value("file") == "img"
     assert result.world.nodes["n1"].flash["img"] == image
 
 

@@ -251,7 +251,7 @@ def test_trace_records_hold_shared_endpoints_and_no_container_per_record(monkeyp
         held.append(len(left))
         msgs = [record[MSG_AT[record[1]]] for _, record in trace._slices()
                 if record[1] in MSG_AT]
-        assert len(msgs) > 10 * nodes and len(MSG_AT) == 8
+        assert len(msgs) > 10 * nodes and len(MSG_AT) == 9
         own = {id(f.raw if f.parsed is None else f.parsed) for f in frames}
         assert all(id(v) in own for v in msgs)
         assert not [v for v in flat if type(v) is bytes]  # every frame parses

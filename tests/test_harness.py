@@ -238,7 +238,7 @@ def test_blackhole_verb_loses_the_node_traffic_only_while_on():
         "at 20000 put c1 n1 s/t 7\n"
         "assert 21000 resource n1 s/t 7\n")))
     assert result.ok, result.failures
-    drops = result.world.sim.trace.find("drop", why="loss")
+    drops = result.world.sim.trace.find("drop", why="blackhole")
     assert drops and all(1000.0 < t < 2000.0 and f["dst"].startswith("aaaa::1:")
                          for t, f in drops)
 

@@ -647,9 +647,10 @@ def test_a_blackholed_hop_draws_what_a_delivered_one_draws(loss):
 
 # -- one call per link leg ------------------------------------------------------
 
-def _leg_draws(world, frame):
+def _leg_draws(world, frame, why="loss"):
     """Send `frame` down to n1 and run past its leg: (the leg's arrival time
-    or None when it was dropped, the RNG state right after the leg)."""
+    or None when it was dropped, traced `drop why=<why>`, the RNG state right
+    after the leg)."""
     sim, node = world.sim, world.nodes["n1"]
     world.network.deliver_to_node(frame)
     after = sim.rng.getstate()
@@ -657,7 +658,7 @@ def _leg_draws(world, frame):
     sim.run(until=sent_at + 1000.0)
     arrivals = [t for t, f in sim.trace.find("recv", at=str(node.endpoint))
                 if t >= sent_at and f["msg"] == frame.parsed.short()]
-    drops = [t for t, f in sim.trace.find("drop", why="loss")
+    drops = [t for t, f in sim.trace.find("drop", why=why)
              if t == sent_at and f["msg"] == frame.parsed.short()]
     assert len(arrivals) + len(drops) == 1
     return (arrivals[0] if arrivals else None), after
@@ -680,9 +681,30 @@ def test_a_link_leg_draws_as_sample_delay_then_draw_lost(hops, loss, blackholed)
         lost = node.link.draw_lost(reference)
         now = sim.now
         arrival, after = _leg_draws(world, Frame.of(make_request(GET, "s/t", mid=seed),
-                                                    CLIENT_EP, node.endpoint))
+                                                    CLIENT_EP, node.endpoint),
+                                    why="blackhole" if blackholed else "loss")
         assert arrival == (None if lost or blackholed else now + delay)
         assert after == reference.getstate()
+
+
+def test_a_blackholed_leg_is_traced_as_a_blackhole_when_the_loss_draw_keeps_it():
+    kept = 0
+    for seed in range(12):
+        world = booted_world(simple_scenario(seed=seed, loss=0.3))
+        node, sim = world.nodes["n1"], world.sim
+        reference = random.Random()
+        reference.setstate(sim.rng.getstate())
+        node.link.sample_delay(reference)
+        if node.link.draw_lost(reference):
+            continue
+        kept += 1
+        world.network.blackholes.add(node.addr)
+        sent_at = sim.now
+        world.network.deliver_to_node(Frame.of(make_request(GET, "s/t", mid=seed),
+                                               CLIENT_EP, node.endpoint))
+        ((t, drop),) = [(t, f) for t, f in sim.trace.find("drop") if t >= sent_at]
+        assert (t, drop["why"], drop["dst"]) == (sent_at, "blackhole", str(node.endpoint))
+    assert kept
 
 
 def test_a_link_changed_after_construction_takes_effect_on_the_next_leg():
@@ -824,8 +846,8 @@ def test_a_new_block_transfer_drops_those_abandoned_for_the_exchange_lifetime():
     deploy_first_block("new")
     ((new_node, (_, blocks)),) = node._incoming_blocks.items()
     assert new_node != old_node and blocks == [b"new" * 5 + b"n"]
-    ((new_sd, (_, blocks)),) = directory._pending_blocks.items()
-    assert new_sd != old_sd and [m.payload for m in blocks] == [b"new" * 5 + b"n"]
+    ((new_sd, (_, expected)),) = directory._pending_blocks.items()
+    assert new_sd != old_sd and expected == 1  # block 0 passed, block 1 is next
     sim.run(until=sim.now + 1000.0)
     assert node.flash["new"] == b"new" * 16
     assert node._incoming_blocks == directory._pending_blocks == {}

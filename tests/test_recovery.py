@@ -1,8 +1,6 @@
 import importlib.resources
 import random
 
-import pytest
-
 from worldutil import booted_world, simple_scenario
 from sdgateway.cli import main as cli_main
 from sdgateway.coap import (
@@ -81,22 +79,6 @@ def test_bind_and_deploy_steps_originate_from_the_gateway():
     assert bind_src == deploy_src == GW
 
 
-def test_deploy_block_capture_expands_into_block_steps():
-    payloads = (b"a" * 64, b"b" * 64, b"c" * 9)
-    blocks = tuple(request(MsgType.CON, POST, 10 + i, "ldr", payload=payload,
-                           uri_query=("file=img",), block1=Block1(i, i < 2, 64))
-                   for i, payload in enumerate(payloads))
-    entries = [SDEntry(EntryType.DEPLOY, Endpoint("cccc::3", 40001), NODE, "ldr", blocks[-1],
-                       blocks=blocks, created_at=1.0)]
-    msgs = [msg for msg, _ in replays(entries)]
-    assert len(msgs) == 3
-    b1 = [m.options.block1 for m in msgs]
-    assert [b.num for b in b1] == [0, 1, 2]
-    assert [b.more for b in b1] == [True, True, False]
-    assert [b.size for b in b1] == [64, 64, 64]
-    assert b"".join(m.payload for m in msgs) == b"".join(payloads)
-
-
 def test_replay_fidelity_against_stored_originals():
     entries = fig17_entries()
     for entry, (msg, _) in zip(entries[:2], replays(entries)[:2]):
@@ -117,11 +99,12 @@ def test_a_replay_carries_every_option_of_the_intercepted_request():
     assert msg == put._replace(mid=step[-1]) and source == Endpoint("cccc::3", 50824)
 
 
-def test_each_block_capture_replay_is_the_client_request_with_a_fresh_mid():
-    """In a live run, each injected message is the client's own request,
-    with type CON and the step's MID: the bind, each deploy block, the PUT."""
+def test_each_replay_is_the_client_request_with_a_fresh_mid_and_a_deploy_its_filename():
+    """In a live run, the bind and PUT replays are the client's own
+    requests, with type CON and the step's MID; the deploy replay is the
+    loader POST of its filename alone, sent from the gateway."""
     text = (importlib.resources.files("sdgateway") / "scenarios" / "bind_deploy.scn").read_text()
-    result = run_scenario(parse_scenario(text.replace("\nsettle ", "\ndeploy-mode blocks\nsettle ")))
+    result = run_scenario(parse_scenario(text))
     assert result.ok, result.failures
     client_addr = result.world.clients["c1"].addr
     sent, injected = {}, []
@@ -129,12 +112,19 @@ def test_each_block_capture_replay_is_the_client_request_with_a_fresh_mid():
         if layout.kind == "send" and record[2].addr == client_addr and is_request(record[4].code):
             sent.setdefault(record[4].mid, record[4])  # a retransmission sends it again
         elif layout.kind == "inject":
-            injected.append(record[7])
-    assert [int(f["et"]) for _, f in result.world.sim.trace.find("inject")] == [6, 7, 7, 7, 2]
-    assert len(injected) == len(sent)
-    for replay, original in zip(injected, sent.values()):
+            injected.append((record[6], record[7]))
+    assert [int(f["et"]) for _, f in result.world.sim.trace.find("inject")] == [6, 7, 2]
+    (bind_src, bind), (deploy_src, deploy), (_, put) = injected
+    blocks = [m for m in sent.values() if m.options.block1 is not None]
+    originals = [m for m in sent.values() if m.options.block1 is None]
+    assert len(blocks) == 3 and len(originals) == 2
+    for replay, original in zip((bind, put), originals):
         assert replay.mid != original.mid
         assert replay == original._replace(msg_type=MsgType.CON, mid=replay.mid)
+    loader = blocks[-1].options.path_str()
+    assert deploy == request(MsgType.CON, POST, deploy.mid, loader, uri_query=("file=blinker",))
+    assert deploy.mid not in sent
+    assert bind_src == deploy_src == result.world.gateway.endpoint
 
 
 def test_a_step_replays_its_entry_as_it_is_when_the_step_fires():
@@ -315,44 +305,17 @@ at 5000 crash n1 down=200
     assert world.nodes["n1"].dynamic_state() == state_after_first
 
 
-def test_block_capture_mode_restores_a_wiped_flash():
-    sc = parse_scenario("""
-scenario modeb
-version 1
-seed 15
-deploy-mode blocks
-settle 30000
-node n1 aaaa::c30c:0:0:2
-client c1 cccc::3
-at 1000 deploy c1 n1 file=img block=16 data=hex:000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f404142434445464748
-""")
-    image = bytes(range(0x49))
-    run = ScenarioRun(sc)
-    world = run.world
-    node = world.nodes["n1"]
-    world.sim.schedule_at(5000.0, lambda: node.crash(1000.0))
-    # The stored module image, not the node's storage, must provide the
-    # bytes: wipe flash while the node is down.
-    world.sim.schedule_at(5500.0, node.flash.clear)
-    run.advance(until=30_000.0)
-    injects = world.sim.trace.find("inject")
-    assert len(injects) == 5 and all(f["et"] == 7 for _, f in injects)
-    report = world.gateway.recovery.reports[0]
-    assert report.all_acked and report.steps_total == 5
-    assert node.flash["img"] == image  # byte-for-byte reassembly
-    assert node.loaded_modules == {"img"}
-
-
 def test_a_replay_is_the_last_client_request_for_its_entry(monkeypatch):
-    """Each injected frame equals, byte for byte, the client's last request
-    for its entry, but for the MID, an observe replay's Observe value and
-    the gateway's source on a bind or deploy replay: requests and replays
-    turn a path into Uri-Path options by one rule, the empty path too."""
+    """Each injected frame but the deploy's equals, byte for byte, the
+    client's last request for its entry, but for the MID, an observe
+    replay's Observe value and the gateway's source on a bind replay:
+    requests and replays turn a path into Uri-Path options by one rule, the
+    empty path too.  The deploy replay is the loader POST of its filename
+    alone, from the gateway."""
     sc = parse_scenario("""
 scenario replay_is_request
 version 1
 seed 5
-deploy-mode blocks
 settle 30000
 node n1 aaaa::c30c:0:0:2
 node n2 aaaa::c30c:0:0:3
@@ -393,47 +356,25 @@ at 10000 crash n1 down=500
     kinds = []
     for frame in injected:
         replay = decode(frame.raw)
-        request = requests[key(replay)]
         kind = request_kind(replay)
         kinds.append(kind)
+        if kind is RequestKind.LOAD:
+            last_block = requests[(POST, "ldr", False, 2)]  # 40 bytes in blocks of 16
+            assert replay == request(MsgType.CON, POST, replay.mid, "ldr",
+                                     uri_query=("file=img",))
+            assert frame.src == gateway and frame.dst == last_block.dst
+            continue
+        original = requests[key(replay)]
         if kind is RequestKind.OBSERVE:
             assert replay.options.observe == 9
             replay = replay._replace(options=replay.options._replace(
-                observe=request.parsed.options.observe))
-        assert encode(replay._replace(mid=request.parsed.mid)) == request.raw
+                observe=original.parsed.options.observe))
+        assert encode(replay._replace(mid=original.parsed.mid)) == original.raw
         spoofed = kind in (RequestKind.WRITE, RequestKind.OBSERVE)
-        assert frame.src == (request.src if spoofed else gateway)
-        assert frame.dst == request.dst
+        assert frame.src == (original.src if spoofed else gateway)
+        assert frame.dst == original.dst
     assert kinds == ([RequestKind.WRITE] * 2 + [RequestKind.BIND]
-                     + [RequestKind.BLOCK] * 3 + [RequestKind.OBSERVE])
-
-
-@pytest.mark.parametrize("size,block", [(20, 32), (50, 64)])
-def test_block_capture_replays_a_one_block_image_at_its_transfer_size(size, block):
-    image = bytes(range(size))
-    sc = parse_scenario(f"""
-scenario oneblock
-version 1
-seed 3
-deploy-mode blocks
-settle 15000
-node n1 aaaa::c30c:0:0:2
-client c1 cccc::3
-at 1000 deploy c1 n1 file=img block={block} data=hex:{image.hex()}
-assert 3000 snapshot n1
-at 4000 crash n1 down=500
-assert 12000 restored n1
-""")
-    run = run_scenario(sc)
-    assert run.ok, run.failures
-    world = run.world
-    (entry,) = world.gateway.directory.entries
-    (kept,) = entry.blocks
-    assert kept.payload == image and kept.options.block1.size == block
-    (_, inject), = world.sim.trace.find("inject")
-    assert f"blk1=0/0/{block} " in inject["msg"]
-    assert world.nodes["n1"].flash["img"] == image
-    assert len(world.sim.trace.find("load", file="img", source="transfer")) == 2
+                     + [RequestKind.LOAD] + [RequestKind.OBSERVE])
 
 
 def test_first_ever_registration_triggers_no_recovery():
@@ -615,8 +556,8 @@ assert 30000 observer-count n1 gpio/btn 0
 
 def test_a_block_transfer_replaced_during_its_replay_is_not_mixed_in():
     """The client deploys a new image of the same file while the old one's
-    blocks replay: the old transfer's remaining blocks are skipped, and the
-    node keeps the new image."""
+    filename replay is in flight: the node reloads the old image from flash,
+    then takes the new one, and the run is not flagged."""
     old = bytes(range(64))
     result = run_scenario(parse_scenario(f"""
 scenario transfer_replaced_during_recovery
@@ -624,7 +565,6 @@ version 1
 seed 1
 rdc contikimac
 hops 2
-deploy-mode blocks
 settle 40000
 node n1 aaaa::c30c:0:0:2
 client c1 cccc::3
@@ -632,9 +572,12 @@ at 1000 deploy c1 n1 file=img block=16 data=hex:{old.hex()}
 at 11000 crash n1 down=500
 at 12500 deploy c1 n1 file=img block=16 data=hex:ffff
 """))
-    assert result.ok, result.failures
-    outcomes = [f["outcome"] for _, f in result.world.sim.trace.find("recover_step")]
-    assert outcomes == ["acked", "skipped", "skipped", "skipped"]
+    assert result.ok and not result.flagged, result.failures
+    trace = result.world.sim.trace
+    ((injected_at, _),) = trace.find("inject")
+    ((acked_at, step),) = trace.find("recover_step")
+    assert step["outcome"] == "acked" and injected_at < 12_500.0 < acked_at
+    assert [f["source"] for _, f in trace.find("load")] == ["transfer", "flash", "transfer"]
     assert result.world.nodes["n1"].flash["img"] == b"\xff\xff"
     (entry,) = result.world.gateway.directory.entries
-    assert [m.payload for m in entry.blocks] == [b"\xff\xff"]
+    assert entry.request.payload == b"\xff\xff"

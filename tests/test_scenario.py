@@ -17,6 +17,7 @@ from sdgateway.scenario import (
     POSITIONAL,
     REQUIRED,
     VERBS,
+    _HEADERS,
     ClientDecl,
     NodeDecl,
     ParseError,
@@ -232,11 +233,14 @@ def test_pinned_lines_parse_to_what_the_builder_makes(text, call):
 
 @pytest.mark.parametrize("line,message", [
     ("rdc fast", "unknown rdc 'fast'"),
-    ("deploy-mode lazy", "unknown deploy mode 'lazy'"),
+    ("deploy-mode blocks", "unknown directive 'deploy-mode'"),
     ("seed", "usage: seed <value>"),
     ("client c3", "usage: client <name> <addr>"),
     ("node n3", "node <name> <addr> [k=v...]"),
     ("node n3 aaaa::3 hops", "expected key=value, got 'hops'"),
+    ("node n3 aaaa::3 hops=1 hops=2", "node: repeated key 'hops'"),
+    ("at 1000 put c1 n1 a 1 cf=0 cf=5", "put: repeated key 'cf'"),
+    ("at 1000 bind c1 n1 s dest=aaaa::2 res=b res=c", "bind: repeated key 'res'"),
     ("at 10", "at <ms> <verb> ..."),
     ("assert final", "assert <ms|final> <check> ..."),
     ("resource n1 a hex:zz", "non-hexadecimal number found"),
@@ -392,3 +396,10 @@ def test_readme_lists_every_verb_and_check_as_the_tables_define_them():
     missing = [usage(head, name) for head, name in NAMES
                if not re.search(rf"^{re.escape(usage(head, name))}(  |$)", readme, re.M)]
     assert not missing
+
+
+def test_readme_example_gives_exactly_the_header_directives_the_parser_takes():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme.split("### Scenario files", 1)[1].split("```text\n", 1)[1]
+    header = example.split("\n\n", 1)[0]  # the lines before the first blank one
+    assert {line.split()[0] for line in header.splitlines()} == set(_HEADERS) | {"version"}
