@@ -19,7 +19,6 @@ from typing import Callable, Optional
 
 from .coap import (
     EMPTY,
-    EXCHANGE_LIFETIME_MS,
     MAX_RETRANSMIT,
     CoapMessage,
     Endpoint,
@@ -101,9 +100,6 @@ class StateDirectory:
         self.known_nodes: set[str] = set()
         self._clock = clock
         self._trace = trace
-        # Partial block transfers, keyed (client, server, loader path): when
-        # a block last continued each, and the block number it expects next.
-        self._pending_blocks: dict[tuple[Endpoint, Endpoint, str], tuple[float, int]] = {}
 
     @property
     def entries(self) -> list[SDEntry]:
@@ -253,26 +249,9 @@ class StateDirectory:
         return None
 
     def _deploy_block(self, msg, src, dst, uri) -> SDEffect:
-        block = msg.options.block1
-        key, now = (src, dst, uri), self._clock()
-        if block.num == 0:
-            # A new transfer drops those no block has continued for the
-            # exchange lifetime: their client gave up long before.
-            stale = now - EXCHANGE_LIFETIME_MS
-            self._pending_blocks = {k: p for k, p in self._pending_blocks.items()
-                                    if p[0] > stale}
-        else:
-            pending = self._pending_blocks.get(key)
-            if pending is None or block.num != pending[1]:
-                # Retransmitted or orphaned fragment; stop-and-wait transfers
-                # only ever continue with the next expected block.
-                return NO_EFFECT
-        if block.more:
-            self._pending_blocks[key] = (now, block.num + 1)
-            return NO_EFFECT  # entry materializes only when the last block passes
-        self._pending_blocks.pop(key, None)
+        # The node reassembles; each copy of a last block naming a file upserts.
         filename = msg.options.query_value("file")
-        if not filename:
+        if msg.options.block1.more or not filename:
             return NO_EFFECT
         return self._upsert((EntryType.DEPLOY, dst, filename), msg, src, dst, uri)
 

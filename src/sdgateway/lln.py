@@ -705,7 +705,10 @@ class VirtualNode:
     def notify(self, path: str, counter: Optional[int] = None) -> None:
         """Notify all observers of `path`; the counter jumps to `counter`
         when given (node-controlled, never backward: an observer whose
-        counter is already past it is skipped and traced), else increments."""
+        counter is already past it is skipped and traced), else increments.
+        A `counter` of 1, the cancellation sentinel, raises."""
+        if counter == OBSERVE_DEREGISTER_VALUE:
+            raise ValueError("observe counter 1 is the cancellation sentinel")
         for (p, _), obs in list(self.observers.items()):
             if p != path:
                 continue
@@ -714,8 +717,6 @@ class VirtualNode:
                     self.sim.trace.emit("notify_ignored", self.name, path, obs.client,
                                         counter, obs.counter)
                     continue
-                if counter == 1:
-                    raise ValueError("observe counter 1 is the cancellation sentinel")
                 obs.counter = counter
             else:
                 obs.counter = coap.next_observe(obs.counter)

@@ -5,9 +5,10 @@ run parameters, `node`/`client`/`resource`/`flash` declare the topology,
 `at <ms> <verb> ...` lines schedule timed events and `assert <ms|final>
 <check> ...` lines schedule assertions.  Event times must be
 nondecreasing, every number finite and in range, every line must take
-exactly its arguments and keys, and every event and check must reference
-a declared name.  Each verb is one `VERBS` entry and each check one
-`CHECKS` entry, read by the parser, by `harness._dispatch` and
+exactly its arguments and keys, no header directive, node resource or
+flash file may be declared twice, and every event and check must
+reference a declared name.  Each verb is one `VERBS` entry and each
+check one `CHECKS` entry, read by the parser, by `harness._dispatch` and
 `harness._evaluate`, and by the checked builders `Scenario.event` and
 `Scenario.check`.
 """
@@ -458,6 +459,14 @@ def _declared(name: str, names) -> None:
         raise ValueError(f"undeclared name {name!r}")
 
 
+def _once(key: tuple, lineno: int, seen: dict) -> None:
+    """Record `lineno` as the line that declares `key`, or raise when an
+    earlier line already did."""
+    first = seen.setdefault(key, lineno)
+    if first != lineno:
+        raise ValueError(f"{' '.join(key)} repeats line {first}")
+
+
 def _enum(kind, value: str, what: str):
     try:
         return kind(value)
@@ -495,7 +504,8 @@ def parse_scenario(text: str) -> Scenario:
     # Each final `restored` that no snapshot on an earlier line runs before;
     # a timed `snapshot` on a later line runs before it too.
     final_restores: list[tuple[str, int]] = []
-    saw_version = False
+    # The line of each header directive, resource and flash file, by its key.
+    seen: dict[tuple, int] = {}
 
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         try:
@@ -505,13 +515,14 @@ def parse_scenario(text: str) -> Scenario:
             head, rest = tokens[0], tokens[1:]
             if head in _HEADERS:
                 _need(rest, 1, f"{head} <value>")
+                _once((head,), lineno, seen)
                 name, check = _HEADERS[head]
                 setattr(sc, name, check(rest[0]))
             elif head == "version":
                 _need(rest, 1, "version <n>")
+                _once((head,), lineno, seen)
                 if _int(rest[0]) != SCENARIO_VERSION:
                     raise ValueError(f"unsupported scenario version {rest[0]}")
-                saw_version = True
             elif head == "node":
                 if len(rest) < 2:
                     raise ValueError("node <name> <addr> [k=v...]")
@@ -537,10 +548,13 @@ def parse_scenario(text: str) -> Scenario:
             elif head == "resource":
                 _need(rest, 3, "resource <node> <path> <value>")
                 _declared(rest[0], node_names)
-                node_names[rest[0]].resources[_uri_path(rest[1])] = _payload(rest[2])
+                path = _uri_path(rest[1])
+                _once((head, rest[0], path), lineno, seen)
+                node_names[rest[0]].resources[path] = _payload(rest[2])
             elif head == "flash":
                 _need(rest, 3, "flash <node> <filename> <data>")
                 _declared(rest[0], node_names)
+                _once((head, rest[0], rest[1]), lineno, seen)
                 node_names[rest[0]].flash[rest[1]] = _payload(rest[2])
             elif head == "at":
                 if len(rest) < 2:
@@ -569,7 +583,7 @@ def parse_scenario(text: str) -> Scenario:
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
 
-    if not saw_version:
+    if ("version",) not in seen:
         raise ParseError("missing 'version' header line", 1)
     for node, lineno in final_restores:
         if not sc._snapshot_before(node, final=False):

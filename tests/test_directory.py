@@ -243,7 +243,7 @@ def test_redeploying_a_filename_updates_its_one_entry():
     assert sd.entries == [created.entry] and created.entry.request is redeploy
 
 
-def test_retransmitted_blocks_create_nothing_and_the_last_block_creates_the_entry_once():
+def test_copies_of_more_blocks_do_nothing_and_each_copy_of_the_last_block_upserts_its_entry():
     sd = StateDirectory()
     # The ACK was lost and block 0 is retransmitted, then block 1 twice.
     for num, payload, mid in ((0, b"a", 1), (0, b"a", 1), (1, b"b", 2), (1, b"b", 2)):
@@ -251,11 +251,12 @@ def test_retransmitted_blocks_create_nothing_and_the_last_block_creates_the_entr
                                             CLIENT, NODE)
         assert effect.kind is EffectKind.NO_EFFECT and not sd.entries
     last = deploy_block(2, False, b"c" * 4, 3)
-    effect = sd.intercept_from_internet(last, CLIENT, NODE)
-    assert effect.kind is EffectKind.CREATED and effect.entry.request is last
-    # The last block retransmitted continues no transfer.
-    assert sd.intercept_from_internet(last, CLIENT, NODE).kind is EffectKind.NO_EFFECT
-    assert sd.entries == [effect.entry]
+    created = sd.intercept_from_internet(last, CLIENT, NODE)
+    assert created.kind is EffectKind.CREATED and created.entry.request is last
+    # The last block retransmitted updates that entry, as a repeated PUT does.
+    updated = sd.intercept_from_internet(last, CLIENT, NODE)
+    assert updated.kind is EffectKind.UPDATED and updated.entry is created.entry
+    assert created.entry.request is last and sd.entries == [created.entry]
 
 
 def test_lossy_block_transfer_still_deploys_the_exact_image():
@@ -279,6 +280,33 @@ at 1000 deploy c1 n1 file=img block=16 data=hex:{image.hex()}
     assert entry.entry_type is EntryType.DEPLOY
     assert entry.request.options.query_value("file") == "img"
     assert result.world.nodes["n1"].flash["img"] == image
+
+
+def test_directory_and_node_agree_on_the_module_of_a_last_block_that_continues_no_transfer():
+    from sdgateway.harness import ScenarioRun
+    from sdgateway.scenario import parse_scenario
+
+    run = ScenarioRun(parse_scenario(f"""version 1
+settle 0
+node n1 {NODE.addr}
+client c1 {CLIENT.addr}
+assert 6000 snapshot n1
+at 6500 crash n1 down=400
+assert 20000 restored n1
+"""))
+    client, sim, node = run.world.clients["c1"], run.world.sim, run.world.nodes["n1"]
+    directory = run.world.gateway.directory
+    sim.schedule_at(3000.0, lambda: client._request(
+        NODE.addr, POST, "ldr", payload=b"7", block1=Block1(2, False, 16),
+        uri_query=("file=m",)))
+    at_snapshot = []
+    sim.schedule_at(6000.0, lambda: at_snapshot.append((
+        {e.request.options.query_value("file") for e in directory.entries_for_server(NODE.addr)
+         if e.entry_type is EntryType.DEPLOY}, set(node.loaded_modules))))
+    run.advance()
+    (deployed, loaded), = at_snapshot
+    assert deployed == loaded
+    assert run.ok, run.failures
 
 
 def test_entries_for_server_ordered_by_creation():
@@ -441,15 +469,19 @@ def check_against_reference(seed):
             for num in range(nblocks):
                 more, mid = num + 1 < nblocks, next(mids)
                 msg = deploy_block(num, more, b"x" * 16, mid, filename, loader)
-                for _ in range(rng.choice([1, 2]) if more else 1):  # maybe retransmitted
+                for _ in range(rng.choice([1, 2])):  # maybe retransmitted
                     got = sd.intercept_from_internet(msg, client, server)
                     if more:
                         assert got.kind is EffectKind.NO_EFFECT
-            found = next((e for e in ref.entries if e.entry_type is EntryType.DEPLOY
-                          and e.server == server
-                          and e.request.options.uri_query == (f"file={filename}",)), None)
-            want = ref.upsert(found, EntryType.DEPLOY, now[0], client, server, loader, msg,
-                              ("-", "-", "-", f"{filename},{loader},0"))
+                        continue
+                    # Each copy of the last block upserts the module's entry.
+                    found = next((e for e in ref.entries if e.entry_type is EntryType.DEPLOY
+                                  and e.server == server
+                                  and e.request.options.uri_query == (f"file={filename}",)),
+                                 None)
+                    want = ref.upsert(found, EntryType.DEPLOY, now[0], client, server, loader,
+                                      msg, ("-", "-", "-", f"{filename},{loader},0"))
+                    assert got.kind is want, (step, op)
         assert got.kind is want, (step, op)
         assert sd.entries == ref.entries, (step, op)
         assert sd.snapshot_lines() == [ref.render(e) for e in ref.entries], (step, op)

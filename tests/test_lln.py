@@ -321,15 +321,22 @@ def test_scripted_counter_jumps_but_never_backward():
     world = booted_world(simple_scenario(resources={"s/t": b"1"}))
     node = world.nodes["n1"]
     client = world.clients["c1"]
+    # The cancellation sentinel raises whatever observers the path has.
+    with pytest.raises(ValueError, match="cancellation sentinel"):
+        node.notify("s/t", counter=1)  # no observer
     world.sim.schedule_at(world.sim.now, lambda: client.observe(node.addr, "s/t"))
     world.sim.run(until=world.sim.now + 1000.0)
     with pytest.raises(ValueError, match="cancellation sentinel"):
         node.notify("s/t", counter=1)  # the observer is at 0, so 1 is not backward
+    node.notify("s/t", counter=5)
+    world.sim.run(until=world.sim.now + 500.0)
+    with pytest.raises(ValueError, match="cancellation sentinel"):
+        node.notify("s/t", counter=1)  # the observer is at 5, so 1 is backward
     for value in (12, 20, 44):
         node.notify("s/t", counter=value)
         world.sim.run(until=world.sim.now + 500.0)
     values = [n.observe for n in client.notifications]
-    assert values == [0, 0, 12, 20, 44]  # registration echo, push, then jumps
+    assert values == [0, 0, 5, 12, 20, 44]  # registration echo, push, then jumps
     node.notify("s/t", counter=5)  # backward: skipped and traced, not raised
     world.sim.run(until=world.sim.now + 500.0)
     assert [n.observe for n in client.notifications] == values
@@ -820,11 +827,10 @@ def test_malformed_bytes_delivered_to_a_client_are_dropped():
 
 def test_a_new_block_transfer_drops_those_abandoned_for_the_exchange_lifetime():
     """The node is blackholed after a deploy's first block until the client
-    gives up.  A deploy soon after keeps the abandoned transfer on both the
-    node and the gateway's directory; one 250 s later drops it."""
+    gives up.  A deploy soon after keeps the abandoned transfer on the node;
+    one 250 s later drops it."""
     world = booted_world(simple_scenario())
     node, client, sim = world.nodes["n1"], world.clients["c1"], world.sim
-    directory = world.gateway.directory
 
     def deploy_first_block(filename: str) -> None:
         client.deploy(node.addr, filename, filename.encode() * 16, block_size=16)
@@ -836,18 +842,15 @@ def test_a_new_block_transfer_drops_those_abandoned_for_the_exchange_lifetime():
     sim.run(until=sim.now + 100_000.0)
     assert sim.trace.find("client_timeout", client="c1")
     world.network.blackholes.clear()
-    (old_node,), (old_sd,) = node._incoming_blocks, directory._pending_blocks
+    (old_node,) = node._incoming_blocks
     deploy_first_block("mid")  # within the lifetime: both transfers are held
-    assert len(node._incoming_blocks) == len(directory._pending_blocks) == 2
+    assert len(node._incoming_blocks) == 2
     sim.run(until=sim.now + 1000.0)
     assert set(node._incoming_blocks) == {old_node} and node.flash["mid"] == b"mid" * 16
-    assert set(directory._pending_blocks) == {old_sd}
     sim.run(until=sim.now + 250_000.0)
     deploy_first_block("new")
     ((new_node, (_, blocks)),) = node._incoming_blocks.items()
     assert new_node != old_node and blocks == [b"new" * 5 + b"n"]
-    ((new_sd, (_, expected)),) = directory._pending_blocks.items()
-    assert new_sd != old_sd and expected == 1  # block 0 passed, block 1 is next
     sim.run(until=sim.now + 1000.0)
     assert node.flash["new"] == b"new" * 16
-    assert node._incoming_blocks == directory._pending_blocks == {}
+    assert node._incoming_blocks == {}

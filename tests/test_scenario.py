@@ -245,11 +245,16 @@ def test_pinned_lines_parse_to_what_the_builder_makes(text, call):
     ("assert final", "assert <ms|final> <check> ..."),
     ("resource n1 a hex:zz", "non-hexadecimal number found"),
     ("at 10 put c1 n1 a hex:0", "non-hexadecimal number found"),
+    # A repeated line is an error on the repeat, the last line here.
+    ("version 1", "version repeats line 1"),
+    ("seed 1\nseed 2", "seed repeats line 8"),
+    ("resource n1 a 1\nresource n1 /a 2", "resource n1 a repeats line 8"),
+    ("flash n1 mod0 x\nflash n1 mod0 y", "flash n1 mod0 repeats line 8"),
 ])
 def test_malformed_lines_are_parse_errors(line, message):
     with pytest.raises(ParseError) as err:
         parse_scenario(BASE + line)
-    assert err.value.line == LINE and message in str(err.value)
+    assert err.value.line == LINE + line.count("\n") and message in str(err.value)
 
 
 # Each builder call fails with the message the parser gives the line.
